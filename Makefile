@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro examples clean
+.PHONY: all build vet test race bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro examples clean
 
 # Benchmarks must run at the host's full width: a throttled GOMAXPROCS
 # makes every parallel benchmark meaningless (the PE goroutines
@@ -60,12 +60,28 @@ bench-json:
 # a fast gate that the parallel SMVP entry points still run, and that
 # the fault-injection hooks stay allocation-free on their hot path.
 # The second step is the kernel-regression guard: it times the fused
-# MulVecDot against the unfused SMVP+dot pair (enough iterations for a
-# stable number) and fails if fusion has stopped paying for itself
-# (`benchjson -guard`, 10% slack for timer noise).
+# MulVecDot — the multiply of every PE-resident CG iteration — against
+# the SMVP + separate dot pair (enough iterations for a stable number)
+# and fails if fusion has stopped paying for itself (`benchjson -guard`,
+# 10% slack for timer noise).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='ParallelSMVP|OverlappedSMVP|FaultHookOverhead' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='KernelGuard' -benchtime=50x . | $(GO) run ./cmd/benchjson -guard
+
+# The end-to-end benchmark (bench/README.md, BENCHMARK.json): every
+# workload once, untraced. One run says little on a shared host; a claim
+# is made with pairs.
+e2e:
+	$(GO) run ./bench -workload all -trace 0
+
+# N alternating pairs of BASE (a git revision, exported with git archive)
+# against the working tree on workload W, recorded under results/e2e/ and
+# ended with `bench -compare` and the per-metric pair table:
+#   make e2e-pairs BASE=HEAD~1 N=10 W=warm_large [SEED=2]
+N ?= 10
+SEED ?= 1
+e2e-pairs:
+	sh scripts/e2e-pairs.sh $(BASE) $(N) $(W) $(SEED)
 
 # Short mutation runs of the fuzz targets: the parsers that accept
 # untrusted input (the message-matrix schedule builder, the fault-plan

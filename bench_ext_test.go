@@ -16,6 +16,7 @@ import (
 	"repro/internal/partition"
 	iq "repro/internal/quake"
 	"repro/internal/report"
+	"repro/internal/solver"
 	"repro/internal/spark"
 )
 
@@ -153,11 +154,17 @@ func BenchmarkOverlappedSMVP(b *testing.B) {
 	})
 }
 
-// BenchmarkDistCGSolve measures one repeated implicit-method solve on
-// the persistent-PE runtime: every CG iteration applies the distributed
-// operator, and the reused solver workspace keeps the per-solve
-// allocations flat (one Result plus telemetry, independent of solves).
-func BenchmarkDistCGSolve(b *testing.B) {
+// applyOnly hides everything of an operator but Apply, so CG drives it
+// with the serial backend over global vectors.
+type applyOnly struct{ op quake.DistOperator }
+
+func (a applyOnly) Apply(y, x []float64) error { return a.op.Apply(y, x) }
+func (a applyOnly) Dim() int                   { return a.op.Dim() }
+
+// benchDistCG measures one repeated implicit-method solve on the
+// persistent-PE runtime (sf10, 8 PEs). per-solve allocations stay flat
+// (one Result plus telemetry, independent of the iteration count).
+func benchDistCG(b *testing.B, wrap func(quake.DistOperator) solver.Operator) {
 	m, err := quake.SF10.Mesh()
 	if err != nil {
 		b.Fatal(err)
@@ -179,7 +186,7 @@ func BenchmarkDistCGSolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dist.Close()
-	op := quake.DistOperator{D: dist, Shift: 20, MassNode: sys.MassNode}
+	op := wrap(quake.DistOperator{D: dist, Shift: 20, MassNode: sys.MassNode})
 	n := op.Dim()
 	rhs := make([]float64, n)
 	rhs[3] = 1e2
@@ -204,55 +211,18 @@ func BenchmarkDistCGSolve(b *testing.B) {
 	b.ReportMetric(float64(iters), "iters/solve")
 }
 
-// BenchmarkDistCGSolveFused is BenchmarkDistCGSolve with Fused on: the
-// solver takes the ApplyDot path (SMVP and p·Ap in one runtime dispatch)
-// and the merged x/r/norm update sweep. benchjson pairs the two under
-// cg_unfused/cg_fused in the report's kernels section.
-func BenchmarkDistCGSolveFused(b *testing.B) {
-	m, err := quake.SF10.Mesh()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := quake.Assemble(m, quake.SanFernando())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt, err := partition.PartitionMesh(m, 8, partition.RCB, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pr, err := partition.Analyze(m, pt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dist, err := quake.NewDist(m, quake.SanFernando(), pt, pr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dist.Close()
-	op := quake.DistOperator{D: dist, Shift: 20, MassNode: sys.MassNode}
-	n := op.Dim()
-	rhs := make([]float64, n)
-	rhs[3] = 1e2
-	x := make([]float64, n)
-	ws := quake.NewCGWorkspace(n)
-	var iters int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		res, err := quake.SolveCG(op, rhs, x, quake.CGConfig{MaxIter: 2 * n, Tol: 1e-7, Workspace: ws, Fused: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Converged {
-			b.Fatal("CG did not converge")
-		}
-		iters = res.Iterations
-	}
-	b.ReportMetric(float64(iters), "iters/solve")
+// BenchmarkDistCGSolveSerial is the serial reference: global iteration
+// vectors on the caller, one dispatched SMVP per iteration.
+func BenchmarkDistCGSolveSerial(b *testing.B) {
+	benchDistCG(b, func(op quake.DistOperator) solver.Operator { return applyOnly{op} })
+}
+
+// BenchmarkDistCGSolveResident is the production path: the iteration
+// vectors live on the PEs and one dispatch runs a burst of iterations.
+// benchjson pairs the two under cg_serial/cg_resident in the report's
+// kernels section.
+func BenchmarkDistCGSolveResident(b *testing.B) {
+	benchDistCG(b, func(op quake.DistOperator) solver.Operator { return op })
 }
 
 // BenchmarkAblationBlockSize sweeps the transfer-unit size: the same

@@ -75,8 +75,9 @@ type Report struct {
 	// no recovery activity.
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
 	// Kernels is the A/B view of the SMVP kernel variants and the
-	// fused-vs-unfused CG solves, keyed by short kernel name (csr, bcsr,
-	// sym, csr_seg, fused, cg_unfused, cg_fused). When a previous
+	// serial-reference vs PE-resident CG solves, keyed by short kernel
+	// name (csr, bcsr, sym, csr_seg, fused, cg_serial, cg_resident). When
+	// a previous
 	// BENCH_*.json is available (-prev, or auto-discovered), each entry
 	// carries that snapshot's ns/op and the speedup against it, so a
 	// kernel regression is visible in the report itself, not only by
@@ -102,8 +103,8 @@ var kernelBenchmarks = map[string]string{
 	"BenchmarkAblationKernels/sym":     "sym",
 	"BenchmarkAblationKernels/csr_seg": "csr_seg",
 	"BenchmarkAblationKernels/fused":   "fused",
-	"BenchmarkDistCGSolve":             "cg_unfused",
-	"BenchmarkDistCGSolveFused":        "cg_fused",
+	"BenchmarkDistCGSolveSerial":       "cg_serial",
+	"BenchmarkDistCGSolveResident":     "cg_resident",
 }
 
 // RecoveryStats is the report's recovery section, read from the

@@ -286,8 +286,8 @@ BenchmarkAblationKernels/bcsr-8 	 200 	 2400 ns/op
 BenchmarkAblationKernels/sym-8 	 200 	 1600 ns/op
 BenchmarkAblationKernels/csr_seg-8 	 200 	 4800 ns/op
 BenchmarkAblationKernels/fused-8 	 200 	 2000 ns/op
-BenchmarkDistCGSolve-8 	 10 	 40000000 ns/op
-BenchmarkDistCGSolveFused-8 	 10 	 30000000 ns/op
+BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
+BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
 `
 
 // TestKernelsSection: the kernel benchmarks fold into the kernels map
@@ -297,7 +297,7 @@ func TestKernelsSection(t *testing.T) {
 	prev := filepath.Join(dir, "BENCH_2026-08-05.json")
 	prevRep := map[string]any{"ns_per_op": map[string]float64{
 		"BenchmarkAblationKernels/csr": 6000,
-		"BenchmarkDistCGSolve":         44000000,
+		"BenchmarkDistCGSolveSerial":   44000000,
 	}}
 	raw, _ := json.Marshal(prevRep)
 	if err := os.WriteFile(prev, raw, 0o644); err != nil {
@@ -319,7 +319,7 @@ func TestKernelsSection(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"csr", "bcsr", "sym", "csr_seg", "fused", "cg_unfused", "cg_fused"} {
+	for _, key := range []string{"csr", "bcsr", "sym", "csr_seg", "fused", "cg_serial", "cg_resident"} {
 		if _, ok := rep.Kernels[key]; !ok {
 			t.Errorf("kernels section missing %q: %+v", key, rep.Kernels)
 		}
@@ -332,8 +332,8 @@ func TestKernelsSection(t *testing.T) {
 	if f := rep.Kernels["fused"]; f.PrevNsPerOp != 0 || f.SpeedupVsPrev != 0 {
 		t.Errorf("fused should have no prev delta, got %+v", f)
 	}
-	if cg := rep.Kernels["cg_unfused"]; cg.SpeedupVsPrev != 1.1 {
-		t.Errorf("cg_unfused speedup = %v, want 1.1", cg.SpeedupVsPrev)
+	if cg := rep.Kernels["cg_serial"]; cg.SpeedupVsPrev != 1.1 {
+		t.Errorf("cg_serial speedup = %v, want 1.1", cg.SpeedupVsPrev)
 	}
 }
 

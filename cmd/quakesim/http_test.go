@@ -45,10 +45,11 @@ func TestRunHTTP(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	// Prometheus text format, with live solver counters in it.
+	// Prometheus text format from the very first scrape — before any
+	// pipeline stage has registered a metric, obs_up is already there.
 	if code, body := get("/metrics"); code != 200 ||
-		!strings.Contains(body, "# TYPE ") {
-		t.Errorf("/metrics: code=%d, not Prometheus text", code)
+		!strings.Contains(body, "# TYPE obs_up gauge\nobs_up 1\n") {
+		t.Errorf("/metrics: code=%d, no obs_up series in:\n%s", code, body)
 	}
 	// JSON snapshot parses back into an obs.Snapshot.
 	if code, body := get("/metrics.json"); code != 200 {

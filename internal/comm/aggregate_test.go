@@ -54,7 +54,7 @@ func TestAggregateSmall(t *testing.T) {
 	if a.NumNodes != 2 || a.Leader[0] != 0 || a.Leader[1] != 2 {
 		t.Fatalf("nodes/leaders = %d/%v", a.NumNodes, a.Leader)
 	}
-	// Fused payloads: node0→node1 = 2+3+7... careful: inter messages
+	// Aggregated payloads: node0→node1 = 2+3+7... careful: inter messages
 	// from node 0 to node 1 are 0→2 (7), 0→3 (2), 1→3 (3) = 12 words,
 	// and symmetrically 12 back.
 	inter := a.Internode

@@ -32,6 +32,10 @@ func NewMux(r *obs.Registry, f *obs.Flight) *http.ServeMux {
 		f = obs.FlightRecorder
 	}
 	obs.PublishExpvar()
+	// An enabled registry never serves an empty exposition: a scrape
+	// that beats the first pipeline stage's registrations still sees one
+	// series, so "no metrics" always means "telemetry is off".
+	up := r.Gauge("obs.up")
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
@@ -44,10 +48,12 @@ func NewMux(r *obs.Registry, f *obs.Flight) *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		up.Set(1)
 		WritePrometheus(w, r.Snapshot())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		up.Set(1)
 		r.Snapshot().WriteJSON(w)
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, req *http.Request) {

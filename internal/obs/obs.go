@@ -346,12 +346,17 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		hs := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
+		// Count is the bucket total, not h.count: with writers running,
+		// separately loaded atomics disagree by the observations in
+		// flight, and an exposition whose +Inf bucket differs from its
+		// _count is malformed.
+		hs := HistogramSnapshot{Sum: h.sum.Load(), Max: h.max.Load()}
 		for i := 0; i < histBuckets; i++ {
 			n := h.buckets[i].Load()
 			if n == 0 {
 				continue
 			}
+			hs.Count += n
 			le := uint64(1)
 			if i > 0 {
 				le = 1 << uint(i)

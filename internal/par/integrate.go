@@ -17,9 +17,11 @@ import (
 // characterizes.
 //
 // Replica consistency is the key invariant: displacement, velocity, and
-// nodal mass are replicated on every PE where a node resides, and every
-// PE applies the identical update to its replicas, so no communication
-// beyond the SMVP exchange is ever needed.
+// nodal mass are replicated on every PE where a node resides, the
+// exchange sums every replica's K·u in the same canonical order, and
+// every PE applies the identical update to its replicas — so all
+// replicas of a node hold the same bits, and no communication beyond the
+// SMVP exchange is ever needed.
 type DistSim struct {
 	D *Dist
 	// Mass[pe][l] is the globally-summed lumped mass of local node l.
@@ -27,6 +29,9 @@ type DistSim struct {
 	// dampers[pe] holds the per-local-node 3×3 absorber blocks, nil
 	// when absorbers are not configured.
 	dampers [][][9]float64
+	// u[pe] is the displacement state of the last Run, kept for the
+	// replica-consistency test.
+	u [][]float64
 }
 
 // NewDistSim assembles the distributed mass (summing partial lumped
@@ -109,6 +114,7 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 
 	// Per-PE state.
 	u := make([][]float64, d.P)
+	s.u = u
 	v := make([][]float64, d.P)
 	ku := make([][]float64, d.P)
 	srcLocal := make([]int32, d.P) // local index of source node, -1 if absent
@@ -143,86 +149,26 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 	updateAcc := make([]time.Duration, d.P)
 
 	// One body drives a whole step on the persistent PEs: local SMVP,
-	// post into the runtime's preallocated send buffers, phase barrier,
-	// receive, replica update. The coordinator dispatches it once per
-	// step (no goroutine spawns, no per-step allocations); fx/fy/fz are
-	// refreshed between dispatches, which are full synchronization
-	// points. The closure below is created once per Run.
+	// the runtime's barrier-synchronised exchange, replica update. The
+	// coordinator dispatches it once per step (no goroutine spawns, no
+	// per-step allocations); fx/fy/fz are refreshed between dispatches,
+	// which are full synchronization points. The closure below is
+	// created once per Run. The integrator keeps the flat exchange.
 	rt := d.rt
 	var fx, fy, fz float64
 	stepBody := func(pe int) {
-		fi, iter := rt.fi, rt.iter
-
-		// Computation phase: local SMVP.
-		sp := obs.StartSpanPE("compute", "par.step.compute", pe)
-		t0 := time.Now()
-		d.K[pe].MulVec(ku[pe], u[pe])
-		dc := time.Since(t0)
-		computeAcc[pe] += dc
-		rt.met.observeCompute(pe, iter, dc)
-		sp.End()
-
-		if fi != nil {
-			fi.AfterCompute(pe, iter)
-		}
-
-		// Communication phase: exchange and sum partial K·u.
-		ws := &rt.ws[pe]
-		sp = obs.StartSpanPE("exchange", "par.step.post", pe)
-		t0 = time.Now()
-		var sent int64
-		for k, locals := range d.Shared[pe] {
-			buf := ws.send[k]
-			for sIdx, l := range locals {
-				copy(buf[3*sIdx:3*sIdx+3], ku[pe][3*l:3*l+3])
-			}
-			if fi != nil {
-				fi.CorruptSend(pe, int(d.Neighbors[pe][k]), iter, buf)
-			}
-			sent += bytesPerSharedNode * int64(len(locals))
-		}
-		dpost := time.Since(t0)
-		exchangeAcc[pe] += dpost
-		rt.met.exchBytes[pe].Add(sent)
-		rt.met.exchMsgs.Add(int64(len(d.Shared[pe])))
-		sp.End()
-
-		// All posts must be visible before anyone reads them. A
-		// poisoned release means a peer died with its posts possibly
-		// in flight — bail out rather than race on them.
-		if !rt.bar.await() {
+		iter := rt.ws[pe].iter
+		rt.compute(pe, ku[pe], u[pe], false)
+		computeAcc[pe] += rt.tm.Compute[pe]
+		if !rt.exchange(pe, ku[pe], nil) {
 			return
 		}
-
-		sp = obs.StartSpanPE("exchange", "par.step.recv", pe)
-		t0 = time.Now()
-		var recvd int64
-		for k, nbr := range d.Neighbors[pe] {
-			buf := rt.ws[nbr].send[ws.rev[k]]
-			locals := d.Shared[pe][k]
-			reps := 1
-			if fi != nil {
-				reps = fi.Deliver(int(nbr), pe, iter)
-			}
-			for ; reps > 0; reps-- {
-				for sIdx, l := range locals {
-					ku[pe][3*l] += buf[3*sIdx]
-					ku[pe][3*l+1] += buf[3*sIdx+1]
-					ku[pe][3*l+2] += buf[3*sIdx+2]
-				}
-				recvd += bytesPerSharedNode * int64(len(locals))
-			}
-		}
-		drecv := time.Since(t0)
-		exchangeAcc[pe] += drecv
-		rt.met.exchBytes[pe].Add(recvd)
-		rt.met.observeExchange(pe, iter, dpost+drecv)
-		sp.End()
+		exchangeAcc[pe] += rt.tm.Comm[pe]
 
 		// Update phase: identical on every replica; touches only this
 		// PE's u/v/ku, so no barrier is needed after the receive.
-		sp = obs.StartSpanPE("update", "par.step.update", pe)
-		t0 = time.Now()
+		sp := obs.StartSpanPE("update", "par.step.update", pe)
+		t0 := time.Now()
 		nloc := len(d.Nodes[pe])
 		for i := 0; i < nloc; i++ {
 			invM := 1 / s.Mass[pe][i]
@@ -276,7 +222,7 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 		amp := cfg.Source.Amplitude * fem.Ricker(t, cfg.Source.PeakFreq, cfg.Source.Delay)
 		fx, fy, fz = amp*dir.X, amp*dir.Y, amp*dir.Z
 
-		if err := rt.run(stepBody); err != nil {
+		if _, err := rt.runKernel(stepBody, nil, nil); err != nil {
 			return nil, err
 		}
 		for pe := 0; pe < d.P; pe++ {

@@ -63,7 +63,6 @@ type Dist struct {
 // sent and received by the PE, i.e. 8·C[i] per SMVP invocation.
 type distMetrics struct {
 	smvps     *obs.Counter
-	fusedSmvp *obs.Counter
 	exchMsgs  *obs.Counter
 	msgBytes  *obs.Histogram
 	exchBytes []*obs.Counter
@@ -85,7 +84,6 @@ type distMetrics struct {
 func newDistMetrics(p int) distMetrics {
 	m := distMetrics{
 		smvps:          obs.GetCounter("par.smvp.calls"),
-		fusedSmvp:      obs.GetCounter("par.smvp.fused_calls"),
 		exchMsgs:       obs.GetCounter("par.exchange.msgs"),
 		msgBytes:       obs.GetHistogram("par.exchange.msg_bytes"),
 		exchBytes:      make([]*obs.Counter, p),
@@ -351,161 +349,159 @@ func (d *Dist) SMVP(y, x []float64) (*Timing, error) {
 	return d.rt.runKernel(d.rt.phasedBody, y, x)
 }
 
-// SMVPDot is the fused distributed kernel: y = K·x and the global dot
-// x·y in one pass over the runtime. It runs the same phased body as
-// SMVP — y is bit-identical to a plain SMVP, flat or aggregated — with
-// the fused dot armed: each PE accumulates x·y over its owned nodes
-// during the gather phase into a preallocated padded slot, and the
-// coordinator sums the partials in ascending PE order. The reduction
-// is deterministic for a given partition but groups terms by PE, so
-// the dot agrees with a sequential dot(x, y) to rounding, not bit for
-// bit. Steady-state cost matches SMVP: zero allocations, zero
-// goroutine spawns, one extra multiply-add per owned scalar.
-func (d *Dist) SMVPDot(y, x []float64) (float64, *Timing, error) {
-	if len(x) != 3*d.GlobalNodes || len(y) != 3*d.GlobalNodes {
-		return 0, nil, fmt.Errorf("par: SMVPDot needs vectors of length %d, got %d/%d",
-			3*d.GlobalNodes, len(x), len(y))
-	}
-	d.rt.met.smvps.Add(1)
-	d.rt.met.fusedSmvp.Add(1)
-	return d.rt.runKernelDot(d.rt.phasedBody, y, x)
-}
-
-// phasedPE is the per-PE body of the phased SMVP: scatter and local
-// multiply, post partial sums into the PE's own send buffers, cross the
-// phase barrier (the synchronization point separating the computation
-// phase from the exchange), then read the neighbors' buffers in place
-// and accumulate. Scatter and gather are untimed, as before:
-// distribution of x is part of the surrounding application, which
-// keeps x resident.
+// phasedPE is the per-PE body of the phased SMVP: scatter, local
+// multiply, the barrier-synchronised exchange, gather. Scatter and
+// gather are untimed, as before: distribution of x is part of the
+// surrounding application, which keeps x resident.
 func (rt *peRuntime) phasedPE(pe int) {
 	ws := &rt.ws[pe]
 	nodes := rt.nodes[pe]
 	x, y := rt.x, rt.y
-	fi, iter := rt.fi, rt.iter
-	agg := rt.agg
-	fdot := rt.fusedDot
 	for l, g := range nodes {
 		copy(ws.x[3*l:3*l+3], x[3*g:3*g+3])
 	}
-
-	// Computation phase.
-	sp := obs.StartSpanPE("compute", "par.smvp.compute", pe)
-	start := time.Now()
-	rt.k[pe].MulVec(ws.y, ws.x)
-	rt.tm.Compute[pe] = time.Since(start)
-	rt.met.observeCompute(pe, iter, rt.tm.Compute[pe])
-	sp.End()
-
-	if fi != nil {
-		fi.AfterCompute(pe, iter)
-	}
-
-	// Communication phase, step 1: post partial sums for each neighbor
-	// into this PE's own send buffers.
-	sp = obs.StartSpanPE("exchange", "par.smvp.post", pe)
-	start = time.Now()
-	var sent int64
-	for k, locals := range rt.shared[pe] {
-		buf := ws.send[k]
-		for s, l := range locals {
-			copy(buf[3*s:3*s+3], ws.y[3*l:3*l+3])
-		}
-		if fi != nil {
-			fi.CorruptSend(pe, int(rt.neighbors[pe][k]), iter, buf)
-		}
-		n := bytesPerSharedNode * int64(len(locals))
-		sent += n
-		rt.met.msgBytes.Observe(n)
-	}
-	rt.tm.Comm[pe] = time.Since(start)
-	rt.met.exchBytes[pe].Add(sent)
-	rt.met.exchMsgs.Add(int64(len(rt.shared[pe])))
-	sp.End()
-
-	// Every post must be visible before any PE reads its neighbors'
-	// buffers; the barrier wait itself is not attributed to Comm (the
-	// pre-runtime kernel's pool barrier was likewise uncounted). A
-	// poisoned release means a peer died mid-kernel and its posts (or a
-	// leader's staging copies) may still be in flight — bail out rather
-	// than race on them.
-	if !rt.bar.await() {
+	rt.compute(pe, ws.y, ws.x, false)
+	if !rt.exchange(pe, ws.y, rt.agg) {
 		return
 	}
-
-	// Two-level exchange: the node leaders gather their members' posted
-	// buffers into the inter-node staging areas (the fused send), and a
-	// second barrier makes the staging visible before anyone reads it.
-	var recvBufs [][]float64
-	if agg != nil {
-		rt.aggExchange(pe, agg)
-		if !rt.bar.await() {
-			return
-		}
-		recvBufs = agg.recv[pe]
-	}
-
-	// Communication phase, step 2: receive and accumulate, reading the
-	// neighbors' send buffers in place (rev locates the buffer destined
-	// for this PE on the other side). Under aggregation the remote
-	// buffers come from the staging areas instead — same values, same
-	// neighbor order, so the sums are bit-identical.
-	sp = obs.StartSpanPE("exchange", "par.smvp.recv", pe)
-	start = time.Now()
-	var recvd int64
-	for k, nbr := range rt.neighbors[pe] {
-		buf := rt.ws[nbr].send[ws.rev[k]]
-		if recvBufs != nil {
-			buf = recvBufs[k]
-		}
-		locals := rt.shared[pe][k]
-		reps := 1
-		if fi != nil {
-			reps = fi.Deliver(int(nbr), pe, iter)
-		}
-		for ; reps > 0; reps-- {
-			for s, l := range locals {
-				ws.y[3*l] += buf[3*s]
-				ws.y[3*l+1] += buf[3*s+1]
-				ws.y[3*l+2] += buf[3*s+2]
-			}
-			recvd += bytesPerSharedNode * int64(len(locals))
-		}
-	}
-	rt.tm.Comm[pe] += time.Since(start)
-	rt.met.exchBytes[pe].Add(recvd)
-	rt.met.observeExchange(pe, iter, rt.tm.Comm[pe])
-	sp.End()
-
-	// Gather phase: owners write their nodes' results. With the fused
-	// dot armed, the same loop folds this PE's share of x·y — the dot
-	// over its owned nodes, every term formed from values already in
-	// registers — into the PE's padded slot. The y written back is the
-	// same either way, so a fused kernel's output is bit-identical to
-	// the plain SMVP's.
-	if fdot {
-		var d float64
-		for l, g := range nodes {
-			if rt.owner[g] != int32(pe) {
-				continue
-			}
-			y0, y1, y2 := ws.y[3*l], ws.y[3*l+1], ws.y[3*l+2]
-			y[3*g] = y0
-			y[3*g+1] = y1
-			y[3*g+2] = y2
-			d += ws.x[3*l] * y0
-			d += ws.x[3*l+1] * y1
-			d += ws.x[3*l+2] * y2
-		}
-		rt.dotSlots[pe*dotStride] = d
-		return
-	}
+	// Gather phase: owners write their nodes' results.
 	for l, g := range nodes {
 		if rt.owner[g] != int32(pe) {
 			continue
 		}
 		copy(y[3*g:3*g+3], ws.y[3*l:3*l+3])
 	}
+}
+
+// compute is one PE's computation phase: y = K_pe·x on its local
+// vectors, timed into Timing.Compute and the phase telemetry, followed
+// by the injector's PE-local hook — the point where a dead PE is most
+// dangerous, with every peer headed for the phase synchronization. With
+// dot set the fused kernel also returns xᵀy at no extra sweep.
+func (rt *peRuntime) compute(pe int, y, x []float64, dot bool) (d float64) {
+	iter := rt.ws[pe].iter
+	sp := obs.StartSpanPE("compute", "par.smvp.compute", pe)
+	start := time.Now()
+	if dot {
+		d = rt.k[pe].MulVecDot(y, x)
+	} else {
+		rt.k[pe].MulVec(y, x)
+	}
+	rt.tm.Compute[pe] = time.Since(start)
+	rt.met.observeCompute(pe, iter, rt.tm.Compute[pe])
+	sp.End()
+	if fi := rt.fi; fi != nil {
+		fi.AfterCompute(pe, iter)
+	}
+	return d
+}
+
+// exchange is one PE's communication phase, the only way partial sums
+// cross PEs in a barrier-synchronised kernel (the SMVP, the integrator
+// step, a CG iteration): y holds the PE's partial K_pe·x on entry and
+// the complete sums of every local node on return. The PE posts its
+// shared nodes' partials into its own send buffers, crosses the phase
+// barrier, and accumulates its neighbors' buffers in place (rev locates
+// the buffer destined for this PE on the other side). With a two-level
+// plan the node leaders gather the posted buffers into the inter-node
+// staging areas between two crossings and the remote partials are read
+// from there — same values, same order. The barrier wait itself is not
+// attributed to Comm.
+//
+// Every replica of a shared node sums the partials in the same order,
+// ascending PE id, so all replicas hold the same bits: the neighbors
+// below this PE first, then its own partial, then the neighbors above.
+// The owner is the lowest PE, for which that is own-first — the order
+// the gathered SMVP result has always had.
+//
+// A false return means a barrier was poisoned: a peer died mid-kernel
+// and its posts (or a leader's staging copies) may still be in flight,
+// so the caller must bail out rather than race on them.
+func (rt *peRuntime) exchange(pe int, y []float64, agg *aggState) bool {
+	ws := &rt.ws[pe]
+	fi, iter := rt.fi, ws.iter
+	nbrs := rt.neighbors[pe]
+
+	sp := obs.StartSpanPE("exchange", "par.smvp.post", pe)
+	start := time.Now()
+	var moved int64
+	for k, locals := range rt.shared[pe] {
+		buf := ws.send[k]
+		for s, l := range locals {
+			copy(buf[3*s:3*s+3], y[3*l:3*l+3])
+		}
+		if fi != nil {
+			fi.CorruptSend(pe, int(nbrs[k]), iter, buf)
+		}
+		n := bytesPerSharedNode * int64(len(locals))
+		moved += n
+		rt.met.msgBytes.Observe(n)
+	}
+	// Set the own partial of lower-owned nodes aside and start their sums
+	// from zero, so the lower neighbors' partials land first.
+	for i, l := range ws.replica {
+		copy(ws.self[3*i:3*i+3], y[3*l:3*l+3])
+		y[3*l], y[3*l+1], y[3*l+2] = 0, 0, 0
+	}
+	rt.tm.Comm[pe] = time.Since(start)
+	rt.met.exchMsgs.Add(int64(len(nbrs)))
+	sp.End()
+
+	if !rt.bar.await() {
+		return false
+	}
+	var staged [][]float64
+	if agg != nil {
+		rt.aggExchange(pe, agg)
+		if !rt.bar.await() {
+			return false
+		}
+		staged = agg.recv[pe]
+	}
+
+	sp = obs.StartSpanPE("exchange", "par.smvp.recv", pe)
+	start = time.Now()
+	moved += rt.receive(pe, y, staged, 0, ws.lower)
+	for i, l := range ws.replica {
+		y[3*l] += ws.self[3*i]
+		y[3*l+1] += ws.self[3*i+1]
+		y[3*l+2] += ws.self[3*i+2]
+	}
+	moved += rt.receive(pe, y, staged, ws.lower, len(nbrs))
+	rt.tm.Comm[pe] += time.Since(start)
+	rt.met.exchBytes[pe].Add(moved)
+	rt.met.observeExchange(pe, iter, rt.tm.Comm[pe])
+	sp.End()
+	return true
+}
+
+// receive accumulates into y the partials posted for PE pe by its
+// neighbors lo..hi-1, applying the injector's delivery faults, and
+// returns the bytes received.
+func (rt *peRuntime) receive(pe int, y []float64, staged [][]float64, lo, hi int) (recvd int64) {
+	ws := &rt.ws[pe]
+	fi := rt.fi
+	for k := lo; k < hi; k++ {
+		nbr := rt.neighbors[pe][k]
+		buf := rt.ws[nbr].send[ws.rev[k]]
+		if staged != nil {
+			buf = staged[k]
+		}
+		locals := rt.shared[pe][k]
+		reps := 1
+		if fi != nil {
+			reps = fi.Deliver(int(nbr), pe, ws.iter)
+		}
+		for ; reps > 0; reps-- {
+			for s, l := range locals {
+				y[3*l] += buf[3*s]
+				y[3*l+1] += buf[3*s+1]
+				y[3*l+2] += buf[3*s+2]
+			}
+			recvd += bytesPerSharedNode * int64(len(locals))
+		}
+	}
+	return recvd
 }
 
 // FlopsPerPE returns the flop count of each PE's local SMVP (2 flops
@@ -580,32 +576,6 @@ func (o Operator) Apply(y, x []float64) error {
 		}
 	}
 	return nil
-}
-
-// ApplyDot implements solver.FusedOperator: the distributed SMVP and
-// the global dot x·y come out of one kernel dispatch, saving the full
-// extra sweep over the global vectors (and, on a real machine, one of
-// CG's two allreduces per iteration). The mass shift folds its own
-// contribution into both y and the dot, like solver.Shifted.ApplyDot.
-// The fused dot groups terms by owning PE, so it matches a sequential
-// dot to rounding rather than bit for bit — fused distributed CG is
-// certified against unfused CG at solve tolerance.
-func (o Operator) ApplyDot(y, x []float64) (float64, error) {
-	d, _, err := o.D.SMVPDot(y, x)
-	if err != nil {
-		return 0, err
-	}
-	if o.Shift > 0 {
-		for i, m := range o.MassNode {
-			f := o.Shift * m
-			x0, x1, x2 := x[3*i], x[3*i+1], x[3*i+2]
-			y[3*i] += f * x0
-			y[3*i+1] += f * x1
-			y[3*i+2] += f * x2
-			d += f * (x0*x0 + x1*x1 + x2*x2)
-		}
-	}
-	return d, nil
 }
 
 // Dim implements solver.Operator.

@@ -109,7 +109,10 @@ func (b *barrier) await() bool {
 	for gen == b.gen && !b.broken {
 		b.cond.Wait()
 	}
-	ok := !b.broken
+	// A round that completed before the poison did complete: a waiter
+	// that is slow to wake must see it the way its faster peers did, or
+	// PEs would disagree about how far a burst of iterations got.
+	ok := gen != b.gen
 	b.mu.Unlock()
 	return ok
 }
@@ -120,7 +123,6 @@ func (b *barrier) poison() {
 	b.mu.Lock()
 	b.broken = true
 	b.count = 0
-	b.gen++
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -145,6 +147,20 @@ type peWorkspace struct {
 	// when its buffer for this PE is complete; only the overlapped
 	// kernel uses it, the phased paths synchronize on the barrier.
 	ready []chan struct{}
+	// lower is the number of neighbors with a smaller PE id, i.e. this
+	// PE's rank in the canonical (ascending PE id) summation order of
+	// its shared nodes. replica lists the local indices of the shared
+	// nodes a lower PE owns; self holds this PE's own partials for them
+	// while the lower neighbors' are accumulated first. See exchange.
+	lower   int
+	replica []int32
+	self    []float64
+	// iter is the fault-plan kernel index of the SMVP this PE is
+	// executing (0 while no injector is armed).
+	iter int64
+	// cg holds the PE-resident CG vectors, allocated by the first
+	// resident solve. See cg.go.
+	cg cgVectors
 }
 
 // peRuntime owns one Dist's long-lived PE goroutines, their
@@ -183,26 +199,30 @@ type peRuntime struct {
 	x, y []float64
 	tm   Timing
 
-	// fusedDot arms the phased body's fused dot accumulation for the
-	// in-flight kernel: each PE folds x·y over its owned nodes into its
-	// dotSlots entry during the gather phase. Written under the dispatch
-	// mutex, read by PEs between the barriers — same discipline as x/y.
-	fusedDot bool
-	// dotSlots holds one partial dot per PE at stride dotStride (a full
-	// cache line), so concurrent PE writes never share a line.
-	// Preallocated: the fused kernel stays at zero allocations per call.
+	// dotSlots holds the per-PE partial reductions of the resident CG
+	// kernels, one cache line (dotStride words) per PE so concurrent PE
+	// writes never share a line. Preallocated: reductions allocate
+	// nothing.
 	dotSlots []float64
+	// resident is held for the whole of a PE-resident CG solve (Begin to
+	// End): the iteration vectors live in the PE workspaces, so solves
+	// on one Dist run one at a time. cg is the in-flight CG kernel's
+	// arguments and results, written under the dispatch mutex like x/y.
+	resident sync.Mutex
+	cg       cgCall
 
 	// Kernel bodies, bound once so dispatching allocates nothing.
 	phasedBody  func(pe int)
 	overlapBody func(pe int)
+	cgBody      func(pe int)
 
 	// fi is the armed fault injector, nil when disarmed (the production
 	// default: every hook site is then a single nil check). iter is the
-	// injector's kernel index for the in-flight dispatch. Both are
-	// written under the dispatch mutex and read by PEs strictly between
-	// the start and done barriers, so no further synchronization is
-	// needed — the same discipline as body/x/y.
+	// injector's kernel index for the in-flight dispatch (for a CG
+	// burst, of the SMVP before its first). Both are written under the
+	// dispatch mutex and read by PEs strictly between the start and done
+	// barriers, so no further synchronization is needed — the same
+	// discipline as body/x/y.
 	fi   *fault.Injector
 	iter int64
 
@@ -266,10 +286,20 @@ func newPERuntime(d *Dist) *peRuntime {
 		for k, nbr := range rt.neighbors[pe] {
 			w.rev[k] = indexOf(rt.neighbors[nbr], int32(pe))
 			w.ready[k] = make(chan struct{}, 1)
+			if int(nbr) < pe {
+				w.lower++
+			}
 		}
+		for _, l := range rt.boundary[pe] {
+			if rt.owner[rt.nodes[pe][l]] != int32(pe) {
+				w.replica = append(w.replica, l)
+			}
+		}
+		w.self = make([]float64, 3*len(w.replica))
 	}
 	rt.phasedBody = rt.phasedPE
 	rt.overlapBody = rt.overlappedPE
+	rt.cgBody = rt.cgPE
 	for pe := 0; pe < rt.p; pe++ {
 		go rt.peLoop(pe)
 	}
@@ -301,14 +331,16 @@ func (rt *peRuntime) peLoop(pe int) {
 // ready channels are released. The kernel's output is garbage after a
 // fault — the coordinator turns it into an error and poisons the Dist.
 func (rt *peRuntime) runBody(pe int, body func(pe int)) {
+	ws := &rt.ws[pe]
+	ws.iter = rt.iter
 	defer func() {
 		if r := recover(); r != nil {
 			rt.faultMu.Lock()
-			rt.faults = append(rt.faults, peFault{pe: pe, iter: rt.iter, val: r})
+			rt.faults = append(rt.faults, peFault{pe: pe, iter: ws.iter, val: r})
 			rt.faultMu.Unlock()
-			obs.RecordFlight(obs.FlightFault, "par.pe.panic", pe, rt.iter, 0)
+			obs.RecordFlight(obs.FlightFault, "par.pe.panic", pe, ws.iter, 0)
 			rt.bar.poison()
-			obs.RecordFlight(obs.FlightFault, "par.barrier.poison", pe, rt.iter, 0)
+			obs.RecordFlight(obs.FlightFault, "par.barrier.poison", pe, ws.iter, 0)
 			rt.releaseReady(pe)
 		}
 	}()
@@ -351,19 +383,12 @@ func (rt *peRuntime) collectFaults() error {
 	return err
 }
 
-// run executes body(0..p-1) on the persistent PEs and returns once all
-// have finished. The done barrier doubles as the buffer-reuse fence:
-// no PE can be past it while another still reads a send buffer, so the
-// next kernel may overwrite every workspace.
-func (rt *peRuntime) run(body func(pe int)) error {
-	rt.dispatch.Lock()
-	defer rt.dispatch.Unlock()
-	if err := rt.usable(); err != nil {
-		return err
-	}
-	if rt.fi != nil {
-		rt.iter = rt.fi.BeginKernel()
-	}
+// launch publishes body to the persistent PEs, waits for all of them to
+// finish it, and collects their faults. The done barrier doubles as the
+// buffer-reuse fence: no PE can be past it while another still reads a
+// send buffer, so the next kernel may overwrite every workspace. Called
+// under the dispatch mutex, after usable.
+func (rt *peRuntime) launch(body func(pe int)) error {
 	rt.body = body
 	rt.start.await()
 	rt.done.await()
@@ -371,8 +396,10 @@ func (rt *peRuntime) run(body func(pe int)) error {
 	return rt.collectFaults()
 }
 
-// runKernel runs an SMVP body against the global vectors x and y and
-// returns the runtime's reused Timing.
+// runKernel executes one kernel — body(0..p-1), one SMVP of fault-plan
+// time — on the persistent PEs against the global vectors x and y (nil
+// for a body that keeps its own state) and returns the runtime's reused
+// Timing once all PEs have finished.
 func (rt *peRuntime) runKernel(body func(pe int), y, x []float64) (*Timing, error) {
 	rt.dispatch.Lock()
 	defer rt.dispatch.Unlock()
@@ -383,52 +410,17 @@ func (rt *peRuntime) runKernel(body func(pe int), y, x []float64) (*Timing, erro
 		rt.iter = rt.fi.BeginKernel()
 	}
 	rt.x, rt.y = x, y
-	rt.body = body
-	rt.start.await()
-	rt.done.await()
-	rt.body = nil
+	err := rt.launch(body)
 	rt.x, rt.y = nil, nil
-	if err := rt.collectFaults(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &rt.tm, nil
 }
 
-// dotStride spaces the per-PE dot slots one cache line (8 float64)
-// apart so the concurrent slot writes of the fused kernel never share
-// a line.
+// dotStride spaces the per-PE reduction slots one cache line (8
+// float64) apart.
 const dotStride = 8
-
-// runKernelDot runs an SMVP body with the fused dot armed and returns
-// the x·y dot alongside the Timing. The per-PE partials are summed in
-// ascending PE order, so the reduction is deterministic for a given
-// partition — repeated calls yield bit-identical dots.
-func (rt *peRuntime) runKernelDot(body func(pe int), y, x []float64) (float64, *Timing, error) {
-	rt.dispatch.Lock()
-	defer rt.dispatch.Unlock()
-	if err := rt.usable(); err != nil {
-		return 0, nil, err
-	}
-	if rt.fi != nil {
-		rt.iter = rt.fi.BeginKernel()
-	}
-	rt.x, rt.y = x, y
-	rt.fusedDot = true
-	rt.body = body
-	rt.start.await()
-	rt.done.await()
-	rt.body = nil
-	rt.x, rt.y = nil, nil
-	rt.fusedDot = false
-	if err := rt.collectFaults(); err != nil {
-		return 0, nil, err
-	}
-	var d float64
-	for pe := 0; pe < rt.p; pe++ {
-		d += rt.dotSlots[pe*dotStride]
-	}
-	return d, &rt.tm, nil
-}
 
 // usable reports whether kernels may be dispatched: not closed, not
 // poisoned. Called under the dispatch mutex.

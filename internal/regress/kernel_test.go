@@ -5,21 +5,25 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/fem"
 	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/quake"
+	"repro/internal/solver"
 )
 
-// TestKernelFusionLeavesPipelineUntouched is the fusion PR's golden
-// guard: the tuned/fused kernels are pure scheduling changes, so (1)
-// the fused SMVP must produce the bit-identical product vector the
-// plain SMVP does, and (2) running them must not perturb any pipeline
-// product upstream of the kernel — the mesh, the partition, and the
-// re-derived exchange schedule hash exactly as before. Combined with
-// TestGoldenFingerprints (which pins those hashes against the golden
-// file), this proves a kernel change cannot silently leak into the
-// partitioning or communication layers.
-func TestKernelFusionLeavesPipelineUntouched(t *testing.T) {
+// TestResidentCGLeavesPipelineUntouched is the golden guard of the
+// PE-resident CG: hosting a solve on the PEs is a pure scheduling
+// change, so (1) the plain SMVP must produce the bit-identical product
+// vector before and after a resident solve has used the same PE
+// workspaces (and the canonical-order exchange it shares), and (2) the
+// solve must not perturb any pipeline product upstream of the kernel —
+// the mesh, the partition, and the re-derived exchange schedule hash
+// exactly as before. Combined with TestGoldenFingerprints (which pins
+// those hashes and the SMVP vectors against the golden file), this
+// proves a kernel change cannot silently leak into the partitioning or
+// communication layers.
+func TestResidentCGLeavesPipelineUntouched(t *testing.T) {
 	m, err := quake.SF10.Mesh()
 	if err != nil {
 		t.Fatal(err)
@@ -53,19 +57,21 @@ func TestKernelFusionLeavesPipelineUntouched(t *testing.T) {
 	if _, err := dist.SMVP(y, x); err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := dist.SMVPDot(yf, x)
+	sys, err := fem.Assemble(m, quake.Material())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sol := make([]float64, n)
+	res, err := solver.CG(par.Operator{D: dist, Shift: 20, MassNode: sys.MassNode}, x, sol,
+		solver.Config{MaxIter: n, Tol: 1e-8})
+	if err != nil || !res.Converged {
+		t.Fatalf("resident solve: %+v, err=%v", res, err)
+	}
+	if _, err := dist.SMVP(yf, x); err != nil {
+		t.Fatal(err)
+	}
 	if Vector(y) != Vector(yf) {
-		t.Error("fused SMVPDot product is not bit-identical to SMVP")
-	}
-	var want float64
-	for i := range x {
-		want += x[i] * y[i]
-	}
-	if scale := math.Abs(want) + 1; math.Abs(d-want) > 1e-9*scale {
-		t.Errorf("fused dot %g vs sequential %g", d, want)
+		t.Error("SMVP after a resident solve is not bit-identical to the one before")
 	}
 
 	// Re-derive the schedule from a fresh analysis after the kernels ran:

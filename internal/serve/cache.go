@@ -15,7 +15,6 @@ import (
 	iq "repro/internal/quake"
 	rec "repro/internal/recover"
 	"repro/internal/regress"
-	"repro/internal/solver"
 )
 
 // The serving metrics. Resolved once at package init (the obs registry
@@ -84,11 +83,11 @@ type entry struct {
 	err  error
 }
 
-// worker is one warm pool member: a persistent-PE distributed operator
-// plus a reusable CG workspace. A worker serves one solve at a time.
+// worker is one warm pool member: a persistent-PE distributed operator,
+// whose PE workspaces also hold the iteration vectors of the CG solve it
+// is serving. A worker serves one solve at a time.
 type worker struct {
 	dist *par.Dist
-	ws   *solver.Workspace
 }
 
 // artifact is everything a (scenario, p, method, nodesize) tuple needs
@@ -233,7 +232,7 @@ func (a *artifact) spawn() (*worker, error) {
 		}
 	}
 	poolSpawns.Add(1)
-	return &worker{dist: d, ws: solver.NewWorkspace(3 * a.mesh.NumNodes())}, nil
+	return &worker{dist: d}, nil
 }
 
 // checkout takes an idle warm worker, or spawns a transient one when

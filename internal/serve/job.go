@@ -932,7 +932,6 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 				x[i] = 0
 			}
 		}
-		scfg.Workspace = w.ws
 		scfg.Resume = resume
 		scfg.Interrupt = func(int) bool { return ctx.Err() != nil || e.closingNow() }
 		op := par.Operator{D: w.dist, Shift: shift, MassNode: a.massNode}
@@ -1030,7 +1029,6 @@ func (aj *admittedJob) runElastic(ctx context.Context, plan *fault.Plan, scfg so
 	if j.resumeState != nil {
 		scfg.Resume = j.resumeState
 	}
-	scfg.Workspace = w.ws
 	solvesSupervise.Add(1)
 	sys := &rec.System{
 		Mesh: a.mesh, Material: a.mat, Part: a.part,

@@ -37,19 +37,6 @@ type Operator interface {
 	Dim() int
 }
 
-// FusedOperator is an Operator that can additionally produce the dot
-// product x·y in the same pass over the matrix that computes y = A·x.
-// CG's hot loop needs exactly this pair (ap = A·p and pᵀAp), and fusing
-// them removes one full sweep over the vectors per iteration — on a
-// distributed operator it also removes one of the two global
-// reductions. Config.Fused opts a solve into this path.
-type FusedOperator interface {
-	Operator
-	// ApplyDot computes y = A·x and returns x·y. The same error
-	// contract as Apply: a returned error is fatal to the solve.
-	ApplyDot(y, x []float64) (float64, error)
-}
-
 // BCSROperator adapts a BCSR matrix to the Operator interface.
 type BCSROperator struct{ M *sparse.BCSR }
 
@@ -57,13 +44,6 @@ type BCSROperator struct{ M *sparse.BCSR }
 func (o BCSROperator) Apply(y, x []float64) error {
 	o.M.MulVec(y, x)
 	return nil
-}
-
-// ApplyDot implements FusedOperator. The sparse fused kernel
-// accumulates the dot in sequential index order, so this path is
-// bit-identical to Apply followed by a separate dot.
-func (o BCSROperator) ApplyDot(y, x []float64) (float64, error) {
-	return o.M.MulVecDot(y, x), nil
 }
 
 // Dim implements Operator.
@@ -92,25 +72,6 @@ func (s Shifted) Apply(y, x []float64) error {
 		y[3*i+2] += f * x[3*i+2]
 	}
 	return nil
-}
-
-// ApplyDot implements FusedOperator: the stiffness product and its dot
-// ride one pass over K, then the diagonal mass shift folds its own
-// contribution to both y and the dot in a second short sweep. The shift
-// terms enter the dot in a different order than a separate sequential
-// dot over the finished y, so the result agrees to rounding, not bit
-// for bit — the tolerance the fused-CG certification tests allow.
-func (s Shifted) ApplyDot(y, x []float64) (float64, error) {
-	d := s.K.MulVecDot(y, x)
-	for i, m := range s.MassNode {
-		f := s.Sigma * m
-		x0, x1, x2 := x[3*i], x[3*i+1], x[3*i+2]
-		y[3*i] += f * x0
-		y[3*i+1] += f * x1
-		y[3*i+2] += f * x2
-		d += f * (x0*x0 + x1*x1 + x2*x2)
-	}
-	return d, nil
 }
 
 // Dim implements Operator.
@@ -182,10 +143,11 @@ type Config struct {
 	// Precondition, when non-nil, is the inverse-diagonal (Jacobi)
 	// preconditioner: z = Precondition ⊙ r.
 	Precondition []float64
-	// Workspace, when non-nil, supplies the iteration vectors so
-	// repeated solves reuse one set of allocations (an implicit time
-	// stepper calls CG every step). A workspace must not be shared by
-	// concurrent solves.
+	// Workspace, when non-nil, supplies the serial backend's iteration
+	// vectors so repeated solves reuse one set of allocations (an
+	// implicit time stepper calls CG every step). A workspace must not
+	// be shared by concurrent solves. An operator that hosts the
+	// iteration itself keeps its own vectors and ignores it.
 	Workspace *Workspace
 	// CheckEvery > 0 arms self-healing: every CheckEvery iterations CG
 	// recomputes the true residual b − A·x and compares it with the
@@ -229,25 +191,11 @@ type Config struct {
 	// and the iteration continues at State.Iter, reproducing the
 	// uninterrupted run bit for bit.
 	Resume *State
-	// Fused opts the solve into the fused kernels when the operator
-	// implements FusedOperator: ap = A·p and pᵀAp come out of one pass
-	// over the matrix (ApplyDot), and the x/r updates, residual norm,
-	// preconditioner application, and ρ = rᵀz merge into a single sweep
-	// over the vectors. An iteration then touches the matrix once and
-	// the iteration vectors twice (fused update + p-direction update)
-	// instead of making six separate vector sweeps. With a local
-	// BCSROperator the fused iteration is bit-identical to the unfused
-	// one (the fused kernels preserve sequential accumulation order);
-	// with a Shifted or distributed operator the merged reductions
-	// reorder sums, so the two paths agree to solve tolerance rather
-	// than bit for bit — certified by the fused-vs-unfused property
-	// tests. Operators without ApplyDot fall back to the unfused path.
-	Fused bool
 }
 
-// Workspace holds CG's four iteration vectors (r, z, p, Ap) and, when
-// self-healing is armed, the checkpoint copies of x, r and p. One
-// workspace serves any operator whose dimension fits; it grows on
+// Workspace holds the serial backend's four iteration vectors (r, z, p,
+// Ap) and, when self-healing is armed, the checkpoint copies of x, r and
+// p. One workspace serves any operator whose dimension fits; it grows on
 // demand and is reused across solves via Config.Workspace.
 type Workspace struct {
 	r, z, p, ap   []float64
@@ -291,9 +239,166 @@ func (w *Workspace) ensureCheckpoint(n int) {
 	w.ckP = w.ckP[:n]
 }
 
+// backend is where one solve's iteration vectors (x, r, z, p, Ap) live
+// and where the kernels over them run. CG itself is one control loop —
+// convergence, breakdown and non-finite detection, audits and recovery,
+// checkpoints, interrupts — that sees the iteration only through the
+// scalars a backend returns. There are two implementations: serial
+// (below) keeps plain slices on the caller and drives any Operator
+// through Apply; an Operator that implements these methods itself hosts
+// the iteration where its data lives (par.Operator keeps the vectors on
+// its PEs and runs a burst of iterations per dispatch) and CG uses it in
+// place of serial. The two are certified against each other by the
+// differential tests in internal/par.
+type backend interface {
+	// Begin claims the backend for one solve and installs the right-hand
+	// side, the optional Jacobi diagonal and the iterate x. With r and p
+	// non-nil it also installs a resumed Krylov state; otherwise Residual
+	// must run before Iterate.
+	Begin(b, prec, x, r, p []float64) error
+	// End releases the backend. The vectors do not outlive it.
+	End()
+	// Residual rebuilds the Krylov state from the iterate: r = b − A·x,
+	// z = M⁻¹r, p = z, returning ρ = rᵀz and ‖r‖². With scrub set it
+	// first zeroes the iterate's non-finite entries (the restart path).
+	Residual(scrub bool) (rho, rn2 float64, err error)
+	// Iterate runs up to n iterations from ρ = rho. Each iteration forms
+	// Ap and pᵀAp, steps x and r by α = ρ/pᵀAp, forms z = M⁻¹r, ‖r‖² and
+	// the next ρ, and then asks stop about the three scalars: true ends
+	// the burst before the p update, false completes the iteration with
+	// p = z + (ρ'/ρ)·p. It returns the number of iterations started and
+	// the last one's scalars.
+	Iterate(rho float64, n int, stop func(pap, rn2, rho float64) bool) (its int, pap, rn2, rhoNew float64, err error)
+	// TrueResidual evaluates ‖b − A·x‖ directly, using Ap as scratch.
+	TrueResidual() (float64, error)
+	// Save copies (x, r, p) to the backend's rollback checkpoint; Restore
+	// copies them back, or only x when xOnly is set.
+	Save() error
+	Restore(xOnly bool) error
+	// Gather writes the iterate, residual and direction into the non-nil
+	// destinations, which are full-length vectors owned by the caller.
+	Gather(x, r, p []float64) error
+}
+
+// serial is the backend over plain slices: the caller's x, a Workspace,
+// and an operator reached only through Apply. It is the path for
+// BCSROperator, Shifted and any wrapper, and the reference the resident
+// backend is differenced against.
+type serial struct {
+	a          Operator
+	b, prec, x []float64
+	ws         *Workspace
+}
+
+func (s *serial) Begin(b, prec, x, r, p []float64) error {
+	s.b, s.prec = b, prec
+	copy(s.x, x)
+	if r != nil {
+		copy(s.ws.r, r)
+		copy(s.ws.p, p)
+	}
+	return nil
+}
+
+func (s *serial) End() {}
+
+func (s *serial) Residual(scrub bool) (rho, rn2 float64, err error) {
+	ws := s.ws
+	if scrub {
+		for i, v := range s.x {
+			if !isFinite(v) {
+				s.x[i] = 0
+			}
+		}
+	}
+	if err := s.a.Apply(ws.ap, s.x); err != nil {
+		return 0, 0, err
+	}
+	for i := range ws.r {
+		ws.r[i] = s.b[i] - ws.ap[i]
+	}
+	if s.prec == nil {
+		copy(ws.z, ws.r)
+	} else {
+		for i, ri := range ws.r {
+			ws.z[i] = s.prec[i] * ri
+		}
+	}
+	copy(ws.p, ws.z)
+	return dot(ws.r, ws.z), dot(ws.r, ws.r), nil
+}
+
+func (s *serial) Iterate(rho float64, n int, stop func(pap, rn2, rho float64) bool) (its int, pap, rn2, rhoNew float64, err error) {
+	ws := s.ws
+	for its < n {
+		if err = s.a.Apply(ws.ap, ws.p); err != nil {
+			return its, pap, rn2, rhoNew, err
+		}
+		its++
+		pap = dot(ws.p, ws.ap)
+		rn2, rhoNew = fusedUpdate(s.x, ws.r, ws.z, ws.p, ws.ap, s.prec, rho/pap)
+		if stop(pap, rn2, rhoNew) {
+			break
+		}
+		beta := rhoNew / rho
+		rho = rhoNew
+		for i := range ws.p {
+			ws.p[i] = ws.z[i] + beta*ws.p[i]
+		}
+	}
+	return its, pap, rn2, rhoNew, nil
+}
+
+func (s *serial) TrueResidual() (float64, error) {
+	ap := s.ws.ap
+	if err := s.a.Apply(ap, s.x); err != nil {
+		return 0, err
+	}
+	var sum float64
+	for i := range ap {
+		d := s.b[i] - ap[i]
+		sum += d * d
+	}
+	return math.Sqrt(sum), nil
+}
+
+func (s *serial) Save() error {
+	ws := s.ws
+	ws.ensureCheckpoint(len(s.x))
+	copy(ws.ckX, s.x)
+	copy(ws.ckR, ws.r)
+	copy(ws.ckP, ws.p)
+	return nil
+}
+
+func (s *serial) Restore(xOnly bool) error {
+	ws := s.ws
+	copy(s.x, ws.ckX)
+	if !xOnly {
+		copy(ws.r, ws.ckR)
+		copy(ws.p, ws.ckP)
+	}
+	return nil
+}
+
+func (s *serial) Gather(x, r, p []float64) error {
+	copy(x, s.x)
+	copy(r, s.ws.r)
+	copy(p, s.ws.p)
+	return nil
+}
+
+// maxBurst caps the iterations one Iterate call may run when neither an
+// audit nor a checkpoint ends the burst sooner, so that whatever waits
+// for the backend between bursts (par.Dist.Close, InjectFaults) waits a
+// bounded time.
+const maxBurst = 32
+
 // CG solves A·x = b by (optionally Jacobi-preconditioned) conjugate
 // gradients, overwriting x with the solution (x's initial content is
-// the starting guess).
+// the starting guess). When the solve fails because the operator did,
+// x may be left as the caller passed it: a dead backend cannot hand its
+// iterate back.
 func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	n := a.Dim()
 	if len(b) != n || len(x) != n {
@@ -315,34 +420,31 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 5
 	}
-	fop, hasFused := a.(FusedOperator)
-	fused := cfg.Fused && hasFused
+	st := cfg.Resume
+	if st != nil {
+		if len(st.X) != n || len(st.R) != n || len(st.P) != n {
+			return nil, fmt.Errorf("solver: resume state dimension mismatch: x %d, r %d, p %d, want %d", len(st.X), len(st.R), len(st.P), n)
+		}
+		if st.Iter < 0 || st.Iter >= cfg.MaxIter {
+			return nil, fmt.Errorf("solver: resume iteration %d outside [0,%d)", st.Iter, cfg.MaxIter)
+		}
+	}
 
 	res := &Result{}
 
 	// Telemetry: one solve span on the driver track, aggregate counters,
-	// and (when tracing) a residual counter series per iteration.
+	// and (when tracing) a residual counter sample per burst.
 	sp := obs.StartSpan(obs.TrackDriver, "solve", "solver.cg")
 	tracer := obs.ActiveTracer()
 	obs.GetCounter("solver.cg.solves").Add(1)
-	if fused {
-		obs.GetCounter("solver.cg.fused_solves").Add(1)
-	}
-	iterations := obs.GetCounter("solver.cg.iterations")
-	smvps := obs.GetCounter("solver.cg.smvps")
-	dots := obs.GetCounter("solver.cg.dotproducts")
-	residual := obs.GetGauge("solver.cg.residual")
-	detections := obs.GetCounter("solver.cg.detections")
-	rollbacks := obs.GetCounter("solver.cg.rollbacks")
-	restarts := obs.GetCounter("solver.cg.restarts")
 	defer func() {
-		iterations.Add(int64(res.Iterations))
-		smvps.Add(int64(res.SMVPs))
-		dots.Add(int64(res.DotProducts))
-		residual.Set(res.Residual)
-		detections.Add(int64(res.Detections))
-		rollbacks.Add(int64(res.Rollbacks))
-		restarts.Add(int64(res.Restarts))
+		obs.GetCounter("solver.cg.iterations").Add(int64(res.Iterations))
+		obs.GetCounter("solver.cg.smvps").Add(int64(res.SMVPs))
+		obs.GetCounter("solver.cg.dotproducts").Add(int64(res.DotProducts))
+		obs.GetGauge("solver.cg.residual").Set(res.Residual)
+		obs.GetCounter("solver.cg.detections").Add(int64(res.Detections))
+		obs.GetCounter("solver.cg.rollbacks").Add(int64(res.Rollbacks))
+		obs.GetCounter("solver.cg.restarts").Add(int64(res.Restarts))
 		obs.GetHistogram("solver.cg.iters_per_solve").Observe(int64(res.Iterations))
 		sp.EndWith(map[string]any{
 			"iterations": res.Iterations,
@@ -351,17 +453,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			"detections": res.Detections,
 		})
 	}()
-
-	ws := cfg.Workspace
-	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.ensure(n)
-	}
-	if healing {
-		ws.ensureCheckpoint(n)
-	}
-	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
 
 	normB := norm2(b)
 	res.DotProducts++
@@ -372,76 +463,67 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		res.Converged = true
 		return res, nil
 	}
-	applyPrec := func(dst, src []float64) {
-		if cfg.Precondition == nil {
-			copy(dst, src)
-			return
+
+	be, resident := a.(backend)
+	if !resident {
+		ws := cfg.Workspace
+		if ws == nil {
+			ws = NewWorkspace(n)
+		} else {
+			ws.ensure(n)
 		}
-		for i := range src {
-			dst[i] = cfg.Precondition[i] * src[i]
-		}
+		be = &serial{a: a, x: x, ws: ws}
 	}
-	var rz, ckRz float64
-	startIter := 0
-	if st := cfg.Resume; st != nil {
-		if len(st.X) != n || len(st.R) != n || len(st.P) != n {
-			return nil, fmt.Errorf("solver: resume state dimension mismatch: x %d, r %d, p %d, want %d", len(st.X), len(st.R), len(st.P), n)
-		}
-		if st.Iter < 0 || st.Iter >= cfg.MaxIter {
-			return nil, fmt.Errorf("solver: resume iteration %d outside [0,%d)", st.Iter, cfg.MaxIter)
-		}
-		copy(x, st.X)
-		copy(r, st.R)
-		copy(p, st.P)
-		rz = st.Rho
-		startIter = st.Iter
+	x0 := x
+	var r0, p0 []float64
+	if st != nil {
+		x0, r0, p0 = st.X, st.R, st.P
+	}
+	if err := be.Begin(b, cfg.Precondition, x0, r0, p0); err != nil {
+		return res, fmt.Errorf("solver: operator failed: %w", err)
+	}
+	defer func() {
+		// Error ignored: only a dead operator fails here, and the solve
+		// has already reported it.
+		_ = be.Gather(x, nil, nil)
+		be.End()
+	}()
+
+	// rz is ρ = rᵀz entering the next iteration; ckRz and ckTr are the ρ
+	// and true residual ‖b − A·x‖ of the rollback checkpoint, and ckUsed
+	// marks a checkpoint that has already served a rollback without an
+	// audit passing since.
+	var rz, ckRz, ckTr float64
+	var ckUsed bool
+	checkpoint := func(tr float64) error {
+		ckRz, ckTr, ckUsed = rz, tr, false
+		return be.Save()
+	}
+	iter := 0
+	if st != nil {
+		rz, iter = st.Rho, st.Iter
 		obs.GetCounter("solver.cg.resumes").Add(1)
 		obs.RecordFlight(obs.FlightSolver, "solver.cg.resume", -1, int64(st.Iter), 0)
+		if healing {
+			res.DotProducts++
+			if err := checkpoint(norm2(st.R)); err != nil {
+				return res, fmt.Errorf("solver: operator failed: %w", err)
+			}
+		}
 	} else {
-		if err := a.Apply(ap, x); err != nil {
+		rho, rn2, err := be.Residual(false)
+		if err != nil {
 			return res, fmt.Errorf("solver: operator failed: %w", err)
 		}
+		rz = rho
 		res.SMVPs++
-		for i := range r {
-			r[i] = b[i] - ap[i]
-		}
-		applyPrec(z, r)
-		copy(p, z)
-		rz = dot(r, z)
 		res.DotProducts++
-	}
-
-	// trueResidual evaluates ‖b − A·x‖ directly, using ap as scratch: at
-	// every call site the previous A·p has already been consumed by the
-	// x/r update, and the next iteration overwrites ap before reading
-	// it. (It must NOT use z — the fused path builds z = M⁻¹r before the
-	// audits run and the p-direction update reads it after them.)
-	trueResidual := func() (float64, error) {
-		if err := a.Apply(ap, x); err != nil {
-			return 0, err
+		if healing {
+			res.DotProducts++
+			if err := checkpoint(math.Sqrt(rn2)); err != nil {
+				return res, fmt.Errorf("solver: operator failed: %w", err)
+			}
 		}
-		res.SMVPs++
-		var s float64
-		for i := range ap {
-			d := b[i] - ap[i]
-			s += d * d
-		}
-		res.DotProducts++
-		return math.Sqrt(s), nil
-	}
-
-	// ckTr is the true residual ‖b − A·x‖ certified for the current
-	// checkpoint; ckUsed marks a checkpoint that has already served a
-	// rollback without an audit passing since.
-	var ckTr float64
-	var ckUsed bool
-	checkpoint := func(tr float64) {
-		copy(ws.ckX, x)
-		copy(ws.ckR, r)
-		copy(ws.ckP, p)
-		ckRz = rz
-		ckTr = tr
-		ckUsed = false
 	}
 
 	// heal recovers from a detected inconsistency. trNow is the true
@@ -464,120 +546,102 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			return fmt.Errorf("solver: fault persisted after %d recoveries (last detection: %s)", cfg.MaxRecoveries, reason)
 		}
 		if !ckUsed {
-			copy(x, ws.ckX)
-			copy(r, ws.ckR)
-			copy(p, ws.ckP)
+			if err := be.Restore(false); err != nil {
+				return fmt.Errorf("solver: operator failed during rollback: %w", err)
+			}
 			rz = ckRz
 			ckUsed = true
 			res.Rollbacks++
 			obs.RecordFlight(obs.FlightSolver, "solver.cg.rollback", -1, int64(res.Iterations), 0)
 			return nil
 		}
-		if !isFinite(trNow) || trNow > ckTr {
-			copy(x, ws.ckX)
-		}
 		res.Restarts++
 		obs.RecordFlight(obs.FlightSolver, "solver.cg.restart", -1, int64(res.Iterations), 0)
-		for i := range x {
-			if !isFinite(x[i]) {
-				x[i] = 0
+		if !isFinite(trNow) || trNow > ckTr {
+			if err := be.Restore(true); err != nil {
+				return fmt.Errorf("solver: operator failed during restart: %w", err)
 			}
 		}
-		if err := a.Apply(ap, x); err != nil {
+		rho, rn2, err := be.Residual(true)
+		if err != nil {
 			return fmt.Errorf("solver: operator failed during restart: %w", err)
 		}
+		rz = rho
 		res.SMVPs++
-		for i := range r {
-			r[i] = b[i] - ap[i]
+		res.DotProducts += 2
+		if err := checkpoint(math.Sqrt(rn2)); err != nil {
+			return fmt.Errorf("solver: operator failed during restart: %w", err)
 		}
-		applyPrec(z, r)
-		copy(p, z)
-		rz = dot(r, z)
-		res.DotProducts++
-		checkpoint(norm2(r))
-		res.DotProducts++
 		return nil
 	}
 
-	if healing {
-		checkpoint(norm2(r))
-		res.DotProducts++
-	}
-
-	// Durable checkpoints: deep-copied States handed to the caller, who
-	// typically persists them (internal/recover) or holds them for a
-	// shrink-to-survivors rebuild. The cold path may allocate — only the
-	// SMVP inside Apply is alloc-free steady state.
+	// Durable checkpoints: freshly allocated States handed to the caller,
+	// who typically persists them (internal/recover) or holds them for a
+	// shrink-to-survivors rebuild. This is the cold path and may
+	// allocate; the iterations between two snapshots do not.
 	durable := cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil
-	snapshot := func(iter int) *State {
-		return &State{
-			Iter: iter,
-			X:    append([]float64(nil), x...),
-			R:    append([]float64(nil), r...),
-			P:    append([]float64(nil), p...),
-			Rho:  rz,
+	deliver := func() error {
+		s := &State{Iter: iter, Rho: rz,
+			X: make([]float64, n), R: make([]float64, n), P: make([]float64, n)}
+		if err := be.Gather(s.X, s.R, s.P); err != nil {
+			return fmt.Errorf("solver: operator failed at checkpoint %d: %w", iter, err)
 		}
+		res.Checkpoints++
+		cfg.OnCheckpoint(s)
+		if cfg.Interrupt != nil && cfg.Interrupt(iter) {
+			return ErrInterrupted
+		}
+		return nil
 	}
-	if durable && cfg.Resume == nil {
+	if durable && st == nil {
 		// Iteration-0 snapshot, so a fault before the first periodic
 		// checkpoint still leaves a consistent state to resume from.
-		res.Checkpoints++
-		cfg.OnCheckpoint(snapshot(0))
-		if cfg.Interrupt != nil && cfg.Interrupt(0) {
-			return res, ErrInterrupted
+		if err := deliver(); err != nil {
+			return res, err
 		}
 	}
 
-	for iter := startIter; iter < cfg.MaxIter; iter++ {
-		res.Iterations = iter + 1
-		var pap float64
-		if fused {
-			var err error
-			if pap, err = fop.ApplyDot(ap, p); err != nil {
-				return res, fmt.Errorf("solver: operator failed at iteration %d: %w", iter, err)
-			}
-		} else {
-			if err := a.Apply(ap, p); err != nil {
-				return res, fmt.Errorf("solver: operator failed at iteration %d: %w", iter, err)
-			}
-			pap = dot(p, ap)
+	// stop ends a burst at the first iteration whose scalars the control
+	// loop must look at; it runs on the backend (on every PE of a
+	// resident one), so it is a pure function of its arguments.
+	stop := func(pap, rn2, rho float64) bool {
+		return !isFinite(pap) || pap <= 0 || !isFinite(rn2) || !isFinite(rho) ||
+			math.Sqrt(rn2)/normB <= cfg.Tol
+	}
+	for iter < cfg.MaxIter {
+		// One burst: up to the next audit, checkpoint, or MaxIter.
+		burst := min(cfg.MaxIter-iter, maxBurst)
+		if healing {
+			burst = min(burst, cfg.CheckEvery-iter%cfg.CheckEvery)
 		}
-		res.SMVPs++
-		res.DotProducts++
+		if durable {
+			burst = min(burst, cfg.CheckpointEvery-iter%cfg.CheckpointEvery)
+		}
+		its, pap, rn2, rzNew, err := be.Iterate(rz, burst, stop)
+		iter += its
+		res.Iterations = iter
+		res.SMVPs += its
+		res.DotProducts += 3 * its // pᵀAp, ‖r‖², rᵀz
+		if err != nil {
+			return res, fmt.Errorf("solver: operator failed at iteration %d: %w", iter, err)
+		}
+		// Everything below judges the burst's last iteration, index iter-1;
+		// the ones before it passed stop, so they were clean.
 		if !isFinite(pap) || pap <= 0 {
 			if !healing {
-				return res, fmt.Errorf("solver: breakdown: pᵀAp = %g at iteration %d (operator not positive definite, or corrupted)", pap, iter)
+				return res, fmt.Errorf("solver: breakdown: pᵀAp = %g at iteration %d (operator not positive definite, or corrupted)", pap, iter-1)
 			}
-			if err := heal(fmt.Sprintf("pᵀAp = %g at iteration %d", pap, iter), math.NaN()); err != nil {
+			if err := heal(fmt.Sprintf("pᵀAp = %g at iteration %d", pap, iter-1), math.NaN()); err != nil {
 				return res, err
 			}
 			continue
 		}
-		alpha := rz / pap
-		var rn float64
-		var rzNext float64
-		var rzNextValid bool
-		if fused {
-			// One sweep: x/r updates, ‖r‖², z = M⁻¹r, and ρ = rᵀz. The
-			// precomputed (z, ρ) are consumed after the audits below —
-			// which is why trueResidual scratches in ap, not z.
-			rn2, rzf := fusedUpdate(x, r, z, p, ap, cfg.Precondition, alpha)
-			rn = math.Sqrt(rn2)
-			rzNext, rzNextValid = rzf, true
-			res.DotProducts += 2 // ‖r‖² and rᵀz, merged into the sweep
-		} else {
-			for i := range x {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
-			}
-			rn = norm2(r)
-			res.DotProducts++
-		}
-		if !isFinite(rn) {
+		rn := math.Sqrt(rn2)
+		if !isFinite(rn) || !isFinite(rzNew) {
 			if !healing {
-				return res, fmt.Errorf("solver: residual became non-finite (‖r‖ = %g) at iteration %d", rn, iter)
+				return res, fmt.Errorf("solver: residual became non-finite (‖r‖ = %g, ρ = %g) at iteration %d", rn, rzNew, iter-1)
 			}
-			if err := heal(fmt.Sprintf("‖r‖ = %g at iteration %d", rn, iter), math.NaN()); err != nil {
+			if err := heal(fmt.Sprintf("‖r‖ = %g, ρ = %g at iteration %d", rn, rzNew, iter-1), math.NaN()); err != nil {
 				return res, err
 			}
 			continue
@@ -594,7 +658,9 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			// Certify convergence against the true residual: a corrupted
 			// exchange can drive the recursive residual to zero while x
 			// is wrong.
-			tr, err := trueResidual()
+			tr, err := be.TrueResidual()
+			res.SMVPs++
+			res.DotProducts++
 			if err != nil {
 				return res, fmt.Errorf("solver: operator failed certifying convergence: %w", err)
 			}
@@ -603,77 +669,50 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 				res.Converged = true
 				return res, nil
 			}
-			if err := heal(fmt.Sprintf("recursive residual %.3g converged but true residual is %.3g at iteration %d", res.Residual, tr/normB, iter), tr); err != nil {
+			if err := heal(fmt.Sprintf("recursive residual %.3g converged but true residual is %.3g at iteration %d", res.Residual, tr/normB, iter-1), tr); err != nil {
 				return res, err
 			}
 			continue
 		}
+		// The iteration completed: (x, r, p, ρ) is the consistent tuple
+		// entering iteration iter, the only kind safe to save or resume.
+		rz = rzNew
 		// Periodic audit: compare the recursive residual with the true
 		// residual. The drift threshold scales with the current residual
 		// so roundoff in two large norms is not mistaken for corruption.
-		// A passing state is certified, but the checkpoint itself is
-		// saved only after the upcoming (p, ρ) update: saving here would
-		// capture (x_{k+1}, r_{k+1}, p_k, ρ_k) — a mixed-generation tuple
-		// whose resumption re-applies the p_k step from the wrong iterate
-		// and quietly diverges.
-		certified := false
-		var certTr float64
-		if healing && (iter+1)%cfg.CheckEvery == 0 {
-			tr, err := trueResidual()
+		if healing && iter%cfg.CheckEvery == 0 {
+			tr, err := be.TrueResidual()
+			res.SMVPs++
+			res.DotProducts++
 			if err != nil {
 				return res, fmt.Errorf("solver: operator failed at residual audit: %w", err)
 			}
 			if !isFinite(tr) || math.Abs(tr-rn) > cfg.DriftTol*(normB+rn) {
-				if err := heal(fmt.Sprintf("residual drift |%.6g − %.6g| exceeds %g·(‖b‖+‖r‖) at iteration %d", tr, rn, cfg.DriftTol, iter), tr); err != nil {
+				if err := heal(fmt.Sprintf("residual drift |%.6g − %.6g| exceeds %g·(‖b‖+‖r‖) at iteration %d", tr, rn, cfg.DriftTol, iter-1), tr); err != nil {
 					return res, err
 				}
 				continue
 			}
-			certified, certTr = true, tr
-		}
-		var rzNew float64
-		if rzNextValid {
-			rzNew = rzNext
-		} else {
-			applyPrec(z, r)
-			rzNew = dot(r, z)
-			res.DotProducts++
-		}
-		if healing && !isFinite(rzNew) {
-			if err := heal(fmt.Sprintf("ρ = %g at iteration %d", rzNew, iter), math.NaN()); err != nil {
-				return res, err
+			if err := checkpoint(tr); err != nil {
+				return res, fmt.Errorf("solver: operator failed at residual audit: %w", err)
 			}
-			continue
 		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		if certified {
-			// (x_{k+1}, r_{k+1}, p_{k+1}, ρ_{k+1}) — exactly the state
-			// entering the next iteration, safe to resume from.
-			checkpoint(certTr)
-		}
-		if durable && (iter+1)%cfg.CheckpointEvery == 0 {
-			res.Checkpoints++
-			cfg.OnCheckpoint(snapshot(iter + 1))
-			if cfg.Interrupt != nil && cfg.Interrupt(iter+1) {
-				return res, ErrInterrupted
+		if durable && iter%cfg.CheckpointEvery == 0 {
+			if err := deliver(); err != nil {
+				return res, err
 			}
 		}
 	}
 	return res, nil
 }
 
-// fusedUpdate is the fused CG vector sweep: in one pass over the
-// iteration vectors it applies x += α·p and r −= α·ap, accumulates
-// ‖r‖², applies the Jacobi preconditioner z = M⁻¹·r, and accumulates
-// ρ = rᵀz. Each reduction is accumulated one term at a time in
-// ascending index order — the same order the separate norm2/dot calls
-// of the unfused path use — so the fused sweep produces bit-identical
-// x, r, z, ‖r‖², and ρ. Without a preconditioner z = r and ρ = ‖r‖²,
-// again exactly what copy + dot(r, z) yields.
+// fusedUpdate is the CG vector sweep: in one pass over the iteration
+// vectors it applies x += α·p and r −= α·ap, accumulates ‖r‖², applies
+// the Jacobi preconditioner z = M⁻¹·r, and accumulates ρ = rᵀz. Each
+// reduction is accumulated one term at a time in ascending index order —
+// the order separate norm2/dot sweeps would use — so the merged sweep
+// produces bit-identical x, r, z, ‖r‖², and ρ. Without a preconditioner
+// z = r and ρ = ‖r‖², again exactly what copy + dot(r, z) yields.
 func fusedUpdate(x, r, z, p, ap, prec []float64, alpha float64) (rn2, rz float64) {
 	if prec == nil {
 		for i := range x {

@@ -25,14 +25,63 @@ func buildSystem(t testing.TB) *fem.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := material.SanFernando()
-	mat.BasinCenter = geom.V(0.5, 0.5, 0)
-	mat.BasinSemi = geom.V(0.4, 0.4, 0.3)
-	sys, err := fem.Assemble(m, mat)
+	sys, err := fem.Assemble(m, fixtureMaterial())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+func fixtureMaterial() *material.Model {
+	mat := material.SanFernando()
+	mat.BasinCenter = geom.V(0.5, 0.5, 0)
+	mat.BasinSemi = geom.V(0.4, 0.4, 0.3)
+	return mat
+}
+
+// TestFusedUpdateBitIdentical pins the merged vector sweep against the
+// separate sweeps it replaced: x and r updates, norm², preconditioner
+// application, and rᵀz, each accumulated in ascending index order.
+func TestFusedUpdateBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n = 999
+	vec := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	p, ap, prec := vec(), vec(), vec()
+	const alpha = 0.37
+	for _, pc := range [][]float64{nil, prec} {
+		x, r := vec(), vec()
+		wx, wr, wz := append([]float64(nil), x...), append([]float64(nil), r...), make([]float64, n)
+		for i := range wx {
+			wx[i] += alpha * p[i]
+			wr[i] -= alpha * ap[i]
+		}
+		wantRn2 := dot(wr, wr)
+		if pc == nil {
+			copy(wz, wr)
+		} else {
+			for i := range wr {
+				wz[i] = pc[i] * wr[i]
+			}
+		}
+		wantRz := dot(wr, wz)
+
+		z := make([]float64, n)
+		rn2, rz := fusedUpdate(x, r, z, p, ap, pc, alpha)
+		if math.Float64bits(rn2) != math.Float64bits(wantRn2) || math.Float64bits(rz) != math.Float64bits(wantRz) {
+			t.Fatalf("prec=%v: reductions (%x, %x), want (%x, %x)", pc != nil, rn2, rz, wantRn2, wantRz)
+		}
+		for i := range x {
+			if x[i] != wx[i] || r[i] != wr[i] || z[i] != wz[i] {
+				t.Fatalf("prec=%v: vectors differ at %d", pc != nil, i)
+			}
+		}
+	}
 }
 
 func shifted(sys *fem.System) Shifted {
