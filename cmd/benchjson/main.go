@@ -83,9 +83,13 @@ type Report struct {
 	// kernel regression is visible in the report itself, not only by
 	// diffing files.
 	Kernels map[string]KernelStat `json:"kernels,omitempty"`
+	// Setup is the same view of the cold-build stages (BenchmarkSetup on
+	// sf10/p16), keyed by stage: partition_rcb, partition_inertial,
+	// analyze, lumped_mass, assemble, newdist.
+	Setup map[string]KernelStat `json:"setup,omitempty"`
 }
 
-// KernelStat is one kernel's A/B entry.
+// KernelStat is one kernel's (or setup stage's) A/B entry.
 type KernelStat struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	// PrevNsPerOp and SpeedupVsPrev compare against the previous
@@ -105,6 +109,17 @@ var kernelBenchmarks = map[string]string{
 	"BenchmarkAblationKernels/fused":   "fused",
 	"BenchmarkDistCGSolveSerial":       "cg_serial",
 	"BenchmarkDistCGSolveResident":     "cg_resident",
+}
+
+// setupBenchmarks maps benchmark names to the stage keys of the report's
+// setup section.
+var setupBenchmarks = map[string]string{
+	"BenchmarkSetup/partition_rcb":      "partition_rcb",
+	"BenchmarkSetup/partition_inertial": "partition_inertial",
+	"BenchmarkSetup/analyze":            "analyze",
+	"BenchmarkSetup/lumped_mass":        "lumped_mass",
+	"BenchmarkSetup/assemble":           "assemble",
+	"BenchmarkSetup/newdist":            "newdist",
 }
 
 // RecoveryStats is the report's recovery section, read from the
@@ -227,7 +242,9 @@ func run(inPath, outPath, metricsPath, prevPath string) error {
 		}
 		rep.Recovery = recoveryStats(snap)
 	}
-	rep.Kernels = kernelStats(rep.NsPerOp, prevPath, outPath)
+	prevNs := loadPrevNs(prevPath, outPath)
+	rep.Kernels = sectionStats(rep.NsPerOp, prevNs, kernelBenchmarks)
+	rep.Setup = sectionStats(rep.NsPerOp, prevNs, setupBenchmarks)
 	var w io.Writer = os.Stdout
 	if outPath != "" {
 		f, err := os.Create(outPath)
@@ -317,44 +334,36 @@ func obsOverhead(ns map[string]float64) map[string]Overhead {
 	return out
 }
 
-// kernelStats extracts the kernel A/B section from the parsed ns/op
-// map and, when a previous snapshot is available, attaches the
-// speedup-vs-previous deltas. prevPath == "" auto-discovers the newest
-// BENCH_*.json in the working directory (skipping the file being
-// written, so a same-day rerun compares against the real predecessor).
-// A missing or unreadable previous file degrades to current-only
-// entries — the section must never block writing a fresh snapshot.
-func kernelStats(ns map[string]float64, prevPath, outPath string) map[string]KernelStat {
+// sectionStats extracts one A/B section (kernels, setup) from the parsed
+// ns/op map: the benchmarks named in keys, under their short keys, each
+// with the previous snapshot's ns/op and the speedup against it when
+// prevNs carries the benchmark. A nil prevNs — no previous file, or an
+// unreadable one — degrades to current-only entries: the section must
+// never block writing a fresh snapshot.
+func sectionStats(ns, prevNs map[string]float64, keys map[string]string) map[string]KernelStat {
 	out := make(map[string]KernelStat)
-	for bench, key := range kernelBenchmarks {
+	for bench, key := range keys {
 		v, ok := ns[bench]
 		if !ok {
 			continue
 		}
-		out[key] = KernelStat{NsPerOp: v}
+		st := KernelStat{NsPerOp: v}
+		if pv := prevNs[bench]; pv > 0 {
+			st.PrevNsPerOp = pv
+			st.SpeedupVsPrev = pv / v
+		}
+		out[key] = st
 	}
 	if len(out) == 0 {
 		return nil
-	}
-	prevNs := loadPrevNs(prevPath, outPath)
-	if prevNs != nil {
-		for bench, key := range kernelBenchmarks {
-			st, ok := out[key]
-			if !ok {
-				continue
-			}
-			if pv, ok := prevNs[bench]; ok && pv > 0 {
-				st.PrevNsPerOp = pv
-				st.SpeedupVsPrev = pv / st.NsPerOp
-				out[key] = st
-			}
-		}
 	}
 	return out
 }
 
 // loadPrevNs resolves and reads the previous snapshot's ns_per_op map,
-// returning nil when there is none.
+// returning nil when there is none. prevPath == "" auto-discovers the
+// newest BENCH_*.json in the working directory (skipping the file being
+// written, so a same-day rerun compares against the real predecessor).
 func loadPrevNs(prevPath, outPath string) map[string]float64 {
 	if prevPath == "" {
 		matches, err := filepath.Glob("BENCH_*.json")

@@ -288,6 +288,8 @@ BenchmarkAblationKernels/csr_seg-8 	 200 	 4800 ns/op
 BenchmarkAblationKernels/fused-8 	 200 	 2000 ns/op
 BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
 BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
+BenchmarkSetup/partition_rcb-8 	 20 	 17000000 ns/op
+BenchmarkSetup/newdist-8 	 20 	 38000000 ns/op
 `
 
 // TestKernelsSection: the kernel benchmarks fold into the kernels map
@@ -298,6 +300,7 @@ func TestKernelsSection(t *testing.T) {
 	prevRep := map[string]any{"ns_per_op": map[string]float64{
 		"BenchmarkAblationKernels/csr": 6000,
 		"BenchmarkDistCGSolveSerial":   44000000,
+		"BenchmarkSetup/newdist":       76000000,
 	}}
 	raw, _ := json.Marshal(prevRep)
 	if err := os.WriteFile(prev, raw, 0o644); err != nil {
@@ -334,6 +337,16 @@ func TestKernelsSection(t *testing.T) {
 	}
 	if cg := rep.Kernels["cg_serial"]; cg.SpeedupVsPrev != 1.1 {
 		t.Errorf("cg_serial speedup = %v, want 1.1", cg.SpeedupVsPrev)
+	}
+	// The setup stages form a section of their own, keyed the same way.
+	if nd := rep.Setup["newdist"]; nd.NsPerOp != 38000000 || nd.PrevNsPerOp != 76000000 || nd.SpeedupVsPrev != 2 {
+		t.Errorf("setup newdist = %+v, want {38000000 76000000 2}", nd)
+	}
+	if pr := rep.Setup["partition_rcb"]; pr.NsPerOp != 17000000 || pr.PrevNsPerOp != 0 {
+		t.Errorf("setup partition_rcb = %+v, want current-only 17000000", pr)
+	}
+	if _, ok := rep.Kernels["newdist"]; ok || len(rep.Setup) != 2 {
+		t.Errorf("sections mixed: kernels %+v, setup %+v", rep.Kernels, rep.Setup)
 	}
 }
 

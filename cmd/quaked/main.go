@@ -203,6 +203,12 @@ func smoke(addr string, opt *options, out io.Writer) error {
 	base := "http://" + addr
 	body := fmt.Sprintf(`{"scenario":%q,"pes":%d}`, opt.smokeScenario, opt.smokePEs)
 
+	// The registry is process-wide and counts since process start, so the
+	// counters are asserted as deltas across the two solves.
+	hits0, misses0, err := cacheCounters(base)
+	if err != nil {
+		return err
+	}
 	var cold, warm serve.SolveResult
 	if err := postSolve(base, body, &cold); err != nil {
 		return fmt.Errorf("cold solve: %w", err)
@@ -229,24 +235,33 @@ func smoke(addr string, opt *options, out io.Writer) error {
 			warm.SolutionFP, cold.SolutionFP)
 	}
 
-	resp, err := http.Get(base + "/metrics.json")
+	hits, misses, err := cacheCounters(base)
 	if err != nil {
-		return fmt.Errorf("scraping /metrics.json: %w", err)
+		return err
 	}
-	defer resp.Body.Close()
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding /metrics.json: %w", err)
-	}
-	hits, misses := snap.Counters["serve.cache.hits"], snap.Counters["serve.cache.misses"]
+	hits, misses = hits-hits0, misses-misses0
 	if misses != 1 || hits < 1 {
 		return fmt.Errorf("cache counters off: serve.cache.misses=%d (want 1), serve.cache.hits=%d (want >=1)", misses, hits)
 	}
 	fmt.Fprintf(out, "quaked: smoke %s/p%d cold %.0fms (%d iters) cached %.0fms (%d iters), hits=%d misses=%d\n",
 		opt.smokeScenario, opt.smokePEs, cold.WallMS, cold.Iterations, warm.WallMS, warm.Iterations, hits, misses)
 	return nil
+}
+
+// cacheCounters scrapes serve.cache.{hits,misses} off /metrics.json.
+func cacheCounters(base string) (hits, misses int64, err error) {
+	resp, err := http.Get(base + "/metrics.json")
+	if err != nil {
+		return 0, 0, fmt.Errorf("scraping /metrics.json: %w", err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return 0, 0, fmt.Errorf("decoding /metrics.json: %w", err)
+	}
+	return snap.Counters["serve.cache.hits"], snap.Counters["serve.cache.misses"], nil
 }
 
 // chaos is the durability drill behind `make serve-chaos`: prove that

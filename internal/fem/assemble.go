@@ -37,18 +37,14 @@ func Assemble(m *mesh.Mesh, mat *material.Model) (*System, error) {
 		return nil, fmt.Errorf("fem: empty mesh")
 	}
 	sys := &System{
-		Mesh:     m,
-		K:        sparse.NewBCSRStructure(m.NumNodes(), m.Edges()),
-		MassNode: make([]float64, m.NumNodes()),
-		MinEdge:  inf(),
+		Mesh:    m,
+		K:       sparse.NewBCSRStructure(m.NumNodes(), m.Edges()),
+		MinEdge: inf(),
 	}
 	for e := 0; e < m.NumElems(); e++ {
+		v := elemVerts(m, e)
 		t := m.Tets[e]
-		var v [4]geom.Vec3
-		for i := 0; i < 4; i++ {
-			v[i] = m.Coords[t[i]]
-		}
-		lambda, mu, rho := mat.Elastic(m.Centroid(e))
+		lambda, mu, _ := mat.Elastic(m.Centroid(e))
 		blocks, _, ok := ElementStiffness(v, lambda, mu)
 		if !ok {
 			return nil, fmt.Errorf("fem: degenerate element %d", e)
@@ -57,13 +53,6 @@ func Assemble(m *mesh.Mesh, mat *material.Model) (*System, error) {
 			for b := 0; b < 4; b++ {
 				sys.K.AddBlock(t[a], t[b], &blocks[a][b])
 			}
-		}
-		mass, err := ElementLumpedMass(v, rho)
-		if err != nil {
-			return nil, fmt.Errorf("fem: element %d: %w", e, err)
-		}
-		for _, node := range t {
-			sys.MassNode[node] += mass
 		}
 		// Track stability quantities.
 		vs := mat.ShearVelocity(m.Centroid(e))
@@ -78,12 +67,51 @@ func Assemble(m *mesh.Mesh, mat *material.Model) (*System, error) {
 			}
 		}
 	}
-	for i, mss := range sys.MassNode {
+	var err error
+	if sys.MassNode, err = LumpedMass(m, mat); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// LumpedMass returns the lumped mass at every mesh node — System.MassNode
+// without the stiffness: each element's mass, sampled at its centroid,
+// is split evenly over its four vertices, elements in ascending order.
+// It depends on the mesh and the material alone, so callers that
+// assemble their stiffness elsewhere (the per-PE matrices of package
+// par) need not build a global K to get it.
+func LumpedMass(m *mesh.Mesh, mat *material.Model) ([]float64, error) {
+	if err := mat.Validate(); err != nil {
+		return nil, err
+	}
+	if m.NumElems() == 0 {
+		return nil, fmt.Errorf("fem: empty mesh")
+	}
+	massNode := make([]float64, m.NumNodes())
+	for e := 0; e < m.NumElems(); e++ {
+		_, _, rho := mat.Elastic(m.Centroid(e))
+		mass, err := ElementLumpedMass(elemVerts(m, e), rho)
+		if err != nil {
+			return nil, fmt.Errorf("fem: element %d: %w", e, err)
+		}
+		for _, node := range m.Tets[e] {
+			massNode[node] += mass
+		}
+	}
+	for i, mss := range massNode {
 		if mss <= 0 {
 			return nil, fmt.Errorf("fem: node %d has non-positive lumped mass %g", i, mss)
 		}
 	}
-	return sys, nil
+	return massNode, nil
+}
+
+// elemVerts returns the vertex coordinates of element e.
+func elemVerts(m *mesh.Mesh, e int) (v [4]geom.Vec3) {
+	for i, node := range m.Tets[e] {
+		v[i] = m.Coords[node]
+	}
+	return v
 }
 
 // NumDOF returns the number of scalar degrees of freedom (3 per node).

@@ -9,6 +9,7 @@ import (
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/octree"
+	"repro/internal/testutil"
 )
 
 var unitTet = [4]geom.Vec3{geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0), geom.V(0, 0, 1)}
@@ -225,6 +226,56 @@ func TestAssembleErrors(t *testing.T) {
 	bad.RockVs = -1
 	sys := smallSystem(t)
 	if _, err := Assemble(sys.Mesh, bad); err == nil {
+		t.Error("invalid material accepted")
+	}
+}
+
+// TestLumpedMassMatchesAssemble: the mass extracted from Assemble is the
+// mass Assemble accumulated while it still interleaved it with the
+// stiffness — one quarter of each element's mass onto each of its
+// vertices, elements ascending — bit for bit, and it rejects the inputs
+// Assemble rejects.
+func TestLumpedMassMatchesAssemble(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	for trial := 0; trial < 4; trial++ {
+		m, mat := testutil.RandomMesh(t, rng)
+		want := make([]float64, m.NumNodes())
+		for e := 0; e < m.NumElems(); e++ {
+			tet := m.Tets[e]
+			var v [4]geom.Vec3
+			for i := 0; i < 4; i++ {
+				v[i] = m.Coords[tet[i]]
+			}
+			_, _, rho := mat.Elastic(m.Centroid(e))
+			mass, err := ElementLumpedMass(v, rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, node := range tet {
+				want[node] += mass
+			}
+		}
+		got, err := LumpedMass(m, mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := Assemble(m, mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(sys.MassNode[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d node %d: LumpedMass %x, Assemble %x, reference %x", trial, i,
+					math.Float64bits(got[i]), math.Float64bits(sys.MassNode[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	if _, err := LumpedMass(&mesh.Mesh{}, material.SanFernando()); err == nil {
+		t.Error("empty mesh accepted")
+	}
+	bad := material.SanFernando()
+	bad.RockVs = -1
+	if _, err := LumpedMass(smallSystem(t).Mesh, bad); err == nil {
 		t.Error("invalid material accepted")
 	}
 }

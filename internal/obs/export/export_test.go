@@ -3,6 +3,7 @@ package export
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -98,7 +99,11 @@ func TestPromName(t *testing.T) {
 
 func TestMuxEndpoints(t *testing.T) {
 	withEnabled(t, func() {
-		obs.GetCounter("export.test.hits").Add(3)
+		// The registry outlives the test (-count=2 runs it twice in one
+		// process), so the expected value is read back, not assumed.
+		hits := obs.GetCounter("export.test.hits")
+		hits.Add(3)
+		want := hits.Value()
 		obs.RecordFlight(obs.FlightSpan, "export.test.span", 0, 1, 0)
 
 		srv := httptest.NewServer(NewMux(nil, nil))
@@ -116,7 +121,7 @@ func TestMuxEndpoints(t *testing.T) {
 		}
 
 		if code, body := get("/metrics"); code != 200 ||
-			!strings.Contains(body, "export_test_hits 3") {
+			!strings.Contains(body, fmt.Sprintf("export_test_hits %d\n", want)) {
 			t.Errorf("/metrics: code=%d body=%q", code, body)
 		}
 		if code, body := get("/metrics.json"); code != 200 {
@@ -125,8 +130,8 @@ func TestMuxEndpoints(t *testing.T) {
 			var s obs.Snapshot
 			if err := json.Unmarshal([]byte(body), &s); err != nil {
 				t.Errorf("/metrics.json not a snapshot: %v", err)
-			} else if s.Counters["export.test.hits"] != 3 {
-				t.Errorf("/metrics.json counter = %d, want 3", s.Counters["export.test.hits"])
+			} else if s.Counters["export.test.hits"] != want {
+				t.Errorf("/metrics.json counter = %d, want %d", s.Counters["export.test.hits"], want)
 			}
 		}
 		if code, body := get("/debug/vars"); code != 200 ||

@@ -11,7 +11,10 @@ package par
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -153,61 +156,44 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		d.Owner[v] = pes[0]
 	}
 
-	// Global-to-local maps.
-	g2l := make([]map[int32]int32, p)
-	for i := 0; i < p; i++ {
-		g2l[i] = make(map[int32]int32, len(d.Nodes[i]))
-		for l, g := range d.Nodes[i] {
-			g2l[i][g] = int32(l)
-		}
-	}
-
-	// Elements per PE, then local structure and assembly.
+	// Elements per PE, ascending within each PE.
 	elems := make([][]int32, p)
+	for i, n := range pt.Sizes() {
+		elems[i] = make([]int32, 0, n)
+	}
 	for e, pe := range pt.ElemPE {
 		elems[pe] = append(elems[pe], int32(e))
 	}
-	for i := 0; i < p; i++ {
-		// Local edge set from this PE's elements.
-		seen := make(map[uint64]struct{})
-		var edges [][2]int32
-		for _, e := range elems[i] {
-			t := m.Tets[e]
-			for a := 0; a < 4; a++ {
-				for b := a + 1; b < 4; b++ {
-					la, lb := g2l[i][t[a]], g2l[i][t[b]]
-					if la > lb {
-						la, lb = lb, la
-					}
-					key := uint64(la)<<32 | uint64(lb)
-					if _, ok := seen[key]; ok {
-						continue
-					}
-					seen[key] = struct{}{}
-					edges = append(edges, [2]int32{la, lb})
-				}
+
+	// Local structure and assembly: the PEs' matrices are independent, so
+	// workers pull PE indices from a counter and build each K[i] start to
+	// finish. One worker adds one PE's element blocks in ascending element
+	// order, so every sum has the order a serial loop over PEs gives it
+	// and the result does not depend on the worker count.
+	workers := min(p, runtime.GOMAXPROCS(0))
+	scratch := make([]localScratch, workers)
+	errs := make([]error, p)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := range scratch {
+		scratch[w].g2l = make([]int32, d.GlobalNodes)
+		wg.Add(1)
+		go func(sc *localScratch) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < p; i = int(next.Add(1)) - 1 {
+				d.K[i], errs[i] = assembleLocal(m, mat, d.Nodes[i], elems[i], sc)
 			}
-		}
-		k := sparse.NewBCSRStructure(len(d.Nodes[i]), edges)
-		for _, e := range elems[i] {
-			t := m.Tets[e]
-			var v [4]geom.Vec3
-			for a := 0; a < 4; a++ {
-				v[a] = m.Coords[t[a]]
-			}
-			lambda, mu, _ := mat.Elastic(m.Centroid(int(e)))
-			blocks, _, ok := fem.ElementStiffness(v, lambda, mu)
-			if !ok {
-				return nil, fmt.Errorf("par: degenerate element %d", e)
-			}
-			for a := 0; a < 4; a++ {
-				for b := 0; b < 4; b++ {
-					k.AddBlock(g2l[i][t[a]], g2l[i][t[b]], &blocks[a][b])
-				}
-			}
-		}
-		d.K[i] = k
+		}(&scratch[w])
 	}
+	wg.Wait()
+	// The lowest PE's error, which is its first degenerate element: what
+	// the serial loop reported, whichever worker met it.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	g2l := scratch[0].g2l
 
 	// Exchange lists from the residency sets: for every node on 2+ PEs,
 	// record it under each unordered PE pair. Node ids ascend during the
@@ -234,13 +220,16 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		for nbr := range nbrSet[i] {
 			d.Neighbors[i] = append(d.Neighbors[i], nbr)
 		}
-		sort.Slice(d.Neighbors[i], func(a, b int) bool { return d.Neighbors[i][a] < d.Neighbors[i][b] })
+		slices.Sort(d.Neighbors[i])
 		d.Shared[i] = make([][]int32, len(d.Neighbors[i]))
+		for l, g := range d.Nodes[i] {
+			g2l[g] = int32(l)
+		}
 		for k, nbr := range d.Neighbors[i] {
 			globals := nbrSet[i][nbr]
 			locals := make([]int32, len(globals))
 			for s, g := range globals {
-				locals[s] = g2l[i][g]
+				locals[s] = g2l[g]
 			}
 			d.Shared[i][k] = locals
 		}
@@ -271,6 +260,71 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 	// Close remains the deterministic path.
 	runtime.SetFinalizer(d, (*Dist).Close)
 	return d, nil
+}
+
+// localScratch is one assembly worker's reusable memory.
+type localScratch struct {
+	// g2l maps a global node id to its local index on the PE being
+	// assembled. It is dense over the whole mesh and never cleared: only
+	// nodes resident on the current PE are looked up, and those were all
+	// just written, so entries left by the previous PE are harmless.
+	g2l    []int32
+	packed []uint64
+	edges  [][2]int32
+}
+
+// assembleLocal builds one PE's local stiffness in local numbering from
+// the PE's resident nodes (sorted global ids) and its elements
+// (ascending).
+func assembleLocal(m *mesh.Mesh, mat *material.Model, nodes, elems []int32, sc *localScratch) (*sparse.BCSR, error) {
+	g2l := sc.g2l
+	for l, g := range nodes {
+		g2l[g] = int32(l)
+	}
+	// Local edge set: every element's six node pairs packed into one
+	// word each, sorted, duplicates dropped.
+	packed := sc.packed[:0]
+	for _, e := range elems {
+		t := m.Tets[e]
+		for a := 0; a < 4; a++ {
+			for b := a + 1; b < 4; b++ {
+				la, lb := g2l[t[a]], g2l[t[b]]
+				if la > lb {
+					la, lb = lb, la
+				}
+				packed = append(packed, uint64(la)<<32|uint64(lb))
+			}
+		}
+	}
+	slices.Sort(packed)
+	packed = slices.Compact(packed)
+	edges := sc.edges[:0]
+	for _, pk := range packed {
+		edges = append(edges, [2]int32{int32(pk >> 32), int32(pk & 0xffffffff)})
+	}
+	sc.packed, sc.edges = packed, edges
+
+	k := sparse.NewBCSRStructure(len(nodes), edges)
+	for _, e := range elems {
+		t := m.Tets[e]
+		var v [4]geom.Vec3
+		var l [4]int32
+		for a := 0; a < 4; a++ {
+			v[a] = m.Coords[t[a]]
+			l[a] = g2l[t[a]]
+		}
+		lambda, mu, _ := mat.Elastic(m.Centroid(int(e)))
+		blocks, _, ok := fem.ElementStiffness(v, lambda, mu)
+		if !ok {
+			return nil, fmt.Errorf("par: degenerate element %d", e)
+		}
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				k.AddBlock(l[a], l[b], &blocks[a][b])
+			}
+		}
+	}
+	return k, nil
 }
 
 // Close shuts down the persistent PE goroutines. It is idempotent and

@@ -14,7 +14,9 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mesh"
@@ -111,7 +113,7 @@ func PartitionMesh(m *mesh.Mesh, p int, method Method, seed int64) (*Partition, 
 		for i := range idx {
 			idx[i] = int32(i)
 		}
-		bisect(cents, idx, 0, p, out.ElemPE, method == Inertial)
+		bisect(cents, idx, make([]projKey, ne), 0, p, out.ElemPE, method == Inertial)
 	case Random:
 		rng := rand.New(rand.NewSource(seed))
 		for e := range out.ElemPE {
@@ -144,10 +146,26 @@ func PartitionMesh(m *mesh.Mesh, p int, method Method, seed int64) (*Partition, 
 	return out, nil
 }
 
+// projKey is one element's sort key at one bisection level: its
+// centroid's projection onto the level's axis, and the element id that
+// breaks ties.
+type projKey struct {
+	proj float64
+	elem int32
+}
+
+// bisectSpawnMin is the smallest element set whose left half is worth a
+// goroutine of its own; below it a bisection level takes less time than
+// handing it to another core.
+const bisectSpawnMin = 4096
+
 // bisect recursively splits idx (element indices) into parts PEs,
 // assigning PE numbers starting at base. Splits are proportional so
-// non-power-of-two part counts stay balanced.
-func bisect(cents []geom.Vec3, idx []int32, base, parts int, out []int32, inertial bool) {
+// non-power-of-two part counts stay balanced. keys is scratch as long as
+// idx. The two halves of a split own disjoint sub-slices of idx and keys
+// and write disjoint entries of out, so large halves recurse
+// concurrently and the result does not depend on how they are scheduled.
+func bisect(cents []geom.Vec3, idx []int32, keys []projKey, base, parts int, out []int32, inertial bool) {
 	if parts == 1 {
 		for _, e := range idx {
 			out[e] = int32(base)
@@ -176,18 +194,38 @@ func bisect(cents []geom.Vec3, idx []int32, base, parts int, out []int32, inerti
 		}
 		axisDir = geom.Vec3{}.WithComponent(box.LongestAxis(), 1)
 	}
-	// Partial selection: order by projection onto the axis. Sorting is
-	// O(n log n) but keeps the code simple and deterministic; ties are
-	// broken by element index for reproducibility.
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := cents[idx[a]].Dot(axisDir), cents[idx[b]].Dot(axisDir)
-		if pa != pb {
-			return pa < pb
+	// Partial selection: order by projection onto the axis, each
+	// projection computed once. Sorting is O(n log n) but keeps the code
+	// simple and deterministic: ties are broken by element index, so the
+	// order is total and the sorted sequence unique.
+	for i, e := range idx {
+		keys[i] = projKey{cents[e].Dot(axisDir), e}
+	}
+	slices.SortFunc(keys, func(a, b projKey) int {
+		switch {
+		case a.proj < b.proj:
+			return -1
+		case a.proj > b.proj:
+			return 1
 		}
-		return idx[a] < idx[b]
+		return int(a.elem) - int(b.elem)
 	})
-	bisect(cents, idx[:nLeft], base, left, out, inertial)
-	bisect(cents, idx[nLeft:], base+left, parts-left, out, inertial)
+	for i, k := range keys {
+		idx[i] = k.elem
+	}
+	if len(idx) < bisectSpawnMin {
+		bisect(cents, idx[:nLeft], keys[:nLeft], base, left, out, inertial)
+		bisect(cents, idx[nLeft:], keys[nLeft:], base+left, parts-left, out, inertial)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		bisect(cents, idx[:nLeft], keys[:nLeft], base, left, out, inertial)
+	}()
+	bisect(cents, idx[nLeft:], keys[nLeft:], base+left, parts-left, out, inertial)
+	wg.Wait()
 }
 
 // principalAxis returns the dominant eigenvector of the covariance of

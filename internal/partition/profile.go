@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/mesh"
@@ -95,7 +96,7 @@ func Analyze(m *mesh.Mesh, pt *Partition) (*Profile, error) {
 	}
 	for i := range pr.NodePEs {
 		lst := pr.NodePEs[i]
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
+		slices.Sort(lst)
 		if len(lst) > 1 {
 			pr.SharedNodes++
 		}

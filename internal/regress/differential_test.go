@@ -9,14 +9,13 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/fem"
-	"repro/internal/geom"
 	"repro/internal/material"
 	"repro/internal/mesh"
-	"repro/internal/octree"
 	"repro/internal/par"
 	"repro/internal/partition"
 	rec "repro/internal/recover"
 	"repro/internal/solver"
+	"repro/internal/testutil"
 )
 
 // The differential harness: the equivalences the PE-resident CG rests
@@ -56,26 +55,11 @@ type diffMesh struct {
 	sys *fem.System
 }
 
-// randomMesh builds a small graded tetrahedral mesh: a 1–2 × 1–2 × 1
-// block of unit cubes refined toward a random focus, with the soft
-// basin (the stiffness contrast that makes CG work for its answer)
-// centred there.
+// randomMesh draws one of testutil's small graded meshes and assembles
+// it.
 func randomMesh(t *testing.T, rng *rand.Rand) diffMesh {
 	t.Helper()
-	cfg := octree.Config{Origin: geom.V(0, 0, 0), CubeSize: 1, Nx: 1 + rng.Intn(2), Ny: 1 + rng.Intn(2), Nz: 1, MaxDepth: 3}
-	focus := geom.V(rng.Float64()*float64(cfg.Nx), rng.Float64()*float64(cfg.Ny), 0.3*rng.Float64())
-	floor, slope := 0.13+0.05*rng.Float64(), 0.8+0.5*rng.Float64()
-	tr, err := octree.Build(cfg, func(p geom.Vec3) float64 { return math.Max(floor, slope*p.Dist(focus)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mesh.FromTree(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := material.SanFernando()
-	mat.BasinCenter = focus
-	mat.BasinSemi = geom.V(0.5+0.4*rng.Float64(), 0.5+0.4*rng.Float64(), 0.3+0.3*rng.Float64())
+	m, mat := testutil.RandomMesh(t, rng)
 	sys, err := fem.Assemble(m, mat)
 	if err != nil {
 		t.Fatal(err)

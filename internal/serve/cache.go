@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/fem"
@@ -36,6 +37,15 @@ var (
 	sessionsClosed  = obs.GetCounter("serve.sessions.closed")
 	streamEvents    = obs.GetCounter("serve.stream.events")
 	solvesSupervise = obs.GetCounter("serve.solves.supervised")
+
+	// The cold path, stage by stage (nanoseconds per build), and the
+	// tuples that found their scenario's products already built.
+	buildMeshNs      = obs.GetHistogram("serve.build.mesh_ns")
+	buildPartitionNs = obs.GetHistogram("serve.build.partition_ns")
+	buildAnalyzeNs   = obs.GetHistogram("serve.build.analyze_ns")
+	buildScheduleNs  = obs.GetHistogram("serve.build.schedule_ns")
+	buildNewDistNs   = obs.GetHistogram("serve.build.newdist_ns")
+	buildMeshShared  = obs.GetCounter("serve.build.mesh_shared")
 )
 
 // Key is the cache key of a solve's setup artifacts: everything the
@@ -75,12 +85,79 @@ type Fingerprints struct {
 	Schedule  uint64 `json:"schedule"`
 }
 
-// entry is one cache slot: built at most once, shared by every
-// request that hashes to its key.
-type entry struct {
+// onceCache is one level of the engine's build cache: each key's value
+// is built at most once at a time and shared by every request that names
+// the key. A failed build is not cached — its slot is dropped, so the
+// requests already waiting on it get the error and the next one retries.
+type onceCache[K comparable, V any] struct {
+	mu    sync.Mutex
+	slots map[K]*onceSlot[V]
+}
+
+type onceSlot[V any] struct {
 	once sync.Once
-	art  *artifact
+	val  V
 	err  error
+	// built is set, under the cache's mutex, once val holds a value.
+	built bool
+}
+
+// get returns k's value, calling build if no slot holds it yet. built
+// reports whether this call ran the build.
+func (c *onceCache[K, V]) get(k K, build func() (V, error)) (val V, built bool, err error) {
+	c.mu.Lock()
+	if c.slots == nil {
+		c.slots = make(map[K]*onceSlot[V])
+	}
+	sl, ok := c.slots[k]
+	if !ok {
+		sl = &onceSlot[V]{}
+		c.slots[k] = sl
+	}
+	c.mu.Unlock()
+
+	sl.once.Do(func() {
+		built = true
+		sl.val, sl.err = build()
+		c.mu.Lock()
+		if sl.err == nil {
+			sl.built = true
+		} else if c.slots[k] == sl {
+			delete(c.slots, k)
+		}
+		c.mu.Unlock()
+	})
+	return sl.val, built, sl.err
+}
+
+// values returns every built value; builds in flight are not waited for.
+func (c *onceCache[K, V]) values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	vals := make([]V, 0, len(c.slots))
+	for _, sl := range c.slots {
+		if sl.built {
+			vals = append(vals, sl.val)
+		}
+	}
+	return vals
+}
+
+// scenarioProducts is everything a build needs that depends on the
+// scenario alone: built once per scenario and shared, immutable, by
+// every tuple of it.
+type scenarioProducts struct {
+	mesh *mesh.Mesh
+	// meshID is the recover-layer checkpoint identity of the mesh; a
+	// durable checkpoint written against a different mesh is refused at
+	// resume.
+	meshID uint64
+	// meshFP is the regress fingerprint of the mesh.
+	meshFP uint64
+	mat    *material.Model
+	// massNode is the lumped mass (per mesh node), the diagonal the
+	// shifted CG operator adds.
+	massNode []float64
 }
 
 // worker is one warm pool member: a persistent-PE distributed operator,
@@ -94,20 +171,12 @@ type worker struct {
 // to solve, built once and kept warm: the immutable setup products and
 // a bounded pool of idle workers.
 type artifact struct {
-	key  Key
-	fp   Fingerprints
-	mesh *mesh.Mesh
-	// meshID is the recover-layer checkpoint identity of the mesh; a
-	// durable checkpoint written against a different mesh is refused at
-	// resume.
-	meshID uint64
-	mat    *material.Model
-	// massNode is the assembled lumped mass (per mesh node), the
-	// diagonal the shifted CG operator adds.
-	massNode []float64
-	part     *partition.Partition
-	prof     *partition.Profile
-	sched    *comm.Schedule
+	key Key
+	fp  Fingerprints
+	*scenarioProducts
+	part  *partition.Partition
+	prof  *partition.Profile
+	sched *comm.Schedule
 	// nodeOf is the two-level aggregation map (nil when nodesize ≤ 1);
 	// it is installed on every worker's Dist.
 	nodeOf func(pe int32) int32
@@ -124,84 +193,101 @@ type artifact struct {
 // build and then count as hits (the setup they skipped is exactly the
 // point).
 func (e *Engine) artifact(k Key) (a *artifact, hit bool, err error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.closingNow() {
 		return nil, false, ErrClosed
 	}
-	en, ok := e.entries[k]
-	if !ok {
-		en = &entry{}
-		e.entries[k] = en
-	}
-	e.mu.Unlock()
-
-	built := false
-	en.once.Do(func() {
-		built = true
+	a, built, err := e.entries.get(k, func() (*artifact, error) {
 		cacheMisses.Add(1)
-		en.art, en.err = e.build(k)
+		return e.build(k)
 	})
-	if en.err != nil {
-		return nil, false, en.err
+	if err != nil {
+		return nil, false, err
 	}
 	if !built {
 		cacheHits.Add(1)
 	}
-	return en.art, !built, nil
+	return a, !built, nil
 }
 
-// build runs the full setup pipeline for a key — mesh, partition,
-// analysis, schedule, assembly, fingerprints — and pre-spawns one warm
-// worker so the first solve pays no Dist construction either.
-func (e *Engine) build(k Key) (*artifact, error) {
-	sp := obs.StartSpan(obs.TrackDriver, "serve", "serve.build")
-	defer sp.End()
-
-	scen, err := e.cfg.Scenarios(k.Scenario)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+// scenario returns the per-scenario products of name, building them on
+// the first tuple that names it.
+func (e *Engine) scenario(name string) (*scenarioProducts, error) {
+	sp, built, err := e.scenarios.get(name, func() (*scenarioProducts, error) {
+		start := time.Now()
+		scen, err := e.cfg.Scenarios(name)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		}
+		m, err := scen.Mesh()
+		if err != nil {
+			return nil, fmt.Errorf("serve: meshing %s: %w", name, err)
+		}
+		// The mesh caches its edge list on first use without locking;
+		// asking here, under the scenario's once, leaves concurrent tuple
+		// builds only reading it.
+		m.Edges()
+		mat := iq.Material()
+		massNode, err := fem.LumpedMass(m, mat)
+		if err != nil {
+			return nil, fmt.Errorf("serve: lumping mass of %s: %w", name, err)
+		}
+		sp := &scenarioProducts{mesh: m, meshID: rec.MeshID(m), meshFP: regress.Mesh(m), mat: mat, massNode: massNode}
+		buildMeshNs.Observe(int64(time.Since(start)))
+		return sp, nil
+	})
+	if err == nil && !built {
+		buildMeshShared.Add(1)
 	}
-	m, err := scen.Mesh()
+	return sp, err
+}
+
+// build runs the setup pipeline for a key — the scenario's shared
+// products, then partition, analysis, schedule, fingerprints — and
+// pre-spawns one warm worker so the first solve pays no Dist
+// construction either.
+func (e *Engine) build(k Key) (*artifact, error) {
+	span := obs.StartSpan(obs.TrackDriver, "serve", "serve.build")
+	defer span.End()
+
+	sp, err := e.scenario(k.Scenario)
 	if err != nil {
-		return nil, fmt.Errorf("serve: meshing %s: %w", k.Scenario, err)
+		return nil, err
 	}
 	method, err := partition.MethodByName(k.Method)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	pt, err := partition.PartitionMesh(m, k.P, method, 1)
+	start := time.Now()
+	// stage observes the time since the previous stage ended.
+	stage := func(h *obs.Histogram) {
+		now := time.Now()
+		h.Observe(int64(now.Sub(start)))
+		start = now
+	}
+	pt, err := partition.PartitionMesh(sp.mesh, k.P, method, 1)
 	if err != nil {
 		return nil, fmt.Errorf("serve: partitioning %s: %w", k, err)
 	}
-	pr, err := partition.Analyze(m, pt)
+	stage(buildPartitionNs)
+	pr, err := partition.Analyze(sp.mesh, pt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: analyzing %s: %w", k, err)
 	}
+	stage(buildAnalyzeNs)
 	sched, err := comm.FromMatrix(pr.Msg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: scheduling %s: %w", k, err)
 	}
-	mat := iq.Material()
-	sys, err := fem.Assemble(m, mat)
-	if err != nil {
-		return nil, fmt.Errorf("serve: assembling %s: %w", k.Scenario, err)
-	}
 	a := &artifact{
-		key:    k,
-		mesh:   m,
-		meshID: rec.MeshID(m),
-		mat:    mat,
-		// The mesh and massNode are shared across all workers and
-		// solves; both are treated as immutable from here on.
-		massNode: sys.MassNode,
-		part:     pt,
-		prof:     pr,
-		sched:    sched,
-		warm:     e.cfg.WarmPool,
+		key:              k,
+		scenarioProducts: sp,
+		part:             pt,
+		prof:             pr,
+		sched:            sched,
+		warm:             e.cfg.WarmPool,
 		fp: Fingerprints{
 			Key:       k.Fingerprint(),
-			Mesh:      regress.Mesh(m),
+			Mesh:      sp.meshFP,
 			Partition: regress.Partition(pt),
 			Schedule:  regress.Schedule(sched),
 		},
@@ -209,10 +295,12 @@ func (e *Engine) build(k Key) (*artifact, error) {
 	if k.NodeSize > 1 {
 		a.nodeOf = comm.ContiguousNodes(k.NodeSize)
 	}
+	stage(buildScheduleNs)
 	w, err := a.spawn()
 	if err != nil {
 		return nil, err
 	}
+	stage(buildNewDistNs)
 	a.mu.Lock()
 	a.idle = append(a.idle, w)
 	a.mu.Unlock()

@@ -179,8 +179,13 @@ type Engine struct {
 	closing chan struct{}
 	running sync.WaitGroup
 
+	// The build cache has two levels: what depends only on the scenario
+	// (mesh, its identities, lumped mass) is built once per scenario and
+	// shared by the scenario's tuples; everything else once per tuple.
+	scenarios onceCache[string, *scenarioProducts]
+	entries   onceCache[Key, *artifact]
+
 	mu       sync.Mutex
-	entries  map[Key]*entry
 	sessions map[string]*Session
 	nextID   int64
 	closed   bool
@@ -208,7 +213,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		slots:    make(chan struct{}, cfg.MaxConcurrent+cfg.MaxQueue),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		closing:  make(chan struct{}),
-		entries:  make(map[Key]*entry),
 		sessions: make(map[string]*Session),
 	}
 	jobs, replay, err := newJobManager(e, cfg)
@@ -557,18 +561,12 @@ func (e *Engine) Close() {
 	for _, s := range e.sessions {
 		sessions = append(sessions, s)
 	}
-	entries := make([]*entry, 0, len(e.entries))
-	for _, en := range e.entries {
-		entries = append(entries, en)
-	}
 	e.mu.Unlock()
 	for _, s := range sessions {
 		s.Close()
 	}
-	for _, en := range entries {
-		if en.art != nil {
-			en.art.close()
-		}
+	for _, a := range e.entries.values() {
+		a.close()
 	}
 	e.jobs.close()
 }

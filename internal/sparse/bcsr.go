@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -54,8 +55,7 @@ func NewBCSRStructure(n int, edges [][2]int32) *BCSR {
 		cursor[e[1]]++
 	}
 	for i := 0; i < n; i++ {
-		seg := m.Col[m.RowOff[i]:m.RowOff[i+1]]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
+		slices.Sort(m.Col[m.RowOff[i]:m.RowOff[i+1]])
 	}
 	return m
 }
