@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro examples clean
+.PHONY: all build vet test race lines bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro examples clean
 
 # Benchmarks must run at the host's full width: a throttled GOMAXPROCS
 # makes every parallel benchmark meaningless (the PE goroutines
@@ -22,8 +22,21 @@ vet:
 test:
 	$(GO) test ./...
 
+# The race detector on the concurrency-heavy packages. The list is by
+# hand because the whole module does not fit: measured on the 2-core
+# reference host at PR 14, uncached, this list takes 4 m 00 s and
+# `go test -race ./...` 9 m 19 s (internal/regress alone 4 m 22 s,
+# internal/par 4 m 14 s) — 2.3× the step, over the 2× the switch was
+# allowed. A package that starts goroutines belongs here; regress'
+# concurrent paths are par's and recover's, which are.
 race:
 	$(GO) test -race . ./internal/fault/ ./internal/obs/... ./internal/par/ ./internal/partition/ ./internal/recover/ ./internal/serve/ ./internal/solver/ ./internal/sparse/ ./internal/spark/
+
+# Non-test, non-generated Go lines per package and in total — the ruler
+# ROADMAP aim 2 asks every PR to report with. `make lines REV=HEAD~1`
+# measures a revision instead of the working tree.
+lines:
+	@sh scripts/lines.sh $(REV)
 
 # The gate CI runs: build + vet + full tests (as a coverage run with a
 # floor), plus the race detector on the concurrency-heavy packages, plus

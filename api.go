@@ -482,8 +482,6 @@ type (
 	// SolveOutcome reports one served solve: convergence, cache and
 	// fingerprint provenance, recovery transitions, certification.
 	SolveOutcome = serve.SolveResult
-	// SolveProgress is one residual progress sample.
-	SolveProgress = serve.Progress
 	// JobStatus is a durable job's point-in-time public state: lifecycle
 	// state, attempts, migrations, checkpoint iteration.
 	JobStatus = serve.JobStatus

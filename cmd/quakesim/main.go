@@ -421,14 +421,10 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 		if int(ck.P) != pt.P {
 			return fmt.Errorf("-resume: checkpoint %s was taken at %d PEs; rerun with -pes %d", path, ck.P, ck.P)
 		}
-		cfg.Solver.Resume = ck.State()
-		cfg.AdvanceKernels = ck.FaultIter // don't replay kernels the first run already executed
-		if cfg.Plan == nil && ck.FaultPlan != "" {
-			// The snapshot carries the *remaining* plan; re-arm it so a
-			// restarted process keeps absorbing the events that never fired.
-			if cfg.Plan, err = fault.Parse(ck.FaultPlan); err != nil {
-				return fmt.Errorf("-resume: checkpoint fault plan %q: %w", ck.FaultPlan, err)
-			}
+		if err := cfg.ResumeFrom(ck); err != nil {
+			return fmt.Errorf("-resume: %s: %w", path, err)
+		}
+		if plan == nil && cfg.Plan != nil {
 			fmt.Printf("re-armed the remaining fault plan from the checkpoint: %q\n", ck.FaultPlan)
 		}
 		fmt.Printf("resuming from %s at CG iteration %d (global kernel count %d)\n", path, ck.Iter, ck.FaultIter)

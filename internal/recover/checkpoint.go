@@ -404,10 +404,3 @@ func (s *Store) SizeBytes() (int64, error) {
 	}
 	return total, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

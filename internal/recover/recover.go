@@ -9,11 +9,13 @@
 // re-derived for p−1 PEs, a fresh Dist constructed, and the solve
 // resumed from its last consistent checkpoint.
 //
-// The package has three parts: shrink-to-survivors (this file), the
-// durable checkpoint codec and store (checkpoint.go), and the
-// recovering solve driver that ties them to solver.CG (solve.go). The
-// recovery guarantees and the p−1 remap procedure are documented in
-// docs/RELIABILITY.md.
+// The package has three parts: the partition transitions —
+// shrink-to-survivors (this file), regrowth (grow.go) and straggler
+// rebalancing (rebalance.go) — the durable checkpoint codec and store
+// (checkpoint.go), and the supervisor that ties them to solver.CG
+// (supervise.go): the one loop that re-runs a solve after an
+// interruption. The recovery guarantees and the p−1 remap procedure are
+// documented in docs/RELIABILITY.md.
 package recover
 
 import (

@@ -6,23 +6,66 @@ import (
 	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/material"
+	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/par"
+	"repro/internal/partition"
 	"repro/internal/solver"
 )
 
-// SuperviseConfig is the elastic-recovery policy: everything Config
-// covers plus regrowth and live rebalancing.
+var (
+	ckptErrors = obs.GetCounter("recover.checkpoint.errors")
+	resumes    = obs.GetCounter("recover.resumes")
+)
+
+// System describes everything needed to rebuild the distributed
+// operator at a different width after a PE loss or revival. The mesh,
+// material, and shift never change across transitions; the partition is
+// the *initial* one and is replaced on every shrink, grow, or rebalance.
+type System struct {
+	Mesh     *mesh.Mesh
+	Material *material.Model
+	Part     *partition.Partition
+	// Shift and MassNode parameterize the CG operator exactly as
+	// par.Operator does.
+	Shift    float64
+	MassNode []float64
+	// NodeOf, when non-nil, is the two-level aggregation map of the
+	// initial width; it is recomposed past each dead or revived PE and
+	// reinstalled on every Dist the supervisor rebuilds.
+	NodeOf func(pe int32) int32
+}
+
+// SuperviseConfig is the recovery policy around a solver.Config.
 type SuperviseConfig struct {
 	Solver solver.Config
-	// MaxShrinks and MaxGrows bound the absorbed transitions per solve
-	// (default 3 each). Revive events past MaxGrows are dropped.
+	// MaxShrinks bounds the worker losses absorbed per solve — shrinks
+	// and replacements alike — and MaxGrows the regrowths (default 3
+	// each; a negative MaxShrinks absorbs none). A partition also cannot
+	// shrink below one PE. Revive events past MaxGrows are dropped.
 	MaxShrinks int
 	MaxGrows   int
-	// Store, MeshID: durable checkpointing, as in Config. Checkpoints
-	// carry the *remaining* fault plan and the global kernel count, so a
-	// restarted process re-arms exactly the events that have not fired.
+	// Replace selects the loss policy. Nil shrinks onto the survivors of
+	// a killed PE. Non-nil answers every worker death — a kill fault, a
+	// genuine PE panic, a poisoned barrier (deadPE −1) — by asking the
+	// caller for a fresh Dist on the same full-width partition and
+	// resuming on it at resumeIter. The supervisor has already closed the
+	// dead Dist; the replacement arrives unarmed and carrying whatever
+	// aggregation the caller wants (NodeOf is not reinstalled on it).
+	// Partition and operator are unchanged, so the replaced trajectory is
+	// bit-identical to an uninterrupted one — a death before the first
+	// snapshot restarts from Solver.Resume or, without one, from the x
+	// handed in.
+	Replace func(deadPE, resumeIter int) (*par.Dist, error)
+	// Store, when non-nil, receives a durable checkpoint for every
+	// solver snapshot (Solver.CheckpointEvery, default 10), tagged with
+	// MeshID (see MeshID). Checkpoints carry the live partition, the
+	// *remaining* fault plan and the global kernel count, so a restarted
+	// process re-arms exactly the events that have not fired (ResumeFrom). A
+	// write failure is counted under recover.checkpoint.errors but does
+	// not abort the solve — durability degrades before availability does.
 	Store  *Store
 	MeshID uint64
 	// Plan is the fault plan to arm. The supervisor owns the injector:
@@ -50,9 +93,40 @@ type SuperviseConfig struct {
 	Rebalance *RebalanceConfig
 }
 
-// SuperviseOutcome reports an elastically supervised solve.
+// ResumeFrom points cfg at a durable checkpoint: the solver restarts from
+// the snapshot's state, the kernels the first run already executed are
+// not replayed, and — when the caller armed no plan of its own — the
+// snapshot's remaining fault plan is re-armed, so the restarted process
+// keeps absorbing the events that never fired.
+func (cfg *SuperviseConfig) ResumeFrom(ck *Checkpoint) error {
+	cfg.Solver.Resume = ck.State()
+	cfg.AdvanceKernels = ck.FaultIter
+	if cfg.Plan == nil && ck.FaultPlan != "" {
+		plan, err := fault.Parse(ck.FaultPlan)
+		if err != nil {
+			return fmt.Errorf("recover: checkpoint fault plan %q: %w", ck.FaultPlan, err)
+		}
+		cfg.Plan = plan
+	}
+	return nil
+}
+
+// SuperviseOutcome reports a supervised solve.
 type SuperviseOutcome struct {
-	Outcome
+	// Result is the CG result of the last attempt: final on success,
+	// partial when Supervise returns an error.
+	Result *solver.Result
+	// Shrinks counts PE losses absorbed by shrinking; DeadPEs lists them
+	// in the PE numbering current at each death. Replacements counts the
+	// worker deaths absorbed through Replace.
+	Shrinks      int
+	DeadPEs      []int
+	Replacements int
+	// Part and Dist are the partition and operator that finished the
+	// solve — the caller's originals when nothing was lost, rebuilt or
+	// replaced ones otherwise. The caller owns Dist and must Close it.
+	Part *partition.Partition
+	Dist *par.Dist
 	// Grows counts regrowths; RevivedPEs lists the slots in the PE
 	// numbering current at each regrowth.
 	Grows      int
@@ -104,19 +178,30 @@ func clampPlan(p *fault.Plan, width int, after int64) *fault.Plan {
 	return out
 }
 
-// Supervise runs CG on d and keeps the solve alive — and well — through
-// sustained churn: kill faults shrink to the survivors exactly as Solve
-// does, revive events in the plan regrow the partition onto the
-// recovered PE at the next checkpoint boundary (Grow), and, when
+// Supervise is the one loop that runs CG on d and re-runs it after an
+// interruption, keeping the solve alive — and well — through sustained
+// churn. A dead worker is answered by the loss policy: shrink to the
+// survivors (Shrink), or, with Replace set, resume on a fresh full-width
+// Dist from the caller. Revive events in the plan regrow the partition
+// onto the recovered PE at the next checkpoint boundary (Grow), and, when
 // Rebalance is armed, measured per-PE compute imbalance above the
 // hysteresis threshold migrates boundary layers off stragglers at a
-// checkpoint (Rebalance). Every transition rebuilds the operator,
-// recomposes the two-level aggregation map, re-arms the remaining fault
-// plan with the global kernel count fast-forwarded, and resumes CG from
-// the last consistent checkpoint. Software faults and losses beyond the
-// bounds propagate unchanged, as in Solve.
+// checkpoint (Rebalance). Every transition re-arms the remaining fault
+// plan with the global kernel count fast-forwarded and resumes CG from
+// the last consistent checkpoint; the ones that rebuild the operator also
+// recompose the two-level aggregation map. With no plan, no fault and no
+// Stop it is exactly one solver.CG call. Software faults under the shrink
+// policy, and losses beyond the bounds, propagate unchanged.
+//
+// The global problem (b, x, the solver state) is indexed by mesh node,
+// not by PE, so a checkpoint taken at width p resumes at any other
+// width: only the operator's internals changed. A resumed trajectory on
+// a rebuilt partition is not bit-identical to a fault-free run — the
+// operator sums partial results in a different order — but it is the
+// same CG iteration on the same SPD system and converges to the same
+// tolerance.
 func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*SuperviseOutcome, error) {
-	if cfg.MaxShrinks <= 0 {
+	if cfg.MaxShrinks == 0 {
 		cfg.MaxShrinks = 3
 	}
 	if cfg.MaxGrows <= 0 {
@@ -129,9 +214,8 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	userCk := scfg.OnCheckpoint
 	userInt := scfg.Interrupt
 
-	out := &SuperviseOutcome{Outcome: Outcome{Part: sys.Part, Dist: d}}
+	out := &SuperviseOutcome{Part: sys.Part, Dist: d}
 	nodeOf := sys.NodeOf
-	ckErrors := obs.GetCounter("recover.checkpoint.errors")
 
 	// The injector's Iter() is kept global across rebuilds: every fresh
 	// injector is fast-forwarded by the kernels all its predecessors
@@ -143,7 +227,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		clamped := clampPlan(cfg.Plan, d.P, base)
 		var err error
 		if in, err = d.InjectFaults(clamped); err != nil {
-			return err
+			return fmt.Errorf("recover: arming fault plan: %w", err)
 		}
 		if in != nil {
 			in.Advance(base)
@@ -156,8 +240,13 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		}
 		return base
 	}
+	// fail stamps the kernel count on the way out of every error path.
+	fail := func(err error) (*SuperviseOutcome, error) {
+		out.Kernels = globalIter()
+		return out, err
+	}
 	if err := arm(d); err != nil {
-		return out, fmt.Errorf("recover: arming fault plan: %w", err)
+		return fail(err)
 	}
 
 	// Pending revives, consumed (or dropped past MaxGrows) in order.
@@ -184,7 +273,12 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	var loads []int64
 	wantRebalance := false
 
-	var last *solver.State
+	// last is the state the next attempt resumes from: the newest
+	// snapshot; before the first one, whatever the caller resumed from;
+	// failing that nil — a cold start from x, which is still the x handed
+	// in, because CG gathers x only from a live operator and a poisoned
+	// Dist fails every kernel fast.
+	last := scfg.Resume
 	scfg.OnCheckpoint = func(st *solver.State) {
 		last = st
 		if cfg.Store != nil {
@@ -203,7 +297,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				ck.FaultPlan = p.String()
 			}
 			if _, err := cfg.Store.Save(ck); err != nil {
-				ckErrors.Add(1)
+				ckptErrors.Add(1)
 			}
 		}
 		if userCk != nil {
@@ -235,11 +329,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		return due || wantRebalance
 	}
 
-	resume := func() {
-		scfg.Resume = last
-		obs.GetCounter("recover.resumes").Add(1)
-	}
-	// rearm swaps the live operator for reb's and restores aggregation
+	// install swaps the live operator for r's and restores aggregation
 	// and the fault plan on it. The old Dist must already be closed.
 	install := func(r *Rebuilt) error {
 		if nodeOf != nil {
@@ -249,17 +339,19 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			}
 		}
 		out.Dist, out.Part = r.Dist, r.Partition
-		if err := arm(r.Dist); err != nil {
-			return fmt.Errorf("recover: re-arming fault plan: %w", err)
+		if cfg.Rebalance != nil {
+			// Per-PE history predates the new layout; start the next
+			// analysis window fresh.
+			prevSnap = obs.Default.Snapshot()
 		}
-		return nil
+		return arm(r.Dist)
 	}
 
 	for {
 		op := par.Operator{D: out.Dist, Shift: sys.Shift, MassNode: sys.MassNode}
 		res, err := solver.CG(op, b, x, scfg)
+		out.Result = res
 		if err == nil {
-			out.Result = res
 			out.Kernels = globalIter()
 			return out, nil
 		}
@@ -268,9 +360,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			if cfg.Stop != nil && cfg.Stop() {
 				// The caller asked to stop; hand back the partial state
 				// instead of resuming past the interrupt.
-				out.Result = res
-				out.Kernels = globalIter()
-				return out, err
+				return fail(err)
 			}
 			// Consume every due revive, oldest first.
 			for len(pending) > 0 && pending[0].Iter <= globalIter() {
@@ -279,16 +369,12 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				if out.Grows >= cfg.MaxGrows {
 					continue
 				}
-				slot := ev.PE
-				if slot > out.Part.P {
-					slot = out.Part.P
-				}
+				slot := min(ev.PE, out.Part.P)
 				obs.RecordFlight(obs.FlightRecovery, "recover.revive", slot, ev.Iter, 0)
 				base = globalIter()
 				grown, gerr := Grow(sys.Mesh, sys.Material, out.Part, slot)
 				if gerr != nil {
-					out.Kernels = globalIter()
-					return out, fmt.Errorf("recover: growing onto revived PE %d: %w", slot, gerr)
+					return fail(fmt.Errorf("recover: growing onto revived PE %d: %w", slot, gerr))
 				}
 				out.Dist.Close() // healthy but superseded
 				if nodeOf != nil {
@@ -302,17 +388,10 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 					nodeOf = GrowNodeOf(nodeOf, slot, nodeOf(preDonor))
 				}
 				if ierr := install(grown); ierr != nil {
-					out.Kernels = globalIter()
-					return out, ierr
+					return fail(ierr)
 				}
 				out.Grows++
 				out.RevivedPEs = append(out.RevivedPEs, slot)
-				if cfg.Rebalance != nil {
-					// The width changed; restart the analysis window so the
-					// first post-grow observation is not polluted by stale
-					// accumulator history.
-					prevSnap = obs.Default.Snapshot()
-				}
 			}
 			if wantRebalance {
 				wantRebalance = false
@@ -320,50 +399,57 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 					base = globalIter()
 					moved, moves, rerr := Rebalance(sys.Mesh, sys.Material, out.Part, loads, reb.cfg.MaxMoves)
 					if rerr != nil {
-						out.Kernels = globalIter()
-						return out, fmt.Errorf("recover: rebalancing: %w", rerr)
+						return fail(fmt.Errorf("recover: rebalancing: %w", rerr))
 					}
 					if moves > 0 {
 						out.Dist.Close()
 						if ierr := install(moved); ierr != nil {
-							out.Kernels = globalIter()
-							return out, ierr
+							return fail(ierr)
 						}
 						out.Migrations += moves
-						// Per-PE history predates the new layout; start the
-						// next window fresh.
-						prevSnap = obs.Default.Snapshot()
 					}
 				}
 			}
-			resume()
-			continue
+		} else {
+			dead, died := DeadPE(err)
+			if cfg.Replace != nil && !died && errors.Is(err, par.ErrPoisoned) {
+				dead, died = -1, true
+			}
+			if !died || out.Shrinks+out.Replacements >= cfg.MaxShrinks || (cfg.Replace == nil && out.Part.P <= 1) {
+				return fail(err)
+			}
+			base = globalIter()
+			out.Dist.Close() // poisoned; release its PE goroutines
+			if cfg.Replace != nil {
+				resumeIter := 0
+				if last != nil {
+					resumeIter = last.Iter
+				}
+				fresh, rerr := cfg.Replace(dead, resumeIter)
+				if rerr != nil {
+					return fail(fmt.Errorf("recover: replacing the worker after %v: %w", err, rerr))
+				}
+				out.Dist = fresh
+				if aerr := arm(fresh); aerr != nil {
+					return fail(aerr)
+				}
+				out.Replacements++
+			} else {
+				shrunk, serr := Shrink(sys.Mesh, sys.Material, out.Part, dead)
+				if serr != nil {
+					return fail(fmt.Errorf("recover: shrinking after %v: %w", err, serr))
+				}
+				if nodeOf != nil {
+					nodeOf = ShrinkNodeOf(nodeOf, dead)
+				}
+				if ierr := install(shrunk); ierr != nil {
+					return fail(ierr)
+				}
+				out.Shrinks++
+				out.DeadPEs = append(out.DeadPEs, dead)
+			}
 		}
-
-		dead, killed := DeadPE(err)
-		if !killed || out.Shrinks >= cfg.MaxShrinks || out.Part.P <= 1 {
-			out.Kernels = globalIter()
-			return out, err
-		}
-		base = globalIter()
-		shrunk, serr := Shrink(sys.Mesh, sys.Material, out.Part, dead)
-		if serr != nil {
-			out.Kernels = globalIter()
-			return out, fmt.Errorf("recover: shrinking after %v: %w", err, serr)
-		}
-		out.Dist.Close() // poisoned; release its PE goroutines
-		if nodeOf != nil {
-			nodeOf = ShrinkNodeOf(nodeOf, dead)
-		}
-		if ierr := install(shrunk); ierr != nil {
-			out.Kernels = globalIter()
-			return out, ierr
-		}
-		out.Shrinks++
-		out.DeadPEs = append(out.DeadPEs, dead)
-		if cfg.Rebalance != nil {
-			prevSnap = obs.Default.Snapshot() // width changed; restart the window
-		}
-		resume()
+		scfg.Resume = last
+		resumes.Add(1)
 	}
 }

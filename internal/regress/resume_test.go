@@ -58,8 +58,8 @@ func TestResumeBitIdenticalThroughDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := make([]float64, n)
-	out, err := rec.Solve(d1, &rec.System{Mesh: m, Material: mat, Part: pt, Shift: 20, MassNode: sys.MassNode},
-		b, ref, rec.Config{Solver: withCkpt(cfg, 5), Store: store, MeshID: meshID})
+	out, err := rec.Supervise(d1, &rec.System{Mesh: m, Material: mat, Part: pt, Shift: 20, MassNode: sys.MassNode},
+		b, ref, rec.SuperviseConfig{Solver: withCkpt(cfg, 5), Store: store, MeshID: meshID})
 	d1.Close()
 	if err != nil || !out.Result.Converged {
 		t.Fatalf("uninterrupted solve: err=%v", err)

@@ -34,13 +34,21 @@ func TestFailedBuildsAreNotCached(t *testing.T) {
 			t.Fatalf("unknown scenario %d: %v, want ErrBadRequest", i, err)
 		}
 	}
+	// An unknown method is refused by the intake before any build.
 	if _, err := e.Solve(context.Background(), &SolveRequest{Scenario: "tiny-failed", PEs: 2, Method: "nosuch"}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown method: %v, want ErrBadRequest", err)
 	}
-	// The unknown method failed a tuple of a scenario that does exist:
-	// the scenario's products stay, the tuple does not.
+	if s, k := cached(e); s != 0 || k != 0 {
+		t.Fatalf("after 1001 refused requests the cache holds %d scenarios and %d tuples, want none", s, k)
+	}
+	// A tuple build that fails after its scenario was built — the same
+	// method, asked of the cache directly — keeps the scenario's products
+	// and drops the tuple.
+	if _, _, err := e.artifact(Key{Scenario: "tiny-failed", P: 2, Method: "nosuch", NodeSize: 1}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("failed tuple build: %v, want ErrBadRequest", err)
+	}
 	if s, k := cached(e); s != 1 || k != 0 {
-		t.Fatalf("after 1001 failed builds the cache holds %d scenarios and %d tuples, want 1 and 0", s, k)
+		t.Fatalf("after a failed tuple build the cache holds %d scenarios and %d tuples, want 1 and 0", s, k)
 	}
 }
 

@@ -72,9 +72,5 @@ func FuzzSolveRequest(f *testing.F) {
 		if len(req.Faults) > maxFaultPlanLen {
 			t.Fatalf("accepted %d-byte fault plan", len(req.Faults))
 		}
-		// An accepted request must also split cleanly.
-		if _, _, err := req.split(); err != nil {
-			t.Fatalf("validated request failed to split: %v", err)
-		}
 	})
 }

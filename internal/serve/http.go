@@ -57,7 +57,8 @@ const serviceIndex = `quaked endpoints:
   POST   /v1/sessions             open a session {"scenario","pes","method","nodesize"}
   GET    /v1/sessions             list open sessions
   GET    /v1/sessions/{id}        session status
-  POST   /v1/sessions/{id}/solve  solve on a session (tuple comes from the session)
+  POST   /v1/sessions/{id}/solve  solve on a session (tuple comes from the session; stream, detach
+                                  and idempotency_key as on /v1/solve)
   DELETE /v1/sessions/{id}        close a session (artifacts stay warm)
   GET    /healthz                 liveness probe
   /metrics /metrics.json /flight /debug/vars /debug/pprof/   observability
@@ -116,56 +117,40 @@ func httpError(w http.ResponseWriter, res *SolveResult, err error) {
 func retryAfterSeconds() int { return 1 + rand.Intn(3) }
 
 // handleSolve serves POST /v1/solve: one anonymous solve through the
-// shared artifact cache. Every accepted solve is a durable job; the
-// response shape follows the request — a single document, an ndjson
-// event stream, or (detached) 202 with the job status to poll.
+// shared artifact cache.
 func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeSolveRequest(r.Body)
+	req, err := decodeRequest(r.Body)
 	if err != nil {
 		httpError(w, nil, err)
 		return
 	}
-	spec, sess, err := req.split()
+	e.respond(w, r, req, nil)
+}
+
+// respond admits one decoded request and answers it. Every accepted
+// solve is a durable job; the response shape follows the request — a
+// single document, an ndjson event stream, or (detached) 202 with the
+// job status to poll.
+func (e *Engine) respond(w http.ResponseWriter, r *http.Request, req *SolveRequest, s *Session) {
+	aj, j, err := e.admit(req, s, nil)
 	if err != nil {
 		httpError(w, nil, err)
 		return
 	}
-	k, err := sess.key(e.cfg)
-	if err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	// Resolve (or cold-build) the artifacts before committing to a
-	// response shape, so an unknown scenario is a clean 400 even on a
-	// streaming request.
-	art, hit, err := e.artifact(k)
-	if err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	aj, dup, err := e.acceptJob(art, hit, spec, req)
-	if err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	j := dup
 	if aj != nil {
 		j = aj.job
+		if req.Stream || req.Detach {
+			// The job runs detached from the connection: a dropped stream
+			// does not kill the solve, and the client resumes the event
+			// feed at GET /v1/jobs/{id}/events?from=<seq> (or by retrying
+			// with the same idempotency key and "from_event").
+			go aj.run(context.Background())
+		}
 	}
 	switch {
 	case req.Stream:
-		// The job runs detached from the connection: a dropped stream
-		// does not kill the solve, and the client resumes the event
-		// feed at GET /v1/jobs/{id}/events?from=<seq> (or by retrying
-		// with the same idempotency key and "from_event").
-		if aj != nil {
-			go aj.run(context.Background())
-		}
 		e.streamJob(w, r, j, req.FromEvent)
 	case req.Detach:
-		if aj != nil {
-			go aj.run(context.Background())
-		}
 		writeJSON(w, http.StatusAccepted, j.Status())
 	default:
 		var res *SolveResult
@@ -239,6 +224,9 @@ func (e *Engine) streamJob(w http.ResponseWriter, r *http.Request, j *Job, from 
 		for _, ev := range evs {
 			enc.Encode(ev)
 			cursor = ev.Seq + 1
+			if ev.Event == "progress" {
+				streamEvents.Add(1)
+			}
 		}
 		if len(evs) > 0 && fl != nil {
 			fl.Flush()
@@ -305,21 +293,18 @@ func (e *Engine) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionSolve serves POST /v1/sessions/{id}/solve. The request
 // carries only per-solve fields; the tuple comes from the session, so
-// naming scenario/pes/method/nodesize in the body is an error. Session
-// solves are jobs too (the result carries the job id), but their
-// streams stay connection-bound: resuming a dropped session stream
-// goes through GET /v1/jobs/{id}/events like any other job.
+// naming scenario/pes/method/nodesize in the body is an error. Past that
+// a session solve is a solve like any other: the same intake, the same
+// job, the same response shapes.
 func (e *Engine) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	s, ok := e.Session(r.PathValue("id"))
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	req := &SolveRequest{}
-	if err := dec.Decode(req); err != nil {
-		httpError(w, nil, fmt.Errorf("%w: %w", ErrBadRequest, err))
+	req, err := decodeRequest(r.Body)
+	if err != nil {
+		httpError(w, nil, err)
 		return
 	}
 	if req.Scenario != "" || req.PEs != 0 || req.Method != "" || req.NodeSize != 0 {
@@ -328,46 +313,7 @@ func (e *Engine) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	k := s.Key()
 	req.Scenario, req.PEs, req.Method, req.NodeSize = k.Scenario, k.P, k.Method, k.NodeSize
-	if err := req.Validate(); err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	spec, _, err := req.split()
-	if err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	if req.Stream {
-		fl, _ := w.(http.Flusher)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		emit := func(ev event) {
-			enc.Encode(ev)
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		hit := true
-		fp := s.Fingerprints()
-		emit(event{Event: "accepted", CacheHit: &hit, Fingerprints: &fp})
-		spec.OnProgress = func(p Progress) {
-			emit(event{Event: "progress", Iter: p.Iter, Residual: p.Residual})
-		}
-		res, err := s.Solve(r.Context(), spec)
-		if err != nil {
-			emit(event{Event: "error", Error: err.Error(), Result: res})
-			return
-		}
-		emit(event{Event: "result", Result: res})
-		return
-	}
-	res, err := s.Solve(r.Context(), spec)
-	if err != nil {
-		httpError(w, res, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	e.respond(w, r, req, s)
 }
 
 // handleSessionClose serves DELETE /v1/sessions/{id}.

@@ -91,7 +91,6 @@ type Job struct {
 	idem     string
 	req      *SolveRequest
 	key      Key
-	fp       Fingerprints
 	cacheHit bool
 	accepted time.Time
 
@@ -100,7 +99,6 @@ type Job struct {
 	attempts   int
 	migrations int
 	ckptIter   int
-	ckptState  *solver.State
 	result     *SolveResult
 	errMsg     string
 	err        error
@@ -113,12 +111,9 @@ type Job struct {
 	termEmitted bool
 	done        chan struct{}
 
-	// Durable-resume state loaded at replay, consumed by the first
-	// attempt.
-	resumeState   *solver.State
-	resumeKernels int64
-	resumePlan    string
-	resumed       bool
+	// resume is the newest durable checkpoint, loaded at replay for the
+	// run to restart from; nil for a job this process accepted.
+	resume *rec.Checkpoint
 }
 
 // JobStatus is a job's point-in-time public state (GET /v1/jobs/{id}).
@@ -211,16 +206,6 @@ func (j *Job) eventsFrom(from int64) ([]event, bool) {
 	return out, j.state.terminal() && j.termEmitted
 }
 
-// checkpoint records an in-flight solver snapshot: the migration and
-// restart resume point. The State's slices are private copies (the
-// solver never aliases them), so retaining the pointer is safe.
-func (j *Job) checkpoint(st *solver.State) {
-	j.mu.Lock()
-	j.ckptState = st
-	j.ckptIter = st.Iter
-	j.mu.Unlock()
-}
-
 // await blocks until the job reaches a terminal state.
 func (j *Job) await(ctx context.Context, closing <-chan struct{}) (*SolveResult, error) {
 	select {
@@ -289,11 +274,7 @@ func newJobManager(e *Engine, cfg Config) (*jobManager, []*Job, error) {
 				state:    JobQueued,
 				done:     make(chan struct{}),
 			}
-			sess := SessionSpec{Scenario: r.Req.Scenario, PEs: r.Req.PEs,
-				Method: r.Req.Method, NodeSize: r.Req.NodeSize}
-			if k, err := sess.key(cfg); err == nil {
-				j.key = k
-			}
+			j.key, _ = r.Req.key(cfg) // a tuple the limits now refuse stays unkeyed; admit fails it
 			m.jobs[r.ID] = j
 			m.order = append(m.order, r.ID)
 			if r.Idem != "" {
@@ -326,14 +307,9 @@ func newJobManager(e *Engine, cfg Config) (*jobManager, []*Job, error) {
 			continue
 		}
 		// Accepted but unfinished: back to the queue, marked as a
-		// replay. A request that no longer validates (e.g. a journal
-		// from a build with wider limits) fails cleanly instead.
+		// replay; the engine re-admits it through the one intake.
 		j.state = JobQueued
 		j.replayed = true
-		if err := j.req.Validate(); err != nil {
-			m.fail(j, nil, fmt.Errorf("serve: replayed job %s: %w", j.id, err))
-			continue
-		}
 		replay = append(replay, j)
 	}
 	// Startup housekeeping: rewrite the journal down to the live set,
@@ -366,7 +342,6 @@ func (m *jobManager) create(req *SolveRequest, a *artifact, hit bool) (j, dup *J
 		idem:     req.IdempotencyKey,
 		req:      req,
 		key:      a.key,
-		fp:       a.fp,
 		cacheHit: hit,
 		accepted: time.Now(),
 		state:    JobQueued,
@@ -405,15 +380,20 @@ func (m *jobManager) lookupIdem(idem string) *Job {
 	return m.byIdem[idem]
 }
 
-// statuses snapshots every tracked job in acceptance order.
-func (m *jobManager) statuses() []JobStatus {
+// tracked returns every tracked job in acceptance order.
+func (m *jobManager) tracked() []*Job {
 	m.mu.Lock()
-	order := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(order))
-	for _, id := range order {
+	defer m.mu.Unlock()
+	jobs := make([]*Job, 0, len(m.order))
+	for _, id := range m.order {
 		jobs = append(jobs, m.jobs[id])
 	}
-	m.mu.Unlock()
+	return jobs
+}
+
+// statuses snapshots every tracked job in acceptance order.
+func (m *jobManager) statuses() []JobStatus {
+	jobs := m.tracked()
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.Status())
@@ -492,12 +472,7 @@ func (m *jobManager) compact() {
 	if m.jl == nil {
 		return
 	}
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
-		jobs = append(jobs, m.jobs[id])
-	}
-	m.mu.Unlock()
+	jobs := m.tracked()
 	recs := make([]*jobRecord, 0, 2*len(jobs))
 	for _, j := range jobs {
 		recs = append(recs, &jobRecord{Op: "accept", ID: j.id, Time: j.accepted, Idem: j.idem, Req: j.req})
@@ -506,13 +481,16 @@ func (m *jobManager) compact() {
 	m.jl.compact(recs)
 }
 
-// setRunning moves a queued job into execution (counting the attempt).
-func (m *jobManager) setRunning(j *Job) {
+// setRunning moves a queued job into execution and returns its
+// dispatch count, this one included.
+func (m *jobManager) setRunning(j *Job) int {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.attempts++
+	attempts := j.attempts
 	j.mu.Unlock()
 	m.logState(j)
+	return attempts
 }
 
 // migrated records one worker-death re-dispatch: the job stays
@@ -529,48 +507,33 @@ func (m *jobManager) migrated(j *Job, deadPE int, resumeIter int) {
 	j.emit(event{Event: "migrated", Iter: resumeIter})
 }
 
-// complete finishes a job successfully.
-func (m *jobManager) complete(j *Job, res *SolveResult) {
-	j.mu.Lock()
-	j.state = JobCompleted
-	j.result = res
-	j.errMsg = ""
-	j.err = nil
-	j.finished = time.Now()
-	close(j.done)
-	j.mu.Unlock()
-	jobCompleted.Add(1)
-	m.logState(j)
-	j.emit(event{Event: "result", Result: res})
-	m.gcJob(j)
-}
+// The outcome counters of a terminal state: every finished job counts
+// under jobOutcomes, and under solveOutcomes too if it got as far as run.
+var (
+	jobOutcomes   = map[JobState]*obs.Counter{JobCompleted: jobCompleted, JobFailed: jobFailed, JobCanceled: jobCanceled}
+	solveOutcomes = map[JobState]*obs.Counter{JobCompleted: solvesOK, JobFailed: solvesFailed, JobCanceled: solvesCanceled}
+)
 
-// fail finishes a job with an error the client cannot retry away.
-func (m *jobManager) fail(j *Job, res *SolveResult, err error) {
-	m.finishErr(j, JobFailed, res, err)
-	jobFailed.Add(1)
-}
-
-// cancel finishes a job stopped by its deadline or its caller.
-func (m *jobManager) cancel(j *Job, res *SolveResult, err error) {
-	m.finishErr(j, JobCanceled, res, err)
-	jobCanceled.Add(1)
-}
-
-func (m *jobManager) finishErr(j *Job, state JobState, res *SolveResult, err error) {
+// finish moves a job to its terminal state: completed with a result,
+// failed with an error the client cannot retry away, or canceled by its
+// deadline or its caller. res may be the partial result of a solve that
+// did not complete.
+func (m *jobManager) finish(j *Job, state JobState, res *SolveResult, err error) {
+	ev := event{Event: "result", Result: res}
+	if err != nil {
+		ev.Event, ev.Error = "error", err.Error()
+	}
 	j.mu.Lock()
 	j.state = state
 	j.result = res
 	j.err = err
-	j.errMsg = ""
-	if err != nil {
-		j.errMsg = err.Error()
-	}
+	j.errMsg = ev.Error
 	j.finished = time.Now()
 	close(j.done)
 	j.mu.Unlock()
+	jobOutcomes[state].Add(1)
 	m.logState(j)
-	j.emit(event{Event: "error", Error: j.errMsg, Result: res})
+	j.emit(ev)
 	m.gcJob(j)
 }
 
@@ -663,12 +626,8 @@ func (m *jobManager) sweepBudget() {
 			continue
 		}
 		d := cdir{path: filepath.Join(root, e.Name())}
-		if sub, err := os.ReadDir(d.path); err == nil {
-			for _, f := range sub {
-				if info, err := f.Info(); err == nil && !f.IsDir() {
-					d.size += info.Size()
-				}
-			}
+		if st, err := rec.NewStore(d.path); err == nil {
+			d.size, _ = st.SizeBytes() // an unreadable dir weighs nothing
 		}
 		if j, ok := m.lookup(e.Name()); ok {
 			st := j.Status()
@@ -695,21 +654,21 @@ func (m *jobManager) sweepBudget() {
 }
 
 // loadResume reads a job's newest durable checkpoint, refusing one
-// written against a different mesh. ok is false when there is nothing
+// written against a different mesh. It returns nil when there is nothing
 // (or nothing valid) to resume from.
-func (m *jobManager) loadResume(id string, meshID uint64) (st *solver.State, kernels int64, plan string, ok bool) {
+func (m *jobManager) loadResume(id string, meshID uint64) *rec.Checkpoint {
 	if m.dir == "" {
-		return nil, 0, "", false
+		return nil
 	}
 	store, err := rec.NewStore(m.ckptDir(id))
 	if err != nil {
-		return nil, 0, "", false
+		return nil
 	}
 	ck, _, err := store.Latest()
 	if err != nil || ck.MeshID != meshID {
-		return nil, 0, "", false
+		return nil
 	}
-	return ck.State(), ck.FaultIter, ck.FaultPlan, true
+	return ck
 }
 
 // close runs the final compaction and closes the journal. Called after
@@ -722,90 +681,77 @@ func (m *jobManager) close() {
 }
 
 // admittedJob is one job holding an admission slot: created by
-// Engine.acceptJob, consumed exactly once by run.
+// Engine.admit, consumed exactly once by run.
 type admittedJob struct {
-	e    *Engine
-	job  *Job
-	art  *artifact
-	spec SolveSpec
-	// done releases the admission slot and the engine tracking ref;
-	// run defers it.
+	e   *Engine
+	job *Job
+	art *artifact
+	// session, when non-nil, is the session the solve was submitted
+	// through; its counters settle when run returns.
+	session *Session
+	// done releases the admission slot and the engine tracking ref.
 	done func()
 }
 
 // run executes the job to a terminal state (or a durable requeue at
 // engine shutdown). It is the engine's single solve path: budgets,
-// worker checkout, plain / elastic-supervised / migrating CG,
-// certification, pool return, job bookkeeping.
-func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
-	e, a, j, spec := aj.e, aj.art, aj.job, aj.spec
-	defer aj.done()
+// worker checkout, one supervised CG, certification, pool return, job
+// bookkeeping. What differs between solves is only the supervisor's loss
+// policy: a fault plan without "recovery":"migrate" shrinks and regrows
+// in place; everything else — plain solves included, so a genuine PE
+// panic still migrates — replaces a dead worker with a fresh one from the
+// pool at full width.
+func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
+	e, a, j, req := aj.e, aj.art, aj.job, aj.job.req
+	defer func() {
+		if aj.session != nil {
+			aj.session.end(res, err)
+		}
+		aj.done()
+	}()
 
 	// Wait for a run slot (the queued half of admission).
 	runRelease, err := e.acquireRun(ctx)
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
-			return nil, aj.park(nil, fmt.Errorf("serve: %w while queued", ErrClosed))
+			return aj.park(nil, fmt.Errorf("serve: %w while queued", ErrClosed))
 		}
-		solvesCanceled.Add(1)
-		cerr := fmt.Errorf("serve: %w while queued: %w", ErrCanceled, err)
-		e.jobs.cancel(j, nil, cerr)
-		return nil, cerr
+		return aj.end(JobCanceled, nil, fmt.Errorf("serve: %w while queued: %w", ErrCanceled, err))
 	}
 	defer runRelease()
-	e.jobs.setRunning(j)
+	attempts := e.jobs.setRunning(j)
 	if hold := e.holdSolve; hold != nil {
 		hold()
 	}
-
-	var plan *fault.Plan
-	planStr := spec.Faults
-	if j.resumed && j.resumePlan != planStr {
-		// The durable checkpoint recorded the plan as of the snapshot;
-		// trust it over the original request (it is the same canonical
-		// string unless every event was already consumed).
-		planStr = j.resumePlan
-	}
-	if planStr != "" {
-		if plan, err = fault.Parse(planStr); err != nil {
-			ferr := fmt.Errorf("%w: fault plan: %w", ErrBadRequest, err)
-			solvesFailed.Add(1)
-			e.jobs.fail(j, nil, ferr)
-			return nil, ferr
-		}
-	}
-	// A plan with revive events needs the elastic supervisor (only it
-	// regrows); anything else can migrate between full-width workers.
-	elastic := plan != nil && spec.Recovery != RecoveryMigrate
 
 	// Budgets: iteration cap and wall deadline, both clamped to the
 	// engine limits. The deadline fires through ctx at checkpoint
 	// boundaries, leaving the worker healthy.
 	n := 3 * a.mesh.NumNodes()
-	maxIter := spec.MaxIter
+	maxIter := req.MaxIters
 	if maxIter <= 0 || maxIter > e.cfg.MaxIter {
 		maxIter = e.cfg.MaxIter
 	}
-	if def := 4 * n; spec.MaxIter <= 0 && def < maxIter {
+	if def := 4 * n; req.MaxIters <= 0 && def < maxIter {
 		maxIter = def
 	}
-	deadline := spec.Deadline
+	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline <= 0 || deadline > e.cfg.MaxDeadline {
 		deadline = e.cfg.MaxDeadline
 	}
 	ctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
-	tol := spec.Tol
+	tol := req.Tol
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	shift := spec.Shift
+	shift := req.Shift
 	if shift <= 0 {
 		shift = 20
 	}
 
-	// The per-job durable checkpoint store: every in-flight snapshot
-	// lands here (pruned to a bounded tail), so a migration or a
+	// The per-job durable checkpoint store: the supervisor lands every
+	// in-flight snapshot here (pruned below to a bounded tail), so a
 	// process restart resumes instead of recomputing.
 	var store *rec.Store
 	if e.jobs.durable() {
@@ -815,291 +761,141 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 		}
 	}
 
-	b := rhsFor(spec.RHSSeed, n)
+	b := rhsFor(req.RHSSeed, n)
 	x := make([]float64, n)
 	normB := norm2(b)
 
-	// inj is the current attempt's injector (nil without a plan on the
-	// non-elastic path); kernelBase is the global kernel count already
-	// executed by dead workers and previous processes.
-	var inj *fault.Injector
-	kernelBase := j.resumeKernels
-	injIter := func() int64 {
-		if inj != nil {
-			return inj.Iter()
-		}
-		return kernelBase
+	cfg := rec.SuperviseConfig{
+		Solver: solver.Config{
+			MaxIter:         maxIter,
+			Tol:             tol,
+			CheckpointEvery: e.cfg.CheckpointEvery,
+			OnCheckpoint: func(st *solver.State) {
+				if d := e.cfg.CheckpointDelay; d > 0 {
+					time.Sleep(d)
+				}
+				j.mu.Lock()
+				j.ckptIter = st.Iter // where a migration or a restart resumes
+				j.mu.Unlock()
+				if store != nil {
+					store.Prune(jobKeepCkpts)
+				}
+				rel := norm2(st.R)
+				if normB > 0 {
+					rel /= normB
+				}
+				j.emit(event{Event: "progress", Iter: st.Iter, Residual: rel})
+			},
+		},
+		Store:  store,
+		MeshID: a.meshID,
+		Stop:   func() bool { return ctx.Err() != nil || e.closingNow() },
+	}
+	if j.resume != nil {
+		// The durable checkpoint recorded the plan as of the snapshot;
+		// trust it over the original request (it is the same canonical
+		// string unless events were already consumed).
+		err = cfg.ResumeFrom(j.resume)
+	} else if req.Faults != "" {
+		cfg.Plan, err = fault.Parse(req.Faults)
+	}
+	if err != nil {
+		return aj.end(JobFailed, nil, fmt.Errorf("%w: fault plan: %w", ErrBadRequest, err))
 	}
 
-	emit := func(st *solver.State) {
-		if d := e.cfg.CheckpointDelay; d > 0 {
-			time.Sleep(d)
-		}
-		if slow := e.slowCheckpoint; slow != nil {
-			slow(st.Iter)
-		}
-		j.checkpoint(st)
-		if store != nil {
-			if !elastic {
-				// The elastic supervisor writes its own checkpoints
-				// (with the shrunk partition); here we are the writer.
-				ck := &rec.Checkpoint{
-					MeshID: a.meshID,
-					P:      int32(a.part.P),
-					ElemPE: a.part.ElemPE,
-					Iter:   int64(st.Iter),
-					Rho:    st.Rho,
-					X:      st.X,
-					R:      st.R,
-					PDir:   st.P,
-
-					FaultIter: injIter(),
-				}
-				if plan != nil {
-					ck.FaultPlan = plan.String()
-				}
-				if _, err := store.Save(ck); err != nil {
-					obs.GetCounter("recover.checkpoint.errors").Add(1)
-				}
-			}
-			store.Prune(jobKeepCkpts)
-		}
-		rel := norm2(st.R)
-		if normB > 0 {
-			rel /= normB
-		}
-		j.emit(event{Event: "progress", Iter: st.Iter, Residual: rel})
-		if spec.OnProgress != nil {
-			streamEvents.Add(1)
-			spec.OnProgress(Progress{Iter: st.Iter, Residual: rel})
-		}
-	}
-
-	scfg := solver.Config{
-		MaxIter:         maxIter,
-		Tol:             tol,
-		CheckpointEvery: e.cfg.CheckpointEvery,
-		OnCheckpoint:    emit,
-	}
-
-	res := &SolveResult{JobID: j.id, CacheHit: j.cacheHit, Fingerprints: a.fp, Width: a.part.P}
 	start := time.Now()
-	finish := func(sr *solver.Result, d *par.Dist) {
-		if sr != nil {
-			res.Iterations = sr.Iterations
-			res.Residual = sr.Residual
-			res.Converged = sr.Converged
-		}
-		res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-		if d != nil {
-			certify(res, d, shift, a.massNode, b, x, normB)
-		}
-		res.SolutionFP = regress.Vector(x)
-		res.SolutionNorm = norm2(x)
+	w, err := a.checkout()
+	if err != nil {
+		return aj.end(JobFailed, nil, err)
 	}
-
-	if elastic {
-		return aj.runElastic(ctx, plan, scfg, b, x, shift, kernelBase, store, res, finish)
-	}
-
-	// The migrating path: plain CG on a checked-out worker; a worker
-	// death (kill fault, PE panic, barrier poison) re-dispatches the
-	// job onto a fresh full-width worker resuming from the newest
-	// checkpoint. Because the artifacts are canonical and the State
-	// snapshot is the exact tuple entering its iteration, the migrated
-	// trajectory is bit-identical to an uninterrupted solve.
-	resume := j.resumeState
-	maxAttempts := e.cfg.MaxAttempts
-	for {
-		w, err := a.checkout()
-		if err != nil {
-			solvesFailed.Add(1)
-			e.jobs.fail(j, nil, err)
-			return nil, err
+	if cfg.Plan != nil && req.Recovery != RecoveryMigrate {
+		solvesSupervise.Add(1)
+	} else {
+		// Live migration: the worker is dead, the job is not. The
+		// artifacts are canonical and a snapshot is the exact tuple
+		// entering its iteration, so the migrated trajectory is
+		// bit-identical to an uninterrupted solve. What is left of
+		// MaxAttempts bounds the replacements; none left is −1, zero
+		// being the supervisor's "default".
+		cfg.MaxShrinks = e.cfg.MaxAttempts - attempts
+		if cfg.MaxShrinks < 1 {
+			cfg.MaxShrinks = -1
 		}
-		if plan != nil {
-			if inj, err = w.dist.InjectFaults(plan); err != nil {
-				a.release(w, false)
-				ferr := fmt.Errorf("%w: arming fault plan: %w", ErrBadRequest, err)
-				solvesFailed.Add(1)
-				e.jobs.fail(j, nil, ferr)
-				return nil, ferr
-			}
-			inj.Advance(kernelBase)
-		}
-		if resume == nil {
-			for i := range x {
-				x[i] = 0
-			}
-		}
-		scfg.Resume = resume
-		scfg.Interrupt = func(int) bool { return ctx.Err() != nil || e.closingNow() }
-		op := par.Operator{D: w.dist, Shift: shift, MassNode: a.massNode}
-		sr, serr := solver.CG(op, b, x, scfg)
-		switch {
-		case serr == nil:
-			finish(sr, w.dist)
-			res.Migrations = j.Status().Migrations
-			if plan != nil {
-				// Disarm before pooling: a healthy worker must not
-				// carry this solve's plan into the next request.
-				w.dist.InjectFaults(nil)
-			}
-			a.release(w, true)
-			solvesOK.Add(1)
-			e.jobs.complete(j, res)
-			return res, nil
-		case errors.Is(serr, solver.ErrInterrupted):
-			if plan != nil {
-				w.dist.InjectFaults(nil)
-			}
-			a.release(w, true)
-			if e.closingNow() {
-				finish(sr, nil)
-				return res, aj.park(res, fmt.Errorf("serve: %w: engine closing", ErrClosed))
-			}
-			res.Canceled = true
-			finish(sr, nil)
-			solvesCanceled.Add(1)
-			cerr := fmt.Errorf("serve: %w: %w", ErrCanceled, ctx.Err())
-			e.jobs.cancel(j, res, cerr)
-			return res, cerr
-		default:
-			deadPE, died := rec.DeadPE(serr)
-			if !died && errors.Is(serr, par.ErrPoisoned) {
-				died, deadPE = true, -1
-			}
-			last := j.lastCheckpoint()
-			if died && j.Status().Attempts < maxAttempts && last != nil {
-				// Live migration: the worker is dead, the job is not.
-				kernelBase = injIter()
-				a.release(w, false)
-				resume = last
-				e.jobs.migrated(j, deadPE, last.Iter)
-				continue
-			}
-			finish(sr, nil)
-			res.Migrations = j.Status().Migrations
+		cfg.Replace = func(deadPE, resumeIter int) (*par.Dist, error) {
 			a.release(w, false)
-			solvesFailed.Add(1)
-			ferr := fmt.Errorf("serve: solve failed: %w", serr)
-			e.jobs.fail(j, res, ferr)
-			return res, ferr
+			var err error
+			if w, err = a.checkout(); err != nil {
+				return nil, err
+			}
+			e.jobs.migrated(j, deadPE, resumeIter)
+			return w.dist, nil
 		}
+	}
+	out, serr := rec.Supervise(w.dist, &rec.System{
+		Mesh: a.mesh, Material: a.mat, Part: a.part,
+		Shift: shift, MassNode: a.massNode, NodeOf: a.nodeOf,
+	}, b, x, cfg)
+
+	res = &SolveResult{
+		JobID: j.id, CacheHit: j.cacheHit, Fingerprints: a.fp,
+		Width:   out.Part.P,
+		Shrinks: out.Shrinks, Grows: out.Grows, DeadPEs: out.DeadPEs, RevivedPEs: out.RevivedPEs,
+		Migrations: out.Migrations + j.Status().Migrations,
+		WallMS:     float64(time.Since(start)) / float64(time.Millisecond),
+	}
+	if sr := out.Result; sr != nil {
+		res.Iterations, res.Residual, res.Converged = sr.Iterations, sr.Residual, sr.Converged
+	}
+	if serr == nil {
+		certify(res, out.Dist, shift, a.massNode, b, x, normB)
+	}
+	res.SolutionFP = regress.Vector(x)
+	res.SolutionNorm = norm2(x)
+
+	// The worker goes back to the pool only if its own Dist finished the
+	// solve alive; a Dist the supervisor rebuilt belongs to this solve
+	// alone. (w is nil when the last replacement found no worker.)
+	interrupted := errors.Is(serr, solver.ErrInterrupted)
+	if w != nil {
+		healthy := out.Dist == w.dist && (serr == nil || interrupted)
+		if healthy && cfg.Plan != nil {
+			// Disarm before pooling: a healthy worker must not carry
+			// this solve's plan into the next request.
+			w.dist.InjectFaults(nil)
+		}
+		a.release(w, healthy)
+	}
+	if w == nil || out.Dist != w.dist {
+		out.Dist.Close()
+	}
+
+	switch {
+	case serr == nil:
+		return aj.end(JobCompleted, res, nil)
+	case interrupted && e.closingNow():
+		return aj.park(res, fmt.Errorf("serve: %w: engine closing", ErrClosed))
+	case interrupted:
+		res.Canceled = true
+		return aj.end(JobCanceled, res, fmt.Errorf("serve: %w: %w", ErrCanceled, ctx.Err()))
+	default:
+		return aj.end(JobFailed, res, fmt.Errorf("serve: solve failed: %w", serr))
 	}
 }
 
-// lastCheckpoint returns the newest in-flight snapshot.
-func (j *Job) lastCheckpoint() *solver.State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckptState
+// end settles the job in a terminal state and returns run's answer.
+func (aj *admittedJob) end(state JobState, res *SolveResult, err error) (*SolveResult, error) {
+	solveOutcomes[state].Add(1)
+	aj.e.jobs.finish(aj.job, state, res, err)
+	return res, err
 }
 
 // park requeues a durable job interrupted by engine shutdown (the
 // next process resumes it from its checkpoint); a volatile job is
 // canceled — there is nowhere for it to survive.
-func (aj *admittedJob) park(res *SolveResult, err error) error {
+func (aj *admittedJob) park(res *SolveResult, err error) (*SolveResult, error) {
 	if aj.e.jobs.durable() {
 		aj.e.jobs.requeue(aj.job)
-		return err
+		return res, err
 	}
-	solvesCanceled.Add(1)
-	aj.e.jobs.cancel(aj.job, res, err)
-	return err
-}
-
-// runElastic is the supervised path for plans that shrink and regrow:
-// recover.Supervise owns the injector and absorbs
-// kill→shrink→revive→grow transitions; the wall deadline and engine
-// shutdown ride its Stop hook. Durable checkpoints flow through the
-// supervisor itself so they carry the live (possibly shrunk)
-// partition.
-func (aj *admittedJob) runElastic(ctx context.Context, plan *fault.Plan, scfg solver.Config,
-	b, x []float64, shift float64, kernelBase int64, store *rec.Store,
-	res *SolveResult, finish func(*solver.Result, *par.Dist)) (*SolveResult, error) {
-
-	e, a, j := aj.e, aj.art, aj.job
-	w, err := a.checkout()
-	if err != nil {
-		solvesFailed.Add(1)
-		e.jobs.fail(j, nil, err)
-		return nil, err
-	}
-	if j.resumeState != nil {
-		scfg.Resume = j.resumeState
-	}
-	solvesSupervise.Add(1)
-	sys := &rec.System{
-		Mesh: a.mesh, Material: a.mat, Part: a.part,
-		Shift: shift, MassNode: a.massNode, NodeOf: a.nodeOf,
-	}
-	out, serr := rec.Supervise(w.dist, sys, b, x, rec.SuperviseConfig{
-		Solver:         scfg,
-		Plan:           plan,
-		Store:          store,
-		MeshID:         a.meshID,
-		AdvanceKernels: kernelBase,
-		Stop:           func() bool { return ctx.Err() != nil || e.closingNow() },
-	})
-	var final *par.Dist
-	healthy := false
-	if out != nil {
-		res.Shrinks = out.Shrinks
-		res.Grows = out.Grows
-		res.Migrations = out.Migrations
-		res.DeadPEs = out.DeadPEs
-		res.RevivedPEs = out.RevivedPEs
-		if out.Part != nil {
-			res.Width = out.Part.P
-		}
-		final = out.Dist
-		healthy = out.Dist == w.dist && serr == nil
-	}
-	var sr *solver.Result
-	if out != nil {
-		sr = out.Result
-	}
-	switch {
-	case serr == nil:
-		finish(sr, final)
-		if healthy {
-			w.dist.InjectFaults(nil)
-		}
-		a.release(w, healthy)
-		if final != nil && final != w.dist {
-			final.Close()
-		}
-		solvesOK.Add(1)
-		e.jobs.complete(j, res)
-		return res, nil
-	case errors.Is(serr, solver.ErrInterrupted):
-		if final == w.dist {
-			w.dist.InjectFaults(nil)
-		}
-		a.release(w, final == w.dist)
-		if final != nil && final != w.dist {
-			final.Close()
-		}
-		if e.closingNow() {
-			finish(sr, nil)
-			return res, aj.park(res, fmt.Errorf("serve: %w: engine closing", ErrClosed))
-		}
-		res.Canceled = true
-		finish(sr, nil)
-		solvesCanceled.Add(1)
-		cerr := fmt.Errorf("serve: %w: %w", ErrCanceled, ctx.Err())
-		e.jobs.cancel(j, res, cerr)
-		return res, cerr
-	default:
-		finish(sr, nil)
-		a.release(w, false)
-		if final != nil && final != w.dist {
-			final.Close()
-		}
-		solvesFailed.Add(1)
-		ferr := fmt.Errorf("serve: supervised solve failed: %w", serr)
-		e.jobs.fail(j, res, ferr)
-		return res, ferr
-	}
+	return aj.end(JobCanceled, res, err)
 }

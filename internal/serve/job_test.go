@@ -4,83 +4,104 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/par"
+	rec "repro/internal/recover"
+	"repro/internal/solver"
 	"repro/internal/testutil"
 )
 
-// TestJobSurvivesWorkerKill is the tentpole's live-migration pin: a
-// kill fault murders the worker mid-solve and the job must finish on a
-// different pool worker — certified, at full width, bit-identical to
-// an uninterrupted reference solve — with the serve.job.* metrics
-// proving it resumed from a checkpoint instead of starting over.
+// TestJobSurvivesWorkerKill is the live-migration pin: a kill fault
+// murders the worker and the job must finish on a different pool worker
+// — certified, at full width, bit-identical to an uninterrupted
+// reference solve — wherever the kill lands relative to the checkpoints,
+// including before the first one (kernel 1 is the initial residual).
+// serve.job.resumed_iters_saved says how much was not re-run.
 func TestJobSurvivesWorkerKill(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{})
-	srv := startServer(t, e)
+	shrinks := obs.GetCounter("recover.shrinks")
+	for _, every := range []int{1, 10} {
+		// Kernel k+1 is CG iteration k, so a checkpoint every n
+		// iterations lands after kernel n+1.
+		for _, row := range []struct{ killAt, saved int }{
+			{1, 0},
+			{5, map[int]int{1: 3, 10: 0}[every]},
+			{every + 2, every}, // the first kernel past a checkpoint
+		} {
+			t.Run(fmt.Sprintf("every%d/kill%d", every, row.killAt), func(t *testing.T) {
+				testutil.VerifyNoLeaks(t)
+				e := newTestEngine(t, Config{CheckpointEvery: every})
+				srv := startServer(t, e)
 
-	// The uninterrupted reference (also the cold build).
-	const plain = `{"scenario":"tiny-mig","pes":4,"tol":1e-10}`
-	ref := mustSolve(t, srv, plain)
-	if !ref.Converged || !ref.Certified {
-		t.Fatalf("reference solve: converged=%v certified=%v", ref.Converged, ref.Certified)
-	}
+				// The uninterrupted reference (also the cold build).
+				const plain = `{"scenario":"tiny-mig","pes":4,"tol":1e-10}`
+				ref := mustSolve(t, srv, plain)
+				if !ref.Converged || !ref.Certified {
+					t.Fatalf("reference solve: converged=%v certified=%v", ref.Converged, ref.Certified)
+				}
 
-	migrations0 := jobMigrations.Value()
-	saved0 := jobItersSaved.Value()
-	supervised0 := solvesSupervise.Value()
-	res := mustSolve(t, srv, `{"scenario":"tiny-mig","pes":4,"tol":1e-10,"faults":"kill:pe=1,iter=5","recovery":"migrate"}`)
-	if !res.Converged {
-		t.Fatal("migrated solve did not converge")
-	}
-	if !res.Certified || res.CertResidual > 1e-6 {
-		t.Fatalf("migrated answer not certified: certified=%v residual=%g", res.Certified, res.CertResidual)
-	}
-	if res.Width != 4 {
-		t.Fatalf("migrated solve finished at width %d, want the full 4 (no shrink)", res.Width)
-	}
-	if res.Migrations != 1 {
-		t.Fatalf("result reports %d migrations, want exactly 1", res.Migrations)
-	}
-	if res.SolutionFP != ref.SolutionFP {
-		t.Fatalf("migrated solve diverged from the uninterrupted reference: fp %x vs %x",
-			res.SolutionFP, ref.SolutionFP)
-	}
-	if res.JobID == "" {
-		t.Fatal("solve result carries no job id")
-	}
-	if d := jobMigrations.Value() - migrations0; d != 1 {
-		t.Fatalf("serve.job.migrations advanced by %d, want 1", d)
-	}
-	// The resume point proves pre-checkpoint iterations were NOT re-run.
-	if d := jobItersSaved.Value() - saved0; d < 1 {
-		t.Fatalf("serve.job.resumed_iters_saved advanced by %d, want >= 1", d)
-	}
-	// Migration must not have gone through the elastic supervisor.
-	if d := solvesSupervise.Value() - supervised0; d != 0 {
-		t.Fatalf("serve.solves.supervised advanced by %d on the migrate path, want 0", d)
-	}
+				migrations0, saved0 := jobMigrations.Value(), jobItersSaved.Value()
+				supervised0, shrinks0 := solvesSupervise.Value(), shrinks.Value()
+				res := mustSolve(t, srv, fmt.Sprintf(
+					`{"scenario":"tiny-mig","pes":4,"tol":1e-10,"faults":"kill:pe=1,iter=%d","recovery":"migrate"}`, row.killAt))
+				if !res.Converged {
+					t.Fatal("migrated solve did not converge")
+				}
+				if !res.Certified || res.CertResidual > 1e-6 {
+					t.Fatalf("migrated answer not certified: certified=%v residual=%g", res.Certified, res.CertResidual)
+				}
+				if res.Migrations != 1 {
+					t.Fatalf("result reports %d migrations, want exactly 1", res.Migrations)
+				}
+				if res.SolutionFP != ref.SolutionFP || res.Iterations != ref.Iterations {
+					t.Fatalf("migrated solve diverged from the uninterrupted reference: fp %x after %d iterations vs %x after %d",
+						res.SolutionFP, res.Iterations, ref.SolutionFP, ref.Iterations)
+				}
+				if d := jobMigrations.Value() - migrations0; d != 1 {
+					t.Fatalf("serve.job.migrations advanced by %d, want 1", d)
+				}
+				// The resume point: iterations before it were NOT re-run.
+				if d := jobItersSaved.Value() - saved0; d != int64(row.saved) {
+					t.Fatalf("serve.job.resumed_iters_saved advanced by %d, want %d", d, row.saved)
+				}
+				// Migration replaces the worker; it never shrinks the
+				// partition, and it is not a plan run under the
+				// shrink/regrow policy.
+				if res.Width != 4 || res.Shrinks != 0 || shrinks.Value() != shrinks0 {
+					t.Fatalf("migrated solve finished at width %d after %d shrinks (recover.shrinks +%d), want the full 4 and none",
+						res.Width, res.Shrinks, shrinks.Value()-shrinks0)
+				}
+				if d := solvesSupervise.Value() - supervised0; d != 0 {
+					t.Fatalf("serve.solves.supervised advanced by %d on a migrate plan, want 0", d)
+				}
 
-	// The job record agrees: two dispatches, one forced by the death.
-	st, ok := e.Job(res.JobID)
-	if !ok {
-		t.Fatalf("job %s not tracked", res.JobID)
-	}
-	if st.State != JobCompleted || st.Attempts != 2 || st.Migrations != 1 {
-		t.Fatalf("job status after migration: %+v", st)
-	}
+				// The job record agrees: two dispatches, one forced by the death.
+				st, ok := e.Job(res.JobID)
+				if !ok {
+					t.Fatalf("job %q not tracked", res.JobID)
+				}
+				if st.State != JobCompleted || st.Attempts != 2 || st.Migrations != 1 {
+					t.Fatalf("job status after migration: %+v", st)
+				}
 
-	// The tuple keeps serving on a healthy worker afterwards.
-	after := mustSolve(t, srv, plain)
-	if !after.Converged || !after.CacheHit {
-		t.Fatalf("tuple dead after migration: converged=%v hit=%v", after.Converged, after.CacheHit)
+				// The tuple keeps serving on a healthy worker afterwards.
+				after := mustSolve(t, srv, plain)
+				if !after.Converged || !after.CacheHit {
+					t.Fatalf("tuple dead after migration: converged=%v hit=%v", after.Converged, after.CacheHit)
+				}
+			})
+		}
 	}
 }
 
@@ -511,5 +532,155 @@ func TestMigrateRejectsRevive(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("migrate+revive status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestEveryDoorValidates: a spec that HTTP answers 400 is refused with
+// ErrBadRequest by every in-process entry point too — before a job
+// exists, before anything is journaled — because they all enter through
+// the one intake.
+func TestEveryDoorValidates(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	e := newTestEngine(t, Config{JournalDir: t.TempDir()})
+	sess, err := e.Open(SessionSpec{Scenario: "tiny-doors", PEs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", maxFaultPlanLen+1)
+	request := func(s SolveSpec) *SolveRequest {
+		return &SolveRequest{Scenario: "tiny-doors", PEs: 4, Shift: s.Shift, Tol: s.Tol,
+			Faults: s.Faults, Recovery: s.Recovery, IdempotencyKey: s.IdempotencyKey}
+	}
+	doors := map[string]func(SolveSpec) error{
+		"Engine.Solve": func(s SolveSpec) error {
+			_, err := e.Solve(context.Background(), request(s))
+			return err
+		},
+		"Engine.Submit": func(s SolveSpec) error {
+			_, err := e.Submit(request(s))
+			return err
+		},
+		"Session.Solve": func(s SolveSpec) error {
+			_, err := sess.Solve(context.Background(), s)
+			return err
+		},
+	}
+	for name, spec := range map[string]SolveSpec{
+		"unknown recovery":    {Recovery: "bogus"},
+		"negative tol":        {Tol: -1},
+		"tol of one":          {Tol: 1},
+		"non-finite shift":    {Shift: math.Inf(1)},
+		"over-long plan":      {Faults: long},
+		"over-long idem key":  {IdempotencyKey: long[:maxIdempotencyKeyLen+1]},
+		"kill past the width": {Faults: "kill:pe=9,iter=5"},
+		"migrate with revive": {Faults: "kill:pe=1,iter=5;revive:pe=1,iter=15", Recovery: RecoveryMigrate},
+	} {
+		for door, solve := range doors {
+			jobs0, accepted0, records0 := len(e.Jobs()), jobAccepted.Value(), jobJournalRecords.Value()
+			if err := solve(spec); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%s, %s: %v, want ErrBadRequest", door, name, err)
+			}
+			if n := len(e.Jobs()); n != jobs0 || jobAccepted.Value() != accepted0 {
+				t.Errorf("%s, %s: a refused spec created a job (%d tracked, was %d)", door, name, n, jobs0)
+			}
+			if d := jobJournalRecords.Value() - records0; d != 0 {
+				t.Errorf("%s, %s: a refused spec journaled %d records", door, name, d)
+			}
+		}
+	}
+	if st := sess.Status(); st.Active != 0 || st.LastError == "" {
+		t.Fatalf("session after refused solves: %+v", st)
+	}
+}
+
+// TestParentFormatsReplay pins the on-disk contract across the move to
+// one supervisor: a journal and a checkpoint directory laid out the way
+// the previous release's migrate loop wrote them — an accept and a
+// running-state record in the WAL, a snapshot carrying the *whole* plan
+// string and the kernel count — replay and resume under this build, and
+// finish bit-identical to an uninterrupted solve. Only the unchanged
+// encoders write the fixture.
+func TestParentFormatsReplay(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	req := &SolveRequest{Scenario: "tiny-fmt", PEs: 2, Tol: 1e-10, Faults: "kill:pe=1,iter=9", Recovery: RecoveryMigrate}
+	plain := *req
+	plain.Faults, plain.Recovery = "", ""
+
+	// A volatile engine supplies the reference answer and a mid-solve
+	// state: iteration 5, six kernels in.
+	e0 := newTestEngine(t, Config{})
+	ref, err := e0.Solve(context.Background(), &plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := e0.artifact(Key{Scenario: "tiny-fmt", P: 2, Method: "rcb", NodeSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := a.checkout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 3 * a.mesh.NumNodes()
+	var at5 *solver.State
+	_, err = solver.CG(par.Operator{D: w.dist, Shift: 20, MassNode: a.massNode}, rhsFor(0, n), make([]float64, n), solver.Config{
+		MaxIter: 4 * n, Tol: 1e-10, CheckpointEvery: 5,
+		OnCheckpoint: func(st *solver.State) { at5 = st },
+		Interrupt:    func(iter int) bool { return iter == 5 },
+	})
+	a.release(w, true)
+	if !errors.Is(err, solver.ErrInterrupted) || at5 == nil || at5.Iter != 5 {
+		t.Fatalf("capturing the mid-solve state: %v, %+v", err, at5)
+	}
+
+	dir := t.TempDir()
+	const id = "jfeedfacecafe"
+	now := time.Now()
+	var wal []byte
+	for _, r := range []*jobRecord{
+		{Op: "accept", ID: id, Time: now, Req: req},
+		{Op: "state", ID: id, Time: now, State: JobRunning, Attempts: 1, CkptIter: 5},
+	} {
+		frame, err := encodeJournalRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, frame...)
+	}
+	if err := os.WriteFile(journalPath(dir), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := rec.NewStore(filepath.Join(dir, "ckpt", id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(&rec.Checkpoint{
+		MeshID: a.meshID, P: int32(a.part.P), ElemPE: a.part.ElemPE,
+		Iter: int64(at5.Iter), Rho: at5.Rho, X: at5.X, R: at5.R, PDir: at5.P,
+		FaultPlan: req.Faults, FaultIter: 6,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	replays0, saved0, migrations0 := jobReplays.Value(), jobItersSaved.Value(), jobMigrations.Value()
+	e := newTestEngine(t, Config{JournalDir: dir})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := e.AwaitJob(ctx, id)
+	if err != nil {
+		t.Fatalf("awaiting the replayed job: %v", err)
+	}
+	if res.SolutionFP != ref.SolutionFP || res.Iterations != ref.Iterations || !res.Certified {
+		t.Fatalf("replayed solve: fp %x after %d iterations (certified %v), reference %x after %d",
+			res.SolutionFP, res.Iterations, res.Certified, ref.SolutionFP, ref.Iterations)
+	}
+	// Resumed at 5 with six kernels behind it; the plan's kill at kernel 9
+	// then struck iteration 7 and cost one migration back to the snapshot
+	// entering it (the test engine checkpoints every iteration).
+	if r, s, m := jobReplays.Value()-replays0, jobItersSaved.Value()-saved0, jobMigrations.Value()-migrations0; r != 1 || s != 5+7 || m != 1 || res.Migrations != 1 {
+		t.Fatalf("replays +%d, iterations saved +%d, migrations +%d (result says %d); want 1, 12, 1 (1)", r, s, m, res.Migrations)
+	}
+	if st, _ := e.Job(id); st.State != JobCompleted || !st.Replayed || st.Attempts != 3 || st.Key.Scenario != "tiny-fmt" {
+		t.Fatalf("replayed job status: %+v", st)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/partition"
@@ -63,21 +62,24 @@ type SolveRequest struct {
 	Detach bool `json:"detach,omitempty"`
 }
 
-// split separates a validated request into the session tuple and the
-// per-solve spec.
-func (r *SolveRequest) split() (SolveSpec, SessionSpec, error) {
-	sess := SessionSpec{Scenario: r.Scenario, PEs: r.PEs, Method: r.Method, NodeSize: r.NodeSize}
-	spec := SolveSpec{
-		RHSSeed:        r.RHSSeed,
-		Shift:          r.Shift,
-		Tol:            r.Tol,
-		MaxIter:        r.MaxIters,
-		Deadline:       time.Duration(r.DeadlineMS) * time.Millisecond,
-		Faults:         r.Faults,
-		Recovery:       r.Recovery,
-		IdempotencyKey: r.IdempotencyKey,
+// key canonicalizes the request's tuple against the engine limits.
+func (r *SolveRequest) key(cfg Config) (Key, error) {
+	return SessionSpec{Scenario: r.Scenario, PEs: r.PEs, Method: r.Method, NodeSize: r.NodeSize}.key(cfg)
+}
+
+// decodeRequest strictly decodes exactly one JSON request document:
+// unknown fields and trailing data are errors. Nothing is validated yet.
+func decodeRequest(r io.Reader) (*SolveRequest, error) {
+	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	req := &SolveRequest{}
+	if err := dec.Decode(req); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	return spec, sess, nil
+	if dec.More() {
+		return nil, fmt.Errorf("%w: trailing data after the request document", ErrBadRequest)
+	}
+	return req, nil
 }
 
 // DecodeSolveRequest reads and validates one JSON solve request. The
@@ -87,15 +89,9 @@ func (r *SolveRequest) split() (SolveSpec, SessionSpec, error) {
 // fault plan must parse and fit the requested width. A nil error
 // guarantees the request is structurally safe to execute.
 func DecodeSolveRequest(r io.Reader) (*SolveRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	req := &SolveRequest{}
-	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
-	// Exactly one JSON document.
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after the request document", ErrBadRequest)
+	req, err := decodeRequest(r)
+	if err != nil {
+		return nil, err
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -103,7 +99,8 @@ func DecodeSolveRequest(r io.Reader) (*SolveRequest, error) {
 	return req, nil
 }
 
-// Validate bounds-checks every field of the request.
+// Validate bounds-checks every field of the request. The intake calls
+// it for every solve, whichever door it came through.
 func (r *SolveRequest) Validate() error {
 	if r.Scenario == "" {
 		return fmt.Errorf("%w: scenario is required", ErrBadRequest)

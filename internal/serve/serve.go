@@ -13,21 +13,29 @@
 // returned afterwards, so steady-state requests spawn no goroutines
 // and reuse the exchange buffers built on the first request.
 //
+// There is one way in and one way through. Every solve — one-shot,
+// session, detached, streamed, or replayed from the journal — enters by
+// Engine.admit (validate, key, artifact, idempotency dedup, slot, job)
+// and runs as admittedJob.run: budgets, a pool worker, one
+// recover.Supervise call, one epilogue. The supervisor is the only code
+// that re-runs CG or writes a durable checkpoint; what a request selects
+// is its loss policy. A fault plan shrinks onto the survivors and
+// regrows on revive; everything else, plain solves included, replaces a
+// dead worker with a fresh one from the pool at full width — "migrate".
+//
 // Every accepted solve is a durable job: it gets a job ID, an entry in
-// a crash-safe write-ahead journal (when JournalDir is set), and
-// periodic durable checkpoints keyed by that ID. A worker that dies
-// mid-solve migrates the job to another warm worker resuming from the
-// newest checkpoint; an engine restart on the same journal directory
-// replays the journal and finishes every accepted-but-unfinished job.
-// See job.go / journal.go and docs/SERVICE.md.
+// a crash-safe write-ahead journal (when JournalDir is set), an event
+// feed any client can follow or resume by sequence number, and periodic
+// durable checkpoints keyed by that ID; an engine restart on the same
+// journal directory replays the journal and finishes every
+// accepted-but-unfinished job. See job.go / journal.go and
+// docs/SERVICE.md.
 //
 // Admission is bounded: MaxConcurrent solves run, MaxQueue more may
 // wait, and anything beyond that is refused immediately (ErrBusy; the
 // HTTP layer answers 429). Each request carries budgets — an iteration
 // cap and a wall deadline enforced via context at the solver's
-// checkpoint boundaries — and kill/revive fault plans route through
-// recover.Supervise so a faulted pool member heals without dropping
-// the session.
+// checkpoint boundaries.
 package serve
 
 import (
@@ -194,10 +202,6 @@ type Engine struct {
 	// before the solver starts — a test hook to hold requests in
 	// flight deterministically.
 	holdSolve func()
-	// slowCheckpoint, when non-nil, is called at every solver
-	// checkpoint — a test hook to stretch a solve's wall time so
-	// deadline budgets fire deterministically.
-	slowCheckpoint func(iter int)
 }
 
 // NewEngine builds an Engine; Close releases its pooled runtimes. With
@@ -255,31 +259,21 @@ func (e *Engine) closingNow() bool {
 // reserve takes an admission slot (running + queued), failing fast
 // with ErrBusy when the queue is full — the engine's only unbounded
 // refusal point, and it happens before a job is created, so "accepted"
-// always means "tracked and journaled".
-func (e *Engine) reserve() (release func(), err error) {
+// always means "tracked and journaled". A replayed job was admitted by a
+// previous process, so it waits for a slot instead.
+func (e *Engine) reserve(wait bool) (release func(), err error) {
 	select {
 	case e.slots <- struct{}{}:
 	default:
-		admitRejected.Add(1)
-		return nil, ErrBusy
-	}
-	queueDepth.Set(float64(len(e.slots) - len(e.sem)))
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			<-e.slots
-			queueDepth.Set(float64(len(e.slots) - len(e.sem)))
-		})
-	}, nil
-}
-
-// reserveWait is reserve for replayed jobs: they were admitted by a
-// previous process, so they wait for a slot instead of failing busy.
-func (e *Engine) reserveWait() (release func(), err error) {
-	select {
-	case e.slots <- struct{}{}:
-	case <-e.closing:
-		return nil, ErrClosed
+		if !wait {
+			admitRejected.Add(1)
+			return nil, ErrBusy
+		}
+		select {
+		case e.slots <- struct{}{}:
+		case <-e.closing:
+			return nil, ErrClosed
+		}
 	}
 	queueDepth.Set(float64(len(e.slots) - len(e.sem)))
 	var once sync.Once
@@ -310,75 +304,101 @@ func (e *Engine) acquireRun(ctx context.Context) (release func(), err error) {
 	}, nil
 }
 
-// acceptJob is the single intake gate: idempotency dedup, slot
-// reservation, job creation (journaled). It returns either an admitted
-// job the caller must run, or the existing job a duplicate submission
-// mapped to.
-func (e *Engine) acceptJob(a *artifact, hit bool, spec SolveSpec, req *SolveRequest) (*admittedJob, *Job, error) {
+// admit is the single intake: every solve — HTTP or in-process,
+// anonymous or through a session, fresh or replayed from the journal —
+// is validated, keyed, bound to its (possibly cold-built) artifacts,
+// deduplicated by idempotency key, given an admission slot, and only
+// then created as a journaled job. It returns either an admitted job the
+// caller must run, or the existing job a duplicate submission mapped to.
+// s is the session the solve came through, replayed the job a previous
+// process accepted; both are usually nil.
+func (e *Engine) admit(req *SolveRequest, s *Session, replayed *Job) (aj *admittedJob, dup *Job, err error) {
+	if s != nil {
+		if err := s.begin(); err != nil {
+			return nil, nil, err
+		}
+		defer func() {
+			if aj == nil {
+				s.end(nil, err)
+			}
+		}()
+	}
+	if err := req.Validate(); err != nil {
+		return nil, nil, err
+	}
+	k, err := req.key(e.cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Resolve (or cold-build) the artifacts before accepting, so an
+	// unknown scenario is a clean refusal whatever the response shape.
+	art, hit, err := e.artifact(k)
+	if err != nil {
+		return nil, nil, err
+	}
 	untrack, ok := e.track()
 	if !ok {
 		return nil, nil, ErrClosed
 	}
-	if prev := e.jobs.lookupIdem(req.IdempotencyKey); prev != nil {
-		untrack()
-		jobDedup.Add(1)
-		return nil, prev, nil
+	j := replayed
+	if j == nil {
+		if prev := e.jobs.lookupIdem(req.IdempotencyKey); prev != nil {
+			untrack()
+			jobDedup.Add(1)
+			return nil, prev, nil
+		}
 	}
-	releaseSlot, err := e.reserve()
+	releaseSlot, err := e.reserve(replayed != nil)
 	if err != nil {
 		untrack()
 		return nil, nil, err
 	}
-	j, dup := e.jobs.create(req, a, hit)
+	if j == nil {
+		if j, dup = e.jobs.create(req, art, hit); dup != nil {
+			releaseSlot()
+			untrack()
+			jobDedup.Add(1)
+			return nil, dup, nil
+		}
+	}
+	return &admittedJob{e: e, job: j, art: art, session: s, done: func() {
+		releaseSlot()
+		untrack()
+	}}, nil, nil
+}
+
+// solve is the synchronous form: admit, then run to a terminal state on
+// the caller's goroutine (or await the job a duplicate bound to).
+func (e *Engine) solve(ctx context.Context, req *SolveRequest, s *Session) (*SolveResult, error) {
+	aj, dup, err := e.admit(req, s, nil)
+	if err != nil {
+		return nil, err
+	}
 	if dup != nil {
-		releaseSlot()
-		untrack()
-		jobDedup.Add(1)
-		return nil, dup, nil
+		return dup.await(ctx, e.closing)
 	}
-	aj := &admittedJob{e: e, job: j, art: a, spec: spec}
-	aj.done = func() {
-		releaseSlot()
-		untrack()
-	}
-	return aj, nil, nil
+	return aj.run(ctx)
 }
 
 // replayJob re-admits one journal-recovered job: artifacts are rebuilt
 // through the same cache, the newest durable checkpoint (if any) is
 // loaded, and the job runs in the background under the engine's
-// lifecycle — a second restart parks it again.
+// lifecycle — a second restart parks it again. A request that no longer
+// validates (a journal from a build with wider limits) fails cleanly.
 func (e *Engine) replayJob(j *Job) {
 	defer e.running.Done()
-	spec, sess, err := j.req.split()
-	if err != nil {
-		e.jobs.fail(j, nil, err)
-		return
-	}
-	k, err := sess.key(e.cfg)
-	if err != nil {
-		e.jobs.fail(j, nil, err)
-		return
-	}
-	art, hit, err := e.artifact(k)
-	if err != nil {
-		e.jobs.fail(j, nil, err)
-		return
-	}
-	if st, kernels, plan, ok := e.jobs.loadResume(j.id, art.meshID); ok {
-		j.resumeState = st
-		j.resumeKernels = kernels
-		j.resumePlan = plan
-		j.resumed = true
-		jobItersSaved.Add(int64(st.Iter))
-	}
-	jobReplays.Add(1)
-	releaseSlot, err := e.reserveWait()
-	if err != nil {
+	aj, _, err := e.admit(j.req, nil, j)
+	if errors.Is(err, ErrClosed) {
 		return // engine closing again; the job stays queued in the journal
 	}
-	aj := &admittedJob{e: e, job: j, art: art, spec: spec, done: releaseSlot}
-	_ = hit
+	if err != nil {
+		e.jobs.finish(j, JobFailed, nil, fmt.Errorf("serve: replayed job %s: %w", j.id, err))
+		return
+	}
+	if j.resume = e.jobs.loadResume(j.id, aj.art.meshID); j.resume != nil {
+		jobItersSaved.Add(j.resume.Iter)
+	}
+	jobReplays.Add(1)
 	aj.run(context.Background())
 }
 
@@ -386,22 +406,7 @@ func (e *Engine) replayJob(j *Job) {
 // the background under the engine's lifecycle. The returned status
 // carries the job ID to poll (Job / AwaitJob, or GET /v1/jobs/{id}).
 func (e *Engine) Submit(req *SolveRequest) (JobStatus, error) {
-	if err := req.Validate(); err != nil {
-		return JobStatus{}, err
-	}
-	spec, sess, err := req.split()
-	if err != nil {
-		return JobStatus{}, err
-	}
-	k, err := sess.key(e.cfg)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	art, hit, err := e.artifact(k)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	aj, dup, err := e.acceptJob(art, hit, spec, req)
+	aj, dup, err := e.admit(req, nil, nil)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -492,51 +497,7 @@ func (e *Engine) Sessions() []string {
 // requests and session solves share warmth. Like every solve it is a
 // tracked job — the result carries the job ID.
 func (e *Engine) Solve(ctx context.Context, req *SolveRequest) (*SolveResult, error) {
-	spec, sess, err := req.split()
-	if err != nil {
-		return nil, err
-	}
-	k, err := sess.key(e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	art, hit, err := e.artifact(k)
-	if err != nil {
-		return nil, err
-	}
-	return e.solveOn(ctx, art, hit, spec, req)
-}
-
-// solveOn is the shared synchronous solve path: job intake, then run
-// to a terminal state on the caller's goroutine. req may be nil (the
-// session facade), in which case a wire-form request is reconstructed
-// so the job can be journaled and replayed.
-func (e *Engine) solveOn(ctx context.Context, a *artifact, hit bool, spec SolveSpec, req *SolveRequest) (*SolveResult, error) {
-	if req == nil {
-		req = requestFor(a.key, spec)
-	}
-	aj, dup, err := e.acceptJob(a, hit, spec, req)
-	if err != nil {
-		if errors.Is(err, ErrBusy) {
-			return nil, err
-		}
-		return nil, err
-	}
-	if dup != nil {
-		return dup.await(ctx, e.closing)
-	}
-	return aj.run(ctx)
-}
-
-// requestFor reconstructs the wire form of a facade solve so the
-// journal can replay it without the in-process callback state.
-func requestFor(k Key, spec SolveSpec) *SolveRequest {
-	return &SolveRequest{
-		Scenario: k.Scenario, PEs: k.P, Method: k.Method, NodeSize: k.NodeSize,
-		RHSSeed: spec.RHSSeed, Shift: spec.Shift, Tol: spec.Tol,
-		MaxIters: spec.MaxIter, DeadlineMS: int64(spec.Deadline / time.Millisecond),
-		Faults: spec.Faults, Recovery: spec.Recovery, IdempotencyKey: spec.IdempotencyKey,
-	}
+	return e.solve(ctx, req, nil)
 }
 
 // Close shuts the engine down in order: refuse new jobs, interrupt

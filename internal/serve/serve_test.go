@@ -237,18 +237,17 @@ func TestBackpressure429(t *testing.T) {
 }
 
 // TestDeadlineCancelKeepsWorkerHealthy stretches each checkpoint with
-// the slowCheckpoint hook so a 25ms wall budget reliably fires
-// mid-solve, then proves the pooled worker survived: the next solve on
-// the same tuple reuses it and converges.
+// CheckpointDelay so a 25ms wall budget reliably fires mid-solve, then
+// proves the pooled worker survived: the next solve on the same tuple
+// reuses it and converges.
 func TestDeadlineCancelKeepsWorkerHealthy(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{MaxConcurrent: 2})
+	e := newTestEngine(t, Config{MaxConcurrent: 2, CheckpointDelay: 2 * time.Millisecond})
 	srv := startServer(t, e)
 	const body = `{"scenario":"tiny-dead","pes":2,"tol":1e-12}`
 	mustSolve(t, srv, body)
 
 	canceled0 := solvesCanceled.Value()
-	e.slowCheckpoint = func(int) { time.Sleep(2 * time.Millisecond) }
 	resp := postSolve(t, srv, `{"scenario":"tiny-dead","pes":2,"tol":1e-12,"deadline_ms":25}`)
 	var reply errorReply
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
@@ -271,7 +270,6 @@ func TestDeadlineCancelKeepsWorkerHealthy(t *testing.T) {
 		t.Fatalf("serve.solves.canceled advanced by %d, want 1", d)
 	}
 
-	e.slowCheckpoint = nil
 	reuse0 := poolReuses.Value()
 	warm := mustSolve(t, srv, body)
 	if !warm.Converged || !warm.Certified {
@@ -438,52 +436,115 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamingSolveEvents reads the chunked ndjson stream: an accepted
-// header, per-checkpoint progress with decreasing residuals, and a
-// final result event.
+// TestStreamingSolveEvents reads the chunked ndjson stream of both solve
+// endpoints: an accepted header, per-checkpoint progress with decreasing
+// residuals, and a final result event, every one carrying the job id and
+// a strictly increasing sequence number, every progress line counted by
+// serve.stream.events. A session solve is a job like any other, so its
+// dropped stream resumes from the job's event feed.
 func TestStreamingSolveEvents(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{})
-	srv := startServer(t, e)
+	for _, tc := range []struct {
+		name, scenario string
+		session        bool
+	}{
+		{"solve", "tiny-stream", false},
+		{"session", "tiny-stream-s", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			e := newTestEngine(t, Config{})
+			srv := startServer(t, e)
+			url := srv.URL + "/v1/solve"
+			body := fmt.Sprintf(`{"scenario":%q,"pes":2,"tol":1e-9,"stream":true}`, tc.scenario)
+			var sess *Session
+			if tc.session {
+				var err error
+				if sess, err = e.Open(SessionSpec{Scenario: tc.scenario, PEs: 2}); err != nil {
+					t.Fatal(err)
+				}
+				url = srv.URL + "/v1/sessions/" + sess.ID() + "/solve"
+				body = `{"tol":1e-9,"stream":true}`
+			}
 
-	resp := postSolve(t, srv, `{"scenario":"tiny-stream","pes":2,"tol":1e-9,"stream":true}`)
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type %q", ct)
-	}
-	var events []event
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("reading stream: %v", err)
-	}
-	if len(events) < 3 {
-		t.Fatalf("stream carried %d events, want accepted + progress + result", len(events))
-	}
-	if events[0].Event != "accepted" || events[0].Fingerprints == nil {
-		t.Fatalf("first event: %+v", events[0])
-	}
-	last := events[len(events)-1]
-	if last.Event != "result" || last.Result == nil || !last.Result.Converged {
-		t.Fatalf("final event: %+v", last)
-	}
-	progress := events[1 : len(events)-1]
-	if len(progress) < 2 {
-		t.Fatalf("only %d progress events; CheckpointEvery=1 should emit many", len(progress))
-	}
-	for _, ev := range progress {
-		if ev.Event != "progress" || ev.Iter < 0 {
-			t.Fatalf("bad progress event: %+v", ev)
-		}
-	}
-	if first, lastP := progress[0].Residual, progress[len(progress)-1].Residual; lastP >= first {
-		t.Fatalf("residual did not decrease over the stream: %g → %g", first, lastP)
+			counted0 := streamEvents.Value()
+			resp, err := srv.Client().Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+				t.Fatalf("stream status %d, content type %q", resp.StatusCode, ct)
+			}
+			var events []event
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var ev event
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+				}
+				events = append(events, ev)
+				if tc.session && len(events) == 2 {
+					break // the connection drops mid-feed
+				}
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatalf("reading stream: %v", err)
+			}
+			if tc.session {
+				if len(events) != 2 {
+					t.Fatalf("session stream ended after %d events, before the drop", len(events))
+				}
+				resp.Body.Close()
+				events = append(events, readEvents(t, srv.Client(),
+					fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", srv.URL, events[0].JobID, events[1].Seq+1))...)
+			}
+
+			if len(events) < 4 {
+				t.Fatalf("stream carried %d events, want accepted + progress + result", len(events))
+			}
+			if events[0].Event != "accepted" || events[0].Fingerprints == nil || events[0].JobID == "" {
+				t.Fatalf("first event: %+v", events[0])
+			}
+			last := events[len(events)-1]
+			if last.Event != "result" || last.Result == nil || !last.Result.Converged {
+				t.Fatalf("final event: %+v", last)
+			}
+			for i, ev := range events {
+				if ev.JobID != events[0].JobID || ev.Seq != int64(i)+1 {
+					t.Fatalf("event %d is seq %d of job %q, want seq %d of job %q — a gap or a repeat",
+						i, ev.Seq, ev.JobID, i+1, events[0].JobID)
+				}
+			}
+			progress := events[1 : len(events)-1]
+			for _, ev := range progress {
+				if ev.Event != "progress" || ev.Iter < 0 {
+					t.Fatalf("bad progress event: %+v", ev)
+				}
+			}
+			if first, lastP := progress[0].Residual, progress[len(progress)-1].Residual; lastP >= first {
+				t.Fatalf("residual did not decrease over the stream: %g → %g", first, lastP)
+			}
+			// Every progress line a client read was counted; lines written
+			// into the dropped connection after the client stopped reading
+			// count too, so only the unbroken stream is exact.
+			counted := streamEvents.Value() - counted0
+			if int(counted) < len(progress) || (!tc.session && int(counted) != len(progress)) {
+				t.Fatalf("serve.stream.events advanced by %d for %d progress lines read", counted, len(progress))
+			}
+
+			if tc.session {
+				// The session's counters settle once the job has finished.
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					st := sess.Status()
+					if st.Solves == 1 && st.Active == 0 && st.LastIter == last.Result.Iterations {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("session never settled after its streamed solve: %+v", st)
+					}
+				}
+			}
+		})
 	}
 }
 

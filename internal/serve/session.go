@@ -48,10 +48,12 @@ func (s SessionSpec) key(cfg Config) (Key, error) {
 // Recovery strategies for solves whose fault plan kills workers.
 const (
 	// RecoveryElastic shrinks the partition around the dead PE and
-	// regrows on revive — the PR-8 supervisor, and the default.
+	// regrows on revive — the supervisor's shrink policy, and the
+	// default.
 	RecoveryElastic = "elastic"
 	// RecoveryMigrate re-dispatches the job onto another warm pool
-	// worker at full width, resuming from the newest checkpoint.
+	// worker at full width, resuming from the newest checkpoint — the
+	// supervisor's replace policy.
 	RecoveryMigrate = "migrate"
 )
 
@@ -84,15 +86,6 @@ type SolveSpec struct {
 	// solve carrying the same key binds to the first's job instead of
 	// running again.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
-	// OnProgress, when non-nil, receives residual progress at every
-	// checkpoint boundary (the HTTP layer streams these as events).
-	OnProgress func(Progress) `json:"-"`
-}
-
-// Progress is one solver progress sample.
-type Progress struct {
-	Iter     int     `json:"iter"`
-	Residual float64 `json:"residual"`
 }
 
 // SolveResult reports one served solve.
@@ -205,34 +198,47 @@ func (s *Session) Status() Status {
 	}
 }
 
-// Solve runs one budgeted solve on a warm worker. Concurrent calls on
-// one session are admitted independently (each takes its own worker).
+// Solve runs one budgeted solve on a warm worker: the spec joins the
+// session's tuple as an ordinary request and goes through the engine's
+// one intake, so it is validated, journaled and replayable like any
+// other. Concurrent calls on one session are admitted independently
+// (each takes its own worker).
 func (s *Session) Solve(ctx context.Context, spec SolveSpec) (*SolveResult, error) {
+	k := s.art.key
+	return s.eng.solve(ctx, &SolveRequest{
+		Scenario: k.Scenario, PEs: k.P, Method: k.Method, NodeSize: k.NodeSize,
+		RHSSeed: spec.RHSSeed, Shift: spec.Shift, Tol: spec.Tol,
+		MaxIters: spec.MaxIter, DeadlineMS: int64(spec.Deadline / time.Millisecond),
+		Faults: spec.Faults, Recovery: spec.Recovery, IdempotencyKey: spec.IdempotencyKey,
+	}, s)
+}
+
+// begin counts a solve submitted through the session; end, called once
+// the solve is refused or its job finishes, settles it.
+func (s *Session) begin() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("serve: session %s: %w", s.id, ErrClosed)
+		return fmt.Errorf("serve: session %s: %w", s.id, ErrClosed)
 	}
 	s.active++
 	s.solves++
-	s.mu.Unlock()
+	return nil
+}
 
-	res, err := s.eng.solveOn(ctx, s.art, true, spec, nil)
-
+func (s *Session) end(res *SolveResult, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.active--
 	if res != nil {
 		s.lastIter = res.Iterations
 		s.lastResidual = res.Residual
 		s.migrations += res.Migrations
 	}
+	s.lastError = ""
 	if err != nil {
 		s.lastError = err.Error()
-	} else {
-		s.lastError = ""
 	}
-	s.mu.Unlock()
-	return res, err
 }
 
 // Close detaches the session. The cached artifacts and warm workers
