@@ -69,17 +69,19 @@ bench-json:
 	$(GO) run ./cmd/benchjson -in bench_output.txt -out BENCH_$(BENCH_DATE).json
 	@echo "wrote BENCH_$(BENCH_DATE).json"
 
-# Executes each distributed-kernel benchmark and each setup-stage
-# benchmark once (no timing fidelity): a fast gate that the parallel SMVP
-# entry points and the six cold-build stages still run, and that the
-# fault-injection hooks stay allocation-free on their hot path.
+# Executes each distributed-kernel benchmark, each setup-stage benchmark
+# and each durable-path benchmark once (no timing fidelity): a fast gate
+# that the parallel SMVP entry points, the six cold-build stages and the
+# six terms of the durable path (the journal's lives in internal/serve)
+# still run, and that the fault-injection hooks stay allocation-free on
+# their hot path.
 # The second step is the kernel-regression guard: it times the fused
 # MulVecDot — the multiply of every PE-resident CG iteration — against
 # the SMVP + separate dot pair (enough iterations for a stable number)
 # and fails if fusion has stopped paying for itself (`benchjson -guard`,
 # 10% slack for timer noise).
 bench-smoke:
-	$(GO) test -run='^$$' -bench='ParallelSMVP|OverlappedSMVP|FaultHookOverhead|Setup' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='ParallelSMVP|OverlappedSMVP|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
 	$(GO) test -run='^$$' -bench='KernelGuard' -benchtime=50x . | $(GO) run ./cmd/benchjson -guard
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): every

@@ -87,6 +87,11 @@ type Report struct {
 	// sf10/p16), keyed by stage: partition_rcb, partition_inertial,
 	// analyze, lumped_mass, assemble, newdist.
 	Setup map[string]KernelStat `json:"setup,omitempty"`
+	// Durable is the same view of the terms of the durable path
+	// (BenchmarkDurable on the sf10/p4 snapshot, 834 KB), keyed by term:
+	// ckpt_encode, ckpt_save_new, ckpt_save_recycled, journal_append,
+	// supervise_bare, supervise_durable.
+	Durable map[string]KernelStat `json:"durable,omitempty"`
 }
 
 // KernelStat is one kernel's (or setup stage's) A/B entry.
@@ -120,6 +125,17 @@ var setupBenchmarks = map[string]string{
 	"BenchmarkSetup/lumped_mass":        "lumped_mass",
 	"BenchmarkSetup/assemble":           "assemble",
 	"BenchmarkSetup/newdist":            "newdist",
+}
+
+// durableBenchmarks maps benchmark names to the term keys of the report's
+// durable section.
+var durableBenchmarks = map[string]string{
+	"BenchmarkDurable/ckpt_encode":        "ckpt_encode",
+	"BenchmarkDurable/ckpt_save_new":      "ckpt_save_new",
+	"BenchmarkDurable/ckpt_save_recycled": "ckpt_save_recycled",
+	"BenchmarkDurable/journal_append":     "journal_append",
+	"BenchmarkDurable/supervise_bare":     "supervise_bare",
+	"BenchmarkDurable/supervise_durable":  "supervise_durable",
 }
 
 // RecoveryStats is the report's recovery section, read from the
@@ -245,6 +261,7 @@ func run(inPath, outPath, metricsPath, prevPath string) error {
 	prevNs := loadPrevNs(prevPath, outPath)
 	rep.Kernels = sectionStats(rep.NsPerOp, prevNs, kernelBenchmarks)
 	rep.Setup = sectionStats(rep.NsPerOp, prevNs, setupBenchmarks)
+	rep.Durable = sectionStats(rep.NsPerOp, prevNs, durableBenchmarks)
 	var w io.Writer = os.Stdout
 	if outPath != "" {
 		f, err := os.Create(outPath)
@@ -334,7 +351,7 @@ func obsOverhead(ns map[string]float64) map[string]Overhead {
 	return out
 }
 
-// sectionStats extracts one A/B section (kernels, setup) from the parsed
+// sectionStats extracts one A/B section (kernels, setup, durable) from the parsed
 // ns/op map: the benchmarks named in keys, under their short keys, each
 // with the previous snapshot's ns/op and the speedup against it when
 // prevNs carries the benchmark. A nil prevNs — no previous file, or an

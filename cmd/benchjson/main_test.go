@@ -290,6 +290,8 @@ BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
 BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
 BenchmarkSetup/partition_rcb-8 	 20 	 17000000 ns/op
 BenchmarkSetup/newdist-8 	 20 	 38000000 ns/op
+BenchmarkDurable/ckpt_save_recycled-8 	 300 	 900000 ns/op
+BenchmarkDurable/journal_append-8 	 300 	 450000 ns/op
 `
 
 // TestKernelsSection: the kernel benchmarks fold into the kernels map
@@ -301,6 +303,8 @@ func TestKernelsSection(t *testing.T) {
 		"BenchmarkAblationKernels/csr": 6000,
 		"BenchmarkDistCGSolveSerial":   44000000,
 		"BenchmarkSetup/newdist":       76000000,
+
+		"BenchmarkDurable/ckpt_save_recycled": 1800000,
 	}}
 	raw, _ := json.Marshal(prevRep)
 	if err := os.WriteFile(prev, raw, 0o644); err != nil {
@@ -347,6 +351,13 @@ func TestKernelsSection(t *testing.T) {
 	}
 	if _, ok := rep.Kernels["newdist"]; ok || len(rep.Setup) != 2 {
 		t.Errorf("sections mixed: kernels %+v, setup %+v", rep.Kernels, rep.Setup)
+	}
+	// So do the terms of the durable path.
+	if sv := rep.Durable["ckpt_save_recycled"]; sv.NsPerOp != 900000 || sv.PrevNsPerOp != 1800000 || sv.SpeedupVsPrev != 2 {
+		t.Errorf("durable ckpt_save_recycled = %+v, want {900000 1800000 2}", sv)
+	}
+	if ja := rep.Durable["journal_append"]; ja.NsPerOp != 450000 || ja.PrevNsPerOp != 0 || len(rep.Durable) != 2 {
+		t.Errorf("durable section = %+v, want journal_append current-only beside ckpt_save_recycled", rep.Durable)
 	}
 }
 

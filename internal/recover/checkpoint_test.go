@@ -1,11 +1,15 @@
 package recover
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -114,6 +118,101 @@ func TestDecodeRejections(t *testing.T) {
 			t.Error("accepted a 2^60-element claim")
 		}
 	})
+}
+
+// referenceEncode and appendPayload are the two-buffer encoder as it
+// stood before the single-pass one (PR 14, verbatim): the reference
+// TestEncoderMatchesReference differences Encode and the Store's
+// reused-buffer path against, byte for byte.
+func referenceEncode(c *Checkpoint) []byte {
+	payload := c.appendPayload(make([]byte, 0, 64+4*len(c.ElemPE)+8*(len(c.X)+len(c.R)+len(c.PDir))))
+	buf := make([]byte, 0, headerLen+len(payload))
+	buf = append(buf, ckptMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	return append(buf, payload...)
+}
+
+func (c *Checkpoint) appendPayload(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, c.MeshID)
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.P))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.ElemPE)))
+	for _, pe := range c.ElemPE {
+		b = binary.LittleEndian.AppendUint32(b, uint32(pe))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.Iter))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Rho))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.X)))
+	for _, vec := range [][]float64{c.X, c.R, c.PDir} {
+		for _, v := range vec {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.FaultIter))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.FaultPlan)))
+	return append(b, c.FaultPlan...)
+}
+
+// randomCheckpoint draws a checkpoint with n scalars per vector, ne
+// elements and a planLen-byte fault plan; the floats are raw bit
+// patterns, NaNs and denormals included.
+func randomCheckpoint(rng *rand.Rand, p int32, ne, n, planLen int) *Checkpoint {
+	c := &Checkpoint{
+		MeshID: rng.Uint64(), P: p, Iter: rng.Int63n(1 << 40), FaultIter: rng.Int63n(1 << 40),
+		Rho:       math.Float64frombits(rng.Uint64()),
+		ElemPE:    make([]int32, ne),
+		FaultPlan: strings.Repeat("kill:pe=1,iter=9;", planLen/17+1)[:planLen],
+	}
+	for i := range c.ElemPE {
+		c.ElemPE[i] = rng.Int31n(p)
+	}
+	for _, vp := range []*[]float64{&c.X, &c.R, &c.PDir} {
+		*vp = make([]float64, n)
+		for i := range *vp {
+			(*vp)[i] = math.Float64frombits(rng.Uint64())
+		}
+	}
+	return c
+}
+
+// TestEncoderMatchesReference: the single-pass encoder writes the bytes
+// the two-buffer one did — through Encode and through one buffer reused
+// across snapshots that shrink and then grow, so a stale tail or a stale
+// length can never leak from one snapshot into the next.
+func TestEncoderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	shapes := []struct {
+		p                int32
+		ne, n, planBytes int
+	}{
+		{4, 7, 4, 17},      // the sample shape
+		{1, 1, 3, 0},       // P = 1, no plan
+		{3, 0, 0, 0},       // empty vectors, no elements
+		{8, 900, 2700, 64}, // grows the reused buffer
+		{2, 5, 13, 4096},   // shrinks it; long plan; one scalar past the last quad
+		{4, 7, 6, 17},      // two past
+		{1, 0, 0, 1},
+		{16, 4000, 9000, 0}, // grows again
+		{4, 7, 4, 17},
+	}
+	var reused []byte
+	for round := 0; round < 4; round++ {
+		for _, sh := range shapes {
+			c := randomCheckpoint(rng, sh.p, sh.ne, sh.n, sh.planBytes)
+			want := referenceEncode(c)
+			if got := c.Encode(); !bytes.Equal(got, want) {
+				t.Fatalf("round %d shape %+v: Encode differs from the reference encoder", round, sh)
+			}
+			reused = c.encodeInto(reused)
+			if !bytes.Equal(reused, want) {
+				t.Fatalf("round %d shape %+v: reused-buffer encoding differs from the reference encoder", round, sh)
+			}
+			if _, err := Decode(reused); err != nil {
+				t.Fatalf("round %d shape %+v: %v", round, sh, err)
+			}
+		}
+	}
 }
 
 // TestStoreSaveLatest: snapshots land atomically under ckpt-<iter>.qck,

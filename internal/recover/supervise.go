@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/material"
@@ -17,8 +18,47 @@ import (
 
 var (
 	ckptErrors = obs.GetCounter("recover.checkpoint.errors")
+	ckptWaitUS = obs.GetHistogram("recover.checkpoint.wait_us")
 	resumes    = obs.GetCounter("recover.resumes")
 )
+
+// ckptWriter lands one supervised solve's snapshots on disk off the
+// goroutine that drives CG: all of them, in the order taken. One write is
+// in flight and one waits in the channel, so the solver runs at most two
+// checkpoint intervals ahead of the disk and blocks beyond that.
+type ckptWriter struct {
+	ch   chan Checkpoint
+	done chan struct{}
+}
+
+func startCkptWriter(store *Store) *ckptWriter {
+	w := &ckptWriter{ch: make(chan Checkpoint, 1), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for ck := range w.ch {
+			if _, err := store.Save(&ck); err != nil {
+				ckptErrors.Add(1)
+			}
+		}
+	}()
+	return w
+}
+
+// put hands ck to the writer, which owns its slices from here on. The
+// time it blocks on a full queue is observed as recover.checkpoint.wait_us
+// (0 when the disk keeps up).
+func (w *ckptWriter) put(ck Checkpoint) {
+	start := time.Now()
+	w.ch <- ck
+	ckptWaitUS.Observe(time.Since(start).Microseconds())
+}
+
+// drain returns once every snapshot handed to put is on disk (or counted
+// as an error) and the writer goroutine has exited.
+func (w *ckptWriter) drain() {
+	close(w.ch)
+	<-w.done
+}
 
 // System describes everything needed to rebuild the distributed
 // operator at a different width after a PE loss or revival. The mesh,
@@ -63,9 +103,12 @@ type SuperviseConfig struct {
 	// solver snapshot (Solver.CheckpointEvery, default 10), tagged with
 	// MeshID (see MeshID). Checkpoints carry the live partition, the
 	// *remaining* fault plan and the global kernel count, so a restarted
-	// process re-arms exactly the events that have not fired (ResumeFrom). A
-	// write failure is counted under recover.checkpoint.errors but does
-	// not abort the solve — durability degrades before availability does.
+	// process re-arms exactly the events that have not fired (ResumeFrom).
+	// Snapshots are written in order by a goroutine of their own, at most
+	// two checkpoint intervals behind the solver, and every one delivered
+	// is on disk when Supervise returns, however it returns. A write
+	// failure is counted under recover.checkpoint.errors but does not
+	// abort the solve — durability degrades before availability does.
 	Store  *Store
 	MeshID uint64
 	// Plan is the fault plan to arm. The supervisor owns the injector:
@@ -279,10 +322,15 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	// in, because CG gathers x only from a live operator and a poisoned
 	// Dist fails every kernel fast.
 	last := scfg.Resume
+	var writer *ckptWriter
+	if cfg.Store != nil {
+		writer = startCkptWriter(cfg.Store)
+		defer writer.drain()
+	}
 	scfg.OnCheckpoint = func(st *solver.State) {
 		last = st
-		if cfg.Store != nil {
-			ck := &Checkpoint{
+		if writer != nil {
+			ck := Checkpoint{
 				MeshID:    cfg.MeshID,
 				P:         int32(out.Part.P),
 				ElemPE:    out.Part.ElemPE,
@@ -296,9 +344,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			if p := clampPlan(cfg.Plan, out.Part.P, globalIter()); p != nil {
 				ck.FaultPlan = p.String()
 			}
-			if _, err := cfg.Store.Save(ck); err != nil {
-				ckptErrors.Add(1)
-			}
+			writer.put(ck)
 		}
 		if userCk != nil {
 			userCk(st)

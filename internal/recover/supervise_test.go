@@ -3,6 +3,7 @@ package recover
 import (
 	"errors"
 	"math"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -290,4 +291,139 @@ func TestSuperviseStop(t *testing.T) {
 		t.Fatal("stopped supervise claims convergence")
 	}
 	out.Dist.Close()
+}
+
+// TestSuperviseDrainsWriter: whichever way Supervise returns, the newest
+// snapshot it delivered is decodable on disk at that moment — the writer
+// that lands snapshots off the solver's goroutine is drained on every
+// exit, and its goroutine is gone. A store that cannot write costs the
+// solve nothing but recover.checkpoint.errors.
+func TestSuperviseDrainsWriter(t *testing.T) {
+	prevObs := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prevObs)
+
+	f := newFixture(t)
+	b := f.rhs()
+	n := len(b)
+	pt := f.partition(t, 4)
+	noWorker := errors.New("no worker left")
+	replacing := func(int, int) (*par.Dist, error) { return f.dist(t, pt), nil }
+
+	for _, tc := range []struct {
+		name string
+		// tune adjusts the config; delivered reads the newest iteration
+		// handed to OnCheckpoint so far.
+		tune    func(cfg *SuperviseConfig, delivered func() int)
+		wantErr func(error) bool
+		// brokenStore removes the checkpoint directory under the Store.
+		brokenStore bool
+	}{
+		{name: "converged"},
+		{name: "stop mid-solve",
+			tune: func(cfg *SuperviseConfig, delivered func() int) {
+				cfg.Stop = func() bool { return delivered() >= 20 }
+			},
+			wantErr: func(err error) bool { return errors.Is(err, solver.ErrInterrupted) }},
+		{name: "kill, shrink",
+			tune: func(cfg *SuperviseConfig, _ func() int) { cfg.Plan = mustPlan(t, "kill:pe=2,iter=12") }},
+		{name: "kill, replace",
+			tune: func(cfg *SuperviseConfig, _ func() int) {
+				cfg.Plan, cfg.Replace = mustPlan(t, "kill:pe=2,iter=12"), replacing
+			}},
+		{name: "loss past the bound",
+			tune: func(cfg *SuperviseConfig, _ func() int) {
+				cfg.Plan, cfg.MaxShrinks = mustPlan(t, "kill:pe=2,iter=12"), -1
+			},
+			wantErr: func(err error) bool { _, killed := DeadPE(err); return killed }},
+		{name: "replace fails",
+			tune: func(cfg *SuperviseConfig, _ func() int) {
+				cfg.Plan = mustPlan(t, "kill:pe=2,iter=12")
+				cfg.Replace = func(int, int) (*par.Dist, error) { return nil, noWorker }
+			},
+			wantErr: func(err error) bool { return errors.Is(err, noWorker) }},
+		{name: "store cannot write", brokenStore: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			store, err := NewStore(t.TempDir() + "/ck")
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.Keep = 3
+			if tc.brokenStore {
+				if err := os.RemoveAll(store.Dir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var newest atomic.Int64
+			snapshots := 0
+			cfg := SuperviseConfig{
+				Solver: solver.Config{MaxIter: 6 * n, Tol: 1e-10, CheckpointEvery: 5,
+					OnCheckpoint: func(st *solver.State) { newest.Store(int64(st.Iter)); snapshots++ }},
+				Store: store, MeshID: 7,
+			}
+			if tc.tune != nil {
+				tc.tune(&cfg, func() int { return int(newest.Load()) })
+			}
+			errs0 := ckptErrors.Value()
+			sys := &System{Mesh: f.m, Material: f.mat, Part: pt, Shift: 20, MassNode: f.sys.MassNode}
+			out, err := Supervise(f.dist(t, pt), sys, b, make([]float64, n), cfg)
+			// Read the disk before anything else can run.
+			ck, _, lerr := store.Latest()
+			if out.Dist != nil && tc.name != "replace fails" { // there the supervisor closed the last Dist itself
+				out.Dist.Close()
+			}
+			if tc.wantErr == nil {
+				if err != nil || !out.Result.Converged {
+					t.Fatalf("solve: %+v, %v", out.Result, err)
+				}
+			} else if !tc.wantErr(err) {
+				t.Fatalf("solve returned %v", err)
+			}
+			if snapshots < 3 {
+				t.Fatalf("only %d snapshots delivered; the case proves nothing", snapshots)
+			}
+			errs := ckptErrors.Value() - errs0
+			if tc.brokenStore {
+				if errs != int64(snapshots) {
+					t.Fatalf("%d of %d failed writes counted under recover.checkpoint.errors", errs, snapshots)
+				}
+				return
+			}
+			if errs != 0 {
+				t.Fatalf("recover.checkpoint.errors advanced by %d", errs)
+			}
+			if lerr != nil || ck.Iter != newest.Load() || ck.MeshID != 7 {
+				t.Fatalf("on disk at return: %+v, %v; the newest snapshot delivered was iteration %d", ck, lerr, newest.Load())
+			}
+		})
+	}
+}
+
+// TestCheckpointHandOffZeroAlloc: handing a snapshot to the writer costs
+// the solver's goroutine no allocation, telemetry on — the Checkpoint
+// crosses the channel by value and the State's slices by reference.
+func TestCheckpointHandOffZeroAlloc(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	// A writer whose far side only receives, so the count is the near
+	// side's alone.
+	w := &ckptWriter{ch: make(chan Checkpoint, 1), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for range w.ch {
+		}
+	}()
+	defer w.drain()
+	st := &solver.State{Iter: 10, X: make([]float64, 64), R: make([]float64, 64), P: make([]float64, 64)}
+	elemPE := make([]int32, 32)
+	if avg := testing.AllocsPerRun(100, func() {
+		w.put(Checkpoint{MeshID: 7, P: 4, ElemPE: elemPE, Iter: int64(st.Iter), Rho: st.Rho,
+			X: st.X, R: st.R, PDir: st.P, FaultIter: 12})
+	}); avg != 0 {
+		t.Errorf("checkpoint hand-off: %.1f allocs/op, want 0", avg)
+	}
 }

@@ -40,6 +40,7 @@ var (
 	jobJournalDropped     = obs.GetCounter("serve.job.journal.dropped")
 	jobJournalErrors      = obs.GetCounter("serve.job.journal.errors")
 	jobJournalBytes       = obs.GetGauge("serve.job.journal.bytes")
+	jobJournalSyncUS      = obs.GetHistogram("serve.job.journal.sync_us")
 )
 
 // JobState is one station of the job lifecycle:
@@ -751,13 +752,15 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 	}
 
 	// The per-job durable checkpoint store: the supervisor lands every
-	// in-flight snapshot here (pruned below to a bounded tail), so a
-	// process restart resumes instead of recomputing.
+	// in-flight snapshot here (the store holds itself to a bounded tail),
+	// so a process restart resumes instead of recomputing.
 	var store *rec.Store
 	if e.jobs.durable() {
 		if store, err = rec.NewStore(e.jobs.ckptDir(j.id)); err != nil {
 			store = nil
 			jobJournalErrors.Add(1)
+		} else {
+			store.Keep = jobKeepCkpts
 		}
 	}
 
@@ -777,9 +780,6 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 				j.mu.Lock()
 				j.ckptIter = st.Iter // where a migration or a restart resumes
 				j.mu.Unlock()
-				if store != nil {
-					store.Prune(jobKeepCkpts)
-				}
 				rel := norm2(st.R)
 				if normB > 0 {
 					rel /= normB

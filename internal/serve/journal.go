@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -61,20 +62,27 @@ type jobRecord struct {
 	Error      string       `json:"error,omitempty"`
 }
 
-// encodeJournalRecord frames one record for appending.
+// encodeJournalRecord frames one record for appending, in one buffer:
+// the header is reserved, the JSON encoded behind it, and the length and
+// checksum patched in.
 func encodeJournalRecord(rec *jobRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	var b bytes.Buffer
+	b.Grow(512) // a state record without a result fits; an accept record grows once
+	var header [journalHeaderLen]byte
+	b.Write(header[:])
+	if err := json.NewEncoder(&b).Encode(rec); err != nil {
 		return nil, fmt.Errorf("serve: encoding journal record: %w", err)
 	}
+	// Encode is Marshal plus a newline the frame does not carry.
+	buf := b.Bytes()[:b.Len()-1]
+	payload := buf[journalHeaderLen:]
 	if len(payload) > maxJournalRecord {
 		return nil, fmt.Errorf("serve: journal record %d bytes exceeds %d", len(payload), maxJournalRecord)
 	}
-	buf := make([]byte, 0, journalHeaderLen+len(payload))
-	buf = append(buf, journalMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoliJL))
-	return append(buf, payload...), nil
+	copy(buf, journalMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(payload, castagnoliJL))
+	return buf, nil
 }
 
 var castagnoliJL = crc32.MakeTable(crc32.Castagnoli)
@@ -201,10 +209,12 @@ func (j *journal) append(rec *jobRecord) error {
 		jobJournalErrors.Add(1)
 		return fmt.Errorf("serve: journal append: %w", err)
 	}
+	syncStart := time.Now()
 	if err := j.f.Sync(); err != nil {
 		jobJournalErrors.Add(1)
 		return fmt.Errorf("serve: journal sync: %w", err)
 	}
+	jobJournalSyncUS.Observe(time.Since(syncStart).Microseconds())
 	j.bytes += int64(len(buf))
 	jobJournalRecords.Add(1)
 	jobJournalBytes.Set(float64(j.bytes))

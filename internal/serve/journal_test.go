@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,6 +235,35 @@ func TestJournalNilReceiverSafe(t *testing.T) {
 	j.close()
 }
 
+// TestJournalEncoderMatchesReference: the single-buffer framing writes
+// the bytes the Marshal-then-copy one did (kept here verbatim), HTML
+// escaping and all.
+func TestJournalEncoderMatchesReference(t *testing.T) {
+	reference := func(rec *jobRecord) []byte {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, journalHeaderLen+len(payload))
+		buf = append(buf, journalMagic...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoliJL))
+		return append(buf, payload...)
+	}
+	recs := append(sampleRecords(),
+		&jobRecord{Op: "state", ID: "j-<&>", State: JobFailed, Error: "a <b> & \u2028 \n c"},
+		&jobRecord{Op: "state", ID: "j-big", State: JobFailed, Error: strings.Repeat("x", 4096)})
+	for i, rec := range recs {
+		got, err := encodeJournalRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, reference(rec)) {
+			t.Errorf("record %d: frame differs from the reference encoder", i)
+		}
+	}
+}
+
 func TestDecodeJournalRecordRejects(t *testing.T) {
 	enc := func(r *jobRecord) []byte {
 		b, err := encodeJournalRecord(r)
@@ -296,6 +329,28 @@ func FuzzDecodeJournal(f *testing.F) {
 		// A decoded record must survive re-encoding.
 		if _, err := encodeJournalRecord(rec); err != nil {
 			t.Fatalf("re-encoding decoded record: %v", err)
+		}
+	})
+}
+
+// BenchmarkDurable/journal_append is the journal's term of the durable
+// path (the other five are BenchmarkDurable at the repo root): one state
+// record framed, appended and fsync'd, as every lifecycle transition of a
+// durable job pays before its reply.
+func BenchmarkDurable(b *testing.B) {
+	b.Run("journal_append", func(b *testing.B) {
+		j, _, err := openJournal(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer j.close()
+		rec := sampleRecords()[2]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := j.append(rec); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
