@@ -71,7 +71,8 @@ bench-json:
 
 # Executes each distributed-kernel benchmark, each setup-stage benchmark
 # and each durable-path benchmark once (no timing fidelity): a fast gate
-# that the parallel SMVP entry points, the six cold-build stages and the
+# that the parallel SMVP entry points, the seven cold-build stages (Setup:
+# partition ×2, analyze, schedule, lumped_mass, assemble, newdist) and the
 # six terms of the durable path (the journal's lives in internal/serve)
 # still run, and that the fault-injection hooks stay allocation-free on
 # their hot path.

@@ -6,6 +6,7 @@ package quake_test
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/fem"
 	"repro/internal/par"
 	"repro/internal/partition"
@@ -35,6 +36,7 @@ func BenchmarkSetup(b *testing.B) {
 		{"partition_rcb", func() error { _, err := partition.PartitionMesh(m, p, partition.RCB, 1); return err }},
 		{"partition_inertial", func() error { _, err := partition.PartitionMesh(m, p, partition.Inertial, 1); return err }},
 		{"analyze", func() error { _, err := partition.Analyze(m, pt); return err }},
+		{"schedule", func() error { _, err := comm.FromMatrix(pr.Msg); return err }},
 		{"lumped_mass", func() error { _, err := fem.LumpedMass(m, mat); return err }},
 		{"assemble", func() error { _, err := fem.Assemble(m, mat); return err }},
 		{"newdist", func() error {

@@ -85,7 +85,7 @@ type Report struct {
 	Kernels map[string]KernelStat `json:"kernels,omitempty"`
 	// Setup is the same view of the cold-build stages (BenchmarkSetup on
 	// sf10/p16), keyed by stage: partition_rcb, partition_inertial,
-	// analyze, lumped_mass, assemble, newdist.
+	// analyze, schedule, lumped_mass, assemble, newdist.
 	Setup map[string]KernelStat `json:"setup,omitempty"`
 	// Durable is the same view of the terms of the durable path
 	// (BenchmarkDurable on the sf10/p4 snapshot, 834 KB), keyed by term:
@@ -122,6 +122,7 @@ var setupBenchmarks = map[string]string{
 	"BenchmarkSetup/partition_rcb":      "partition_rcb",
 	"BenchmarkSetup/partition_inertial": "partition_inertial",
 	"BenchmarkSetup/analyze":            "analyze",
+	"BenchmarkSetup/schedule":           "schedule",
 	"BenchmarkSetup/lumped_mass":        "lumped_mass",
 	"BenchmarkSetup/assemble":           "assemble",
 	"BenchmarkSetup/newdist":            "newdist",

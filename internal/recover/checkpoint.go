@@ -338,17 +338,14 @@ func (s *Store) Dir() string { return s.dir }
 const recycleTmp = "ckpt-recycle.tmp"
 
 // scan makes names the directory's snapshot list and unlinks every temp
-// file, returning how many it removed (counted, like trim's, under
-// recover.checkpoint.pruned). It runs with mu held and no write of this
-// Store in flight, so every temp it meets is litter: a previous process
-// died between creating it and the rename.
-func (s *Store) scan() (int, error) {
+// file (counted, like trim's, under recover.checkpoint.pruned). It runs
+// with mu held before this Store's first write, so every temp it meets
+// is litter: a previous process died between creating it and the rename.
+func (s *Store) scan() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0, fmt.Errorf("recover: checkpoint dir: %w", err)
+		return fmt.Errorf("recover: checkpoint dir: %w", err)
 	}
-	s.names = s.names[:0]
-	removed := 0
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -358,7 +355,7 @@ func (s *Store) scan() (int, error) {
 			s.names = append(s.names, e.Name())
 		case ".tmp":
 			if os.Remove(filepath.Join(s.dir, e.Name())) == nil {
-				removed++
+				ckptPruned.Add(1)
 			}
 		}
 	}
@@ -366,22 +363,19 @@ func (s *Store) scan() (int, error) {
 	// oldest-first.
 	sort.Strings(s.names)
 	s.scanned = true
-	ckptPruned.Add(int64(removed))
-	return removed, nil
+	return nil
 }
 
-// trim unlinks the oldest snapshots beyond the newest keep.
-func (s *Store) trim(keep int) (int, error) {
-	removed := 0
-	for len(s.names) > keep {
+// trim unlinks the oldest snapshots beyond the Keep window. A file that
+// will not go stays listed and is retried by the next Save.
+func (s *Store) trim() {
+	for len(s.names) > s.Keep {
 		if err := os.Remove(filepath.Join(s.dir, s.names[0])); err != nil && !os.IsNotExist(err) {
-			return removed, fmt.Errorf("recover: pruning checkpoint: %w", err)
+			return
 		}
 		s.names = s.names[1:]
 		ckptPruned.Add(1)
-		removed++
 	}
-	return removed, nil
 }
 
 // Save atomically writes the checkpoint and returns its path, then holds
@@ -395,7 +389,7 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.scanned {
-		if _, err := s.scan(); err != nil {
+		if err := s.scan(); err != nil {
 			return "", err
 		}
 	}
@@ -416,7 +410,7 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 		s.names = slices.Insert(s.names, at, name)
 	}
 	if s.Keep > 0 {
-		s.trim(s.Keep) // a file that will not go is retried by the next Save
+		s.trim()
 	}
 	ckptWrites.Add(1)
 	ckptBytes.Observe(int64(len(s.buf)))
@@ -503,41 +497,4 @@ func (s *Store) Latest() (*Checkpoint, string, error) {
 		return c, path, nil
 	}
 	return nil, "", fmt.Errorf("recover: no checkpoint in %s: %w", s.dir, os.ErrNotExist)
-}
-
-// Prune deletes the oldest checkpoints beyond the newest keep (at least
-// one) and any stale .tmp leftovers, returning how many files it
-// removed. It is the explicit form of what Keep does on every Save, for
-// a caller that wants a different window once; it re-reads the
-// directory, and because it excludes this Store's Save it never meets a
-// temp file that is still being written.
-func (s *Store) Prune(keep int) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	swept, err := s.scan()
-	if err != nil {
-		return 0, err
-	}
-	trimmed, err := s.trim(max(keep, 1))
-	return swept + trimmed, err
-}
-
-// SizeBytes reports the total bytes the store currently holds on disk
-// (checkpoints plus any stranded temp files) — the number a retention
-// budget compares against.
-func (s *Store) SizeBytes() (int64, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("recover: checkpoint dir: %w", err)
-	}
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
-		}
-	}
-	return total, nil
 }

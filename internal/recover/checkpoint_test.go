@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -279,79 +278,6 @@ func TestStoreSaveLatest(t *testing.T) {
 		if filepath.Ext(e.Name()) == ".tmp" {
 			t.Fatalf("temp file %s left behind", e.Name())
 		}
-	}
-}
-
-// TestStorePruneAndSizeBytes: Prune keeps the newest files, sweeps
-// stranded temp litter, and SizeBytes tracks the bytes a retention
-// budget charges against.
-func TestStorePruneAndSizeBytes(t *testing.T) {
-	prevObs := obs.Enabled()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prevObs) })
-
-	s, err := NewStore(filepath.Join(t.TempDir(), "ck"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := sampleCheckpoint()
-	for _, iter := range []int64{1, 2, 3, 4, 5} {
-		ck.Iter = iter
-		if _, err := s.Save(ck); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stranded temp file from a crash mid-save.
-	if err := os.WriteFile(filepath.Join(s.Dir(), "ckpt-junk.tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.SizeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before <= 0 {
-		t.Fatalf("SizeBytes = %d with 5 checkpoints on disk", before)
-	}
-
-	pruned0 := obs.GetCounter("recover.checkpoint.pruned").Value()
-	n, err := s.Prune(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 { // three old checkpoints plus the temp file
-		t.Fatalf("Prune(2) removed %d files, want 4", n)
-	}
-	if d := obs.GetCounter("recover.checkpoint.pruned").Value() - pruned0; d != 4 {
-		t.Fatalf("recover.checkpoint.pruned advanced by %d, want 4", d)
-	}
-	after, err := s.SizeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Fatalf("SizeBytes did not shrink: %d -> %d", before, after)
-	}
-	// The newest checkpoint survives and still loads.
-	got, _, err := s.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iter != 5 {
-		t.Fatalf("Latest after prune = iter %d, want 5", got.Iter)
-	}
-	entries, err := os.ReadDir(s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("%d files after Prune(2), want 2", len(entries))
-	}
-	// Pruning below one always keeps the newest file.
-	if _, err := s.Prune(0); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err = s.Latest(); err != nil || got.Iter != 5 {
-		t.Fatalf("Prune(0) ate the newest checkpoint: iter %v err %v", got, err)
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/comm"
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -150,10 +148,8 @@ func GrowNodeOf(nodeOf func(pe int32) int32, revived int, node int32) func(pe in
 }
 
 // Grow rebuilds the distributed operator at width P+1 with a recovered
-// PE at slot revived: regrow the partition (GrowPartition), re-analyze
-// the communication structure, re-derive the maximal-block schedule,
-// and construct a fresh Dist. The mirror of Shrink; the old Dist is
-// untouched and remains the caller's to Close.
+// PE at slot revived: regrow the partition (GrowPartition), then
+// rebuild. The mirror of Shrink.
 func Grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived int) (*Rebuilt, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.grow")
 	obs.GetCounter("recover.grows").Add(1)
@@ -163,21 +159,12 @@ func Grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived in
 		sp.End()
 		return nil, err
 	}
-	pr, err := partition.Analyze(m, gpt)
+	reb, err := rebuild(m, mat, gpt)
 	if err != nil {
 		sp.End()
-		return nil, fmt.Errorf("recover: re-analyzing grown partition: %w", err)
+		return nil, err
 	}
-	sched, err := comm.FromMatrix(pr.Msg)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("recover: rebuilding schedule: %w", err)
-	}
-	d, err := par.NewDist(m, mat, gpt, pr)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("recover: rebuilding Dist: %w", err)
-	}
+	reb.Donor = donor
 	sp.EndWith(map[string]any{"revived_pe": revived, "width": gpt.P})
-	return &Rebuilt{Dist: d, Partition: gpt, Profile: pr, Schedule: sched, DeadPE: -1, RevivedPE: revived, Donor: donor}, nil
+	return reb, nil
 }

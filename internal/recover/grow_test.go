@@ -1,10 +1,15 @@
 package recover
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/partition"
+	"repro/internal/testutil"
 )
 
 // TestGrowPartition pins the regrowth invariants: the revived slot is
@@ -155,8 +160,8 @@ func TestGrowRebuildsWorkingDist(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reb.Dist.Close()
-	if reb.DeadPE != -1 || reb.RevivedPE != 4 || reb.Donor < 0 {
-		t.Fatalf("transition metadata: dead=%d revived=%d donor=%d", reb.DeadPE, reb.RevivedPE, reb.Donor)
+	if reb.Donor < 0 || reb.Donor >= 8 || reb.Donor == 4 {
+		t.Fatalf("donor %d of a grow at slot 4 of 8", reb.Donor)
 	}
 	if reb.Dist.P != 8 || reb.Partition.P != 8 || reb.Profile.P != 8 {
 		t.Fatalf("grown widths: dist=%d part=%d profile=%d, want 8", reb.Dist.P, reb.Partition.P, reb.Profile.P)
@@ -181,5 +186,112 @@ func TestGrowRebuildsWorkingDist(t *testing.T) {
 		if d := math.Abs(got[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
 			t.Fatalf("grown SMVP differs at %d: %g vs %g", i, got[i], want[i])
 		}
+	}
+}
+
+// checkRebuilt holds one transition's outcome to what every transition
+// must conserve: a valid partition of the whole mesh at the expected
+// width, Dist and Profile at that width, every element's four nodes
+// resident on the PE that holds it and nowhere it is not needed, and an
+// operator in which every element counts exactly once — its SMVP is the
+// serially assembled K·x to roundoff.
+func checkRebuilt(t *testing.T, what string, f *fixture, reb *Rebuilt, width int) {
+	t.Helper()
+	pt := reb.Partition
+	if err := pt.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if pt.P != width || reb.Dist.P != width || reb.Profile.P != width {
+		t.Fatalf("%s: widths partition=%d dist=%d profile=%d, want %d", what, pt.P, reb.Dist.P, reb.Profile.P, width)
+	}
+	if len(pt.ElemPE) != f.m.NumElems() {
+		t.Fatalf("%s: partition covers %d of %d elements", what, len(pt.ElemPE), f.m.NumElems())
+	}
+	resident := make([][]int32, width)
+	for e, tet := range f.m.Tets {
+		resident[pt.ElemPE[e]] = append(resident[pt.ElemPE[e]], tet[:]...)
+	}
+	for pe := range resident {
+		slices.Sort(resident[pe])
+		if want := slices.Compact(resident[pe]); !slices.Equal(reb.Dist.Nodes[pe], want) {
+			t.Fatalf("%s: PE %d holds %d nodes, its elements touch %d", what, pe, len(reb.Dist.Nodes[pe]), len(want))
+		}
+	}
+	n := 3 * f.m.NumNodes()
+	x, got, want := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = math.Cos(float64(i))
+	}
+	if _, err := reb.Dist.SMVP(got, x); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	f.sys.K.MulVec(want, x)
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); d > 1e-12*scale {
+			t.Fatalf("%s: SMVP scalar %d is %g, serial K·x has %g", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTransitionsConserveTheMesh runs the three transitions over seeded
+// random graded meshes × {rcb, inertial} × p ∈ {2, 3, 5, 8}: Shrink a
+// random PE away, Grow it back, Rebalance a skewed-load window — each
+// outcome held to checkRebuilt at width p−1, p, p — with nothing left
+// running once the Dists are closed.
+func TestTransitionsConserveTheMesh(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	rebalanced := 0
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := randomFixture(t, rng)
+		for _, method := range []partition.Method{partition.RCB, partition.Inertial} {
+			for _, p := range []int{2, 3, 5, 8} {
+				what := fmt.Sprintf("seed %d, %v, p=%d", seed, method, p)
+				pt, err := partition.PartitionMesh(f.m, p, method, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dead := rng.Intn(p)
+				shrunk, err := Shrink(f.m, f.mat, pt, dead)
+				if err != nil {
+					t.Fatalf("%s: shrink of PE %d: %v", what, dead, err)
+				}
+				checkRebuilt(t, what+", shrunk", f, shrunk, p-1)
+				grown, err := Grow(f.m, f.mat, shrunk.Partition, dead)
+				if err != nil {
+					t.Fatalf("%s: grow at slot %d: %v", what, dead, err)
+				}
+				checkRebuilt(t, what+", regrown", f, grown, p)
+				if shrunk.Donor != -1 || grown.Donor < 0 || grown.Donor >= p || grown.Donor == dead {
+					t.Fatalf("%s: donors %d (shrink) and %d (grow at %d)", what, shrunk.Donor, grown.Donor, dead)
+				}
+				// PE 0 measured three times as slow per element as the rest.
+				loads := make([]int64, p)
+				for q, size := range grown.Partition.Sizes() {
+					loads[q] = int64(size) * 1000
+				}
+				loads[0] *= 3
+				moved, moves, err := Rebalance(f.m, f.mat, grown.Partition, loads, 2)
+				if err != nil {
+					t.Fatalf("%s: rebalance: %v", what, err)
+				}
+				if moves > 0 {
+					rebalanced++
+					checkRebuilt(t, what+", rebalanced", f, moved, p)
+					moved.Dist.Close()
+				} else if moved != nil {
+					t.Fatalf("%s: a rebalance of no moves rebuilt an operator", what)
+				}
+				shrunk.Dist.Close()
+				grown.Dist.Close()
+			}
+		}
+	}
+	if rebalanced == 0 {
+		t.Fatal("no configuration admitted a rebalance move; the skew is too weak to test one")
 	}
 }

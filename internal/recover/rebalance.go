@@ -3,12 +3,10 @@ package recover
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -167,10 +165,9 @@ func RebalancePartition(m *mesh.Mesh, pt *partition.Partition, loads []int64, ma
 
 // Rebalance rebuilds the distributed operator on a rebalanced
 // partition, mirroring Shrink and Grow: migrate boundary layers
-// (RebalancePartition), re-analyze, re-derive the schedule, construct a
-// fresh Dist. When no admissible move exists it returns (nil, 0, nil)
-// and the caller keeps its current operator — a no-op rebalance must
-// not cost a Dist rebuild.
+// (RebalancePartition), then rebuild. When no admissible move exists it
+// returns (nil, 0, nil) and the caller keeps its current operator — a
+// no-op rebalance must not cost a Dist rebuild.
 func Rebalance(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, loads []int64, maxMoves int) (*Rebuilt, int, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.rebalance")
 	rpt, moves, err := RebalancePartition(m, pt, loads, maxMoves)
@@ -182,21 +179,11 @@ func Rebalance(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, loads
 		sp.EndWith(map[string]any{"moves": 0})
 		return nil, 0, nil
 	}
-	pr, err := partition.Analyze(m, rpt)
+	reb, err := rebuild(m, mat, rpt)
 	if err != nil {
 		sp.End()
-		return nil, moves, fmt.Errorf("recover: re-analyzing rebalanced partition: %w", err)
-	}
-	sched, err := comm.FromMatrix(pr.Msg)
-	if err != nil {
-		sp.End()
-		return nil, moves, fmt.Errorf("recover: rebuilding schedule: %w", err)
-	}
-	d, err := par.NewDist(m, mat, rpt, pr)
-	if err != nil {
-		sp.End()
-		return nil, moves, fmt.Errorf("recover: rebuilding Dist: %w", err)
+		return nil, moves, err
 	}
 	sp.EndWith(map[string]any{"moves": moves, "width": rpt.P})
-	return &Rebuilt{Dist: d, Partition: rpt, Profile: pr, Schedule: sched, DeadPE: -1, RevivedPE: -1, Donor: -1}, moves, nil
+	return reb, moves, nil
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/material"
 	"repro/internal/mesh"
@@ -165,28 +164,37 @@ func ShrinkNodeOf(nodeOf func(pe int32) int32, dead int) func(pe int32) int32 {
 	}
 }
 
-// Rebuilt is the outcome of one elastic transition — a shrink (width
-// p−1) or a grow (width p+1) — carrying the new operator with its
-// partition, analysis profile, and re-derived flat schedule. Fields
-// that do not apply to the transition are −1: a shrink sets RevivedPE
-// and Donor to −1, a grow sets DeadPE to −1.
+// Rebuilt is the outcome of one transition — a shrink (width p−1), a
+// grow (width p+1) or a rebalance (width p) — carrying the new operator
+// with its partition and analysis profile.
 type Rebuilt struct {
 	Dist      *par.Dist
 	Partition *partition.Partition
 	Profile   *partition.Profile
-	Schedule  *comm.Schedule
-	DeadPE    int
-	// RevivedPE is the slot a recovered PE rejoined at; Donor is the PE
-	// (grown numbering) that seeded its region, the natural physical
-	// placement for the replacement.
-	RevivedPE int
-	Donor     int
+	// Donor is the PE (grown numbering) that seeded a revived PE's
+	// region, the natural physical placement for the replacement; −1
+	// when the transition is not a grow.
+	Donor int
+}
+
+// rebuild is the tail every transition ends in: re-analyze the
+// communication structure of the new partition and construct a fresh
+// Dist on it. The old Dist is untouched and remains the caller's to
+// Close.
+func rebuild(m *mesh.Mesh, mat *material.Model, pt *partition.Partition) (*Rebuilt, error) {
+	pr, err := partition.Analyze(m, pt)
+	if err != nil {
+		return nil, fmt.Errorf("recover: re-analyzing %d-PE partition: %w", pt.P, err)
+	}
+	d, err := par.NewDist(m, mat, pt, pr)
+	if err != nil {
+		return nil, fmt.Errorf("recover: rebuilding Dist: %w", err)
+	}
+	return &Rebuilt{Dist: d, Partition: pt, Profile: pr, Donor: -1}, nil
 }
 
 // Shrink rebuilds the distributed operator on the survivors of dead:
-// remap the dead PE's elements (ShrinkPartition), re-analyze the
-// communication structure for p−1 PEs, re-derive the maximal-block
-// schedule from the new message matrix, and construct a fresh Dist.
+// remap the dead PE's elements (ShrinkPartition), then rebuild at p−1.
 // The poisoned Dist is untouched — the caller closes it once the
 // checkpointed state has been scattered onto the replacement.
 func Shrink(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, dead int) (*Rebuilt, error) {
@@ -201,21 +209,11 @@ func Shrink(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, dead int
 		sp.End()
 		return nil, err
 	}
-	pr, err := partition.Analyze(m, spt)
+	reb, err := rebuild(m, mat, spt)
 	if err != nil {
 		sp.End()
-		return nil, fmt.Errorf("recover: re-analyzing shrunk partition: %w", err)
-	}
-	sched, err := comm.FromMatrix(pr.Msg)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("recover: rebuilding schedule: %w", err)
-	}
-	d, err := par.NewDist(m, mat, spt, pr)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("recover: rebuilding Dist: %w", err)
+		return nil, err
 	}
 	sp.EndWith(map[string]any{"dead_pe": dead, "survivors": spt.P})
-	return &Rebuilt{Dist: d, Partition: spt, Profile: pr, Schedule: sched, DeadPE: dead, RevivedPE: -1, Donor: -1}, nil
+	return reb, nil
 }

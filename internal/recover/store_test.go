@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -209,61 +208,6 @@ func TestRecyclingSaveCrashPoints(t *testing.T) {
 				t.Fatalf("%d of %d snapshots decode after the next Save", n, len(names))
 			}
 		})
-	}
-}
-
-// TestSaveRacesPrune: an explicit Prune running against the writer's
-// Saves never unlinks the temp file a Save is in the middle of — no
-// snapshot is lost and no write fails. (The parent's Prune swept every
-// *.tmp it listed; run under -race -count=20.)
-func TestSaveRacesPrune(t *testing.T) {
-	prevObs := obs.Enabled()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prevObs) })
-
-	for _, keep := range []int{0, 3} {
-		s, err := NewStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Keep = keep
-		const saves = 60
-		errs0, writes0 := ckptErrors.Value(), ckptWrites.Value()
-		w := startCkptWriter(s)
-		stop := make(chan struct{})
-		var pruner sync.WaitGroup
-		pruner.Add(1)
-		go func() {
-			defer pruner.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					if _, err := s.Prune(2); err != nil {
-						t.Errorf("Prune: %v", err)
-						return
-					}
-				}
-			}
-		}()
-		ck := sampleCheckpoint()
-		for i := 1; i <= saves; i++ {
-			ck.Iter = int64(i)
-			w.put(*ck)
-		}
-		w.drain()
-		close(stop)
-		pruner.Wait()
-		if d := ckptErrors.Value() - errs0; d != 0 {
-			t.Fatalf("keep %d: recover.checkpoint.errors advanced by %d", keep, d)
-		}
-		if d := ckptWrites.Value() - writes0; d != saves {
-			t.Fatalf("keep %d: %d of %d snapshots written", keep, d, saves)
-		}
-		if got, _, err := s.Latest(); err != nil || got.Iter != saves {
-			t.Fatalf("keep %d: Latest = %v, %v; want iteration %d", keep, got, err, saves)
-		}
 	}
 }
 

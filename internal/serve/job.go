@@ -85,36 +85,35 @@ const maxJobEvents = 4096
 
 // Job is one accepted solve tracked through its whole life: admission,
 // execution, worker migrations, durable checkpoints, and the terminal
-// result. All fields behind mu; the identity fields before it are
-// immutable after creation.
+// result. Its record is one JobStatus — what GET /v1/jobs/{id} shows is
+// the state itself — converted to and from the journal by
+// acceptRecord/stateRecord and apply, and by nothing else.
 type Job struct {
-	id       string
-	idem     string
 	req      *SolveRequest
-	key      Key
 	cacheHit bool
-	accepted time.Time
+	done     chan struct{} // closed on reaching a terminal state
 
-	mu         sync.Mutex
-	state      JobState
-	attempts   int
-	migrations int
-	ckptIter   int
-	result     *SolveResult
-	errMsg     string
-	err        error
-	finished   time.Time
-	replayed   bool
-	events     []event
-	nextSeq    int64
+	// st's ID, Key, IdempotencyKey and AcceptedAt are set before the job
+	// is shared and never change, so they are read without mu; the rest
+	// of st and the fields below it are behind mu.
+	mu      sync.Mutex
+	st      JobStatus
+	err     error // st.Error as in-process callers get it
+	events  []event
+	nextSeq int64
 	// termEmitted marks that the terminal result/error event is in the
 	// buffer, so a stream can end only after delivering it.
 	termEmitted bool
-	done        chan struct{}
 
 	// resume is the newest durable checkpoint, loaded at replay for the
 	// run to restart from; nil for a job this process accepted.
 	resume *rec.Checkpoint
+}
+
+// newJob builds a queued job around its request; the identity comes from
+// the caller (create) or from the journaled accept record (apply).
+func newJob(req *SolveRequest, key Key, hit bool) *Job {
+	return &Job{req: req, cacheHit: hit, done: make(chan struct{}), st: JobStatus{State: JobQueued, Key: key}}
 }
 
 // JobStatus is a job's point-in-time public state (GET /v1/jobs/{id}).
@@ -158,25 +157,63 @@ func newJobID() string {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:             j.id,
-		State:          j.state,
-		Key:            j.key,
-		IdempotencyKey: j.idem,
-		AcceptedAt:     j.accepted,
-		Attempts:       j.attempts,
-		Migrations:     j.migrations,
-		CheckpointIter: j.ckptIter,
-		NextEvent:      j.nextSeq + 1,
-		Replayed:       j.replayed,
-		Result:         j.result,
-		Error:          j.errMsg,
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
+	st := j.st
+	st.NextEvent = j.nextSeq + 1
 	return st
+}
+
+// acceptRecord is the journal record that creates the job.
+func (j *Job) acceptRecord() *jobRecord {
+	return &jobRecord{Op: "accept", ID: j.st.ID, Time: j.st.AcceptedAt, Idem: j.st.IdempotencyKey, Req: j.req}
+}
+
+// stateRecord is the journal record of where the job stands now. A
+// terminal record carries the finish time, so the job reads the same
+// after any number of restarts and compactions.
+func (j *Job) stateRecord() *jobRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r := &jobRecord{
+		Op:         "state",
+		ID:         j.st.ID,
+		Time:       time.Now(),
+		State:      j.st.State,
+		Attempts:   j.st.Attempts,
+		Migrations: j.st.Migrations,
+		CkptIter:   j.st.CheckpointIter,
+		Replayed:   j.st.Replayed,
+		Result:     j.st.Result,
+		Error:      j.st.Error,
+	}
+	if j.st.Finished != nil {
+		r.Time = *j.st.Finished
+	}
+	return r
+}
+
+// apply is the inverse of the two above: it folds one journal record
+// into a job no other goroutine can see yet. Records of one job apply in
+// file order; the last state wins.
+func (j *Job) apply(r *jobRecord) {
+	if r.Op == "accept" {
+		j.st.ID, j.st.AcceptedAt, j.st.IdempotencyKey = r.ID, r.Time, r.Idem
+		return
+	}
+	j.st.State = r.State
+	j.st.Attempts = r.Attempts
+	j.st.Migrations = r.Migrations
+	j.st.CheckpointIter = r.CkptIter
+	j.st.Replayed = r.Replayed
+	j.st.Result = r.Result
+	j.st.Error = r.Error
+	if r.Error != "" {
+		j.err = errors.New(r.Error)
+	}
+	if !r.Time.IsZero() && r.State.terminal() {
+		finished := r.Time
+		j.st.Finished = &finished
+		close(j.done)
+	}
 }
 
 // emit appends one event to the job's buffer, assigning its sequence
@@ -186,7 +223,7 @@ func (j *Job) emit(ev event) {
 	j.mu.Lock()
 	j.nextSeq++
 	ev.Seq = j.nextSeq
-	ev.JobID = j.id
+	ev.JobID = j.st.ID
 	j.events = append(j.events, ev)
 	if ev.Event == "result" || ev.Event == "error" {
 		j.termEmitted = true
@@ -204,7 +241,7 @@ func (j *Job) eventsFrom(from int64) ([]event, bool) {
 	defer j.mu.Unlock()
 	i := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq >= from })
 	out := append([]event(nil), j.events[i:]...)
-	return out, j.state.terminal() && j.termEmitted
+	return out, j.st.State.terminal() && j.termEmitted
 }
 
 // await blocks until the job reaches a terminal state.
@@ -212,25 +249,23 @@ func (j *Job) await(ctx context.Context, closing <-chan struct{}) (*SolveResult,
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: %w awaiting job %s: %w", ErrCanceled, j.id, ctx.Err())
+		return nil, fmt.Errorf("serve: %w awaiting job %s: %w", ErrCanceled, j.st.ID, ctx.Err())
 	case <-closing:
-		return nil, fmt.Errorf("serve: %w while awaiting job %s", ErrClosed, j.id)
+		return nil, fmt.Errorf("serve: %w while awaiting job %s", ErrClosed, j.st.ID)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result, j.err
+	return j.st.Result, j.err
 }
 
 // jobManager owns the job table and its journal. A manager without a
 // journal dir is fully functional but volatile — jobs die with the
 // process, exactly the pre-journal behavior.
 type jobManager struct {
-	eng        *Engine
 	dir        string // journal dir; "" = volatile
 	jl         *journal
 	retain     int
 	journalMax int64
-	ckptBudget int64
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -243,13 +278,11 @@ type jobManager struct {
 // process died come back queued with Replayed set — the engine
 // re-admits them; terminal jobs are retained for idempotent
 // re-submission until evicted.
-func newJobManager(e *Engine, cfg Config) (*jobManager, []*Job, error) {
+func newJobManager(cfg Config) (*jobManager, []*Job, error) {
 	m := &jobManager{
-		eng:        e,
 		dir:        cfg.JournalDir,
 		retain:     cfg.RetainJobs,
 		journalMax: cfg.JournalMaxBytes,
-		ckptBudget: cfg.CheckpointBudgetBytes,
 		jobs:       make(map[string]*Job),
 		byIdem:     make(map[string]*Job),
 	}
@@ -262,64 +295,42 @@ func newJobManager(e *Engine, cfg Config) (*jobManager, []*Job, error) {
 	}
 	m.jl = jl
 	for _, r := range recs {
-		switch r.Op {
-		case "accept":
-			if _, ok := m.jobs[r.ID]; ok {
-				continue
-			}
-			j := &Job{
-				id:       r.ID,
-				idem:     r.Idem,
-				req:      r.Req,
-				accepted: r.Time,
-				state:    JobQueued,
-				done:     make(chan struct{}),
-			}
-			j.key, _ = r.Req.key(cfg) // a tuple the limits now refuse stays unkeyed; admit fails it
-			m.jobs[r.ID] = j
-			m.order = append(m.order, r.ID)
-			if r.Idem != "" {
-				m.byIdem[r.Idem] = j
-			}
-		case "state":
-			j, ok := m.jobs[r.ID]
-			if !ok {
-				continue
-			}
-			j.state = r.State
-			j.attempts = r.Attempts
-			j.migrations = r.Migrations
-			j.ckptIter = r.CkptIter
-			j.result = r.Result
-			j.errMsg = r.Error
-			if r.Error != "" {
-				j.err = errors.New(r.Error)
-			}
-			if !r.Time.IsZero() && r.State.terminal() {
-				j.finished = r.Time
-				close(j.done)
-			}
+		j, known := m.jobs[r.ID]
+		switch {
+		case r.Op == "accept" && !known:
+			key, _ := r.Req.key(cfg) // a tuple the limits now refuse stays unkeyed; admit fails it
+			j = newJob(r.Req, key, false)
+			j.apply(r)
+			m.register(j)
+		case r.Op == "state" && known:
+			j.apply(r)
 		}
 	}
 	var replay []*Job
 	for _, id := range m.order {
-		j := m.jobs[id]
-		if j.state.terminal() {
-			continue
-		}
 		// Accepted but unfinished: back to the queue, marked as a
 		// replay; the engine re-admits it through the one intake.
-		j.state = JobQueued
-		j.replayed = true
-		replay = append(replay, j)
+		if j := m.jobs[id]; !j.st.State.terminal() {
+			j.st.State = JobQueued
+			j.st.Replayed = true
+			replay = append(replay, j)
+		}
 	}
-	// Startup housekeeping: rewrite the journal down to the live set,
-	// drop checkpoint dirs that belong to no surviving unfinished job,
-	// and enforce the disk budget on what remains.
+	// Startup housekeeping: rewrite the journal down to the live set and
+	// drop checkpoint dirs that belong to no surviving unfinished job.
 	m.compact()
 	m.gcOrphans()
-	m.sweepBudget()
 	return m, replay, nil
+}
+
+// register enters a job into the table. Caller holds m.mu or is the
+// only goroutine there is (startup).
+func (m *jobManager) register(j *Job) {
+	m.jobs[j.st.ID] = j
+	m.order = append(m.order, j.st.ID)
+	if j.st.IdempotencyKey != "" {
+		m.byIdem[j.st.IdempotencyKey] = j
+	}
 }
 
 func (m *jobManager) durable() bool { return m.jl != nil }
@@ -338,26 +349,14 @@ func (m *jobManager) create(req *SolveRequest, a *artifact, hit bool) (j, dup *J
 			return nil, prev
 		}
 	}
-	j = &Job{
-		id:       newJobID(),
-		idem:     req.IdempotencyKey,
-		req:      req,
-		key:      a.key,
-		cacheHit: hit,
-		accepted: time.Now(),
-		state:    JobQueued,
-		done:     make(chan struct{}),
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	if j.idem != "" {
-		m.byIdem[j.idem] = j
-	}
+	j = newJob(req, a.key, hit)
+	j.st.ID, j.st.AcceptedAt, j.st.IdempotencyKey = newJobID(), time.Now(), req.IdempotencyKey
+	m.register(j)
 	m.evictLocked()
 	m.mu.Unlock()
 
 	jobAccepted.Add(1)
-	m.jl.append(&jobRecord{Op: "accept", ID: j.id, Time: j.accepted, Idem: j.idem, Req: req})
+	m.jl.append(j.acceptRecord())
 	fp := a.fp
 	j.emit(event{Event: "accepted", CacheHit: &hit, Fingerprints: &fp})
 	return j, nil
@@ -402,12 +401,12 @@ func (m *jobManager) statuses() []JobStatus {
 	return out
 }
 
-// terminalNow reads the job's terminal-ness under its own lock:
-// j.state belongs to j.mu, not to the manager's map lock.
+// terminalNow reads the job's terminal-ness under its own lock: the
+// state belongs to j.mu, not to the manager's map lock.
 func (j *Job) terminalNow() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.terminal()
+	return j.st.State.terminal()
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention
@@ -426,9 +425,9 @@ func (m *jobManager) evictLocked() {
 			i++
 			continue
 		}
-		delete(m.jobs, j.id)
-		if j.idem != "" && m.byIdem[j.idem] == j {
-			delete(m.byIdem, j.idem)
+		delete(m.jobs, j.st.ID)
+		if idem := j.st.IdempotencyKey; idem != "" && m.byIdem[idem] == j {
+			delete(m.byIdem, idem)
 		}
 		m.order = append(m.order[:i], m.order[i+1:]...)
 		terminal--
@@ -447,26 +446,6 @@ func (m *jobManager) logState(j *Job) {
 	}
 }
 
-func (j *Job) stateRecord() *jobRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	r := &jobRecord{
-		Op:         "state",
-		ID:         j.id,
-		Time:       time.Now(),
-		State:      j.state,
-		Attempts:   j.attempts,
-		Migrations: j.migrations,
-		CkptIter:   j.ckptIter,
-		Replayed:   j.replayed,
-		Error:      j.errMsg,
-	}
-	if j.state.terminal() {
-		r.Result = j.result
-	}
-	return r
-}
-
 // compact rewrites the journal to exactly the live job set: one accept
 // and one current-state record per tracked job.
 func (m *jobManager) compact() {
@@ -476,8 +455,7 @@ func (m *jobManager) compact() {
 	jobs := m.tracked()
 	recs := make([]*jobRecord, 0, 2*len(jobs))
 	for _, j := range jobs {
-		recs = append(recs, &jobRecord{Op: "accept", ID: j.id, Time: j.accepted, Idem: j.idem, Req: j.req})
-		recs = append(recs, j.stateRecord())
+		recs = append(recs, j.acceptRecord(), j.stateRecord())
 	}
 	m.jl.compact(recs)
 }
@@ -486,9 +464,9 @@ func (m *jobManager) compact() {
 // dispatch count, this one included.
 func (m *jobManager) setRunning(j *Job) int {
 	j.mu.Lock()
-	j.state = JobRunning
-	j.attempts++
-	attempts := j.attempts
+	j.st.State = JobRunning
+	j.st.Attempts++
+	attempts := j.st.Attempts
 	j.mu.Unlock()
 	m.logState(j)
 	return attempts
@@ -498,8 +476,8 @@ func (m *jobManager) setRunning(j *Job) int {
 // running, on a different worker, resuming from resumeIter.
 func (m *jobManager) migrated(j *Job, deadPE int, resumeIter int) {
 	j.mu.Lock()
-	j.migrations++
-	j.attempts++
+	j.st.Migrations++
+	j.st.Attempts++
 	j.mu.Unlock()
 	jobMigrations.Add(1)
 	jobItersSaved.Add(int64(resumeIter))
@@ -524,18 +502,21 @@ func (m *jobManager) finish(j *Job, state JobState, res *SolveResult, err error)
 	if err != nil {
 		ev.Event, ev.Error = "error", err.Error()
 	}
+	now := time.Now()
 	j.mu.Lock()
-	j.state = state
-	j.result = res
+	j.st.State = state
+	j.st.Result = res
+	j.st.Error = ev.Error
+	j.st.Finished = &now
 	j.err = err
-	j.errMsg = ev.Error
-	j.finished = time.Now()
 	close(j.done)
 	j.mu.Unlock()
 	jobOutcomes[state].Add(1)
 	m.logState(j)
 	j.emit(ev)
-	m.gcJob(j)
+	// The journal carries the result; the snapshots have nothing left to
+	// resume.
+	m.removeCkpts(j.st.ID)
 }
 
 // requeue parks an interrupted durable job for the next process: state
@@ -544,125 +525,35 @@ func (m *jobManager) finish(j *Job, state JobState, res *SolveResult, err error)
 // this process.
 func (m *jobManager) requeue(j *Job) {
 	j.mu.Lock()
-	j.state = JobQueued
+	j.st.State = JobQueued
 	j.mu.Unlock()
 	jobRequeued.Add(1)
 	m.logState(j)
 }
 
-// gcJob deletes a terminal job's checkpoint directory — the journal
-// carries its result; the snapshots have nothing left to resume.
-func (m *jobManager) gcJob(j *Job) {
+// store opens a job's checkpoint directory, held to the per-job window
+// — the one place a Store on it is made, for the run that writes it and
+// the replay that reads it. nil when the engine is volatile or the
+// directory cannot be had; the solve then runs without durable snapshots.
+func (m *jobManager) store(id string) *rec.Store {
 	if m.dir == "" {
-		return
+		return nil
 	}
-	m.removeCkptDir(m.ckptDir(j.id))
-	m.sweepBudget()
-}
-
-func (m *jobManager) removeCkptDir(dir string) {
-	n := 0
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() {
-				n++
-			}
-		}
-	}
-	if err := os.RemoveAll(dir); err == nil && n > 0 {
-		jobGCPruned.Add(int64(n))
-	}
-}
-
-// gcOrphans removes checkpoint directories owned by no live unfinished
-// job — terminal jobs' leftovers and dirs from jobs the journal no
-// longer tracks.
-func (m *jobManager) gcOrphans() {
-	if m.dir == "" {
-		return
-	}
-	root := filepath.Join(m.dir, "ckpt")
-	entries, err := os.ReadDir(root)
+	s, err := rec.NewStore(m.ckptDir(id))
 	if err != nil {
-		return
+		jobJournalErrors.Add(1)
+		return nil
 	}
-	m.mu.Lock()
-	live := make(map[string]bool, len(m.jobs))
-	for id, j := range m.jobs {
-		if !j.terminalNow() {
-			live[id] = true
-		}
-	}
-	m.mu.Unlock()
-	for _, e := range entries {
-		if e.IsDir() && !live[e.Name()] {
-			m.removeCkptDir(filepath.Join(root, e.Name()))
-		}
-	}
-}
-
-// sweepBudget enforces the checkpoint disk budget: when the ckpt tree
-// exceeds it, whole job directories are pruned oldest-first (by the
-// owning job's acceptance time; unknown dirs count as oldest), never
-// touching jobs still queued or running.
-func (m *jobManager) sweepBudget() {
-	if m.dir == "" || m.ckptBudget <= 0 {
-		return
-	}
-	root := filepath.Join(m.dir, "ckpt")
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return
-	}
-	type cdir struct {
-		path     string
-		size     int64
-		accepted time.Time
-		live     bool
-	}
-	var dirs []cdir
-	var total int64
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		d := cdir{path: filepath.Join(root, e.Name())}
-		if st, err := rec.NewStore(d.path); err == nil {
-			d.size, _ = st.SizeBytes() // an unreadable dir weighs nothing
-		}
-		if j, ok := m.lookup(e.Name()); ok {
-			st := j.Status()
-			d.accepted = st.AcceptedAt
-			d.live = !st.State.terminal()
-		}
-		total += d.size
-		dirs = append(dirs, d)
-	}
-	if total <= m.ckptBudget {
-		return
-	}
-	sort.Slice(dirs, func(a, b int) bool { return dirs[a].accepted.Before(dirs[b].accepted) })
-	for _, d := range dirs {
-		if total <= m.ckptBudget {
-			break
-		}
-		if d.live {
-			continue
-		}
-		m.removeCkptDir(d.path)
-		total -= d.size
-	}
+	s.Keep = jobKeepCkpts
+	return s
 }
 
 // loadResume reads a job's newest durable checkpoint, refusing one
 // written against a different mesh. It returns nil when there is nothing
 // (or nothing valid) to resume from.
 func (m *jobManager) loadResume(id string, meshID uint64) *rec.Checkpoint {
-	if m.dir == "" {
-		return nil
-	}
-	store, err := rec.NewStore(m.ckptDir(id))
-	if err != nil {
+	store := m.store(id)
+	if store == nil {
 		return nil
 	}
 	ck, _, err := store.Latest()
@@ -670,6 +561,36 @@ func (m *jobManager) loadResume(id string, meshID uint64) *rec.Checkpoint {
 		return nil
 	}
 	return ck
+}
+
+// removeCkpts deletes a job's checkpoint directory, counting the files
+// that went under serve.job.gc.pruned. Between them its two callers keep
+// ckpt/ to the directories of unfinished jobs: finish removes a job's
+// own, and startup removes what a dead process left (gcOrphans).
+func (m *jobManager) removeCkpts(id string) {
+	if m.dir == "" {
+		return
+	}
+	dir := m.ckptDir(id)
+	entries, _ := os.ReadDir(dir) // already gone: nothing to count
+	if os.RemoveAll(dir) == nil {
+		jobGCPruned.Add(int64(len(entries)))
+	}
+}
+
+// gcOrphans removes checkpoint directories owned by no unfinished job —
+// terminal jobs' leftovers and dirs of jobs the journal no longer
+// tracks. It is the one listing of ckpt/ and runs once, at startup.
+func (m *jobManager) gcOrphans() {
+	entries, err := os.ReadDir(filepath.Join(m.dir, "ckpt"))
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if j, ok := m.lookup(e.Name()); e.IsDir() && (!ok || j.terminalNow()) {
+			m.removeCkpts(e.Name())
+		}
+	}
 }
 
 // close runs the final compaction and closes the journal. Called after
@@ -751,19 +672,6 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 		shift = 20
 	}
 
-	// The per-job durable checkpoint store: the supervisor lands every
-	// in-flight snapshot here (the store holds itself to a bounded tail),
-	// so a process restart resumes instead of recomputing.
-	var store *rec.Store
-	if e.jobs.durable() {
-		if store, err = rec.NewStore(e.jobs.ckptDir(j.id)); err != nil {
-			store = nil
-			jobJournalErrors.Add(1)
-		} else {
-			store.Keep = jobKeepCkpts
-		}
-	}
-
 	b := rhsFor(req.RHSSeed, n)
 	x := make([]float64, n)
 	normB := norm2(b)
@@ -778,7 +686,7 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 					time.Sleep(d)
 				}
 				j.mu.Lock()
-				j.ckptIter = st.Iter // where a migration or a restart resumes
+				j.st.CheckpointIter = st.Iter // where a migration or a restart resumes
 				j.mu.Unlock()
 				rel := norm2(st.R)
 				if normB > 0 {
@@ -787,7 +695,9 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 				j.emit(event{Event: "progress", Iter: st.Iter, Residual: rel})
 			},
 		},
-		Store:  store,
+		// The supervisor lands every in-flight snapshot in the job's
+		// store, so a process restart resumes instead of recomputing.
+		Store:  e.jobs.store(j.st.ID),
 		MeshID: a.meshID,
 		Stop:   func() bool { return ctx.Err() != nil || e.closingNow() },
 	}
@@ -836,11 +746,14 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 		Shift: shift, MassNode: a.massNode, NodeOf: a.nodeOf,
 	}, b, x, cfg)
 
+	j.mu.Lock()
+	migrations := j.st.Migrations // this run's and, for a replayed job, the journaled ones
+	j.mu.Unlock()
 	res = &SolveResult{
-		JobID: j.id, CacheHit: j.cacheHit, Fingerprints: a.fp,
+		JobID: j.st.ID, CacheHit: j.cacheHit, Fingerprints: a.fp,
 		Width:   out.Part.P,
 		Shrinks: out.Shrinks, Grows: out.Grows, DeadPEs: out.DeadPEs, RevivedPEs: out.RevivedPEs,
-		Migrations: out.Migrations + j.Status().Migrations,
+		Migrations: out.Migrations + migrations,
 		WallMS:     float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if sr := out.Result; sr != nil {

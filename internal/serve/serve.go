@@ -100,11 +100,6 @@ type Config struct {
 	// JournalMaxBytes triggers journal compaction once the WAL
 	// outgrows it (default 4 MiB).
 	JournalMaxBytes int64
-	// CheckpointBudgetBytes is the disk budget for retained job
-	// checkpoints; beyond it whole job checkpoint directories are
-	// pruned oldest-first, never touching unfinished jobs (default
-	// 64 MiB).
-	CheckpointBudgetBytes int64
 	// MaxAttempts bounds worker dispatches per job, counting the
 	// initial one — so MaxAttempts−1 is the migration budget a job has
 	// for workers dying under it (default 3).
@@ -153,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalMaxBytes <= 0 {
 		c.JournalMaxBytes = 4 << 20
-	}
-	if c.CheckpointBudgetBytes == 0 {
-		c.CheckpointBudgetBytes = 64 << 20
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -219,7 +211,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		closing:  make(chan struct{}),
 		sessions: make(map[string]*Session),
 	}
-	jobs, replay, err := newJobManager(e, cfg)
+	jobs, replay, err := newJobManager(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -392,10 +384,10 @@ func (e *Engine) replayJob(j *Job) {
 		return // engine closing again; the job stays queued in the journal
 	}
 	if err != nil {
-		e.jobs.finish(j, JobFailed, nil, fmt.Errorf("serve: replayed job %s: %w", j.id, err))
+		e.jobs.finish(j, JobFailed, nil, fmt.Errorf("serve: replayed job %s: %w", j.st.ID, err))
 		return
 	}
-	if j.resume = e.jobs.loadResume(j.id, aj.art.meshID); j.resume != nil {
+	if j.resume = e.jobs.loadResume(j.st.ID, aj.art.meshID); j.resume != nil {
 		jobItersSaved.Add(j.resume.Iter)
 	}
 	jobReplays.Add(1)
