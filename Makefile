@@ -69,9 +69,9 @@ bench-json:
 	$(GO) run ./cmd/benchjson -in bench_output.txt -out BENCH_$(BENCH_DATE).json
 	@echo "wrote BENCH_$(BENCH_DATE).json"
 
-# Executes each distributed-kernel benchmark, each setup-stage benchmark
+# Executes the distributed-kernel benchmark, each setup-stage benchmark
 # and each durable-path benchmark once (no timing fidelity): a fast gate
-# that the parallel SMVP entry points, the seven cold-build stages (Setup:
+# that the parallel SMVP entry point, the seven cold-build stages (Setup:
 # partition ×2, analyze, schedule, lumped_mass, assemble, newdist) and the
 # six terms of the durable path (the journal's lives in internal/serve)
 # still run, and that the fault-injection hooks stay allocation-free on
@@ -82,7 +82,7 @@ bench-json:
 # and fails if fusion has stopped paying for itself (`benchjson -guard`,
 # 10% slack for timer noise).
 bench-smoke:
-	$(GO) test -run='^$$' -bench='ParallelSMVP|OverlappedSMVP|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
+	$(GO) test -run='^$$' -bench='ParallelSMVP|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
 	$(GO) test -run='^$$' -bench='KernelGuard' -benchtime=50x . | $(GO) run ./cmd/benchjson -guard
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): every
@@ -95,6 +95,8 @@ e2e:
 # against the working tree on workload W, recorded under results/e2e/ and
 # ended with `bench -compare` and the per-metric pair table:
 #   make e2e-pairs BASE=HEAD~1 N=10 W=warm_large [SEED=2]
+# The raw run sets (results/e2e/<rev>[+change].seed<n>.json) are kept for
+# one PR; the .pairs.tsv tables and the traced runs stay for good.
 N ?= 10
 SEED ?= 1
 e2e-pairs:
@@ -155,5 +157,7 @@ examples:
 	$(GO) run ./examples/partitionstudy
 	$(GO) run ./examples/implicit
 
+# Removes only what the targets above generate untracked: results/ and
+# the BENCH_*.json snapshots are committed.
 clean:
-	rm -rf results bench_output.txt test_output.txt coverage.out
+	rm -rf bench_output.txt test_output.txt coverage.out bench/out soak-ck *.trace.json

@@ -237,7 +237,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Error("no torus comm time")
 	}
 
-	// Spark suite and overlapped kernel.
+	// Spark suite.
 	suite, err := quake.NewSparkSuite(sys.K)
 	if err != nil {
 		t.Fatal(err)
@@ -254,9 +254,6 @@ func TestFacadeExtensions(t *testing.T) {
 		if math.Abs(y1[i]-y2[i]) > 1e-9*(1+math.Abs(y1[i])) {
 			t.Fatal("spark kernels disagree via facade")
 		}
-	}
-	if _, err := dist.SMVPOverlapped(y2, x); err != nil {
-		t.Fatal(err)
 	}
 
 	// Distributed CG through the facade.

@@ -64,7 +64,8 @@ func BenchmarkSpark98Kernels(b *testing.B) {
 
 // BenchmarkAblationOverlap quantifies the paper's footnote 1: the
 // upper-bound speedup from overlapping interior computation with the
-// exchange, per PE count on the T3E, plus the real overlapped runtime.
+// exchange, per PE count on the T3E. Modeled only: the measured kernel
+// was removed as a closed negative result (docs/PERFORMANCE.md).
 func BenchmarkAblationOverlap(b *testing.B) {
 	s := quake.SF5
 	m, err := s.Mesh()
@@ -108,50 +109,6 @@ func BenchmarkAblationOverlap(b *testing.B) {
 		saveTable(b, "ablation_overlap", tab)
 	}
 	b.ReportMetric(maxSpeedup, "maxSpeedup")
-}
-
-// BenchmarkOverlappedSMVP times the real overlapped distributed kernel
-// against the phase-separated one on goroutine PEs.
-func BenchmarkOverlappedSMVP(b *testing.B) {
-	m, err := quake.SF5.Mesh()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mat := quake.SanFernando()
-	pt, err := partition.PartitionMesh(m, 8, partition.RCB, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pr, err := partition.Analyze(m, pt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dist, err := quake.NewDist(m, mat, pt, pr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dist.Close()
-	x := make([]float64, 3*m.NumNodes())
-	y := make([]float64, 3*m.NumNodes())
-	for i := range x {
-		x[i] = float64(i%5) * 0.2
-	}
-	b.Run("phased", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := dist.SMVP(y, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("overlapped", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := dist.SMVPOverlapped(y, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // applyOnly hides everything of an operator but Apply, so CG drives it

@@ -222,13 +222,12 @@ func run(scenarioList, outDir, format, tracePath, metricsPath string, pes int, h
 	return nil
 }
 
-// measuredReps is how many barrier-variant SMVPs the measured pass
-// executes; one overlapped-variant SMVP follows them.
+// measuredReps is how many SMVPs the measured pass executes.
 const measuredReps = 3
 
-// measuredPass executes a few distributed SMVPs (barrier and overlapped
-// variants) on goroutine PEs and prints the observed exchange volume
-// against the partition profile's analytic C accounting.
+// measuredPass executes a few distributed SMVPs on goroutine PEs and
+// prints the observed exchange volume against the partition profile's
+// analytic C accounting.
 func measuredPass(s quake.Scenario, pes int) error {
 	m, err := s.Mesh()
 	if err != nil {
@@ -253,14 +252,10 @@ func measuredPass(s quake.Scenario, pes int) error {
 	}
 	y := make([]float64, len(x))
 	before := obs.Default.Snapshot()
-	const reps = measuredReps
-	for i := 0; i < reps; i++ {
+	for i := 0; i < measuredReps; i++ {
 		if _, err := dist.SMVP(y, x); err != nil {
 			return err
 		}
-	}
-	if _, err := dist.SMVPOverlapped(y, x); err != nil {
-		return err
 	}
 	after := obs.Default.Snapshot()
 
@@ -268,7 +263,7 @@ func measuredPass(s quake.Scenario, pes int) error {
 	var observedMax, analyticMax int64
 	for i := 0; i < pes; i++ {
 		name := fmt.Sprintf("par.exchange.bytes.pe%d", i)
-		observed := (after.Counters[name] - before.Counters[name]) / (reps + 1)
+		observed := (after.Counters[name] - before.Counters[name]) / measuredReps
 		if observed > observedMax {
 			observedMax = observed
 		}

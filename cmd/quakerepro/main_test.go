@@ -97,13 +97,12 @@ func TestRunTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The measured pass runs measuredReps barrier SMVPs plus one
-	// overlapped SMVP; each moves 8·C[i] bytes through PE i.
-	const invocations = measuredReps + 1
+	// The measured pass runs measuredReps SMVPs; each moves 8·C[i] bytes
+	// through PE i.
 	for i := 0; i < pes; i++ {
 		name := fmt.Sprintf("par.exchange.bytes.pe%d", i)
 		delta := snap.Counters[name] - before.Counters[name]
-		want := invocations * 8 * pr.C[i]
+		want := measuredReps * 8 * pr.C[i]
 		if delta != want {
 			t.Errorf("%s: observed %d bytes, analytic %d", name, delta, want)
 		}

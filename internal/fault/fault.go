@@ -36,7 +36,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -361,11 +360,4 @@ func checkEvent(e *Event) error {
 		return fmt.Errorf("fault: %s: does not take a destination PE", e.Kind)
 	}
 	return nil
-}
-
-// Kinds returns the sorted names of all event kinds (for usage text).
-func Kinds() []string {
-	out := append([]string(nil), kindNames[:]...)
-	sort.Strings(out)
-	return out
 }

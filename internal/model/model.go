@@ -146,14 +146,6 @@ func BisectionBandwidth(bisectionWords, cmax int64, tc float64) float64 {
 	return float64(bisectionWords) * BytesPerWord / (float64(cmax) * tc)
 }
 
-// SolveEfficiency returns the efficiency at which the application runs
-// on a machine, i.e. Efficiency, but also reports the communication
-// fraction 1-E for convenience.
-func SolveEfficiency(app AppProperties, Tf, Tl, Tw float64) (E, commFraction float64) {
-	E = Efficiency(app, Tf, Tl, Tw)
-	return E, 1 - E
-}
-
 // LogP maps the paper's parameters onto the LogP model for comparison
 // (Section 3.3 discusses the correspondence): o ≈ T_l (per-block
 // overhead), g ≈ M_avg·T_w (gap per message at average size), L is the

@@ -252,11 +252,3 @@ func (tr *Tracer) PhaseStats() []PhaseStat {
 	})
 	return out
 }
-
-// NumEvents returns the number of recorded events (excluding the
-// metadata events WriteJSON prepends).
-func (tr *Tracer) NumEvents() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.events)
-}

@@ -169,8 +169,8 @@ func (o Operator) TrueResidual() (float64, error) {
 }
 
 // Iterate implements the solver's backend: one dispatch, up to n
-// iterations, two barrier crossings each (three under a two-level
-// exchange plan).
+// iterations, two barrier crossings each (three under an exchange plan
+// whose leaders gather).
 func (o Operator) Iterate(rho float64, n int, stop func(pap, rn2, rho float64) bool) (its int, pap, rn2, rhoNew float64, err error) {
 	rt := o.D.rt
 	c := &rt.cg
@@ -295,7 +295,7 @@ func (rt *peRuntime) residual(pe int) {
 	}
 	y := ws.y
 	rt.compute(pe, y, v.x, false)
-	if !rt.exchange(pe, y, rt.agg) {
+	if !rt.exchange(pe, y) {
 		return
 	}
 	var rn2, rho float64
@@ -356,7 +356,7 @@ func (rt *peRuntime) iterate(pe int) {
 			pap += v.own[l] * f * (p0*p0 + p1*p1 + p2*p2)
 		}
 		slots[slotPAP] = pap
-		if !rt.exchange(pe, y, rt.agg) {
+		if !rt.exchange(pe, y) {
 			return
 		}
 		pap = rt.sum(slotPAP)

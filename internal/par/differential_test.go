@@ -137,9 +137,8 @@ func newDistRef(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *
 		}
 	}
 
-	// Boundary/interior row split for the overlapped kernel.
+	// Boundary rows: the local nodes that appear in some exchange list.
 	d.Boundary = make([][]int32, p)
-	d.Interior = make([][]int32, p)
 	for i := 0; i < p; i++ {
 		isBoundary := make([]bool, len(d.Nodes[i]))
 		for _, locals := range d.Shared[i] {
@@ -150,8 +149,6 @@ func newDistRef(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *
 		for l := range d.Nodes[i] {
 			if isBoundary[l] {
 				d.Boundary[i] = append(d.Boundary[i], int32(l))
-			} else {
-				d.Interior[i] = append(d.Interior[i], int32(l))
 			}
 		}
 	}
@@ -187,8 +184,8 @@ func sameDist(t *testing.T, what string, got, want *Dist) {
 		if !slices.EqualFunc(got.Shared[i], want.Shared[i], slices.Equal[[]int32]) {
 			t.Fatalf("%s: Shared[%d] differs", what, i)
 		}
-		if !slices.Equal(got.Boundary[i], want.Boundary[i]) || !slices.Equal(got.Interior[i], want.Interior[i]) {
-			t.Fatalf("%s: boundary/interior split of PE %d differs", what, i)
+		if !slices.Equal(got.Boundary[i], want.Boundary[i]) {
+			t.Fatalf("%s: boundary rows of PE %d differ", what, i)
 		}
 	}
 }

@@ -72,9 +72,6 @@ func TestPanicContainmentPhased(t *testing.T) {
 	if _, err := d.SMVP(y, x); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("SMVP after poison: %v", err)
 	}
-	if _, err := d.SMVPOverlapped(y, x); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("SMVPOverlapped after poison: %v", err)
-	}
 	s, err := NewDistSim(d, f.sys.MassNode, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,41 +93,6 @@ func TestPanicContainmentPhased(t *testing.T) {
 	case <-closed:
 	case <-time.After(watchdog):
 		t.Fatal("Close deadlocked on a poisoned Dist")
-	}
-}
-
-// TestPanicContainmentOverlapped repeats the containment check for the
-// overlapped kernel, whose PEs synchronize on per-neighbor ready
-// channels instead of the phase barrier: the dying PE's unposted
-// messages must be force-released so its neighbors' receives return.
-func TestPanicContainmentOverlapped(t *testing.T) {
-	f := newFixture(t)
-	d, _ := f.dist(t, 4, partition.RCB)
-	// Fire on the second kernel so one clean overlapped pass precedes it.
-	if _, err := d.InjectFaults(mustPlan(t, "panic:pe=1,iter=2")); err != nil {
-		t.Fatal(err)
-	}
-	y, x := vecs(d)
-	if _, err := d.SMVPOverlapped(y, x); err != nil {
-		t.Fatalf("clean kernel before the fault: %v", err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.SMVPOverlapped(y, x)
-		done <- err
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(watchdog):
-		t.Fatal("injected PE panic deadlocked the overlapped kernel")
-	}
-	if !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("overlapped kernel error does not wrap ErrPoisoned: %v", err)
-	}
-	if _, err := d.SMVPOverlapped(y, x); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("second overlapped kernel after poison: %v", err)
 	}
 }
 

@@ -153,14 +153,14 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 	// coordinator dispatches it once per step (no goroutine spawns, no
 	// per-step allocations); fx/fy/fz are refreshed between dispatches,
 	// which are full synchronization points. The closure below is
-	// created once per Run. The integrator keeps the flat exchange.
+	// created once per Run.
 	rt := d.rt
 	var fx, fy, fz float64
 	stepBody := func(pe int) {
 		iter := rt.ws[pe].iter
 		rt.compute(pe, ku[pe], u[pe], false)
 		computeAcc[pe] += rt.tm.Compute[pe]
-		if !rt.exchange(pe, ku[pe], nil) {
+		if !rt.exchange(pe, ku[pe]) {
 			return
 		}
 		exchangeAcc[pe] += rt.tm.Comm[pe]

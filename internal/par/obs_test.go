@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -11,8 +12,8 @@ import (
 // TestExchangeBytesMatchProfile asserts the telemetry cross-check at
 // the heart of the observability layer: the bytes the runtime actually
 // moves through each PE during one SMVP equal the partition profile's
-// analytic C accounting (words sent + received, ×8 bytes/word), for
-// both the barrier and the overlapped kernels.
+// analytic C accounting (words sent + received, ×8 bytes/word), under
+// the flat plan and under one whose leaders gather.
 func TestExchangeBytesMatchProfile(t *testing.T) {
 	f := newFixture(t)
 	const p = 4
@@ -33,14 +34,17 @@ func TestExchangeBytesMatchProfile(t *testing.T) {
 	}
 
 	for _, kernel := range []struct {
-		name string
-		run  func() error
+		name   string
+		nodeOf func(pe int32) int32
 	}{
-		{"SMVP", func() error { _, err := d.SMVP(y, x); return err }},
-		{"SMVPOverlapped", func() error { _, err := d.SMVPOverlapped(y, x); return err }},
+		{"flat", nil},
+		{"node size 2", comm.ContiguousNodes(2)},
 	} {
+		if err := d.SetAggregation(kernel.nodeOf); err != nil {
+			t.Fatal(err)
+		}
 		before := obs.Default.Snapshot()
-		if err := kernel.run(); err != nil {
+		if _, err := d.SMVP(y, x); err != nil {
 			t.Fatal(err)
 		}
 		after := obs.Default.Snapshot()

@@ -48,11 +48,9 @@ type Dist struct {
 	// Owner[v] is the PE responsible for writing node v's result back
 	// to a global vector (the lowest-numbered PE of its residency set).
 	Owner []int32
-	// Boundary[i] lists the local indices of PE i's shared nodes (rows
-	// that must be computed before the exchange can begin); Interior[i]
-	// is the complement. Both are sorted.
+	// Boundary[i] lists, sorted, the local indices of PE i's shared
+	// nodes: the rows whose partial sums the exchange completes.
 	Boundary [][]int32
-	Interior [][]int32
 
 	// rt is the persistent-PE runtime: the long-lived goroutine PEs,
 	// their preallocated workspaces, and the operator's telemetry
@@ -70,7 +68,7 @@ type distMetrics struct {
 	msgBytes  *obs.Histogram
 	exchBytes []*obs.Counter
 	// Aggregated-exchange counters: fused inter-node blocks sent and
-	// bytes gather-copied into staging (zero while aggregation is off).
+	// bytes gather-copied into staging (zero while no leader gathers).
 	aggFused       *obs.Counter
 	aggStagedBytes *obs.Counter
 	// Per-PE phase accumulators and merged duration histograms: the
@@ -235,9 +233,8 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		}
 	}
 
-	// Boundary/interior row split for the overlapped kernel.
+	// Boundary rows: the local nodes that appear in some exchange list.
 	d.Boundary = make([][]int32, p)
-	d.Interior = make([][]int32, p)
 	for i := 0; i < p; i++ {
 		isBoundary := make([]bool, len(d.Nodes[i]))
 		for _, locals := range d.Shared[i] {
@@ -248,8 +245,6 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		for l := range d.Nodes[i] {
 			if isBoundary[l] {
 				d.Boundary[i] = append(d.Boundary[i], int32(l))
-			} else {
-				d.Interior[i] = append(d.Interior[i], int32(l))
 			}
 		}
 	}
@@ -341,11 +336,11 @@ func (d *Dist) Close() { d.rt.close() }
 // allocation- and spawn-free (see docs/RELIABILITY.md for the fault
 // model and docs/PERFORMANCE.md for the hot-path rules).
 //
-// Plan iterations count kernel dispatches since arming: every SMVP,
-// SMVPOverlapped, or DistSim time step advances the count by one. A
-// plan whose panic event fires poisons the Dist permanently: the
-// faulted kernel returns an error wrapping ErrPoisoned and every later
-// kernel fails fast with the same error.
+// Plan iterations count kernel dispatches since arming: every SMVP or
+// DistSim time step advances the count by one. A plan whose panic event
+// fires poisons the Dist permanently: the faulted kernel returns an
+// error wrapping ErrPoisoned and every later kernel fails fast with the
+// same error.
 func (d *Dist) InjectFaults(plan *fault.Plan) (*fault.Injector, error) {
 	if plan == nil {
 		if err := d.rt.arm(nil); err != nil {
@@ -415,7 +410,7 @@ func (rt *peRuntime) phasedPE(pe int) {
 		copy(ws.x[3*l:3*l+3], x[3*g:3*g+3])
 	}
 	rt.compute(pe, ws.y, ws.x, false)
-	if !rt.exchange(pe, ws.y, rt.agg) {
+	if !rt.exchange(pe, ws.y) {
 		return
 	}
 	// Gather phase: owners write their nodes' results.
@@ -455,12 +450,12 @@ func (rt *peRuntime) compute(pe int, y, x []float64, dot bool) (d float64) {
 // step, a CG iteration): y holds the PE's partial K_pe·x on entry and
 // the complete sums of every local node on return. The PE posts its
 // shared nodes' partials into its own send buffers, crosses the phase
-// barrier, and accumulates its neighbors' buffers in place (rev locates
-// the buffer destined for this PE on the other side). With a two-level
-// plan the node leaders gather the posted buffers into the inter-node
-// staging areas between two crossings and the remote partials are read
-// from there — same values, same order. The barrier wait itself is not
-// attributed to Comm.
+// barrier, and accumulates the buffers the installed plan's recv names:
+// its neighbors' send buffers in place under the flat plan; under a plan
+// whose leaders gather, the posted buffers first move into the
+// inter-node staging areas between two crossings and the remote partials
+// are read from there — same values, same order. The barrier wait itself
+// is not attributed to Comm.
 //
 // Every replica of a shared node sums the partials in the same order,
 // ascending PE id, so all replicas hold the same bits: the neighbors
@@ -471,9 +466,9 @@ func (rt *peRuntime) compute(pe int, y, x []float64, dot bool) (d float64) {
 // A false return means a barrier was poisoned: a peer died mid-kernel
 // and its posts (or a leader's staging copies) may still be in flight,
 // so the caller must bail out rather than race on them.
-func (rt *peRuntime) exchange(pe int, y []float64, agg *aggState) bool {
+func (rt *peRuntime) exchange(pe int, y []float64) bool {
 	ws := &rt.ws[pe]
-	fi, iter := rt.fi, ws.iter
+	fi, iter, plan := rt.fi, ws.iter, rt.plan
 	nbrs := rt.neighbors[pe]
 
 	sp := obs.StartSpanPE("exchange", "par.smvp.post", pe)
@@ -504,24 +499,22 @@ func (rt *peRuntime) exchange(pe int, y []float64, agg *aggState) bool {
 	if !rt.bar.await() {
 		return false
 	}
-	var staged [][]float64
-	if agg != nil {
-		rt.aggExchange(pe, agg)
+	if plan.crossings > 1 {
+		rt.gatherStaged(pe, plan)
 		if !rt.bar.await() {
 			return false
 		}
-		staged = agg.recv[pe]
 	}
 
 	sp = obs.StartSpanPE("exchange", "par.smvp.recv", pe)
 	start = time.Now()
-	moved += rt.receive(pe, y, staged, 0, ws.lower)
+	moved += rt.receive(pe, y, 0, ws.lower)
 	for i, l := range ws.replica {
 		y[3*l] += ws.self[3*i]
 		y[3*l+1] += ws.self[3*i+1]
 		y[3*l+2] += ws.self[3*i+2]
 	}
-	moved += rt.receive(pe, y, staged, ws.lower, len(nbrs))
+	moved += rt.receive(pe, y, ws.lower, len(nbrs))
 	rt.tm.Comm[pe] += time.Since(start)
 	rt.met.exchBytes[pe].Add(moved)
 	rt.met.observeExchange(pe, iter, rt.tm.Comm[pe])
@@ -530,21 +523,16 @@ func (rt *peRuntime) exchange(pe int, y []float64, agg *aggState) bool {
 }
 
 // receive accumulates into y the partials posted for PE pe by its
-// neighbors lo..hi-1, applying the injector's delivery faults, and
-// returns the bytes received.
-func (rt *peRuntime) receive(pe int, y []float64, staged [][]float64, lo, hi int) (recvd int64) {
-	ws := &rt.ws[pe]
-	fi := rt.fi
+// neighbors lo..hi-1, read where the installed plan left them, applying
+// the injector's delivery faults, and returns the bytes received.
+func (rt *peRuntime) receive(pe int, y []float64, lo, hi int) (recvd int64) {
+	fi, recv := rt.fi, rt.plan.recv[pe]
 	for k := lo; k < hi; k++ {
-		nbr := rt.neighbors[pe][k]
-		buf := rt.ws[nbr].send[ws.rev[k]]
-		if staged != nil {
-			buf = staged[k]
-		}
+		buf := recv[k]
 		locals := rt.shared[pe][k]
 		reps := 1
 		if fi != nil {
-			reps = fi.Deliver(int(nbr), pe, ws.iter)
+			reps = fi.Deliver(int(rt.neighbors[pe][k]), pe, rt.ws[pe].iter)
 		}
 		for ; reps > 0; reps-- {
 			for s, l := range locals {

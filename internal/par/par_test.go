@@ -3,6 +3,7 @@ package par
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fem"
@@ -265,5 +266,46 @@ func TestMeasureTf(t *testing.T) {
 	}
 	if tf2 := MeasureTf(f.sys.K, 0); tf2 <= 0 {
 		t.Error("iters=0 not defaulted")
+	}
+}
+
+// TestBoundaryInteriorPartition: Boundary[pe] lists, sorted and without
+// repeats, exactly the local rows whose node the profile says is shared
+// — every other row is interior, resident on this PE alone — and the
+// mesh is large enough for every PE to have both kinds.
+func TestBoundaryInteriorPartition(t *testing.T) {
+	f := newFixture(t)
+	d, pr := f.dist(t, 8, partition.RCB)
+	for pe := 0; pe < d.P; pe++ {
+		if !slices.IsSorted(d.Boundary[pe]) || len(slices.Compact(slices.Clone(d.Boundary[pe]))) != len(d.Boundary[pe]) {
+			t.Fatalf("PE %d: boundary rows not strictly ascending", pe)
+		}
+		for l, g := range d.Nodes[pe] {
+			_, boundary := slices.BinarySearch(d.Boundary[pe], int32(l))
+			if shared := len(pr.NodePEs[g]) >= 2; boundary != shared {
+				t.Fatalf("PE %d: row %d (node %d) boundary=%v, shared per profile=%v", pe, l, g, boundary, shared)
+			}
+		}
+		if nb := len(d.Boundary[pe]); nb == 0 || nb == len(d.Nodes[pe]) {
+			t.Errorf("PE %d: %d of %d rows are boundary (want some of each)", pe, nb, len(d.Nodes[pe]))
+		}
+	}
+}
+
+// TestProfileBoundaryFlops validates the FBoundary accounting of the
+// partition profile against the runtime's row classification.
+func TestProfileBoundaryFlops(t *testing.T) {
+	f := newFixture(t)
+	d, pr := f.dist(t, 8, partition.RCB)
+	for pe := 0; pe < d.P; pe++ {
+		if pr.FBoundary[pe] < 0 || pr.FBoundary[pe] > pr.F[pe] {
+			t.Fatalf("PE %d: FBoundary %d outside [0, %d]", pe, pr.FBoundary[pe], pr.F[pe])
+		}
+		if len(d.Boundary[pe]) > 0 && pr.FBoundary[pe] == 0 {
+			t.Fatalf("PE %d: boundary rows exist but FBoundary = 0", pe)
+		}
+	}
+	if pr.FBoundaryMax() <= 0 {
+		t.Error("FBoundaryMax not positive")
 	}
 }

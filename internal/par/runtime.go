@@ -16,10 +16,11 @@ import (
 // is built around steady-state reuse: the PE goroutines are created
 // once per Dist and parked on a generation barrier between kernels, and
 // every buffer a kernel needs (local vectors, per-neighbor exchange
-// buffers, the reverse-neighbor index, the Timing report) is allocated
-// once at construction. After the first call, a distributed SMVP
-// performs zero heap allocations and zero goroutine spawns; see
-// docs/PERFORMANCE.md for the design rationale and the reuse rules.
+// buffers, the exchange plan, the Timing report) is allocated once at
+// construction or when a plan is installed. After the first call, a
+// distributed SMVP performs zero heap allocations and zero goroutine
+// spawns; see docs/PERFORMANCE.md for the design rationale and the reuse
+// rules.
 
 // errClosed is returned by kernels invoked after Dist.Close.
 var errClosed = errors.New("par: Dist has been closed")
@@ -129,24 +130,14 @@ func (b *barrier) poison() {
 
 // peWorkspace is the preallocated private state of one persistent PE.
 // Buffer ownership rule: a PE writes only its own x/y/send buffers;
-// neighbors read send[k] strictly after a synchronization point (the
-// phase barrier in the phased kernel and integrator, the ready channel
-// in the overlapped kernel).
+// neighbors read send[k] strictly after the phase barrier.
 type peWorkspace struct {
 	// x, y are the PE's local vectors (3·len(nodes) scalars).
 	x, y []float64
 	// send[k] carries this PE's partial sums for neighbor k
-	// (3·len(shared[k]) scalars). Receivers read it in place — the
-	// runtime never copies a message twice.
+	// (3·len(shared[k]) scalars). Receivers read it in place, or from
+	// the slot a node leader gathered it into — see exchangePlan.
 	send [][]float64
-	// rev[k] is this PE's position in neighbor k's neighbor list, so
-	// the receive side can locate the buffer destined for it without a
-	// per-call binary search.
-	rev []int
-	// ready[k] is signaled (capacity-1, preallocated) by neighbor k
-	// when its buffer for this PE is complete; only the overlapped
-	// kernel uses it, the phased paths synchronize on the barrier.
-	ready []chan struct{}
 	// lower is the number of neighbors with a smaller PE id, i.e. this
 	// PE's rank in the canonical (ascending PE id) summation order of
 	// its shared nodes. replica lists the local indices of the shared
@@ -177,7 +168,6 @@ type peRuntime struct {
 	shared    [][][]int32
 	owner     []int32
 	boundary  [][]int32
-	interior  [][]int32
 
 	met distMetrics
 	ws  []peWorkspace
@@ -212,9 +202,8 @@ type peRuntime struct {
 	cg       cgCall
 
 	// Kernel bodies, bound once so dispatching allocates nothing.
-	phasedBody  func(pe int)
-	overlapBody func(pe int)
-	cgBody      func(pe int)
+	phasedBody func(pe int)
+	cgBody     func(pe int)
 
 	// fi is the armed fault injector, nil when disarmed (the production
 	// default: every hook site is then a single nil check). iter is the
@@ -226,10 +215,11 @@ type peRuntime struct {
 	fi   *fault.Injector
 	iter int64
 
-	// agg is the installed two-level exchange plan, nil for the flat
-	// exchange (the default). Same discipline as fi: swapped under the
-	// dispatch mutex, read by PEs between the barriers. See agg.go.
-	agg *aggState
+	// plan is the installed exchange plan, never nil: the flat exchange
+	// (every PE its own node) until SetAggregation groups PEs onto
+	// nodes. Same discipline as fi: swapped under the dispatch mutex,
+	// read by PEs between the barriers. See agg.go.
+	plan *exchangePlan
 
 	// Panic containment: runBody records recovered PE panics under
 	// faultMu; the coordinator collects them after the done barrier and
@@ -260,7 +250,6 @@ func newPERuntime(d *Dist) *peRuntime {
 		shared:    d.Shared,
 		owner:     d.Owner,
 		boundary:  d.Boundary,
-		interior:  d.Interior,
 		met:       newDistMetrics(d.P),
 		ws:        make([]peWorkspace, d.P),
 		dotSlots:  make([]float64, d.P*dotStride),
@@ -281,11 +270,7 @@ func newPERuntime(d *Dist) *peRuntime {
 		for k, locals := range rt.shared[pe] {
 			w.send[k] = make([]float64, 3*len(locals))
 		}
-		w.rev = make([]int, len(rt.neighbors[pe]))
-		w.ready = make([]chan struct{}, len(rt.neighbors[pe]))
-		for k, nbr := range rt.neighbors[pe] {
-			w.rev[k] = indexOf(rt.neighbors[nbr], int32(pe))
-			w.ready[k] = make(chan struct{}, 1)
+		for _, nbr := range rt.neighbors[pe] {
 			if int(nbr) < pe {
 				w.lower++
 			}
@@ -297,8 +282,8 @@ func newPERuntime(d *Dist) *peRuntime {
 		}
 		w.self = make([]float64, 3*len(w.replica))
 	}
+	rt.plan = rt.buildPlan(ownNode)
 	rt.phasedBody = rt.phasedPE
-	rt.overlapBody = rt.overlappedPE
 	rt.cgBody = rt.cgPE
 	for pe := 0; pe < rt.p; pe++ {
 		go rt.peLoop(pe)
@@ -327,9 +312,8 @@ func (rt *peRuntime) peLoop(pe int) {
 // PE survives to park again and Close keeps working; the recovered
 // value is recorded for the coordinator, the phase barrier is poisoned
 // so peers stuck at the intra-kernel synchronization drain instead of
-// deadlocking, and any overlapped-kernel receivers waiting on this PE's
-// ready channels are released. The kernel's output is garbage after a
-// fault — the coordinator turns it into an error and poisons the Dist.
+// deadlocking. The kernel's output is garbage after a fault — the
+// coordinator turns it into an error and poisons the Dist.
 func (rt *peRuntime) runBody(pe int, body func(pe int)) {
 	ws := &rt.ws[pe]
 	ws.iter = rt.iter
@@ -341,26 +325,9 @@ func (rt *peRuntime) runBody(pe int, body func(pe int)) {
 			obs.RecordFlight(obs.FlightFault, "par.pe.panic", pe, ws.iter, 0)
 			rt.bar.poison()
 			obs.RecordFlight(obs.FlightFault, "par.barrier.poison", pe, ws.iter, 0)
-			rt.releaseReady(pe)
 		}
 	}()
 	body(pe)
-}
-
-// releaseReady satisfies every receiver that might be blocked waiting
-// for a ready signal from the dead PE. The capacity-1 channels make the
-// fill idempotent: a select-default send either delivers the one token
-// a receiver is waiting for or no-ops on an already-signaled channel.
-// Any stale token this leaves behind is unreachable — the Dist is
-// poisoned before another kernel can run.
-func (rt *peRuntime) releaseReady(pe int) {
-	ws := &rt.ws[pe]
-	for k, nbr := range rt.neighbors[pe] {
-		select {
-		case rt.ws[nbr].ready[ws.rev[k]] <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // collectFaults drains the panics recovered during the last kernel and

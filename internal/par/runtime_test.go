@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/solver"
@@ -47,10 +48,11 @@ func TestBarrierRounds(t *testing.T) {
 }
 
 // TestSMVPZeroAlloc pins the tentpole property: after the first call,
-// both distributed kernels run entirely out of the persistent runtime's
+// the distributed kernel runs entirely out of the persistent runtime's
 // preallocated workspaces — zero heap allocations per op, with metric
 // collection both off and on (the atomic-gated counters must stay off
-// the allocation path too).
+// the allocation path too) — under the flat plan a fresh Dist starts
+// with and under the flat plan reinstalled over a gathering one.
 func TestSMVPZeroAlloc(t *testing.T) {
 	f := newFixture(t)
 	d, _ := f.dist(t, 4, partition.RCB)
@@ -59,31 +61,28 @@ func TestSMVPZeroAlloc(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%5) * 0.5
 	}
-	kernels := []struct {
-		name string
-		run  func()
-	}{
-		{"SMVP", func() {
-			if _, err := d.SMVP(y, x); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"SMVPOverlapped", func() {
-			if _, err := d.SMVPOverlapped(y, x); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	}
-	for _, metrics := range []bool{false, true} {
-		prev := obs.Enabled()
-		obs.SetEnabled(metrics)
-		for _, k := range kernels {
-			k.run() // steady state: buffers and goroutines already live
-			if avg := testing.AllocsPerRun(10, k.run); avg != 0 {
-				t.Errorf("%s (metrics=%v): %.1f allocs/op, want 0", k.name, metrics, avg)
-			}
+	run := func() {
+		if _, err := d.SMVP(y, x); err != nil {
+			t.Fatal(err)
 		}
-		obs.SetEnabled(prev)
+	}
+	for _, plan := range []string{"fresh flat", "flat after aggregated"} {
+		for _, metrics := range []bool{false, true} {
+			prev := obs.Enabled()
+			obs.SetEnabled(metrics)
+			run() // steady state: buffers and goroutines already live
+			if avg := testing.AllocsPerRun(10, run); avg != 0 {
+				t.Errorf("%s (metrics=%v): %.1f allocs/op, want 0", plan, metrics, avg)
+			}
+			obs.SetEnabled(prev)
+		}
+		if err := d.SetAggregation(comm.ContiguousNodes(2)); err != nil {
+			t.Fatal(err)
+		}
+		run()
+		if err := d.SetAggregation(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -146,7 +145,7 @@ func TestTimingOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm2, err := d.SMVPOverlapped(y, x)
+	tm2, err := d.SMVP(y, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +185,6 @@ func TestCloseSemantics(t *testing.T) {
 	if _, err := d.SMVP(y, x); err == nil {
 		t.Error("SMVP on closed Dist succeeded")
 	}
-	if _, err := d.SMVPOverlapped(y, x); err == nil {
-		t.Error("SMVPOverlapped on closed Dist succeeded")
-	}
 	if _, err := sim.Run(f.m.Coords, simCfg(f, 2)); err == nil {
 		t.Error("DistSim.Run on closed Dist succeeded")
 	}
@@ -227,13 +223,7 @@ func TestConcurrentCloseDuringKernels(t *testing.T) {
 			x[c] = 1
 			<-start
 			for i := 0; ; i++ {
-				var err error
-				if i%2 == 0 {
-					_, err = d.SMVP(y, x)
-				} else {
-					_, err = d.SMVPOverlapped(y, x)
-				}
-				if err != nil {
+				if _, err := d.SMVP(y, x); err != nil {
 					// The only legal failure is the closed report; anything
 					// else (a poisoned barrier, a partial result) is a bug.
 					if !errors.Is(err, errClosed) {

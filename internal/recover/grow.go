@@ -131,19 +131,23 @@ func GrowPartition(m *mesh.Mesh, pt *partition.Partition, revived int) (*partiti
 }
 
 // GrowNodeOf composes a PE→node mapping across an insertion at slot
-// revived: the revived PE answers node, PEs past the slot translate
-// back to their pre-grow ids. The exact inverse of ShrinkNodeOf, and
-// repeated grows compose by repeated application.
-func GrowNodeOf(nodeOf func(pe int32) int32, revived int, node int32) func(pe int32) int32 {
+// revived: the revived PE takes the physical node of its donor (a
+// post-grow PE id), PEs past the slot translate back to their pre-grow
+// ids. The exact inverse of ShrinkNodeOf, and repeated grows compose by
+// repeated application. A nil map — every PE its own node — stays nil:
+// the revived PE gets a node of its own.
+func GrowNodeOf(nodeOf func(pe int32) int32, revived, donor int) func(pe int32) int32 {
+	if nodeOf == nil {
+		return nil
+	}
 	return func(pe int32) int32 {
-		switch {
-		case pe == int32(revived):
-			return node
-		case pe > int32(revived):
-			return nodeOf(pe - 1)
-		default:
-			return nodeOf(pe)
+		if pe == int32(revived) {
+			pe = int32(donor)
 		}
+		if pe > int32(revived) {
+			pe--
+		}
+		return nodeOf(pe)
 	}
 }
 

@@ -124,17 +124,24 @@ func TestGrowShrinkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGrowNodeOfComposition: GrowNodeOf is the inverse of ShrinkNodeOf
-// — shrinking a slot away and growing it back with the same node
-// restores the original mapping.
+// TestGrowNodeOfComposition: the revived PE takes its donor's node —
+// the donor named by its post-grow id, on either side of the slot — and
+// GrowNodeOf is the inverse of ShrinkNodeOf: shrinking the slot away
+// again restores the original mapping. The flat map stays flat.
 func TestGrowNodeOfComposition(t *testing.T) {
 	base := comm.ContiguousNodes(2) // 0,0,1,1,2,2,...
-	g := GrowNodeOf(base, 2, 7)     // insert a PE on node 7 at slot 2
-	want := []int32{0, 0, 7, 1, 1, 2}
+	g := GrowNodeOf(base, 2, 5)     // insert at slot 2; donor is old PE 4, node 2
+	want := []int32{0, 0, 2, 1, 1, 2}
 	for pe, w := range want {
 		if got := g(int32(pe)); got != w {
 			t.Fatalf("after grow, nodeOf(%d) = %d, want %d", pe, got, w)
 		}
+	}
+	if got := GrowNodeOf(base, 2, 1)(2); got != 0 {
+		t.Fatalf("donor below the slot: revived PE on node %d, want 0", got)
+	}
+	if GrowNodeOf(nil, 2, 1) != nil || ShrinkNodeOf(nil, 2) != nil {
+		t.Fatal("the flat map did not stay nil across a transition")
 	}
 	// Round trip: shrink slot 2 away again.
 	rt := ShrinkNodeOf(g, 2)

@@ -78,10 +78,8 @@ func TestLossPolicyDifferential(t *testing.T) {
 				pt := f.partition(t, p)
 				fresh := func() *par.Dist {
 					d := f.dist(t, pt)
-					if nodeOf != nil {
-						if err := d.SetAggregation(nodeOf); err != nil {
-							t.Fatal(err)
-						}
+					if err := d.SetAggregation(nodeOf); err != nil {
+						t.Fatal(err)
 					}
 					return d
 				}

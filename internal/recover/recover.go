@@ -154,8 +154,12 @@ func ShrinkPartition(m *mesh.Mesh, pt *partition.Partition, dead int) (*partitio
 // function answers for the compacted numbering (0..P−2) by translating
 // back to the pre-shrink PE id. Repeated shrinks compose by repeated
 // application. Node ids keep their pre-shrink values; a node left
-// empty by the death is simply never asked for.
+// empty by the death is simply never asked for. A nil map — every PE
+// its own node — stays nil.
 func ShrinkNodeOf(nodeOf func(pe int32) int32, dead int) func(pe int32) int32 {
+	if nodeOf == nil {
+		return nil
+	}
 	return func(pe int32) int32 {
 		if pe >= int32(dead) {
 			pe++

@@ -72,9 +72,10 @@ type System struct {
 	// par.Operator does.
 	Shift    float64
 	MassNode []float64
-	// NodeOf, when non-nil, is the two-level aggregation map of the
-	// initial width; it is recomposed past each dead or revived PE and
-	// reinstalled on every Dist the supervisor rebuilds.
+	// NodeOf is the PE→node map of the exchange plan at the initial
+	// width (nil: every PE its own node, the flat exchange); it is
+	// recomposed past each dead or revived PE and reinstalled on every
+	// Dist the supervisor rebuilds.
 	NodeOf func(pe int32) int32
 }
 
@@ -378,11 +379,9 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	// install swaps the live operator for r's and restores aggregation
 	// and the fault plan on it. The old Dist must already be closed.
 	install := func(r *Rebuilt) error {
-		if nodeOf != nil {
-			if err := r.Dist.SetAggregation(nodeOf); err != nil {
-				r.Dist.Close()
-				return fmt.Errorf("recover: reinstalling aggregation: %w", err)
-			}
+		if err := r.Dist.SetAggregation(nodeOf); err != nil {
+			r.Dist.Close()
+			return fmt.Errorf("recover: reinstalling aggregation: %w", err)
 		}
 		out.Dist, out.Part = r.Dist, r.Partition
 		if cfg.Rebalance != nil {
@@ -423,16 +422,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 					return fail(fmt.Errorf("recover: growing onto revived PE %d: %w", slot, gerr))
 				}
 				out.Dist.Close() // healthy but superseded
-				if nodeOf != nil {
-					// The revived PE takes its donor's physical node; the
-					// donor id translates back to the pre-grow numbering
-					// the current map answers in.
-					preDonor := int32(grown.Donor)
-					if grown.Donor > slot {
-						preDonor--
-					}
-					nodeOf = GrowNodeOf(nodeOf, slot, nodeOf(preDonor))
-				}
+				nodeOf = GrowNodeOf(nodeOf, slot, grown.Donor)
 				if ierr := install(grown); ierr != nil {
 					return fail(ierr)
 				}
@@ -485,9 +475,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				if serr != nil {
 					return fail(fmt.Errorf("recover: shrinking after %v: %w", err, serr))
 				}
-				if nodeOf != nil {
-					nodeOf = ShrinkNodeOf(nodeOf, dead)
-				}
+				nodeOf = ShrinkNodeOf(nodeOf, dead)
 				if ierr := install(shrunk); ierr != nil {
 					return fail(ierr)
 				}

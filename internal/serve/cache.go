@@ -177,8 +177,8 @@ type artifact struct {
 	part  *partition.Partition
 	prof  *partition.Profile
 	sched *comm.Schedule
-	// nodeOf is the two-level aggregation map (nil when nodesize ≤ 1);
-	// it is installed on every worker's Dist.
+	// nodeOf is the PE→node map of the exchange plan installed on every
+	// worker's Dist (nil, every PE its own node, when nodesize ≤ 1).
 	nodeOf func(pe int32) int32
 
 	mu     sync.Mutex
@@ -313,11 +313,9 @@ func (a *artifact) spawn() (*worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: building Dist for %s: %w", a.key, err)
 	}
-	if a.nodeOf != nil {
-		if err := d.SetAggregation(a.nodeOf); err != nil {
-			d.Close()
-			return nil, fmt.Errorf("serve: aggregating %s: %w", a.key, err)
-		}
+	if err := d.SetAggregation(a.nodeOf); err != nil {
+		d.Close()
+		return nil, fmt.Errorf("serve: aggregating %s: %w", a.key, err)
 	}
 	poolSpawns.Add(1)
 	return &worker{dist: d}, nil

@@ -180,37 +180,6 @@ func (a *BCSR) MulVecDot(y, x []float64) float64 {
 	return d
 }
 
-// MulVecRows computes y's entries for the given block rows only:
-// y[3r:3r+3] = (A·x)[3r:3r+3] for each r in rows. Other entries of y
-// are left untouched. Used by the overlapped SMVP to compute boundary
-// rows before interior rows. Shares MulVec's row-resliced hot loop and
-// bit-exact accumulation order.
-func (a *BCSR) MulVecRows(y, x []float64, rows []int32) {
-	if len(x) != 3*a.N || len(y) != 3*a.N {
-		panic(fmt.Sprintf("sparse: MulVecRows dimension mismatch: N=%d, x %d, y %d", a.N, len(x), len(y)))
-	}
-	rowOff := a.RowOff
-	for _, i := range rows {
-		lo, hi := rowOff[i], rowOff[i+1]
-		cols := a.Col[lo:hi]
-		vals := a.Val[9*lo : 9*hi : 9*hi]
-		var s0, s1, s2 float64
-		vi := 0
-		for _, c := range cols {
-			j := int(c) * 3
-			v := vals[vi : vi+9 : vi+9]
-			x0, x1, x2 := x[j], x[j+1], x[j+2]
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2
-			s1 += v[3]*x0 + v[4]*x1 + v[5]*x2
-			s2 += v[6]*x0 + v[7]*x1 + v[8]*x2
-			vi += 9
-		}
-		y[3*i] = s0
-		y[3*i+1] = s1
-		y[3*i+2] = s2
-	}
-}
-
 // ToCSR expands the block matrix into scalar CSR form.
 func (a *BCSR) ToCSR() *CSR {
 	n3 := 3 * a.N
