@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race lines bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro examples clean
+.PHONY: all build vet test race lines bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro results-check examples clean
 
 # Benchmarks must run at the host's full width: a throttled GOMAXPROCS
 # makes every parallel benchmark meaningless (the PE goroutines
@@ -43,8 +43,9 @@ lines:
 # a one-iteration benchmark smoke run so the kernel entry points cannot
 # silently rot, plus a few seconds of fuzzing on the parsers that face
 # untrusted input, plus the elastic-recovery chaos soak, the quaked
-# service smoke, and the durable-job chaos drill.
-ci: build vet cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos
+# service smoke, the durable-job chaos drill, and the check that both
+# table generators still reproduce results/.
+ci: build vet cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos results-check
 
 # Total statement coverage must not sink below the floor (measured
 # 88.1% when the gate was introduced; the margin absorbs run-to-run
@@ -76,14 +77,8 @@ bench-json:
 # six terms of the durable path (the journal's lives in internal/serve)
 # still run, and that the fault-injection hooks stay allocation-free on
 # their hot path.
-# The second step is the kernel-regression guard: it times the fused
-# MulVecDot — the multiply of every PE-resident CG iteration — against
-# the SMVP + separate dot pair (enough iterations for a stable number)
-# and fails if fusion has stopped paying for itself (`benchjson -guard`,
-# 10% slack for timer noise).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='ParallelSMVP|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
-	$(GO) test -run='^$$' -bench='KernelGuard' -benchtime=50x . | $(GO) run ./cmd/benchjson -guard
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): every
 # workload once, untraced. One run says little on a shared host; a claim
@@ -146,9 +141,17 @@ serve-smoke:
 serve-chaos:
 	$(GO) run ./cmd/quaked -chaos -smoke-pes 4
 
-# One-shot figure regeneration without the benchmark harness.
+# One-shot figure regeneration without the benchmark harness: the
+# committed sweep (sf10, sf5, sf2) into results/.
 repro:
-	$(GO) run ./cmd/quakerepro -scenarios sf10,sf5,sf2
+	$(GO) run ./cmd/quakerepro
+
+# Both table generators — the root benchmarks at -benchtime=1x and
+# quakerepro — rerun against a temporary copy of the tree, every table
+# either writes diffed against results/*.txt (the four timing-bearing
+# tables excluded by name). Writes nothing here; ≈ 30 s.
+results-check:
+	sh scripts/results-check.sh
 
 examples:
 	$(GO) run ./examples/quickstart

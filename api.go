@@ -2,7 +2,6 @@ package quake
 
 import (
 	"context"
-	"net/http"
 	"sync"
 
 	"repro/internal/comm"
@@ -430,7 +429,7 @@ func ServeMetrics(addr string) (string, func(context.Context) error, error) {
 
 // AnalyzeWindow extracts the per-PE phase window recorded between two
 // snapshots (prev may be nil for run-so-far totals) — the input to
-// AnalyzeFlat/AnalyzeAggregated.
+// AnalyzeFlat.
 func AnalyzeWindow(cur, prev *MetricsSnapshot) (AnalysisWindow, bool) {
 	return analyze.FromSnapshots(cur, prev)
 }
@@ -440,18 +439,6 @@ func AnalyzeWindow(cur, prev *MetricsSnapshot) (AnalysisWindow, bool) {
 func AnalyzeFlat(w AnalysisWindow, app AppProperties, Tl, Tw float64) AnalysisReport {
 	return analyze.Analyze(w, app, Tl, Tw)
 }
-
-// AnalyzeAggregated computes the same report against the two-level
-// aggregated exchange model.
-func AnalyzeAggregated(w AnalysisWindow, agg AggProperties, Tl, Tw float64, local LocalParams) AnalysisReport {
-	return analyze.AnalyzeAggregated(w, agg, Tl, Tw, local)
-}
-
-// ArmFlightDump points the process-wide flight recorder at a dump file
-// ("" disarms): when a PE faults, a barrier poisons, or a shrink
-// recovery fires, the ring of recent spans and fault/solver/recovery
-// events is written there as JSON.
-func ArmFlightDump(path string) { obs.FlightRecorder.SetDumpPath(path) }
 
 // FlightEvents returns the flight recorder's current ring contents,
 // oldest first.
@@ -464,12 +451,6 @@ func FlightEvents() []FlightEvent { return obs.FlightRecorder.Events() }
 // so construct-use-Close callers and the quaked HTTP service share the
 // same cache semantics. See docs/SERVICE.md.
 type (
-	// ServeConfig tunes the serving engine: admission bounds, warm-pool
-	// size, per-request budget ceilings, and the scenario resolver.
-	ServeConfig = serve.Config
-	// ServeEngine is the serving core: the artifact cache, the warm
-	// worker pools, and bounded admission.
-	ServeEngine = serve.Engine
 	// Session is a warm handle on one cached (scenario, p, method,
 	// nodesize) tuple.
 	Session = serve.Session
@@ -493,15 +474,6 @@ var (
 	ErrServeCanceled = serve.ErrCanceled
 	ErrServeClosed   = serve.ErrClosed
 )
-
-// NewServeEngine builds a serving engine; Close releases its pools.
-// The error is the job journal's (ServeConfig.JournalDir); an engine
-// without one cannot fail.
-func NewServeEngine(cfg ServeConfig) (*ServeEngine, error) { return serve.NewEngine(cfg) }
-
-// ServeMux returns the quaked HTTP surface for an engine: /v1/ solve
-// and session endpoints plus the full observability export.
-func ServeMux(e *ServeEngine) *http.ServeMux { return serve.NewMux(e) }
 
 // The process-wide default engine behind Open, built lazily.
 var (

@@ -224,16 +224,7 @@ func BenchmarkEXFLOWComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		t := report.New(fmt.Sprintf("EXFLOW vs %s/128", s.Name),
-			"metric", "EXFLOW", "ours", "paper sf2/128")
-		t.AddRow("KB/MFLOP", report.F(cmp.EXFLOWKBPerMFLOP, 0),
-			report.F(cmp.QuakeKBPerMFLOP, 1), report.F(iq.PaperQuakeKBPerMFLOP, 0))
-		t.AddRow("msgs/MFLOP", report.F(cmp.EXFLOWMsgsPerMFLOP, 0),
-			report.F(cmp.QuakeMsgsPerMFLOP, 1), report.F(iq.PaperQuakeMsgsPerMFLOP, 0))
-		t.AddRow("avg msg KB", report.F(cmp.EXFLOWAvgMsgKB, 1),
-			report.F(cmp.QuakeAvgMsgKB, 1), report.F(iq.PaperQuakeAvgMsgKB, 1))
-		t.AddRow("MB/PE", "2.0", report.F(cmp.QuakeMBPerPE, 2), "2.0")
-		saveTable(b, "exflow_comparison", t)
+		saveTable(b, "exflow_comparison", iq.EXFLOWTable(cmp))
 	}
 	b.ReportMetric(cmp.QuakeKBPerMFLOP, "KB/MFLOP")
 	b.ReportMetric(cmp.QuakeMsgsPerMFLOP, "msgs/MFLOP")
@@ -453,46 +444,6 @@ func BenchmarkAblationKernels(b *testing.B) {
 		}
 		_ = d
 		b.ReportMetric(flops/(b.Elapsed().Seconds()/float64(b.N))/1e6, "MFLOPS")
-	})
-}
-
-// BenchmarkKernelGuard is the regression gate behind `make bench-smoke`:
-// the unfused arm is the pre-fusion shape (SMVP sweep, then a separate
-// dot sweep over x and y), the fused arm is MulVecDot doing both in one
-// pass. `benchjson -guard` fails the build if fused comes out slower
-// than unfused beyond the slack — the fused path exists to win, and a
-// loss means someone broke it.
-func BenchmarkKernelGuard(b *testing.B) {
-	m, err := quake.SF5.Mesh()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := quake.Assemble(m, quake.SanFernando())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 3*m.NumNodes())
-	y := make([]float64, 3*m.NumNodes())
-	for i := range x {
-		x[i] = float64(i%9) * 0.25
-	}
-	b.Run("unfused", func(b *testing.B) {
-		var d float64
-		for i := 0; i < b.N; i++ {
-			sys.K.MulVec(y, x)
-			d = 0
-			for j := range x {
-				d += x[j] * y[j]
-			}
-		}
-		_ = d
-	})
-	b.Run("fused", func(b *testing.B) {
-		var d float64
-		for i := 0; i < b.N; i++ {
-			d = sys.K.MulVecDot(y, x)
-		}
-		_ = d
 	})
 }
 

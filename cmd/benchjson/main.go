@@ -181,55 +181,12 @@ func main() {
 	out := flag.String("out", "", "output JSON file (default: stdout)")
 	metrics := flag.String("metrics", "", "telemetry snapshot JSON to fold in as phase percentiles")
 	prev := flag.String("prev", "", "previous BENCH_*.json for kernel speedup deltas (default: newest BENCH_*.json in cwd, excluding -out)")
-	guard := flag.Bool("guard", false, "guard mode: read BenchmarkKernelGuard/{unfused,fused} results and fail when fused is slower than unfused beyond -slack")
-	slack := flag.Float64("slack", 1.10, "guard tolerance: fused must stay below unfused × slack")
 	flag.Parse()
 
-	if *guard {
-		if err := runGuard(*in, *slack); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*in, *out, *metrics, *prev); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-}
-
-// runGuard is the kernel-regression gate (`make bench-smoke`): the
-// fused kernel exists to be faster than separate passes, so a run where
-// it comes out slower than the unfused baseline beyond the slack is a
-// regression and fails the build.
-func runGuard(inPath string, slack float64) error {
-	var r io.Reader = os.Stdin
-	if inPath != "" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	rep, err := parse(r)
-	if err != nil {
-		return err
-	}
-	unfused, ok := rep.NsPerOp["BenchmarkKernelGuard/unfused"]
-	if !ok {
-		return fmt.Errorf("guard: BenchmarkKernelGuard/unfused not found in input")
-	}
-	fused, ok := rep.NsPerOp["BenchmarkKernelGuard/fused"]
-	if !ok {
-		return fmt.Errorf("guard: BenchmarkKernelGuard/fused not found in input")
-	}
-	if fused > unfused*slack {
-		return fmt.Errorf("guard: fused kernel regressed: %.0f ns/op vs unfused %.0f ns/op (limit %.0f = unfused × %.2f)",
-			fused, unfused, unfused*slack, slack)
-	}
-	fmt.Printf("kernel guard ok: fused %.0f ns/op ≤ unfused %.0f ns/op × %.2f\n", fused, unfused, slack)
-	return nil
 }
 
 func run(inPath, outPath, metricsPath, prevPath string) error {

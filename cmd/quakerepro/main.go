@@ -1,17 +1,19 @@
-// Command quakerepro regenerates every paper figure in one shot and
-// writes them to a directory (default results/), without going through
-// the benchmark harness. It is the "reproduce the paper" button.
+// Command quakerepro regenerates the paper's figure tables and writes
+// them to a directory (default results/), without going through the
+// benchmark harness. Its job slice is the catalogue of every table a
+// command can produce: -only picks tables by name, in the order given,
+// and -out - prints them to stdout instead of writing files.
 //
 // With -trace and/or -metrics it also executes a measured distributed
 // SMVP pass on the largest requested scenario, so the written telemetry
 // contains real per-PE compute/exchange spans and exchanged-byte
 // counters that can be cross-checked against the analytic C_max
-// accounting. Unknown -format values are an error.
+// accounting.
 //
 // Usage:
 //
-//	quakerepro                              # sf10+sf5 quick pass into results/
-//	quakerepro -scenarios sf10,sf5,sf2 -out results -format md
+//	quakerepro                    # the committed sweep: sf10,sf5,sf2 into results/
+//	quakerepro -only fig7_properties,fig6_beta -out - -sweep 4,8 -method random -format csv
 //	quakerepro -scenarios sf10 -trace trace.json -metrics metrics.json
 package main
 
@@ -19,11 +21,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/par"
@@ -33,32 +37,36 @@ import (
 )
 
 func main() {
-	scenarios := flag.String("scenarios", "sf10,sf5", "comma-separated scenario names")
-	out := flag.String("out", "results", "output directory")
-	format := flag.String("format", "text", "output format: text|md|csv")
-	trace := flag.String("trace", "", "write a Chrome trace_event JSON file here")
-	metrics := flag.String("metrics", "", "write a metrics snapshot JSON file here")
-	pes := flag.Int("pes", 8, "PE count of the measured pass run for -trace/-metrics")
-	httpAddr := flag.String("http", "", "serve live observability on this address while the figures regenerate (Prometheus /metrics, /metrics.json, /flight, expvar, pprof)")
-	flag.Parse()
-
-	if err := run(*scenarios, *out, *format, *trace, *metrics, *pes, *httpAddr); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quakerepro:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scenarioList, outDir, format, tracePath, metricsPath string, pes int, httpAddr string) error {
-	if httpAddr != "" {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("quakerepro", flag.ExitOnError)
+	scenarioList := fs.String("scenarios", "sf10,sf5,sf2", "comma-separated scenario names; the single-instance tables (figures 8-11, EXFLOW, presets) use the last")
+	outDir := fs.String("out", "results", "output directory, or - to print the tables to stdout")
+	format := fs.String("format", "text", "output format: text|md|csv")
+	only := fs.String("only", "", "comma-separated table names to produce, in this order (default: every table)")
+	sweep := fs.String("sweep", "4,8,16,32,64,128", "comma-separated PE counts of the subdomain sweep")
+	methodName := fs.String("method", "rcb", "partitioner: rcb|inertial|random|linear|stripes-z|multilevel")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file here")
+	metricsPath := fs.String("metrics", "", "write a metrics snapshot JSON file here")
+	pes := fs.Int("pes", 8, "PE count of the measured pass run for -trace/-metrics")
+	httpAddr := fs.String("http", "", "serve live observability on this address while the figures regenerate (Prometheus /metrics, /metrics.json, /flight, expvar, pprof)")
+	fs.Parse(args) // ExitOnError: a bad flag has already exited
+
+	if *httpAddr != "" {
 		obs.SetEnabled(true)
-		addr, shutdown, err := export.Serve(httpAddr)
+		addr, shutdown, err := export.Serve(*httpAddr)
 		if err != nil {
 			return fmt.Errorf("-http: %w", err)
 		}
 		defer shutdown(context.Background())
-		fmt.Printf("observability: http://%s/\n", addr)
+		fmt.Fprintf(stdout, "observability: http://%s/\n", addr)
 	}
-	telemetry := tracePath != "" || metricsPath != ""
+	telemetry := *tracePath != "" || *metricsPath != ""
 	if telemetry {
 		obs.SetEnabled(true)
 		obs.StartTrace()
@@ -68,113 +76,107 @@ func run(scenarioList, outDir, format, tracePath, metricsPath string, pes int, h
 		}()
 	}
 	var ss []quake.Scenario
-	for _, name := range strings.Split(scenarioList, ",") {
+	for _, name := range strings.Split(*scenarioList, ",") {
 		s, err := quake.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}
 		ss = append(ss, s)
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	largest := ss[len(ss)-1]
+	var pcounts []int
+	for _, f := range strings.Split(*sweep, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return fmt.Errorf("bad -sweep entry %q", f)
+		}
+		pcounts = append(pcounts, p)
+	}
+	method, err := partition.MethodByName(*methodName)
+	if err != nil {
 		return err
 	}
-	largest := ss[len(ss)-1]
-	method := partition.RCB
 
 	var ext string
-	var write func(t *report.Table, f *os.File) error
-	switch format {
+	var render func(*report.Table, io.Writer) error
+	switch *format {
 	case "text":
-		ext, write = ".txt", func(t *report.Table, f *os.File) error { return t.Render(f) }
+		ext, render = ".txt", (*report.Table).Render
 	case "md":
-		ext, write = ".md", func(t *report.Table, f *os.File) error { return t.Markdown(f) }
+		ext, render = ".md", (*report.Table).Markdown
 	case "csv":
-		ext, write = ".csv", func(t *report.Table, f *os.File) error { return t.CSV(f) }
+		ext, render = ".csv", (*report.Table).CSV
 	default:
-		return fmt.Errorf("unknown format %q (want text, md, or csv)", format)
-	}
-	save := func(name string, t *report.Table, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		f, err := os.Create(filepath.Join(outDir, name+ext))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return write(t, f)
+		return fmt.Errorf("unknown format %q (want text, md, or csv)", *format)
 	}
 
+	// Figure 10 and the EXFLOW comparison describe one instance: the
+	// largest scenario at the sweep's last PE count, filled in below.
+	var last quake.PropsRow
 	type job struct {
 		name string
 		make func() (*report.Table, error)
 	}
 	jobs := []job{
 		{"fig2_mesh_sizes", func() (*report.Table, error) { return quake.Fig2Table(ss) }},
-		{"fig6_beta", func() (*report.Table, error) { return quake.Fig6Table(ss, quake.PECounts, method) }},
-		{"fig7_properties", func() (*report.Table, error) { return quake.Fig7Table(ss, quake.PECounts, method) }},
-		{"fig8_bisection", func() (*report.Table, error) { return quake.Fig8Table(largest, quake.PECounts, method) }},
-		{"fig9_sustained_bw", func() (*report.Table, error) { return quake.Fig9Table(largest, quake.PECounts, method) }},
-		{"fig11_half_bandwidth", func() (*report.Table, error) { return quake.Fig11Table(largest, quake.PECounts, method) }},
+		{"fig6_beta", func() (*report.Table, error) { return quake.Fig6Table(ss, pcounts, method) }},
+		{"fig7_properties", func() (*report.Table, error) { return quake.Fig7Table(ss, pcounts, method) }},
+		{"fig8_bisection", func() (*report.Table, error) { return quake.Fig8Table(largest, pcounts, method) }},
+		{"fig9_sustained_bw", func() (*report.Table, error) { return quake.Fig9Table(largest, pcounts, method) }},
+		{"fig10_tradeoff", func() (*report.Table, error) {
+			return quake.Fig10Table(last, 5e-9, []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000}), nil
+		}},
+		{"fig11_half_bandwidth", func() (*report.Table, error) { return quake.Fig11Table(largest, pcounts, method) }},
+		{"exflow_comparison", func() (*report.Table, error) {
+			cmp, err := quake.CompareEXFLOW(largest, last)
+			if err != nil {
+				return nil, err
+			}
+			return quake.EXFLOWTable(cmp), nil
+		}},
+		{"preset_efficiency", func() (*report.Table, error) { return quake.PresetEfficiencyTable(largest, pcounts, method) }},
+	}
+	if *only != "" {
+		all := jobs
+		jobs = nil
+		for _, name := range strings.Split(*only, ",") {
+			i := slices.IndexFunc(all, func(j job) bool { return j.name == strings.TrimSpace(name) })
+			if i < 0 {
+				return fmt.Errorf("unknown table %q", name)
+			}
+			jobs = append(jobs, all[i])
+		}
+	}
+	// Every table but Figure 2 reads these rows (Properties caches them).
+	rows, err := quake.Properties(largest, pcounts, method)
+	if err != nil {
+		return err
+	}
+	last = rows[len(rows)-1]
+	if *outDir != "-" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
 	}
 	for _, j := range jobs {
 		t, err := j.make()
-		if err := save(j.name, t, err); err != nil {
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
+		}
+		if *outDir == "-" {
+			if err := render(t, stdout); err != nil {
+				return err
+			}
+			if *format != "csv" { // aligned tables are separated by a blank line
+				fmt.Fprintln(stdout)
+			}
+			continue
+		}
+		if err := writeFile(filepath.Join(*outDir, j.name+ext), func(w io.Writer) error { return render(t, w) }); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", j.name)
+		fmt.Fprintf(stdout, "wrote %s\n", j.name)
 	}
-
-	// Figure 10 needs a properties row.
-	rows, err := quake.Properties(largest, quake.PECounts, method)
-	if err != nil {
-		return err
-	}
-	last := rows[len(rows)-1]
-	bursts := []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000}
-	if err := save("fig10_tradeoff", quake.Fig10Table(last, 5e-9, bursts), nil); err != nil {
-		return err
-	}
-	fmt.Println("wrote fig10_tradeoff")
-
-	// EXFLOW comparison on the largest instance.
-	cmp, err := quake.CompareEXFLOW(largest, last)
-	if err != nil {
-		return err
-	}
-	t := report.New(fmt.Sprintf("EXFLOW vs %s/%d", largest.Name, last.P),
-		"metric", "EXFLOW", "ours", "paper sf2/128")
-	t.AddRow("KB/MFLOP", report.F(cmp.EXFLOWKBPerMFLOP, 0),
-		report.F(cmp.QuakeKBPerMFLOP, 1), report.F(quake.PaperQuakeKBPerMFLOP, 0))
-	t.AddRow("msgs/MFLOP", report.F(cmp.EXFLOWMsgsPerMFLOP, 0),
-		report.F(cmp.QuakeMsgsPerMFLOP, 1), report.F(quake.PaperQuakeMsgsPerMFLOP, 0))
-	t.AddRow("avg msg KB", report.F(cmp.EXFLOWAvgMsgKB, 1),
-		report.F(cmp.QuakeAvgMsgKB, 1), report.F(quake.PaperQuakeAvgMsgKB, 1))
-	if err := save("exflow_comparison", t, nil); err != nil {
-		return err
-	}
-	fmt.Println("wrote exflow_comparison")
-
-	// Preset machine efficiencies across the sweep.
-	t2 := report.New("Modeled efficiency of preset machines on "+largest.Name,
-		"subdomains", "T3D", "T3E", "current-100", "future-200")
-	presets := []struct{ tf, tl, tw float64 }{
-		{30e-9, 60e-6, 230e-9},
-		{14e-9, 22e-6, 55e-9},
-		{10e-9, 22e-6, 55e-9},
-		{5e-9, 2e-6, 13e-9},
-	}
-	for _, r := range rows {
-		cells := []string{fmt.Sprint(r.P)}
-		for _, m := range presets {
-			cells = append(cells, report.F(model.Efficiency(r.App(), m.tf, m.tl, m.tw), 3))
-		}
-		t2.AddRow(cells...)
-	}
-	if err := save("preset_efficiency", t2, nil); err != nil {
-		return err
-	}
-	fmt.Println("wrote preset_efficiency")
 
 	if !telemetry {
 		return nil
@@ -182,44 +184,42 @@ func run(scenarioList, outDir, format, tracePath, metricsPath string, pes int, h
 	// Measured pass: run the real goroutine-PE SMVP on the largest
 	// scenario so the trace carries per-PE compute/exchange spans and
 	// the metrics carry observed exchange volumes.
-	if err := measuredPass(largest, pes); err != nil {
+	if err := measuredPass(stdout, largest, *pes, method); err != nil {
 		return err
 	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
+	if *metricsPath != "" {
+		if err := writeFile(*metricsPath, obs.Default.Snapshot().WriteJSON); err != nil {
 			return err
 		}
-		if err := obs.Default.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote metrics snapshot to %s\n", metricsPath)
+		fmt.Fprintf(stdout, "wrote metrics snapshot to %s\n", *metricsPath)
 	}
 	tr := obs.StopTrace()
 	if tr != nil {
-		if err := report.PhaseSummary("Measured phase summary", tr.PhaseStats()).Render(os.Stdout); err != nil {
+		if err := report.PhaseSummary("Measured phase summary", tr.PhaseStats()).Render(stdout); err != nil {
 			return err
 		}
-		if tracePath != "" {
-			f, err := os.Create(tracePath)
-			if err != nil {
+		if *tracePath != "" {
+			if err := writeFile(*tracePath, tr.WriteJSON); err != nil {
 				return err
 			}
-			if err := tr.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", tracePath)
+			fmt.Fprintf(stdout, "wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", *tracePath)
 		}
 	}
 	return nil
+}
+
+// writeFile creates path, hands it to write, and returns the first
+// error, Close's included.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // measuredReps is how many SMVPs the measured pass executes.
@@ -228,12 +228,12 @@ const measuredReps = 3
 // measuredPass executes a few distributed SMVPs on goroutine PEs and
 // prints the observed exchange volume against the partition profile's
 // analytic C accounting.
-func measuredPass(s quake.Scenario, pes int) error {
+func measuredPass(stdout io.Writer, s quake.Scenario, pes int, method partition.Method) error {
 	m, err := s.Mesh()
 	if err != nil {
 		return err
 	}
-	pt, err := partition.PartitionMesh(m, pes, partition.RCB, 1)
+	pt, err := partition.PartitionMesh(m, pes, method, 1)
 	if err != nil {
 		return err
 	}
@@ -271,7 +271,7 @@ func measuredPass(s quake.Scenario, pes int) error {
 			analyticMax = c
 		}
 	}
-	fmt.Printf("measured pass on %s/%d: observed max exchange %s B/SMVP, analytic 8·C_max %s B\n",
+	fmt.Fprintf(stdout, "measured pass on %s/%d: observed max exchange %s B/SMVP, analytic 8·C_max %s B\n",
 		s.Name, pes, report.Int(observedMax), report.Int(analyticMax))
 	return nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,19 +12,23 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/quake"
+	"repro/internal/report"
 )
+
+// catalogue is every table quakerepro can produce.
+var catalogue = []string{
+	"fig2_mesh_sizes", "fig6_beta", "fig7_properties",
+	"fig8_bisection", "fig9_sustained_bw", "fig10_tradeoff",
+	"fig11_half_bandwidth", "exflow_comparison", "preset_efficiency",
+}
 
 func TestRunText(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("sf10", dir, "text", "", "", 8, ""); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-out", dir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"fig2_mesh_sizes.txt", "fig6_beta.txt", "fig7_properties.txt",
-		"fig8_bisection.txt", "fig9_sustained_bw.txt", "fig10_tradeoff.txt",
-		"fig11_half_bandwidth.txt", "exflow_comparison.txt", "preset_efficiency.txt",
-	} {
-		fi, err := os.Stat(filepath.Join(dir, name))
+	for _, name := range catalogue {
+		fi, err := os.Stat(filepath.Join(dir, name+".txt"))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -34,7 +40,7 @@ func TestRunText(t *testing.T) {
 
 func TestRunMarkdown(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("sf10", dir, "md", "", "", 8, ""); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-out", dir, "-format", "md"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig7_properties.md")); err != nil {
@@ -42,9 +48,11 @@ func TestRunMarkdown(t *testing.T) {
 	}
 }
 
+// TestRunCSV runs a non-default partitioner on a one-entry sweep, as
+// CSV.
 func TestRunCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("sf10", dir, "csv", "", "", 8, ""); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-out", dir, "-format", "csv", "-sweep", "4", "-method", "multilevel"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig7_properties.csv")); err != nil {
@@ -52,12 +60,79 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
-	if err := run("sf10", t.TempDir(), "xml", "", "", 8, ""); err == nil {
-		t.Error("unknown format accepted")
+// TestRunOnlyStdout: -only with -out - prints exactly the named tables,
+// in the order named, each followed by a blank line, and writes no
+// file.
+func TestRunOnlyStdout(t *testing.T) {
+	var got, want bytes.Buffer
+	if err := run([]string{"-scenarios", "sf10", "-sweep", "4,8", "-only", "fig7_properties, fig6_beta", "-out", "-"}, &got); err != nil {
+		t.Fatal(err)
 	}
-	if err := run("bogus", t.TempDir(), "text", "", "", 8, ""); err == nil {
-		t.Error("unknown scenario accepted")
+	for _, build := range []func([]quake.Scenario, []int, partition.Method) (*report.Table, error){quake.Fig7Table, quake.Fig6Table} {
+		tab, err := build([]quake.Scenario{quake.SF10}, []int{4, 8}, partition.RCB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Render(&want); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+	}
+	if got.String() != want.String() {
+		t.Errorf("-only fig7_properties,fig6_beta -out - printed\n%s\nwant\n%s", got.String(), want.String())
+	}
+	if _, err := os.Stat("-"); err == nil {
+		t.Error(`-out - created a directory named "-"`)
+	}
+}
+
+func TestRunErrors(t *testing.T) {
+	for _, tc := range []struct {
+		why  string
+		args []string
+	}{
+		{"unknown format", []string{"-format", "xml"}},
+		{"unknown scenario", []string{"-scenarios", "bogus"}},
+		{"unknown table", []string{"-only", "fig7_properties,fig12"}},
+		{"malformed sweep", []string{"-sweep", "4,oops"}},
+		{"non-positive PE count", []string{"-sweep", "0"}},
+		{"unknown method", []string{"-method", "magic"}},
+	} {
+		args := append([]string{"-scenarios", "sf10", "-out", t.TempDir()}, tc.args...)
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("%s accepted", tc.why)
+		}
+	}
+}
+
+// TestReproMatchesCommitted holds the generator to the committed files:
+// the default sweep must reproduce every table it writes byte for byte.
+func TestReproMatchesCommitted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full sf10,sf5,sf2 sweep")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-out", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != len(catalogue) {
+		t.Errorf("wrote %d tables, catalogue has %d", len(written), len(catalogue))
+	}
+	for _, e := range written {
+		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", e.Name()))
+		if err != nil {
+			t.Errorf("%s is not committed: %v", e.Name(), err)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from results/%s:\n%s", e.Name(), e.Name(), got)
+		}
 	}
 }
 
@@ -72,7 +147,7 @@ func TestRunTelemetry(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.json")
 
 	before := obs.Default.Snapshot()
-	if err := run("sf10", dir, "text", tracePath, metricsPath, pes, ""); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-out", dir, "-trace", tracePath, "-metrics", metricsPath, "-pes", fmt.Sprint(pes)}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 

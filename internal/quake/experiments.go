@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/machine"
 	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/partition"
@@ -427,6 +428,47 @@ func CompareEXFLOW(s Scenario, r PropsRow) (*EXFLOWComparison, error) {
 		c.QuakeAvgMsgKB = float64(r.TotalWords) * model.BytesPerWord / 1024 / float64(r.TotalMessages)
 	}
 	return c, nil
+}
+
+// EXFLOWTable renders the comparison as the introduction states it:
+// the published EXFLOW profile, this instance, and the paper's own
+// sf2/128 figures side by side. The 2.0 MB/PE entries are the paper's
+// round figure for both codes.
+func EXFLOWTable(c *EXFLOWComparison) *report.Table {
+	t := report.New(fmt.Sprintf("EXFLOW vs %s/%d", c.Row.Scenario, c.Row.P),
+		"metric", "EXFLOW", "ours", "paper sf2/128")
+	t.AddRow("KB/MFLOP", report.F(c.EXFLOWKBPerMFLOP, 0),
+		report.F(c.QuakeKBPerMFLOP, 1), report.F(PaperQuakeKBPerMFLOP, 0))
+	t.AddRow("msgs/MFLOP", report.F(c.EXFLOWMsgsPerMFLOP, 0),
+		report.F(c.QuakeMsgsPerMFLOP, 1), report.F(PaperQuakeMsgsPerMFLOP, 0))
+	t.AddRow("avg msg KB", report.F(c.EXFLOWAvgMsgKB, 1),
+		report.F(c.QuakeAvgMsgKB, 1), report.F(PaperQuakeAvgMsgKB, 1))
+	t.AddRow("MB/PE", "2.0", report.F(c.QuakeMBPerPE, 2), "2.0")
+	return t
+}
+
+// PresetEfficiencyTable evaluates Equation (1)'s modeled efficiency of
+// every machine.Presets() entry on the scenario across the sweep: one
+// row per subdomain count, one column per preset.
+func PresetEfficiencyTable(s Scenario, pcounts []int, method partition.Method) (*report.Table, error) {
+	rows, err := Properties(s, pcounts, method)
+	if err != nil {
+		return nil, err
+	}
+	presets := machine.Presets()
+	headers := []string{"subdomains"}
+	for _, m := range presets {
+		headers = append(headers, m.Name)
+	}
+	t := report.New("Modeled efficiency of preset machines on "+s.Name, headers...)
+	for _, r := range rows {
+		cells := []string{fmt.Sprint(r.P)}
+		for _, m := range presets {
+			cells = append(cells, report.F(model.Efficiency(r.App(), m.Tf, m.Tl, m.Tw), 3))
+		}
+		t.AddRow(cells...)
+	}
+	return t, nil
 }
 
 func names(scenarios []Scenario) []string {

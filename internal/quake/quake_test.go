@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
+	"repro/internal/model"
 	"repro/internal/partition"
+	"repro/internal/report"
 )
 
 var testPCounts = []int{4, 8, 16}
@@ -283,5 +286,42 @@ func TestCompareEXFLOW(t *testing.T) {
 	}
 	if c.EXFLOWKBPerMFLOP != 144 || c.EXFLOWMsgsPerMFLOP != 66 {
 		t.Error("EXFLOW reference values wrong")
+	}
+	// The rendered table carries all four metrics, the memory row included.
+	tab := EXFLOWTable(c)
+	if tab.Title != "EXFLOW vs sf10/16" || len(tab.Rows) != 4 {
+		t.Fatalf("table title %q, %d rows", tab.Title, len(tab.Rows))
+	}
+	if last := tab.Rows[3]; last[0] != "MB/PE" || last[2] != report.F(c.QuakeMBPerPE, 2) {
+		t.Errorf("memory row = %v", last)
+	}
+}
+
+// TestPresetEfficiencyTable: the table's columns are machine.Presets(),
+// read at call time — a preset added there shows up as a column with no
+// edit here or in the builder — and every cell is Equation (1) at that
+// preset's (T_f, T_l, T_w).
+func TestPresetEfficiencyTable(t *testing.T) {
+	tab, err := PresetEfficiencyTable(SF10, testPCounts, partition.RCB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Properties(SF10, testPCounts, partition.RCB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	presets := machine.Presets()
+	if len(tab.Headers) != 1+len(presets) || len(tab.Rows) != len(rows) {
+		t.Fatalf("table is %d×%d, want %d rows × (1 + %d presets)", len(tab.Rows), len(tab.Headers), len(rows), len(presets))
+	}
+	for j, m := range presets {
+		if tab.Headers[1+j] != m.Name {
+			t.Errorf("column %d is %q, want preset %q", 1+j, tab.Headers[1+j], m.Name)
+		}
+		for i, r := range rows {
+			if want := report.F(model.Efficiency(r.App(), m.Tf, m.Tl, m.Tw), 3); tab.Rows[i][1+j] != want {
+				t.Errorf("%s at p=%d: %s, want %s", m.Name, r.P, tab.Rows[i][1+j], want)
+			}
+		}
 	}
 }

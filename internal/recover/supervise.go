@@ -79,15 +79,17 @@ type System struct {
 	NodeOf func(pe int32) int32
 }
 
+// maxGrows bounds the regrowths per solve; revive events past it are
+// dropped.
+const maxGrows = 3
+
 // SuperviseConfig is the recovery policy around a solver.Config.
 type SuperviseConfig struct {
 	Solver solver.Config
 	// MaxShrinks bounds the worker losses absorbed per solve — shrinks
-	// and replacements alike — and MaxGrows the regrowths (default 3
-	// each; a negative MaxShrinks absorbs none). A partition also cannot
-	// shrink below one PE. Revive events past MaxGrows are dropped.
+	// and replacements alike (default 3; negative absorbs none). A
+	// partition also cannot shrink below one PE.
 	MaxShrinks int
-	MaxGrows   int
 	// Replace selects the loss policy. Nil shrinks onto the survivors of
 	// a killed PE. Non-nil answers every worker death — a kill fault, a
 	// genuine PE panic, a poisoned barrier (deadPE −1) — by asking the
@@ -248,9 +250,6 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	if cfg.MaxShrinks == 0 {
 		cfg.MaxShrinks = 3
 	}
-	if cfg.MaxGrows <= 0 {
-		cfg.MaxGrows = 3
-	}
 	scfg := cfg.Solver
 	if scfg.CheckpointEvery <= 0 {
 		scfg.CheckpointEvery = 10
@@ -293,7 +292,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		return fail(err)
 	}
 
-	// Pending revives, consumed (or dropped past MaxGrows) in order.
+	// Pending revives, consumed (or dropped past maxGrows) in order.
 	var pending []fault.Event
 	if cfg.Plan != nil {
 		for _, e := range cfg.Plan.Events {
@@ -411,7 +410,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			for len(pending) > 0 && pending[0].Iter <= globalIter() {
 				ev := pending[0]
 				pending = pending[1:]
-				if out.Grows >= cfg.MaxGrows {
+				if out.Grows >= maxGrows {
 					continue
 				}
 				slot := min(ev.PE, out.Part.P)

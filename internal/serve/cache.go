@@ -174,9 +174,8 @@ type artifact struct {
 	key Key
 	fp  Fingerprints
 	*scenarioProducts
-	part  *partition.Partition
-	prof  *partition.Profile
-	sched *comm.Schedule
+	part *partition.Partition
+	prof *partition.Profile
 	// nodeOf is the PE→node map of the exchange plan installed on every
 	// worker's Dist (nil, every PE its own node, when nodesize ≤ 1).
 	nodeOf func(pe int32) int32
@@ -283,7 +282,6 @@ func (e *Engine) build(k Key) (*artifact, error) {
 		scenarioProducts: sp,
 		part:             pt,
 		prof:             pr,
-		sched:            sched,
 		warm:             e.cfg.WarmPool,
 		fp: Fingerprints{
 			Key:       k.Fingerprint(),

@@ -258,14 +258,16 @@ func (j *Job) await(ctx context.Context, closing <-chan struct{}) (*SolveResult,
 	return j.st.Result, j.err
 }
 
+// journalMaxBytes is the WAL size past which logState compacts it.
+const journalMaxBytes = 4 << 20
+
 // jobManager owns the job table and its journal. A manager without a
 // journal dir is fully functional but volatile — jobs die with the
 // process, exactly the pre-journal behavior.
 type jobManager struct {
-	dir        string // journal dir; "" = volatile
-	jl         *journal
-	retain     int
-	journalMax int64
+	dir    string // journal dir; "" = volatile
+	jl     *journal
+	retain int
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -280,11 +282,10 @@ type jobManager struct {
 // re-submission until evicted.
 func newJobManager(cfg Config) (*jobManager, []*Job, error) {
 	m := &jobManager{
-		dir:        cfg.JournalDir,
-		retain:     cfg.RetainJobs,
-		journalMax: cfg.JournalMaxBytes,
-		jobs:       make(map[string]*Job),
-		byIdem:     make(map[string]*Job),
+		dir:    cfg.JournalDir,
+		retain: cfg.RetainJobs,
+		jobs:   make(map[string]*Job),
+		byIdem: make(map[string]*Job),
 	}
 	if cfg.JournalDir == "" {
 		return m, nil, nil
@@ -441,7 +442,7 @@ func (m *jobManager) logState(j *Job) {
 		return
 	}
 	m.jl.append(j.stateRecord())
-	if m.jl.size() > m.journalMax {
+	if m.jl.size() > journalMaxBytes {
 		m.compact()
 	}
 }

@@ -97,9 +97,6 @@ type Config struct {
 	// <dir>/ckpt/<jobID>/, and NewEngine replays the journal so a
 	// restart loses no accepted work. Empty keeps jobs in-memory only.
 	JournalDir string
-	// JournalMaxBytes triggers journal compaction once the WAL
-	// outgrows it (default 4 MiB).
-	JournalMaxBytes int64
 	// MaxAttempts bounds worker dispatches per job, counting the
 	// initial one — so MaxAttempts−1 is the migration budget a job has
 	// for workers dying under it (default 3).
@@ -145,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 10
-	}
-	if c.JournalMaxBytes <= 0 {
-		c.JournalMaxBytes = 4 << 20
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3

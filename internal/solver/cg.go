@@ -151,7 +151,7 @@ type Config struct {
 	Workspace *Workspace
 	// CheckEvery > 0 arms self-healing: every CheckEvery iterations CG
 	// recomputes the true residual b − A·x and compares it with the
-	// recursively updated residual. Drift beyond DriftTol, a non-finite
+	// recursively updated residual. Drift beyond driftTol, a non-finite
 	// value anywhere in the iteration, or a pᵀAp breakdown triggers a
 	// rollback to the last certified checkpoint of (x, r, p, ρ); a
 	// repeat detection from the same checkpoint escalates to a full
@@ -161,12 +161,6 @@ type Config struct {
 	// disables self-healing: the classic iteration, with hard errors on
 	// non-finite values.
 	CheckEvery int
-	// DriftTol is the allowed relative gap between the true and
-	// recursive residuals before a recovery is triggered: an audit
-	// detects when |‖b−Ax‖ − ‖r‖| > DriftTol·(‖b‖ + ‖r‖). The ‖r‖ term
-	// keeps roundoff in two large norms from reading as corruption far
-	// from convergence. Defaults to 1e-6.
-	DriftTol float64
 	// MaxRecoveries bounds rollbacks + restarts per solve; exceeding it
 	// fails the solve with an error. Defaults to 5.
 	MaxRecoveries int
@@ -394,6 +388,12 @@ func (s *serial) Gather(x, r, p []float64) error {
 // bounded time.
 const maxBurst = 32
 
+// driftTol is the allowed relative gap between the true and recursive
+// residuals before a recovery is triggered: an audit detects when
+// |‖b−Ax‖ − ‖r‖| > driftTol·(‖b‖ + ‖r‖). The ‖r‖ term keeps roundoff
+// in two large norms from reading as corruption far from convergence.
+const driftTol = 1e-6
+
 // CG solves A·x = b by (optionally Jacobi-preconditioned) conjugate
 // gradients, overwriting x with the solution (x's initial content is
 // the starting guess). When the solve fails because the operator did,
@@ -414,9 +414,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("solver: preconditioner length %d, want %d", len(cfg.Precondition), n)
 	}
 	healing := cfg.CheckEvery > 0
-	if cfg.DriftTol <= 0 {
-		cfg.DriftTol = 1e-6
-	}
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 5
 	}
@@ -533,7 +530,7 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	// resumes — cheap, and correct when the corruption struck after the
 	// checkpoint was certified. A repeat detection before the next audit
 	// passes means the checkpointed state itself carries the fault (a
-	// certified checkpoint may still hide a sub-DriftTol recursion gap
+	// certified checkpoint may still hide a sub-driftTol recursion gap
 	// that regrows), so the recovery escalates: keep the better of the
 	// current and checkpointed x and rebuild the Krylov state from the
 	// true residual (r = b − A·x, p = z, ρ = rᵀz). The rebuilt state is
@@ -687,8 +684,8 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			if err != nil {
 				return res, fmt.Errorf("solver: operator failed at residual audit: %w", err)
 			}
-			if !isFinite(tr) || math.Abs(tr-rn) > cfg.DriftTol*(normB+rn) {
-				if err := heal(fmt.Sprintf("residual drift |%.6g − %.6g| exceeds %g·(‖b‖+‖r‖) at iteration %d", tr, rn, cfg.DriftTol, iter-1), tr); err != nil {
+			if !isFinite(tr) || math.Abs(tr-rn) > driftTol*(normB+rn) {
+				if err := heal(fmt.Sprintf("residual drift |%.6g − %.6g| exceeds %g·(‖b‖+‖r‖) at iteration %d", tr, rn, driftTol, iter-1), tr); err != nil {
 					return res, err
 				}
 				continue
