@@ -62,7 +62,10 @@ cover:
 # Regenerates every table/figure into results/ and records the raw
 # benchmark log (the EXPERIMENTS.md pipeline), then distills it into a
 # machine-readable BENCH_<date>.json for the perf trajectory
-# (ns/op + B/op + allocs/op; see cmd/benchjson).
+# (ns/op + B/op + allocs/op; the kernels section pairs bcsr / sym /
+# sym_avx2, their two-goroutine local_* twins and cg_resident against the
+# previous snapshot, the host section records what a second goroutine
+# bought during the run; see cmd/benchjson).
 bench: bench-json
 
 bench-json:
@@ -70,15 +73,17 @@ bench-json:
 	$(GO) run ./cmd/benchjson -in bench_output.txt -out BENCH_$(BENCH_DATE).json
 	@echo "wrote BENCH_$(BENCH_DATE).json"
 
-# Executes the distributed-kernel benchmark, each setup-stage benchmark
-# and each durable-path benchmark once (no timing fidelity): a fast gate
-# that the parallel SMVP entry point, the seven cold-build stages (Setup:
-# partition ×2, analyze, schedule, lumped_mass, assemble, newdist) and the
-# six terms of the durable path (the journal's lives in internal/serve)
-# still run, and that the fault-injection hooks stay allocation-free on
-# their hot path.
+# Executes the distributed-kernel benchmark, the local-operator kernel
+# benchmark in its three forms, the host-scaling pairs, each setup-stage
+# benchmark and each durable-path benchmark once (no timing fidelity): a
+# fast gate that the parallel SMVP entry point, the resident kernel
+# (full-storage baseline, pure Go, the form selected for the host), the
+# seven cold-build stages (Setup: partition ×2, analyze, schedule,
+# lumped_mass, assemble, newdist) and the six terms of the durable path
+# (the journal's lives in internal/serve) still run, and that the
+# fault-injection hooks stay allocation-free on their hot path.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='ParallelSMVP|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
+	$(GO) test -run='^$$' -bench='ParallelSMVP|LocalKernels|HostScaling|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): every
 # workload once, untraced. One run says little on a shared host; a claim

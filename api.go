@@ -38,7 +38,8 @@ type (
 	Material = material.Model
 	// BCSR is a 3×3-block sparse matrix (the stiffness format).
 	BCSR = sparse.BCSR
-	// SymBCSR is the symmetric upper-triangle storage variant.
+	// SymBCSR is the symmetric upper-triangle storage variant, the
+	// operator each PE of a Dist holds.
 	SymBCSR = sparse.SymBCSR
 )
 

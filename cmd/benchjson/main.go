@@ -52,13 +52,20 @@ type Report struct {
 	// ran against, so a BENCH_<date>.json can be matched back to a
 	// commit (and a dirty tree is never mistaken for one). Both are
 	// omitted when git is unavailable or the cwd is not a repository.
-	GitCommit   string             `json:"git_commit,omitempty"`
-	GitDirty    bool               `json:"git_dirty,omitempty"`
-	NumCPU      int                `json:"num_cpu"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	NsPerOp     map[string]float64 `json:"ns_per_op"`
-	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	GitCommit  string `json:"git_commit,omitempty"`
+	GitDirty   bool   `json:"git_dirty,omitempty"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Host is what num_cpu does not say: what a second goroutine bought,
+	// on the machine and at the time of the run, for an FP-port-bound
+	// loop and for a 27 MB memory stream (BenchmarkHostScaling; keys
+	// fp_g1, fp_g2, stream_g1, stream_g2 — a pair's ratio is the
+	// scaling). Two CPUs that are hyperthreads of one core read 1× and
+	// 2×; two cores 2× and whatever the memory system gives.
+	Host        map[string]KernelStat `json:"host,omitempty"`
+	NsPerOp     map[string]float64    `json:"ns_per_op"`
+	BytesPerOp  map[string]float64    `json:"bytes_per_op,omitempty"`
+	AllocsPerOp map[string]float64    `json:"allocs_per_op,omitempty"`
 	// ObsOverhead pairs every BenchmarkXxxEnabled/BenchmarkXxxDisabled
 	// couple found in the run — the telemetry primitives benchmark both
 	// states — so the cost of leaving collection on is tracked per
@@ -76,8 +83,9 @@ type Report struct {
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
 	// Kernels is the A/B view of the SMVP kernel variants and the
 	// serial-reference vs PE-resident CG solves, keyed by short kernel
-	// name (csr, bcsr, sym, csr_seg, fused, cg_serial, cg_resident). When
-	// a previous
+	// name (csr, bcsr, sym, sym_avx2, csr_seg, fused on the global sf5
+	// matrix; local_bcsr, local_sym, local_sym_avx2 on the two sf5/p2 local
+	// operators at once; cg_serial, cg_resident). When a previous
 	// BENCH_*.json is available (-prev, or auto-discovered), each entry
 	// carries that snapshot's ns/op and the speedup against it, so a
 	// kernel regression is visible in the report itself, not only by
@@ -107,13 +115,26 @@ type KernelStat struct {
 // kernelBenchmarks maps benchmark names to the short kernel keys of the
 // report's kernels section.
 var kernelBenchmarks = map[string]string{
-	"BenchmarkAblationKernels/csr":     "csr",
-	"BenchmarkAblationKernels/bcsr":    "bcsr",
-	"BenchmarkAblationKernels/sym":     "sym",
-	"BenchmarkAblationKernels/csr_seg": "csr_seg",
-	"BenchmarkAblationKernels/fused":   "fused",
-	"BenchmarkDistCGSolveSerial":       "cg_serial",
-	"BenchmarkDistCGSolveResident":     "cg_resident",
+	"BenchmarkAblationKernels/csr":      "csr",
+	"BenchmarkAblationKernels/bcsr":     "bcsr",
+	"BenchmarkAblationKernels/sym":      "sym",
+	"BenchmarkAblationKernels/sym_avx2": "sym_avx2",
+	"BenchmarkAblationKernels/csr_seg":  "csr_seg",
+	"BenchmarkAblationKernels/fused":    "fused",
+	"BenchmarkLocalKernels/bcsr":        "local_bcsr",
+	"BenchmarkLocalKernels/sym":         "local_sym",
+	"BenchmarkLocalKernels/sym_avx2":    "local_sym_avx2",
+	"BenchmarkDistCGSolveSerial":        "cg_serial",
+	"BenchmarkDistCGSolveResident":      "cg_resident",
+}
+
+// hostBenchmarks maps benchmark names to the keys of the report's host
+// section.
+var hostBenchmarks = map[string]string{
+	"BenchmarkHostScaling/fp/g=1":     "fp_g1",
+	"BenchmarkHostScaling/fp/g=2":     "fp_g2",
+	"BenchmarkHostScaling/stream/g=1": "stream_g1",
+	"BenchmarkHostScaling/stream/g=2": "stream_g2",
 }
 
 // setupBenchmarks maps benchmark names to the stage keys of the report's
@@ -217,6 +238,7 @@ func run(inPath, outPath, metricsPath, prevPath string) error {
 		rep.Recovery = recoveryStats(snap)
 	}
 	prevNs := loadPrevNs(prevPath, outPath)
+	rep.Host = sectionStats(rep.NsPerOp, prevNs, hostBenchmarks)
 	rep.Kernels = sectionStats(rep.NsPerOp, prevNs, kernelBenchmarks)
 	rep.Setup = sectionStats(rep.NsPerOp, prevNs, setupBenchmarks)
 	rep.Durable = sectionStats(rep.NsPerOp, prevNs, durableBenchmarks)

@@ -279,11 +279,20 @@ func TestRecoverySection(t *testing.T) {
 	}
 }
 
-// kernelOutput carries the ablation sub-benchmarks and both CG solves,
-// the full population of the report's kernels section.
+// kernelOutput carries the ablation and local-operator sub-benchmarks and
+// both CG solves, the full population of the report's kernels section,
+// and the host-scaling pairs.
 const kernelOutput = `BenchmarkAblationKernels/csr-8 	 200 	 5000 ns/op
 BenchmarkAblationKernels/bcsr-8 	 200 	 2400 ns/op
 BenchmarkAblationKernels/sym-8 	 200 	 1600 ns/op
+BenchmarkAblationKernels/sym_avx2-8 	 200 	 1100 ns/op
+BenchmarkLocalKernels/bcsr-8 	 200 	 1200 ns/op
+BenchmarkLocalKernels/sym-8 	 200 	 750 ns/op
+BenchmarkLocalKernels/sym_avx2-8 	 200 	 600 ns/op
+BenchmarkHostScaling/fp/g=1-8 	 50 	 2800000 ns/op
+BenchmarkHostScaling/fp/g=2-8 	 50 	 2800000 ns/op
+BenchmarkHostScaling/stream/g=1-8 	 50 	 2000000 ns/op 	 14.00 GB/s
+BenchmarkHostScaling/stream/g=2-8 	 50 	 1000000 ns/op 	 28.00 GB/s
 BenchmarkAblationKernels/csr_seg-8 	 200 	 4800 ns/op
 BenchmarkAblationKernels/fused-8 	 200 	 2000 ns/op
 BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
@@ -326,7 +335,8 @@ func TestKernelsSection(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"csr", "bcsr", "sym", "csr_seg", "fused", "cg_serial", "cg_resident"} {
+	for _, key := range []string{"csr", "bcsr", "sym", "sym_avx2", "csr_seg", "fused",
+		"local_bcsr", "local_sym", "local_sym_avx2", "cg_serial", "cg_resident"} {
 		if _, ok := rep.Kernels[key]; !ok {
 			t.Errorf("kernels section missing %q: %+v", key, rep.Kernels)
 		}
@@ -341,6 +351,10 @@ func TestKernelsSection(t *testing.T) {
 	}
 	if cg := rep.Kernels["cg_serial"]; cg.SpeedupVsPrev != 1.1 {
 		t.Errorf("cg_serial speedup = %v, want 1.1", cg.SpeedupVsPrev)
+	}
+	// The host's scaling pairs sit in a block of their own.
+	if h := rep.Host; len(h) != 4 || h["fp_g2"].NsPerOp != 2800000 || h["stream_g1"].NsPerOp != 2000000 || h["stream_g2"].NsPerOp != 1000000 {
+		t.Errorf("host block = %+v, want the four HostScaling entries", h)
 	}
 	// The setup stages form a section of their own, keyed the same way.
 	if nd := rep.Setup["newdist"]; nd.NsPerOp != 38000000 || nd.PrevNsPerOp != 76000000 || nd.SpeedupVsPrev != 2 {

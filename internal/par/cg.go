@@ -58,7 +58,8 @@ type cgCall struct {
 	shift            float64
 	mass             []float64
 	// scrub makes cgResidual zero the iterate's non-finite entries and
-	// re-synchronise its replicas from the owners through tmp first.
+	// re-synchronise its replicas from the owners through tmp first;
+	// cgTrueResidual reads the owners' values through it.
 	scrub bool
 	tmp   []float64
 	xOnly bool
@@ -149,8 +150,8 @@ func (o Operator) Gather(x, r, p []float64) error {
 func (o Operator) Residual(scrub bool) (rho, rn2 float64, err error) {
 	rt := o.D.rt
 	rt.cg.op, rt.cg.scrub = cgResidual, scrub
-	if scrub && rt.cg.tmp == nil {
-		rt.cg.tmp = make([]float64, 3*o.D.GlobalNodes)
+	if scrub {
+		o.ownersScratch()
 	}
 	if err := rt.runCG(); err != nil {
 		return 0, 0, err
@@ -158,10 +159,24 @@ func (o Operator) Residual(scrub bool) (rho, rn2 float64, err error) {
 	return rt.sum(slotRho), rt.sum(slotRN2), nil
 }
 
-// TrueResidual implements the solver's backend.
+// ownersScratch makes sure the solve has the global vector through which
+// PEs read the owners' iterate.
+func (o Operator) ownersScratch() {
+	if c := &o.D.rt.cg; c.tmp == nil {
+		c.tmp = make([]float64, 3*o.D.GlobalNodes)
+	}
+}
+
+// TrueResidual implements the solver's backend. The iterate it audits is
+// the one Gather reports, the owners' values: a corrupted partial sum
+// that lands on a replica no reduction counts leaves that replica of x
+// apart from its owner for the rest of the solve, and a residual taken
+// on the replicas would agree with the recursive one while the reported
+// answer satisfies neither.
 func (o Operator) TrueResidual() (float64, error) {
 	rt := o.D.rt
 	rt.cg.op = cgTrueResidual
+	o.ownersScratch()
 	if err := rt.runCG(); err != nil {
 		return 0, err
 	}
@@ -271,30 +286,39 @@ func (rt *peRuntime) gather(pe int, dst, src []float64) {
 
 // residual evaluates b − A·x on the PE's replicas, A = K + σ·diag(m)
 // with the mass shift applied after the receive, on the summed value.
-// cgTrueResidual only reduces its squared norm; cgResidual also rebuilds
-// the Krylov state from it: r = b − A·x, z = M⁻¹r, p = z, ρ = rᵀz.
+// cgTrueResidual takes x from the owners and only reduces the squared
+// norm; cgResidual also rebuilds the Krylov state from it: r = b − A·x,
+// z = M⁻¹r, p = z, ρ = rᵀz.
 func (rt *peRuntime) residual(pe int) {
 	c := &rt.cg
 	ws := &rt.ws[pe]
 	v := &ws.cg
-	if c.op == cgResidual && c.scrub {
-		for i, xi := range v.x {
-			if math.IsNaN(xi) || math.IsInf(xi, 0) {
-				v.x[i] = 0
+	x := v.x
+	if c.op == cgTrueResidual || c.scrub {
+		// A corrupted exchange may have left replicas of x disagreeing;
+		// the owner's value is the one the solve reports. A restart
+		// re-synchronises the replicas from it (after zeroing non-finite
+		// entries); an audit only reads it, into the phased SMVP's local
+		// vector, which is free for the length of a dispatch.
+		if c.op == cgResidual {
+			for i, xi := range x {
+				if math.IsNaN(xi) || math.IsInf(xi, 0) {
+					x[i] = 0
+				}
 			}
+		} else {
+			x = ws.x
 		}
-		// A restart may follow a corrupted exchange that left replicas of
-		// x disagreeing; the owner's value is the one the solve reports.
 		rt.gather(pe, c.tmp, v.x)
 		if !rt.bar.await() {
 			return
 		}
 		for l, g := range rt.nodes[pe] {
-			copy(v.x[3*l:3*l+3], c.tmp[3*g:3*g+3])
+			copy(x[3*l:3*l+3], c.tmp[3*g:3*g+3])
 		}
 	}
 	y := ws.y
-	rt.compute(pe, y, v.x, false)
+	rt.compute(pe, y, x)
 	if !rt.exchange(pe, y) {
 		return
 	}
@@ -302,7 +326,7 @@ func (rt *peRuntime) residual(pe int) {
 	for l, f := range v.shift {
 		w := v.own[l]
 		for i := 3 * l; i < 3*l+3; i++ {
-			ri := v.b[i] - (y[i] + f*v.x[i])
+			ri := v.b[i] - (y[i] + f*x[i])
 			rn2 += w * ri * ri
 			if c.op == cgTrueResidual {
 				continue
@@ -350,7 +374,7 @@ func (rt *peRuntime) iterate(pe int) {
 		if pe == 0 {
 			rt.met.smvps.Add(1)
 		}
-		pap := rt.compute(pe, y, v.p, true)
+		pap := rt.compute(pe, y, v.p)
 		for l, f := range v.shift {
 			p0, p1, p2 := v.p[3*l], v.p[3*l+1], v.p[3*l+2]
 			pap += v.own[l] * f * (p0*p0 + p1*p1 + p2*p2)

@@ -206,6 +206,70 @@ func TestReplicasBitEqual(t *testing.T) {
 	}
 }
 
+// TestTrueResidualAuditsTheOwners: the iterate an audit certifies is the
+// one Gather reports. A replica of x that has parted from its owner —
+// what a corrupted partial sum leaves behind when it lands on a PE that
+// does not own the node — must not enter the true residual (it would
+// agree with the recursive residual, which was stepped on the same
+// replicas, and certify an answer that satisfies neither), and the audit
+// must leave the replica as it found it.
+func TestTrueResidualAuditsTheOwners(t *testing.T) {
+	f := newFixture(t)
+	d, _ := f.dist(t, 4, partition.RCB)
+	op := Operator{D: d, Shift: 20, MassNode: f.sys.MassNode}
+	b := cgRHS(op.Dim())
+	rho := begin(t, op, b)
+	defer op.End()
+	if _, _, _, _, err := op.Iterate(rho, 5, never); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := op.TrueResidual()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, op.Dim())
+	if err := op.Gather(x, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	ax := make([]float64, len(x))
+	if err := (applyOnly{op}).Apply(ax, x); err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for i := range b {
+		want += (b[i] - ax[i]) * (b[i] - ax[i])
+	}
+	if want = math.Sqrt(want); math.Abs(clean-want) > 1e-12*want {
+		t.Fatalf("true residual %g, ‖b − A·x‖ of the gathered iterate %g", clean, want)
+	}
+
+	pe, l := -1, int32(0)
+	for q := 0; q < d.P && pe < 0; q++ {
+		for _, bl := range d.Boundary[q] {
+			if d.Owner[d.Nodes[q][bl]] != int32(q) {
+				pe, l = q, bl
+				break
+			}
+		}
+	}
+	if pe < 0 {
+		t.Fatal("no replica to perturb")
+	}
+	replica := &d.rt.ws[pe].cg.x[3*l]
+	*replica += 1
+	parted := *replica
+	got, err := op.TrueResidual()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(clean) {
+		t.Errorf("true residual %g with a parted replica, %g without: the audit read the replica", got, clean)
+	}
+	if *replica != parted {
+		t.Error("the audit rewrote the replica")
+	}
+}
+
 // TestCGResidentZeroAlloc pins the hot path: between checkpoint
 // boundaries a resident solve allocates nothing — flat and aggregated,
 // with telemetry on and an injector armed the way the elastic

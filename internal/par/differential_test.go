@@ -22,7 +22,8 @@ import (
 // matrices were assembled by concurrent workers over dense scratch, kept
 // verbatim as the reference the differential test compares against: one
 // goroutine, PEs in order, a global-to-local hash map per PE, a hash set
-// of seen edges. It stops short of the PE runtime.
+// of seen edges. Each full matrix is folded to the symmetric storage a
+// Dist holds once it is complete. It stops short of the PE runtime.
 func newDistRef(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *partition.Profile) (*Dist, error) {
 	if pr.P != pt.P {
 		return nil, fmt.Errorf("par: profile has %d PEs, partition %d", pr.P, pt.P)
@@ -32,7 +33,7 @@ func newDistRef(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *
 		P:           p,
 		GlobalNodes: m.NumNodes(),
 		Nodes:       pr.NodesOnPE,
-		K:           make([]*sparse.BCSR, p),
+		K:           make([]*sparse.SymBCSR, p),
 		Neighbors:   make([][]int32, p),
 		Shared:      make([][][]int32, p),
 		Owner:       make([]int32, m.NumNodes()),
@@ -97,7 +98,10 @@ func newDistRef(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *
 				}
 			}
 		}
-		d.K[i] = k
+		var err error
+		if d.K[i], err = sparse.NewSymFromBCSR(k); err != nil {
+			return nil, err
+		}
 	}
 
 	// Exchange lists from the residency sets: for every node on 2+ PEs,
@@ -170,12 +174,15 @@ func sameDist(t *testing.T, what string, got, want *Dist) {
 		if g.N != w.N || !slices.Equal(g.RowOff, w.RowOff) || !slices.Equal(g.Col, w.Col) {
 			t.Fatalf("%s: K[%d] structure differs", what, i)
 		}
-		if len(g.Val) != len(w.Val) {
-			t.Fatalf("%s: K[%d] holds %d values, reference %d", what, i, len(g.Val), len(w.Val))
-		}
-		for k := range w.Val {
-			if math.Float64bits(g.Val[k]) != math.Float64bits(w.Val[k]) {
-				t.Fatalf("%s: K[%d].Val[%d] is %x, reference %x", what, i, k, math.Float64bits(g.Val[k]), math.Float64bits(w.Val[k]))
+		for name, vals := range map[string][2][]float64{"Val": {g.Val, w.Val}, "Diag": {g.Diag, w.Diag}} {
+			gv, wv := vals[0], vals[1]
+			if len(gv) != len(wv) {
+				t.Fatalf("%s: K[%d].%s holds %d values, reference %d", what, i, name, len(gv), len(wv))
+			}
+			for k := range wv {
+				if math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
+					t.Fatalf("%s: K[%d].%s[%d] is %x, reference %x", what, i, name, k, math.Float64bits(gv[k]), math.Float64bits(wv[k]))
+				}
 			}
 		}
 		if !slices.Equal(got.Neighbors[i], want.Neighbors[i]) {
@@ -191,7 +198,8 @@ func sameDist(t *testing.T, what string, got, want *Dist) {
 }
 
 // TestNewDistMatchesReference pins the concurrent, map-free construction
-// to the serial map-based one, field for field and bit for bit, over
+// to the serial map-based one — the folded operator against the fold of
+// the reference's matrices — field for field and bit for bit, over
 // seeded random graded meshes and a lattice with tied centroids, both
 // geometric partitioners, part counts on both sides of the worker count,
 // and one, two and four scheduler threads.

@@ -158,7 +158,7 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 	var fx, fy, fz float64
 	stepBody := func(pe int) {
 		iter := rt.ws[pe].iter
-		rt.compute(pe, ku[pe], u[pe], false)
+		rt.compute(pe, ku[pe], u[pe])
 		computeAcc[pe] += rt.tm.Compute[pe]
 		if !rt.exchange(pe, ku[pe]) {
 			return
@@ -226,7 +226,7 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 			return nil, err
 		}
 		for pe := 0; pe < d.P; pe++ {
-			flops += int64(2 * d.K[pe].NNZ())
+			flops += int64(2 * d.K[pe].EquivalentNNZ())
 		}
 
 		for i, r := range rcvs {

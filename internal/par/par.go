@@ -29,7 +29,8 @@ import (
 
 // Dist is a distributed SMVP operator: per-PE local stiffness matrices
 // assembled from each subdomain's own elements (so the global K is the
-// sum of the scattered locals), plus the shared-node exchange lists.
+// sum of the scattered locals) and held in symmetric-upper storage, plus
+// the shared-node exchange lists.
 type Dist struct {
 	P           int
 	GlobalNodes int
@@ -37,8 +38,9 @@ type Dist struct {
 	// sorted ascending. Local index l on PE i refers to Nodes[i][l].
 	Nodes [][]int32
 	// K[i] is PE i's local stiffness in local numbering, holding only
-	// the contributions of PE i's own elements.
-	K []*sparse.BCSR
+	// the contributions of PE i's own elements: its diagonal and upper
+	// blocks, the one operator every kernel of the Dist streams.
+	K []*sparse.SymBCSR
 	// Neighbors[i] lists the PEs that share at least one node with i.
 	Neighbors [][]int32
 	// Shared[i][k] lists the local indices (into Nodes[i]) of the nodes
@@ -142,7 +144,7 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		P:           p,
 		GlobalNodes: m.NumNodes(),
 		Nodes:       pr.NodesOnPE,
-		K:           make([]*sparse.BCSR, p),
+		K:           make([]*sparse.SymBCSR, p),
 		Neighbors:   make([][]int32, p),
 		Shared:      make([][][]int32, p),
 		Owner:       make([]int32, m.NumNodes()),
@@ -167,7 +169,8 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 	// workers pull PE indices from a counter and build each K[i] start to
 	// finish. One worker adds one PE's element blocks in ascending element
 	// order, so every sum has the order a serial loop over PEs gives it
-	// and the result does not depend on the worker count.
+	// and the result does not depend on the worker count. The full matrix
+	// lives only until the worker has folded it.
 	workers := min(p, runtime.GOMAXPROCS(0))
 	scratch := make([]localScratch, workers)
 	errs := make([]error, p)
@@ -179,7 +182,11 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		go func(sc *localScratch) {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < p; i = int(next.Add(1)) - 1 {
-				d.K[i], errs[i] = assembleLocal(m, mat, d.Nodes[i], elems[i], sc)
+				full, err := assembleLocal(m, mat, d.Nodes[i], elems[i], sc)
+				if err == nil {
+					d.K[i], err = sparse.NewSymFromBCSR(full)
+				}
+				errs[i] = err
 			}
 		}(&scratch[w])
 	}
@@ -409,7 +416,7 @@ func (rt *peRuntime) phasedPE(pe int) {
 	for l, g := range nodes {
 		copy(ws.x[3*l:3*l+3], x[3*g:3*g+3])
 	}
-	rt.compute(pe, ws.y, ws.x, false)
+	rt.compute(pe, ws.y, ws.x)
 	if !rt.exchange(pe, ws.y) {
 		return
 	}
@@ -425,17 +432,14 @@ func (rt *peRuntime) phasedPE(pe int) {
 // compute is one PE's computation phase: y = K_pe·x on its local
 // vectors, timed into Timing.Compute and the phase telemetry, followed
 // by the injector's PE-local hook — the point where a dead PE is most
-// dangerous, with every peer headed for the phase synchronization. With
-// dot set the fused kernel also returns xᵀy at no extra sweep.
-func (rt *peRuntime) compute(pe int, y, x []float64, dot bool) (d float64) {
+// dangerous, with every peer headed for the phase synchronization. The
+// operator has one kernel, which returns xᵀy from the same sweep; only
+// a CG iteration has a use for it.
+func (rt *peRuntime) compute(pe int, y, x []float64) float64 {
 	iter := rt.ws[pe].iter
 	sp := obs.StartSpanPE("compute", "par.smvp.compute", pe)
 	start := time.Now()
-	if dot {
-		d = rt.k[pe].MulVecDot(y, x)
-	} else {
-		rt.k[pe].MulVec(y, x)
-	}
+	d := rt.k[pe].MulVecDot(y, x)
 	rt.tm.Compute[pe] = time.Since(start)
 	rt.met.observeCompute(pe, iter, rt.tm.Compute[pe])
 	sp.End()
@@ -547,13 +551,14 @@ func (rt *peRuntime) receive(pe int, y []float64, lo, hi int) (recvd int64) {
 }
 
 // FlopsPerPE returns the flop count of each PE's local SMVP (2 flops
-// per stored scalar). Note this is the element-assembled operator, so
-// it can be slightly below the paper's residency-based F when a shared
-// node pair's connecting elements all live on another PE.
+// per scalar of the full matrix the symmetric storage stands for). Note
+// this is the element-assembled operator, so it can be slightly below
+// the paper's residency-based F when a shared node pair's connecting
+// elements all live on another PE.
 func (d *Dist) FlopsPerPE() []int64 {
 	out := make([]int64, d.P)
 	for i, k := range d.K {
-		out[i] = int64(2 * k.NNZ())
+		out[i] = int64(2 * k.EquivalentNNZ())
 	}
 	return out
 }

@@ -102,18 +102,31 @@ func TestLocalSumEqualsGlobal(t *testing.T) {
 	d, _ := f.dist(t, 6, partition.RCB)
 	n := f.m.NumNodes()
 	sum := make(map[[2]int32][9]float64)
+	add := func(gi, gj int32, v []float64, transpose bool) {
+		key := [2]int32{gi, gj}
+		blk := sum[key]
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				if transpose {
+					blk[3*c+r] += v[3*r+c]
+				} else {
+					blk[3*r+c] += v[3*r+c]
+				}
+			}
+		}
+		sum[key] = blk
+	}
+	// Unfold each local operator: the diagonal blocks, the stored upper
+	// blocks, and their transposes below the diagonal.
 	for pe := 0; pe < d.P; pe++ {
 		k := d.K[pe]
 		for li := 0; li < k.N; li++ {
 			gi := d.Nodes[pe][li]
+			add(gi, gi, k.Diag[9*li:9*li+9], false)
 			for idx := k.RowOff[li]; idx < k.RowOff[li+1]; idx++ {
 				gj := d.Nodes[pe][k.Col[idx]]
-				key := [2]int32{gi, gj}
-				blk := sum[key]
-				for p := 0; p < 9; p++ {
-					blk[p] += k.Val[9*idx+int64(p)]
-				}
-				sum[key] = blk
+				add(gi, gj, k.Val[9*idx:9*idx+9], false)
+				add(gj, gi, k.Val[9*idx:9*idx+9], true)
 			}
 		}
 	}

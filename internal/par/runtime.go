@@ -163,7 +163,7 @@ type peRuntime struct {
 
 	// Topology, shared (slice headers) with the owning Dist.
 	nodes     [][]int32
-	k         []*sparse.BCSR
+	k         []*sparse.SymBCSR
 	neighbors [][]int32
 	shared    [][][]int32
 	owner     []int32

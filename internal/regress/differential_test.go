@@ -25,6 +25,10 @@ import (
 //	resident ≡ serial       solution within diffTol of the serial backend's
 //	                        on the same Dist, iteration counts within
 //	                        diffIters (the reductions group terms by PE)
+//	symmetric ≡ full        the resident solve on the PEs' symmetric-upper
+//	                        operators against the serial solve on the
+//	                        full-storage global K: within diffTol,
+//	                        iterations within diffIters
 //	p = 1 resident ≡ serial bit for bit, on the unshifted operator (with
 //	                        a shift the resident pᵀAp adds σ·Σm‖p‖² as a
 //	                        term of its own — that is what lets it ride
@@ -32,7 +36,9 @@ import (
 //	flat ≡ aggregated       bit for bit
 //	resume ≡ uninterrupted  bit for bit, on a fresh Dist, from a
 //	                        checkpoint at a random iteration
-//	healing, kill → shrink  converge to the serial solution
+//	healing                 the answer's true residual on the clean
+//	                        global operator is within 10·solveTol
+//	kill → shrink           converges to the serial solution
 const (
 	diffTol  = 1e-5 // relative to 1 + ‖x‖∞, at solve tolerance 1e-9
 	solveTol = 1e-9
@@ -95,6 +101,22 @@ func close(t *testing.T, what string, got, want []float64) {
 			t.Fatalf("%s: scalar %d is %g, want %g (‖x‖∞ = %g)", what, i, got[i], want[i], scale)
 		}
 	}
+}
+
+// trueResidual is ‖b − A·x‖₂/‖b‖₂ on an operator the solve under test
+// never touched.
+func trueResidual(t *testing.T, a solver.Operator, b, x []float64) float64 {
+	t.Helper()
+	ax := make([]float64, len(x))
+	if err := a.Apply(ax, x); err != nil {
+		t.Fatal(err)
+	}
+	var r2, b2 float64
+	for i := range b {
+		r2 += (b[i] - ax[i]) * (b[i] - ax[i])
+		b2 += b[i] * b[i]
+	}
+	return math.Sqrt(r2 / b2)
 }
 
 func sameResult(t *testing.T, what string, got, want *solver.Result) {
@@ -189,6 +211,13 @@ func differentialCase(t *testing.T, dm diffMesh, method partition.Method, p, siz
 	bitEqual(t, "aggregated vs flat", xa, xf)
 	sameResult(t, "aggregated vs flat", ra, rf)
 
+	// The PEs hold symmetric-upper storage; the global reference kernel
+	// is full storage and shares no arithmetic with it.
+	global := solver.Shifted{K: dm.sys.K, MassNode: dm.sys.MassNode, Sigma: 20}
+	xg, rg := solve("serial on the global K", global, b, solver.Config{})
+	close(t, "symmetric resident vs full-storage serial", xf, xg)
+	nearIterations(t, "symmetric resident vs full-storage serial", rf, rg)
+
 	// p = 1: the resident kernels are the serial arithmetic. Compared
 	// after a fixed number of iterations on the unshifted (singular)
 	// operator with a consistent right-hand side, so nothing depends on
@@ -211,7 +240,7 @@ func differentialCase(t *testing.T, dm diffMesh, method partition.Method, p, siz
 
 	// Jacobi.
 	prec := make([]float64, n)
-	for i, d := range (solver.Shifted{K: dm.sys.K, MassNode: dm.sys.MassNode, Sigma: 20}).Diagonal() {
+	for i, d := range global.Diagonal() {
 		prec[i] = 1 / d
 	}
 	xsj, rsj := solve("serial jacobi", applyOnly{opFlat}, b, solver.Config{Precondition: prec})
@@ -254,9 +283,16 @@ func differentialCase(t *testing.T, dm diffMesh, method partition.Method, p, siz
 		t.Fatalf("healing under %s: injected %d, result %+v", plan, in.Count(fault.Corrupt), rh)
 	}
 	// A flipped word need not be detected — it may strike a replica that
-	// an audit's reduction does not count — but then it must not matter:
-	// the answer is certified either way.
-	close(t, "healed vs serial", xh, xs)
+	// no reduction counts, too lightly to move the owners' iterate — but
+	// then it must not matter: the answer is certified either way, and
+	// the certificate is checked here on the clean global operator, which
+	// no audit of the solve has touched. (An audit that took the residual
+	// on the replicas passed this table's mesh1/inertial/p8 row with a
+	// true residual of 0.057: the flipped word had parted one replica of
+	// x from its owner for good.)
+	if res := trueResidual(t, global, b, xh); res > 10*solveTol {
+		t.Fatalf("healing under %s: true residual %g on the clean operator, want ≤ %g", plan, res, 10*solveTol)
+	}
 	*detections += rh.Detections
 	if _, err := agg.InjectFaults(nil); err != nil {
 		t.Fatal(err)
