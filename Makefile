@@ -30,7 +30,7 @@ test:
 # allowed. A package that starts goroutines belongs here; regress'
 # concurrent paths are par's and recover's, which are.
 race:
-	$(GO) test -race . ./internal/fault/ ./internal/obs/... ./internal/par/ ./internal/partition/ ./internal/recover/ ./internal/serve/ ./internal/solver/ ./internal/sparse/ ./internal/spark/
+	$(GO) test -race . ./internal/fault/ ./internal/durable/ ./internal/obs/... ./internal/par/ ./internal/partition/ ./internal/recover/ ./internal/serve/ ./internal/solver/ ./internal/sparse/ ./internal/spark/
 
 # Non-test, non-generated Go lines per package and in total — the ruler
 # ROADMAP aim 2 asks every PR to report with. `make lines REV=HEAD~1`
@@ -104,7 +104,8 @@ e2e-pairs:
 
 # Short mutation runs of the fuzz targets: the parsers that accept
 # untrusted input (the message-matrix schedule builder, the fault-plan
-# grammar, and the durable-checkpoint decoder) plus the
+# grammar, the frame codec both on-disk formats share and the two payload
+# decoders behind it) plus the
 # aggregation-invariant fuzzer that hunts for schedules where the
 # two-level fusion drops or reorders words. Go allows one -fuzz pattern
 # per invocation, so each target gets its own run.
@@ -112,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFromMatrix -fuzztime=5s ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzAggregate -fuzztime=5s ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault/
+	$(GO) test -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=5s ./internal/recover/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=5s ./internal/serve/

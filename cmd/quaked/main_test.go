@@ -69,6 +69,32 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunChaos is the durability drill end to end — the body of `make
+// serve-chaos`: a detached solve loses its worker and migrates, the whole
+// server is torn down under it, and a second engine on the same journal
+// replays the job and finishes it from its checkpoint with none lost.
+func TestRunChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the drill paces a real sf10 solve; skipped under -short")
+	}
+	opt := &options{
+		addr: "127.0.0.1:0", warm: 1, journalDir: t.TempDir(),
+		chaos: true, smokeScenario: "sf10", smokePEs: 4,
+	}
+	if err := opt.validate(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(context.Background(), opt, &out); err != nil {
+		t.Fatalf("run -chaos: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"accepted on", "forcing restart mid-solve", "chaos ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("chaos output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestRunServeAndShutdown runs the server mode: ready address, live
 // endpoints, one solve over HTTP, then a context cancel (the SIGTERM
 // path) must drain and return nil.

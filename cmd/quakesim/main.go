@@ -403,7 +403,7 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 	if opt.rebalance {
 		// The rebalancer's windows come from the live per-PE accumulators.
 		obs.SetEnabled(true)
-		cfg.Rebalance = &rec.RebalanceConfig{}
+		cfg.Rebalance = true
 	}
 	if opt.resume != "" {
 		rs, err := rec.NewStore(opt.resume)

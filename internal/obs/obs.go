@@ -129,15 +129,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Max returns the largest observed value (zero before any observation;
-// negative observations do not lower it).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0

@@ -3,15 +3,14 @@ package recover
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -51,7 +50,7 @@ func (c *Checkpoint) State() *solver.State {
 	return &solver.State{Iter: int(c.Iter), X: c.X, R: c.R, P: c.PDir, Rho: c.Rho}
 }
 
-// File format (all integers little-endian):
+// File format: one durable.Format frame (all integers little-endian):
 //
 //	offset size  field
 //	0      8     magic "QSIMCKPT"
@@ -63,21 +62,17 @@ func (c *Checkpoint) State() *solver.State {
 // The payload is the fixed-order field list laid down by encodeInto.
 // The decoder is strict: short files, trailing bytes, version skew,
 // checksum mismatches, and internal length fields that disagree with
-// the payload size are all distinct errors — a corrupt checkpoint must
-// never be half-loaded.
-const (
-	ckptMagic   = "QSIMCKPT"
-	ckptVersion = 1
-	headerLen   = 8 + 4 + 8 + 4
+// the payload size are all errors — a corrupt checkpoint must never be
+// half-loaded.
+var ckptFormat = durable.Format{Prefix: "QSIMCKPT" + "\x01\x00\x00\x00", LenBytes: 8}
 
-	// maxCkptElems / maxCkptScalars bound the decoder's allocations so a
-	// corrupted length field cannot demand petabytes.
+// maxCkptElems / maxCkptScalars bound the decoder's allocations so a
+// corrupted length field cannot demand petabytes.
+const (
 	maxCkptElems   = 1 << 28
 	maxCkptScalars = 1 << 28
 	maxCkptPlan    = 1 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
 	ckptWrites     = obs.GetCounter("recover.checkpoint.writes")
@@ -127,16 +122,13 @@ func (c *Checkpoint) Encode() []byte { return c.encodeInto(nil) }
 // pass: the header is reserved, the payload laid down at fixed offsets
 // behind it, and the length and checksum patched in last.
 func (c *Checkpoint) encodeInto(buf []byte) []byte {
-	le := binary.LittleEndian
+	le, headerLen := binary.LittleEndian, ckptFormat.HeaderLen()
 	n := headerLen + 8 + 4 + 8 + 4*len(c.ElemPE) + 8 + 8 + 8 +
 		8*(len(c.X)+len(c.R)+len(c.PDir)) + 8 + 8 + len(c.FaultPlan)
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	copy(buf, ckptMagic)
-	le.PutUint32(buf[8:], ckptVersion)
-	le.PutUint64(buf[12:], uint64(n-headerLen))
 
 	b := buf[headerLen:]
 	le.PutUint64(b, c.MeshID)
@@ -158,7 +150,7 @@ func (c *Checkpoint) encodeInto(buf []byte) []byte {
 	le.PutUint64(b[8:], uint64(len(c.FaultPlan)))
 	copy(b[16:], c.FaultPlan)
 
-	le.PutUint32(buf[20:], crc32.Checksum(buf[headerLen:], castagnoli))
+	ckptFormat.Seal(buf)
 	return buf
 }
 
@@ -187,22 +179,12 @@ func putFloats(b []byte, vec []float64) []byte {
 // path returns an error; Decode never panics on hostile input
 // (FuzzDecodeCheckpoint holds it to that).
 func Decode(data []byte) (*Checkpoint, error) {
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("recover: checkpoint truncated: %d bytes, header needs %d", len(data), headerLen)
+	payload, span, err := ckptFormat.Open(data)
+	if err != nil {
+		return nil, fmt.Errorf("recover: checkpoint: %w", err)
 	}
-	if string(data[:8]) != ckptMagic {
-		return nil, fmt.Errorf("recover: not a checkpoint file (bad magic)")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != ckptVersion {
-		return nil, fmt.Errorf("recover: checkpoint version %d, this build reads %d", v, ckptVersion)
-	}
-	plen := binary.LittleEndian.Uint64(data[12:])
-	if plen != uint64(len(data)-headerLen) {
-		return nil, fmt.Errorf("recover: payload length %d, file carries %d", plen, len(data)-headerLen)
-	}
-	payload := data[headerLen:]
-	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(data[20:]) {
-		return nil, fmt.Errorf("recover: checkpoint checksum mismatch")
+	if span != len(data) {
+		return nil, fmt.Errorf("recover: %d trailing bytes after the checkpoint frame", len(data)-span)
 	}
 
 	d := decoder{b: payload}
@@ -300,12 +282,10 @@ func (d *decoder) fail(want int) {
 }
 
 // Store persists checkpoints in a directory, one file per snapshot
-// named ckpt-<iteration>.qck. Writes are atomic: the encoding goes to
-// a temporary file in the same directory, is synced, and is renamed
-// into place — a crash mid-write leaves at worst a stale .tmp file the
-// strict decoder would reject anyway, never a half-written checkpoint
-// under the real name. A Store is safe for concurrent use; its writes
-// serialize.
+// named ckpt-<iteration>.qck. Writes are atomic (durable.Replace): a crash
+// mid-write leaves at worst a stale .tmp file the strict decoder would
+// reject anyway, never a half-written checkpoint under the real name. A
+// Store is safe for concurrent use; its writes serialize.
 type Store struct {
 	// Keep, when positive, is the retention window: Save holds the
 	// directory to the newest Keep snapshots (the newest is all a resume
@@ -315,10 +295,9 @@ type Store struct {
 
 	dir string
 
-	mu      sync.Mutex
-	buf     []byte   // the encoding of the snapshot being written, reused
-	names   []string // snapshot file names on disk, ascending = oldest first
-	scanned bool     // names reflects the directory; no stale temp is left
+	mu    sync.Mutex
+	buf   []byte   // the encoding of the snapshot being written, reused
+	names []string // snapshots on disk, oldest first; nil until a scan or a Save puts one there
 }
 
 // NewStore opens (creating if needed) a checkpoint directory.
@@ -332,47 +311,41 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// recycleTmp is the temp name a snapshot leaving the window is renamed
-// to before it is overwritten; CreateTemp's random names never collide
-// with it.
-const recycleTmp = "ckpt-recycle.tmp"
+// list returns the directory's snapshot names in os.ReadDir's order, by
+// name: zero-padded iteration numbers make that oldest-first.
+func (s *Store) list() ([]string, error) {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("recover: checkpoint dir: %w", err)
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".qck" {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
 
 // scan makes names the directory's snapshot list and unlinks every temp
 // file (counted, like trim's, under recover.checkpoint.pruned). It runs
 // with mu held before this Store's first write, so every temp it meets
 // is litter: a previous process died between creating it and the rename.
-func (s *Store) scan() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("recover: checkpoint dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch filepath.Ext(e.Name()) {
-		case ".qck":
-			s.names = append(s.names, e.Name())
-		case ".tmp":
-			if os.Remove(filepath.Join(s.dir, e.Name())) == nil {
-				ckptPruned.Add(1)
-			}
+func (s *Store) scan() (err error) {
+	litter, _ := filepath.Glob(filepath.Join(s.dir, "*.tmp"))
+	for _, tmp := range litter {
+		if durable.Remove(tmp) == nil {
+			ckptPruned.Add(1)
 		}
 	}
-	// Zero-padded iteration numbers sort lexically: ascending order is
-	// oldest-first.
-	sort.Strings(s.names)
-	s.scanned = true
-	return nil
+	s.names, err = s.list()
+	return err
 }
 
 // trim unlinks the oldest snapshots beyond the Keep window. A file that
 // will not go stays listed and is retried by the next Save.
 func (s *Store) trim() {
-	for len(s.names) > s.Keep {
-		if err := os.Remove(filepath.Join(s.dir, s.names[0])); err != nil && !os.IsNotExist(err) {
-			return
-		}
+	for s.Keep > 0 && len(s.names) > s.Keep && durable.Remove(filepath.Join(s.dir, s.names[0])) == nil {
 		s.names = s.names[1:]
 		ckptPruned.Add(1)
 	}
@@ -382,13 +355,15 @@ func (s *Store) trim() {
 // the directory to the Keep window. The first Save adopts what a
 // previous process left (its snapshots count toward the window, its
 // stale temp files go); after that the Store knows the names it wrote
-// and lists nothing. Bytes written and wall time are observed under
-// recover.checkpoint.*.
+// and lists nothing. When the window is full and the snapshot is newer
+// than all of it, the write is about to push the oldest one out, and that
+// file is recycled: renamed to ckpt-recycle.tmp and overwritten in place.
+// Bytes written and wall time are observed under recover.checkpoint.*.
 func (s *Store) Save(c *Checkpoint) (string, error) {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.scanned {
+	if s.names == nil {
 		if err := s.scan(); err != nil {
 			return "", err
 		}
@@ -397,93 +372,41 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 	ckptEncodeUS.Observe(time.Since(start).Microseconds())
 
 	name := fmt.Sprintf("ckpt-%09d.qck", c.Iter)
-	final := filepath.Join(s.dir, name)
-	tmp, err := s.openTemp(name)
+	final, oldest := filepath.Join(s.dir, name), ""
+	if n := len(s.names); s.Keep > 0 && n >= s.Keep && name > s.names[n-1] {
+		oldest = filepath.Join(s.dir, s.names[0])
+	}
+	recycled, syncTime, err := durable.Replace(final, "ckpt-*.tmp", s.buf, oldest)
+	if recycled {
+		s.names = s.names[1:]
+		ckptPruned.Add(1)
+		ckptRecycled.Add(1)
+	}
 	if err != nil {
 		return "", fmt.Errorf("recover: checkpoint write: %w", err)
 	}
-	if err := s.land(tmp, final); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
+	ckptSyncUS.Observe(syncTime.Microseconds())
 	if at, known := slices.BinarySearch(s.names, name); !known {
 		s.names = slices.Insert(s.names, at, name)
 	}
-	if s.Keep > 0 {
-		s.trim()
-	}
+	s.trim()
 	ckptWrites.Add(1)
 	ckptBytes.Observe(int64(len(s.buf)))
 	ckptDurationUS.Observe(time.Since(start).Microseconds())
 	return final, nil
 }
 
-// openTemp returns the open file the snapshot called name is written to
-// before the rename. When the window is full and the snapshot is newer
-// than all of it, the write is about to push the oldest one out, and that
-// file is recycled: renamed to the temp name and overwritten in place —
-// same size, blocks already allocated — which syncs faster than a new
-// file. Any failure on that route falls back to a fresh temp file.
-func (s *Store) openTemp(name string) (*os.File, error) {
-	if n := len(s.names); s.Keep > 0 && n >= s.Keep && name > s.names[n-1] {
-		tmp := filepath.Join(s.dir, recycleTmp)
-		if os.Rename(filepath.Join(s.dir, s.names[0]), tmp) == nil {
-			s.names = s.names[1:]
-			ckptPruned.Add(1)
-			if f, err := os.OpenFile(tmp, os.O_WRONLY, 0); err == nil {
-				if info, err := f.Stat(); err == nil &&
-					(info.Size() <= int64(len(s.buf)) || f.Truncate(int64(len(s.buf))) == nil) {
-					ckptRecycled.Add(1)
-					return f, nil
-				}
-				f.Close()
-			}
-			os.Remove(tmp)
-		}
-	}
-	return os.CreateTemp(s.dir, "ckpt-*.tmp")
-}
-
-// land writes the encoded snapshot to tmp, syncs it and renames it to
-// final. It closes tmp on every path.
-func (s *Store) land(tmp *os.File, final string) error {
-	if _, err := tmp.Write(s.buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("recover: checkpoint write: %w", err)
-	}
-	syncStart := time.Now()
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("recover: checkpoint sync: %w", err)
-	}
-	ckptSyncUS.Observe(time.Since(syncStart).Microseconds())
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("recover: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("recover: checkpoint rename: %w", err)
-	}
-	return nil
-}
-
 // Latest decodes the highest-iteration checkpoint in the store. It
 // returns os.ErrNotExist (wrapped) when the directory holds no
 // decodable checkpoint.
 func (s *Store) Latest() (*Checkpoint, string, error) {
-	entries, err := os.ReadDir(s.dir)
+	names, err := s.list()
 	if err != nil {
-		return nil, "", fmt.Errorf("recover: checkpoint dir: %w", err)
+		return nil, "", err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".qck" {
-			names = append(names, e.Name())
-		}
-	}
-	// Zero-padded iteration numbers sort lexically; walk newest-first so
-	// one torn or corrupt latest file degrades to the previous snapshot
-	// instead of failing the resume.
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	// Walk newest-first so one torn or corrupt latest file degrades to the
+	// previous snapshot instead of failing the resume.
+	slices.Reverse(names)
 	for _, name := range names {
 		path := filepath.Join(s.dir, name)
 		data, err := os.ReadFile(path)

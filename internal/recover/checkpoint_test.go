@@ -15,6 +15,18 @@ import (
 	"repro/internal/solver"
 )
 
+// The QSIMCKPT header as this package spelled it before the codec moved to
+// internal/durable: what the verbatim reference encoder and the rejection
+// tests are written against, independent of durable.Format.
+const (
+	ckptMagic   = "QSIMCKPT"
+	ckptVersion = 1
+	headerLen   = 8 + 4 + 8 + 4
+	recycleTmp  = "ckpt-recycle.tmp"
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 func sampleCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		MeshID:    0xfeedc0de,

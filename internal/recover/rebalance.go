@@ -10,62 +10,41 @@ import (
 	"repro/internal/partition"
 )
 
-// RebalanceConfig tunes the straggler-driven rebalancer. The zero value
-// takes every default.
-type RebalanceConfig struct {
-	// Lambda is the hysteresis threshold on measured λ = max/mean per-PE
-	// compute time; windows at or below it reset the trigger. Defaults
-	// to analyze.StragglerFactor (1.2).
-	Lambda float64
-	// Windows is K, the consecutive over-threshold windows required
-	// before a rebalance fires — one slow window is noise, K in a row is
-	// a partition problem. Defaults to 2.
-	Windows int
-	// MaxMoves bounds the boundary layers migrated per rebalance pass.
-	// Defaults to 2: the Bienz–Gropp–Olson observation is that piling
-	// migrated work onto receivers is penalized by real networks, so the
-	// rebalancer moves incrementally and re-measures.
-	MaxMoves int
-}
-
-func (c *RebalanceConfig) defaults() {
-	if c.Lambda <= 0 {
-		c.Lambda = analyze.StragglerFactor
-	}
-	if c.Windows <= 0 {
-		c.Windows = 2
-	}
-	if c.MaxMoves <= 0 {
-		c.MaxMoves = 2
-	}
-}
+// The straggler-driven rebalancer's three settings. Nothing but tests ever
+// chose other values, so they are constants.
+const (
+	// rebalanceLambda is the hysteresis threshold on measured λ = max/mean
+	// per-PE compute time; windows at or below it reset the trigger.
+	rebalanceLambda = analyze.StragglerFactor
+	// rebalanceWindows is K, the consecutive over-threshold windows required
+	// before a rebalance fires — one slow window is noise, K in a row is a
+	// partition problem.
+	rebalanceWindows = 2
+	// rebalanceMaxMoves bounds the boundary layers migrated per rebalance
+	// pass: the Bienz–Gropp–Olson observation is that piling migrated work
+	// onto receivers is penalized by real networks, so the rebalancer moves
+	// incrementally and re-measures.
+	rebalanceMaxMoves = 2
+)
 
 // Rebalancer accumulates per-window imbalance observations and decides
-// when a rebalance is warranted. It is not safe for concurrent use; the
-// supervisor owns it.
-type Rebalancer struct {
-	cfg RebalanceConfig
-	hot int
-}
-
-// NewRebalancer builds a Rebalancer with cfg's defaults applied.
-func NewRebalancer(cfg RebalanceConfig) *Rebalancer {
-	cfg.defaults()
-	return &Rebalancer{cfg: cfg}
-}
+// when a rebalance is warranted; the zero value is ready. It is not safe
+// for concurrent use; the supervisor owns it.
+type Rebalancer struct{ hot int }
 
 // Observe feeds one analysis window's compute imbalance and reports
-// whether the hysteresis has tripped: true after Windows consecutive
-// observations above Lambda, after which the trigger re-arms from zero.
+// whether the hysteresis has tripped: true after rebalanceWindows
+// consecutive observations above rebalanceLambda, after which the trigger
+// re-arms from zero.
 // Every observation publishes recover.rebalance.lambda.
 func (r *Rebalancer) Observe(im analyze.Imbalance) bool {
 	obs.GetGauge("recover.rebalance.lambda").Set(im.Lambda)
-	if im.Lambda <= r.cfg.Lambda {
+	if im.Lambda <= rebalanceLambda {
 		r.hot = 0
 		return false
 	}
 	r.hot++
-	if r.hot < r.cfg.Windows {
+	if r.hot < rebalanceWindows {
 		return false
 	}
 	r.hot = 0
@@ -89,9 +68,6 @@ func (r *Rebalancer) Observe(im analyze.Imbalance) bool {
 func RebalancePartition(m *mesh.Mesh, pt *partition.Partition, loads []int64, maxMoves int) (*partition.Partition, int, error) {
 	if len(loads) != pt.P {
 		return nil, 0, fmt.Errorf("recover: %d load entries for %d PEs", len(loads), pt.P)
-	}
-	if maxMoves <= 0 {
-		maxMoves = 2
 	}
 	cur := pt
 	pr, err := partition.Analyze(m, cur)

@@ -14,7 +14,7 @@ import (
 // windows below K never fire, a cool window resets the count, the K-th
 // consecutive hot window fires exactly once and re-arms.
 func TestRebalancerHysteresis(t *testing.T) {
-	r := NewRebalancer(RebalanceConfig{Lambda: 1.5, Windows: 2})
+	var r Rebalancer
 	hot := analyze.Imbalance{Lambda: 2.0}
 	cool := analyze.Imbalance{Lambda: 1.1}
 
@@ -38,7 +38,7 @@ func TestRebalancerHysteresis(t *testing.T) {
 		t.Fatal("did not fire after reset + two hot windows")
 	}
 	// Exactly at the threshold counts as cool (strict inequality).
-	at := analyze.Imbalance{Lambda: 1.5}
+	at := analyze.Imbalance{Lambda: rebalanceLambda}
 	r.Observe(hot)
 	if r.Observe(at) {
 		t.Fatal("fired with one hot and one at-threshold window")

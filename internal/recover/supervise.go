@@ -133,10 +133,9 @@ type SuperviseConfig struct {
 	// Rebalance arms straggler-driven rebalancing: at every checkpoint
 	// the supervisor reads the per-PE compute accumulators for the
 	// window since the previous checkpoint, and when the hysteresis
-	// trips (see RebalanceConfig) migrates boundary layers at that
-	// checkpoint. Requires obs metrics enabled to see any windows; nil
-	// disarms.
-	Rebalance *RebalanceConfig
+	// trips (see Rebalancer) migrates boundary layers at that
+	// checkpoint. Requires obs metrics enabled to see any windows.
+	Rebalance bool
 }
 
 // ResumeFrom points cfg at a durable checkpoint: the solver restarts from
@@ -308,10 +307,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		})
 	}
 
-	reb := NewRebalancer(RebalanceConfig{})
-	if cfg.Rebalance != nil {
-		reb = NewRebalancer(*cfg.Rebalance)
-	}
+	var reb Rebalancer
 	var prevSnap *obs.Snapshot
 	var loads []int64
 	wantRebalance := false
@@ -352,7 +348,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	}
 	scfg.Interrupt = func(iter int) bool {
 		due := len(pending) > 0 && pending[0].Iter <= globalIter()
-		if cfg.Rebalance != nil {
+		if cfg.Rebalance {
 			cur := obs.Default.Snapshot()
 			if w, ok := analyze.FromSnapshots(cur, prevSnap); ok && len(w.ComputeNS) >= out.Part.P {
 				// The accumulator registry never shrinks; trim to width.
@@ -383,7 +379,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			return fmt.Errorf("recover: reinstalling aggregation: %w", err)
 		}
 		out.Dist, out.Part = r.Dist, r.Partition
-		if cfg.Rebalance != nil {
+		if cfg.Rebalance {
 			// Per-PE history predates the new layout; start the next
 			// analysis window fresh.
 			prevSnap = obs.Default.Snapshot()
@@ -432,7 +428,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				wantRebalance = false
 				if len(loads) == out.Part.P {
 					base = globalIter()
-					moved, moves, rerr := Rebalance(sys.Mesh, sys.Material, out.Part, loads, reb.cfg.MaxMoves)
+					moved, moves, rerr := Rebalance(sys.Mesh, sys.Material, out.Part, loads, rebalanceMaxMoves)
 					if rerr != nil {
 						return fail(fmt.Errorf("recover: rebalancing: %w", rerr))
 					}

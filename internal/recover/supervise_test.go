@@ -158,7 +158,7 @@ func TestMultiFaultSoak(t *testing.T) {
 	out := superviseFixtureSolve(t, d, sys, b, x, SuperviseConfig{
 		Solver:    solver.Config{MaxIter: 6 * n, Tol: tol, CheckpointEvery: 5},
 		Plan:      mustPlan(t, "kill:pe=5,iter=20;revive:pe=5,iter=35;kill:pe=2,iter=50;revive:pe=2,iter=65"),
-		Rebalance: &RebalanceConfig{},
+		Rebalance: true,
 	})
 
 	if out.Shrinks != 2 || len(out.DeadPEs) != 2 {

@@ -160,13 +160,6 @@ type scenarioProducts struct {
 	massNode []float64
 }
 
-// worker is one warm pool member: a persistent-PE distributed operator,
-// whose PE workspaces also hold the iteration vectors of the CG solve it
-// is serving. A worker serves one solve at a time.
-type worker struct {
-	dist *par.Dist
-}
-
 // artifact is everything a (scenario, p, method, nodesize) tuple needs
 // to solve, built once and kept warm: the immutable setup products and
 // a bounded pool of idle workers.
@@ -180,8 +173,10 @@ type artifact struct {
 	// worker's Dist (nil, every PE its own node, when nodesize ≤ 1).
 	nodeOf func(pe int32) int32
 
+	// idle is the warm pool: persistent-PE operators whose workspaces also
+	// hold the CG vectors of the one solve each serves at a time.
 	mu     sync.Mutex
-	idle   []*worker
+	idle   []*par.Dist
 	warm   int
 	closed bool
 }
@@ -306,7 +301,7 @@ func (e *Engine) build(k Key) (*artifact, error) {
 }
 
 // spawn builds a fresh worker from the canonical artifacts.
-func (a *artifact) spawn() (*worker, error) {
+func (a *artifact) spawn() (*par.Dist, error) {
 	d, err := par.NewDist(a.mesh, a.mat, a.part, a.prof)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building Dist for %s: %w", a.key, err)
@@ -316,12 +311,12 @@ func (a *artifact) spawn() (*worker, error) {
 		return nil, fmt.Errorf("serve: aggregating %s: %w", a.key, err)
 	}
 	poolSpawns.Add(1)
-	return &worker{dist: d}, nil
+	return d, nil
 }
 
 // checkout takes an idle warm worker, or spawns a transient one when
 // the pool is empty (concurrent solves beyond WarmPool).
-func (a *artifact) checkout() (*worker, error) {
+func (a *artifact) checkout() (*par.Dist, error) {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -342,7 +337,7 @@ func (a *artifact) checkout() (*worker, error) {
 // superseded Dists) and overflow beyond the warm bound are closed
 // instead; Dist.Close is idempotent, so a Dist the recovery supervisor
 // already closed is safe here.
-func (a *artifact) release(w *worker, healthy bool) {
+func (a *artifact) release(w *par.Dist, healthy bool) {
 	if healthy {
 		a.mu.Lock()
 		if !a.closed && len(a.idle) < a.warm {
@@ -353,7 +348,7 @@ func (a *artifact) release(w *worker, healthy bool) {
 		a.mu.Unlock()
 	}
 	poolDiscards.Add(1)
-	w.dist.Close()
+	w.Close()
 }
 
 // Warm reports the idle warm workers currently pooled.
@@ -371,6 +366,6 @@ func (a *artifact) close() {
 	a.closed = true
 	a.mu.Unlock()
 	for _, w := range idle {
-		w.dist.Close()
+		w.Close()
 	}
 }

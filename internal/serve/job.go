@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -334,8 +335,6 @@ func (m *jobManager) register(j *Job) {
 	}
 }
 
-func (m *jobManager) durable() bool { return m.jl != nil }
-
 func (m *jobManager) ckptDir(id string) string {
 	return filepath.Join(m.dir, "ckpt", id)
 }
@@ -438,9 +437,6 @@ func (m *jobManager) evictLocked() {
 // logState appends the job's current state to the journal and compacts
 // the WAL when it has outgrown its budget.
 func (m *jobManager) logState(j *Job) {
-	if m.jl == nil {
-		return
-	}
 	m.jl.append(j.stateRecord())
 	if m.jl.size() > journalMaxBytes {
 		m.compact()
@@ -510,10 +506,12 @@ func (m *jobManager) finish(j *Job, state JobState, res *SolveResult, err error)
 	j.st.Error = ev.Error
 	j.st.Finished = &now
 	j.err = err
-	close(j.done)
 	j.mu.Unlock()
 	jobOutcomes[state].Add(1)
 	m.logState(j)
+	// Waiters hear of the end only once it is journaled: a result a client
+	// has seen is one no restart runs again.
+	close(j.done)
 	j.emit(ev)
 	// The journal carries the result; the snapshots have nothing left to
 	// resume.
@@ -574,7 +572,7 @@ func (m *jobManager) removeCkpts(id string) {
 	}
 	dir := m.ckptDir(id)
 	entries, _ := os.ReadDir(dir) // already gone: nothing to count
-	if os.RemoveAll(dir) == nil {
+	if durable.Remove(dir) == nil {
 		jobGCPruned.Add(int64(len(entries)))
 	}
 }
@@ -598,9 +596,7 @@ func (m *jobManager) gcOrphans() {
 // the engine has drained every running job.
 func (m *jobManager) close() {
 	m.compact()
-	if m.jl != nil {
-		m.jl.close()
-	}
+	m.jl.close()
 }
 
 // admittedJob is one job holding an admission slot: created by
@@ -739,10 +735,10 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 				return nil, err
 			}
 			e.jobs.migrated(j, deadPE, resumeIter)
-			return w.dist, nil
+			return w, nil
 		}
 	}
-	out, serr := rec.Supervise(w.dist, &rec.System{
+	out, serr := rec.Supervise(w, &rec.System{
 		Mesh: a.mesh, Material: a.mat, Part: a.part,
 		Shift: shift, MassNode: a.massNode, NodeOf: a.nodeOf,
 	}, b, x, cfg)
@@ -771,15 +767,15 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 	// alone. (w is nil when the last replacement found no worker.)
 	interrupted := errors.Is(serr, solver.ErrInterrupted)
 	if w != nil {
-		healthy := out.Dist == w.dist && (serr == nil || interrupted)
+		healthy := out.Dist == w && (serr == nil || interrupted)
 		if healthy && cfg.Plan != nil {
 			// Disarm before pooling: a healthy worker must not carry
 			// this solve's plan into the next request.
-			w.dist.InjectFaults(nil)
+			w.InjectFaults(nil)
 		}
 		a.release(w, healthy)
 	}
-	if w == nil || out.Dist != w.dist {
+	if w == nil || out.Dist != w {
 		out.Dist.Close()
 	}
 
@@ -807,7 +803,7 @@ func (aj *admittedJob) end(state JobState, res *SolveResult, err error) (*SolveR
 // next process resumes it from its checkpoint); a volatile job is
 // canceled — there is nowhere for it to survive.
 func (aj *admittedJob) park(res *SolveResult, err error) (*SolveResult, error) {
-	if aj.e.jobs.durable() {
+	if aj.e.jobs.jl != nil {
 		aj.e.jobs.requeue(aj.job)
 		return res, err
 	}

@@ -623,7 +623,7 @@ func TestParentFormatsReplay(t *testing.T) {
 	}
 	n := 3 * a.mesh.NumNodes()
 	var at5 *solver.State
-	_, err = solver.CG(par.Operator{D: w.dist, Shift: 20, MassNode: a.massNode}, rhsFor(0, n), make([]float64, n), solver.Config{
+	_, err = solver.CG(par.Operator{D: w, Shift: 20, MassNode: a.massNode}, rhsFor(0, n), make([]float64, n), solver.Config{
 		MaxIter: 4 * n, Tol: 1e-10, CheckpointEvery: 5,
 		OnCheckpoint: func(st *solver.State) { at5 = st },
 		Interrupt:    func(iter int) bool { return iter == 5 },

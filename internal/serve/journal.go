@@ -2,24 +2,21 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // The job journal is the engine's write-ahead log: one append-only
-// file of CRC-checked records, each a jobRecord JSON document framed
-// by a fixed binary header. Appends are synced before the engine
+// file of CRC-checked records, each a jobRecord JSON document in a
+// durable.Format frame. Appends are synced before the engine
 // acknowledges the job, so "accepted" means "survives a process
-// crash". The framing follows the QSIMCKPT discipline from
-// internal/recover/checkpoint.go — magic, explicit payload length,
-// CRC-32C, a strict bounds-checked decoder — scaled down to a record
-// stream: replay walks records until the first torn or corrupt frame,
+// crash". Replay walks records until the first torn or corrupt frame,
 // truncates the tail there (a crash mid-append leaves at worst one
 // torn final record), and rebuilds the job table from what survived.
 //
@@ -28,15 +25,20 @@ import (
 //	4      4     payload length in bytes (little-endian)
 //	8      4     CRC-32C (Castagnoli) of the payload
 //	12     …     payload (one JSON jobRecord)
+var journalFormat = durable.Format{Prefix: "QJL1", LenBytes: 4}
+
+// journalHeader is the zeroed room a frame's header is sealed into.
+var journalHeader = make([]byte, journalFormat.HeaderLen())
+
 const (
-	journalMagic     = "QJL1"
-	journalHeaderLen = 4 + 4 + 4
 	// maxJournalRecord bounds one record's payload so a corrupted
 	// length field cannot demand gigabytes; a SolveRequest body is
 	// itself capped at maxRequestBytes, which this dominates.
 	maxJournalRecord = maxRequestBytes + (1 << 16)
-	// journalFile is the WAL's name inside Config.JournalDir.
+	// journalFile is the WAL's name inside Config.JournalDir, and
+	// journalTmp what a compaction writes before renaming over it.
 	journalFile = "jobs.wal"
+	journalTmp  = "jobs-*.tmp"
 )
 
 // jobRecord is one journal entry. Op "accept" carries the request and
@@ -64,55 +66,37 @@ type jobRecord struct {
 
 // encodeJournalRecord frames one record for appending, in one buffer:
 // the header is reserved, the JSON encoded behind it, and the length and
-// checksum patched in.
+// checksum sealed in.
 func encodeJournalRecord(rec *jobRecord) ([]byte, error) {
 	var b bytes.Buffer
 	b.Grow(512) // a state record without a result fits; an accept record grows once
-	var header [journalHeaderLen]byte
-	b.Write(header[:])
+	b.Write(journalHeader)
 	if err := json.NewEncoder(&b).Encode(rec); err != nil {
 		return nil, fmt.Errorf("serve: encoding journal record: %w", err)
 	}
 	// Encode is Marshal plus a newline the frame does not carry.
-	buf := b.Bytes()[:b.Len()-1]
-	payload := buf[journalHeaderLen:]
-	if len(payload) > maxJournalRecord {
-		return nil, fmt.Errorf("serve: journal record %d bytes exceeds %d", len(payload), maxJournalRecord)
+	frame := b.Bytes()[:b.Len()-1]
+	if n := len(frame) - len(journalHeader); n > maxJournalRecord {
+		return nil, fmt.Errorf("serve: journal record %d bytes exceeds %d", n, maxJournalRecord)
 	}
-	copy(buf, journalMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(payload, castagnoliJL))
-	return buf, nil
+	journalFormat.Seal(frame)
+	return frame, nil
 }
-
-var castagnoliJL = crc32.MakeTable(crc32.Castagnoli)
-
-// errJournalTorn marks a frame that stops short of its declared
-// length: the normal artifact of a crash mid-append, distinguished
-// from outright corruption only for observability (both truncate).
-var errJournalTorn = fmt.Errorf("serve: journal record torn")
 
 // decodeJournalRecord parses one framed record from the head of data,
 // returning the record and the bytes consumed. It never panics on
 // hostile input and never reads past the declared payload
-// (FuzzDecodeJournal holds it to that).
+// (FuzzDecodeJournal holds it to that). A frame that stops short of its
+// declared length is durable.ErrTorn — the normal artifact of a crash
+// mid-append, distinguished from corruption only for observability (both
+// truncate).
 func decodeJournalRecord(data []byte) (*jobRecord, int, error) {
-	if len(data) < journalHeaderLen {
-		return nil, 0, errJournalTorn
+	payload, n, err := journalFormat.Open(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: journal record: %w", err)
 	}
-	if string(data[:4]) != journalMagic {
-		return nil, 0, fmt.Errorf("serve: journal record has bad magic")
-	}
-	plen := binary.LittleEndian.Uint32(data[4:])
-	if plen > maxJournalRecord {
-		return nil, 0, fmt.Errorf("serve: journal record claims %d bytes", plen)
-	}
-	if uint32(len(data)-journalHeaderLen) < plen {
-		return nil, 0, errJournalTorn
-	}
-	payload := data[journalHeaderLen : journalHeaderLen+int(plen)]
-	if sum := crc32.Checksum(payload, castagnoliJL); sum != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, 0, fmt.Errorf("serve: journal record checksum mismatch")
+	if len(payload) > maxJournalRecord {
+		return nil, 0, fmt.Errorf("serve: journal record claims %d bytes", len(payload))
 	}
 	rec := &jobRecord{}
 	if err := json.Unmarshal(payload, rec); err != nil {
@@ -133,7 +117,7 @@ func decodeJournalRecord(data []byte) (*jobRecord, int, error) {
 	if rec.ID == "" {
 		return nil, 0, fmt.Errorf("serve: journal record without a job id")
 	}
-	return rec, journalHeaderLen + int(plen), nil
+	return rec, n, nil
 }
 
 // journal is the open WAL: appends under a mutex, fsync per record,
@@ -141,19 +125,23 @@ func decodeJournalRecord(data []byte) (*jobRecord, int, error) {
 // engine without a JournalDir), so call sites stay unconditional.
 type journal struct {
 	mu     sync.Mutex
-	f      *os.File
+	log    *durable.Log
 	path   string
-	bytes  int64
 	closed bool
 }
 
 // openJournal opens (creating if needed) dir's WAL and replays it,
 // returning the surviving records in file order. A torn or corrupt
 // tail is truncated away — counted, not fatal — so a crash mid-append
-// costs at most the record being written.
+// costs at most the record being written; the temp file of a compaction
+// the previous process died in goes too.
 func openJournal(dir string) (*journal, []*jobRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal dir: %w", err)
+	}
+	litter, _ := filepath.Glob(filepath.Join(dir, journalTmp))
+	for _, tmp := range litter {
+		durable.Remove(tmp)
 	}
 	path := filepath.Join(dir, journalFile)
 	data, err := os.ReadFile(path)
@@ -171,21 +159,12 @@ func openJournal(dir string) (*journal, []*jobRecord, error) {
 		recs = append(recs, rec)
 		good += n
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	log, err := durable.OpenLog(path, int64(good))
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	if err := f.Truncate(int64(good)); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: truncating journal tail: %w", err)
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: seeking journal: %w", err)
-	}
-	j := &journal{f: f, path: path, bytes: int64(good)}
-	jobJournalBytes.Set(float64(j.bytes))
-	return j, recs, nil
+	jobJournalBytes.Set(float64(good))
+	return &journal{log: log, path: path}, recs, nil
 }
 
 // append frames, writes, and syncs one record. Errors are counted and
@@ -205,19 +184,14 @@ func (j *journal) append(rec *jobRecord) error {
 		jobJournalErrors.Add(1)
 		return fmt.Errorf("serve: journal %w", ErrClosed)
 	}
-	if _, err := j.f.Write(buf); err != nil {
+	syncTime, err := j.log.Append(buf)
+	if err != nil {
 		jobJournalErrors.Add(1)
 		return fmt.Errorf("serve: journal append: %w", err)
 	}
-	syncStart := time.Now()
-	if err := j.f.Sync(); err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal sync: %w", err)
-	}
-	jobJournalSyncUS.Observe(time.Since(syncStart).Microseconds())
-	j.bytes += int64(len(buf))
+	jobJournalSyncUS.Observe(syncTime.Microseconds())
 	jobJournalRecords.Add(1)
-	jobJournalBytes.Set(float64(j.bytes))
+	jobJournalBytes.Set(float64(j.log.Size()))
 	return nil
 }
 
@@ -228,7 +202,7 @@ func (j *journal) size() int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.bytes
+	return j.log.Size()
 }
 
 // compact atomically rewrites the WAL to exactly recs (the live job
@@ -245,51 +219,29 @@ func (j *journal) compact(recs []*jobRecord) error {
 	if j.closed {
 		return fmt.Errorf("serve: journal %w", ErrClosed)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), "jobs-*.tmp")
-	if err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var total int64
+	var buf []byte
 	for _, rec := range recs {
-		buf, err := encodeJournalRecord(rec)
+		frame, err := encodeJournalRecord(rec)
 		if err != nil {
-			tmp.Close()
 			jobJournalErrors.Add(1)
 			return err
 		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			jobJournalErrors.Add(1)
-			return fmt.Errorf("serve: journal compact: %w", err)
-		}
-		total += int64(len(buf))
+		buf = append(buf, frame...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if _, _, err := durable.Replace(j.path, journalTmp, buf, ""); err != nil {
 		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact sync: %w", err)
+		return fmt.Errorf("serve: journal compact: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact rename: %w", err)
-	}
-	j.f.Close()
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	j.log.Close()
+	log, err := durable.OpenLog(j.path, int64(len(buf)))
 	if err != nil {
 		j.closed = true
 		jobJournalErrors.Add(1)
 		return fmt.Errorf("serve: reopening compacted journal: %w", err)
 	}
-	j.f = f
-	j.bytes = total
+	j.log = log
 	jobJournalCompactions.Add(1)
-	jobJournalBytes.Set(float64(j.bytes))
+	jobJournalBytes.Set(float64(len(buf)))
 	return nil
 }
 
@@ -300,10 +252,8 @@ func (j *journal) close() {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return
+	if !j.closed {
+		j.closed = true
+		j.log.Close()
 	}
-	j.closed = true
-	j.f.Sync()
-	j.f.Close()
 }

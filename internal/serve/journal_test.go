@@ -12,7 +12,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
+)
+
+// The QJL1 header as this package spelled it before the codec moved to
+// internal/durable: what the verbatim reference encoder and the hand-built
+// torn frames are written against, independent of durable.Format.
+const (
+	journalMagic     = "QJL1"
+	journalHeaderLen = 4 + 4 + 4
+)
+
+var (
+	castagnoliJL   = crc32.MakeTable(crc32.Castagnoli)
+	errJournalTorn = durable.ErrTorn
 )
 
 func journalPath(dir string) string { return filepath.Join(dir, "jobs.wal") }
@@ -137,6 +151,64 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	j3.close()
 	if len(got3) != 3 || got3[2].State != JobCompleted {
 		t.Fatalf("post-truncation append lost: %d records", len(got3))
+	}
+}
+
+// TestJournalFailedAppendIsUndone: an append whose write fails part-way
+// (ENOSPC, EIO — here the seam lands half the frame and errors) is cut back
+// out of the file, so the records accepted after it land behind the last
+// good one, not behind a partial frame replay would stop at. At the parent
+// commit the three later records, each fsync'd and acknowledged, were lost
+// at the next start.
+func TestJournalFailedAppendIsUndone(t *testing.T) {
+	withObs(t)
+	t.Cleanup(func() { durable.Hook = nil })
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords()
+	if err := j.append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	good := j.size()
+	errDisk := errors.New("no space left on device")
+	durable.Hook = func(step, path string, n int) (int, error) {
+		if step == "write" {
+			return n / 2, errDisk
+		}
+		return n, nil
+	}
+	errors0 := jobJournalErrors.Value()
+	if err := j.append(recs[1]); !errors.Is(err, errDisk) {
+		t.Fatalf("the failed append returned %v", err)
+	}
+	durable.Hook = nil
+	if info, err := os.Stat(journalPath(dir)); err != nil || info.Size() != good || j.size() != good {
+		t.Fatalf("after the failed append the file is %d bytes and the journal says %d, want %d: %v", info.Size(), j.size(), good, err)
+	}
+	if d := jobJournalErrors.Value() - errors0; d != 1 {
+		t.Errorf("serve.job.journal.errors advanced by %d, want 1", d)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.append(recs[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.close()
+
+	dropped0 := jobJournalDropped.Value()
+	j2, got, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.close()
+	if len(got) != 4 || got[0].Op != "accept" || got[3].State != JobCompleted {
+		t.Fatalf("replayed %d records, want the accept and the three after the failure", len(got))
+	}
+	if d := jobJournalDropped.Value() - dropped0; d != 0 {
+		t.Errorf("serve.job.journal.dropped advanced by %d, want 0", d)
 	}
 }
 

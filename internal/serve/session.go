@@ -173,10 +173,6 @@ func (s *Session) ID() string { return s.id }
 // Key returns the artifact tuple the session is bound to.
 func (s *Session) Key() Key { return s.art.key }
 
-// Fingerprints returns the artifact identities of the session's cache
-// entry.
-func (s *Session) Fingerprints() Fingerprints { return s.art.fp }
-
 // Status reports the session's current state.
 func (s *Session) Status() Status {
 	s.mu.Lock()

@@ -78,9 +78,6 @@ func NewSymFromBCSR(a *BCSR) (*SymBCSR, error) {
 	return s, nil
 }
 
-// NNZBlocks returns the number of stored blocks (diagonal + upper).
-func (s *SymBCSR) NNZBlocks() int { return s.N + len(s.Col) }
-
 // EquivalentNNZ returns the number of scalar nonzeros of the full
 // (unfolded) matrix this symmetric storage represents; the SMVP performs
 // 2·EquivalentNNZ() flops just like the unsymmetric kernel.
