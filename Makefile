@@ -122,12 +122,18 @@ fuzz-smoke:
 # PE mid-solve, shrinks to the survivors, revives the slot, regrows to
 # full width, and finishes with straggler rebalancing armed — the
 # kill→shrink→revive→grow round trip exercised end to end from the CLI,
-# not just in unit tests. The multi-fault in-process soak also runs
-# (TestMultiFaultSoak: two kills + two revivals in one solve).
+# not just in unit tests. A second run flips an exponent bit in one
+# exchanged partial sum, the corruption once served as a converged
+# answer at ~500× tol: it must end with a certificate within 10·tol on
+# the clean operator, or quakesim exits non-zero. The multi-fault
+# in-process soak also runs (TestMultiFaultSoak: two kills + two
+# revivals in one solve).
 soak-smoke:
 	$(GO) run ./cmd/quakesim -scenario sf10 -steps 20 -pes 8 -rebalance \
 		-faults 'kill:pe=3,iter=12;revive:pe=3,iter=32' \
 		-checkpoint soak-ck -every 5 -flight soak.flight.trace.json
+	$(GO) run ./cmd/quakesim -scenario sf10 -pes 8 -faults 'corrupt:pe=1->0,iter=3,bit=62' \
+		-flight soak.flight.trace.json
 	rm -rf soak-ck soak.flight.trace.json
 	$(GO) test -count=1 -run 'TestMultiFaultSoak|TestKillReviveRoundTrip' ./internal/recover/
 
@@ -155,7 +161,7 @@ repro:
 
 # Both table generators — the root benchmarks at -benchtime=1x and
 # quakerepro — rerun against a temporary copy of the tree, every table
-# either writes diffed against results/*.txt (the four timing-bearing
+# either writes diffed against results/*.txt (the two timing-bearing
 # tables excluded by name). Writes nothing here; ≈ 30 s.
 results-check:
 	sh scripts/results-check.sh

@@ -278,7 +278,7 @@ func Properties(s Scenario, pcounts []int, method Method) ([]PropsRow, error) {
 }
 
 // Reliability: deterministic fault injection on the distributed runtime
-// and the self-healing CG solver built against it. The plan grammar,
+// and the convergence gate CG holds every answer to. The plan grammar,
 // containment contract, and recovery semantics are in
 // docs/RELIABILITY.md.
 type (

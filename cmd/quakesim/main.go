@@ -95,7 +95,7 @@ func parseOptions(args []string, out io.Writer) (*options, error) {
 	fs.StringVar(&opt.seis, "seis", "", "write receiver seismograms as CSV to this file")
 	fs.StringVar(&opt.trace, "trace", "", "write a Chrome trace_event JSON file here")
 	fs.StringVar(&opt.metrics, "metrics", "", "write a metrics snapshot JSON file here")
-	fs.StringVar(&opt.faults, "faults", "", "fault-injection soak: arm this plan (e.g. 'corrupt:pe=1->0,iter=4,bit=62') on the distributed runtime and run a self-healing CG solve against a fault-free reference; a plan with a kill event instead demonstrates shrink-to-survivors recovery; see docs/RELIABILITY.md")
+	fs.StringVar(&opt.faults, "faults", "", "fault-injection soak: arm this plan (e.g. 'corrupt:pe=1->0,iter=4,bit=62') on the distributed runtime and run a gated CG solve against a fault-free reference; a plan with a kill event instead demonstrates shrink-to-survivors recovery; see docs/RELIABILITY.md")
 	fs.StringVar(&opt.checkpoint, "checkpoint", "", "write durable solver checkpoints to this directory (see -every)")
 	fs.IntVar(&opt.every, "every", 10, "checkpoint period in CG iterations (requires -checkpoint)")
 	fs.StringVar(&opt.resume, "resume", "", "resume the solve from the latest checkpoint in this directory")
@@ -353,7 +353,7 @@ func run(opt *options) error {
 	// with a panic event poisons the Dist for good (the containment
 	// being demonstrated). Checkpointing, resume, rebalancing, and
 	// kill/revive plans route to the recovery supervisor; other plans to
-	// the self-healing soak.
+	// the gated soak.
 	if opt.checkpoint != "" || opt.resume != "" || opt.rebalance ||
 		(plan != nil && (plan.Has(fault.Kill) || plan.Has(fault.Revive))) {
 		return recoveryRun(opt, plan, dist, sys, m, mat, pt)
@@ -466,21 +466,24 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 }
 
 // soakFaults solves the shifted elastodynamic system with CG twice —
-// once fault-free for reference, once with the plan armed and the
-// solver's self-healing enabled — and reports what was injected, what
-// the solver detected, and how far the healed answer drifted. A plan
-// that kills a PE instead demonstrates fail-fast containment: the solve
-// returns the poisoned-Dist error and every later kernel refuses to run.
+// once fault-free for reference, once with the plan armed — and reports
+// what was injected, how many restarts the convergence gate forced, and
+// how far the answer drifted. The armed answer must carry a certificate
+// ‖b − A·x‖/‖b‖ within 10·tol on the clean operator, checked after
+// disarming; anything else is an error. A plan that kills a PE instead
+// demonstrates fail-fast containment: the solve returns the
+// poisoned-Dist error and every later kernel refuses to run.
 func soakFaults(dist *par.Dist, sys *fem.System, plan *fault.Plan) error {
 	fmt.Printf("\nfault soak: plan %q\n", plan)
 
+	const tol = 1e-8
 	op := par.Operator{D: dist, Shift: 20, MassNode: sys.MassNode}
 	n := op.Dim()
 	b := make([]float64, n)
 	b[2] = 50
 	b[n-1] = -20
 	ref := make([]float64, n)
-	rres, err := solver.CG(op, b, ref, solver.Config{MaxIter: 4 * n, Tol: 1e-8})
+	rres, err := solver.CG(op, b, ref, solver.Config{MaxIter: 4 * n, Tol: tol})
 	if err != nil {
 		return fmt.Errorf("reference solve: %w", err)
 	}
@@ -494,9 +497,7 @@ func soakFaults(dist *par.Dist, sys *fem.System, plan *fault.Plan) error {
 		return err
 	}
 	x := make([]float64, n)
-	res, err := solver.CG(op, b, x, solver.Config{
-		MaxIter: 4 * n, Tol: 1e-8, CheckEvery: 5, MaxRecoveries: 8,
-	})
+	res, err := solver.CG(op, b, x, solver.Config{MaxIter: 4 * n, Tol: tol})
 	injected := ""
 	for _, k := range []fault.Kind{fault.Corrupt, fault.Drop, fault.Dup, fault.Delay, fault.Stall, fault.Panic, fault.Kill} {
 		if c := in.Count(k); c > 0 {
@@ -518,23 +519,31 @@ func soakFaults(dist *par.Dist, sys *fem.System, plan *fault.Plan) error {
 		}
 		return fmt.Errorf("armed solve: %w", err)
 	}
-	var drift, scale float64
-	for i := range ref {
-		if d := math.Abs(x[i] - ref[i]); d > drift {
-			drift = d
-		}
-		if a := math.Abs(ref[i]); a > scale {
-			scale = a
-		}
-	}
-	fmt.Printf("self-healing solve: %d iterations, residual %.3g; detections %d, rollbacks %d, restarts %d\n",
-		res.Iterations, res.Residual, res.Detections, res.Rollbacks, res.Restarts)
-	fmt.Printf("max deviation from fault-free answer: %.3g (solution scale %.3g)\n", drift, scale)
 	if !res.Converged {
 		return fmt.Errorf("armed solve did not converge: %+v", res)
 	}
 	if _, err := dist.InjectFaults(nil); err != nil {
 		return fmt.Errorf("disarm: %w", err)
+	}
+	// Re-check the certificate on the disarmed operator, which no fault
+	// of the armed solve touched.
+	ax := make([]float64, n)
+	if err := op.Apply(ax, x); err != nil {
+		return fmt.Errorf("certificate: %w", err)
+	}
+	var rr, bb, drift, scale float64
+	for i := range b {
+		rr += (b[i] - ax[i]) * (b[i] - ax[i])
+		bb += b[i] * b[i]
+		drift = math.Max(drift, math.Abs(x[i]-ref[i]))
+		scale = math.Max(scale, math.Abs(ref[i]))
+	}
+	cert := math.Sqrt(rr / bb)
+	fmt.Printf("gated solve: %d iterations, residual %.3g, certificate %.3g, restarts %d\n",
+		res.Iterations, res.Residual, cert, res.Restarts)
+	fmt.Printf("max deviation from fault-free answer: %.3g (solution scale %.3g)\n", drift, scale)
+	if !(cert <= 10*tol) {
+		return fmt.Errorf("armed answer's certificate %.3g exceeds 10·tol = %g", cert, 10*tol)
 	}
 	return nil
 }

@@ -64,8 +64,8 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunFaultSoak drives the -faults path end to end: seeded exchange
-// corruption aimed at an owner PE must be detected and healed, and the
-// run must still exit cleanly.
+// corruption aimed at an owner PE must end in an answer certified within
+// 10·tol on the disarmed operator, and the run must still exit cleanly.
 func TestRunFaultSoak(t *testing.T) {
 	opt := base(20, 4)
 	opt.faults = "seed:3;corrupt:pe=1->0,iter=4,bit=62"

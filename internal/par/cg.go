@@ -31,9 +31,6 @@ type cgVectors struct {
 	// shift is σ·m per local node; own is 1 for the nodes this PE owns
 	// and 0 for replicas, which is how reductions count a node once.
 	shift, own []float64
-	// ckX, ckR, ckP are the rollback checkpoint, allocated by the first
-	// Save.
-	ckX, ckR, ckP []float64
 }
 
 type cgOp int
@@ -44,8 +41,6 @@ const (
 	cgResidual
 	cgTrueResidual
 	cgIterate
-	cgSave
-	cgRestore
 )
 
 // cgCall is the argument block of the in-flight CG kernel. Inputs are
@@ -62,7 +57,6 @@ type cgCall struct {
 	// cgTrueResidual reads the owners' values through it.
 	scrub bool
 	tmp   []float64
-	xOnly bool
 
 	rho  float64
 	n    int
@@ -124,7 +118,7 @@ func (o Operator) Begin(b, prec, x, r, p []float64) error {
 		return fmt.Errorf("par: mass vector has %d entries, want %d", len(o.MassNode), o.D.GlobalNodes)
 	}
 	rt.resident.Lock()
-	rt.cg = cgCall{op: cgScatter, b: b, prec: prec, x: x, r: r, p: p, shift: o.Shift, mass: o.MassNode}
+	rt.cg = cgCall{op: cgScatter, b: b, prec: prec, x: x, r: r, p: p, shift: o.Shift, mass: o.MassNode, tmp: rt.cg.tmp}
 	if err := rt.runCG(); err != nil {
 		rt.resident.Unlock()
 		return err
@@ -134,7 +128,7 @@ func (o Operator) Begin(b, prec, x, r, p []float64) error {
 
 // End implements the solver's backend.
 func (o Operator) End() {
-	o.D.rt.cg = cgCall{}
+	o.D.rt.cg = cgCall{tmp: o.D.rt.cg.tmp}
 	o.D.rt.resident.Unlock()
 }
 
@@ -147,20 +141,21 @@ func (o Operator) Gather(x, r, p []float64) error {
 }
 
 // Residual implements the solver's backend.
-func (o Operator) Residual(scrub bool) (rho, rn2 float64, err error) {
+func (o Operator) Residual(scrub bool) (rho float64, err error) {
 	rt := o.D.rt
 	rt.cg.op, rt.cg.scrub = cgResidual, scrub
 	if scrub {
 		o.ownersScratch()
 	}
 	if err := rt.runCG(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return rt.sum(slotRho), rt.sum(slotRN2), nil
+	return rt.sum(slotRho), nil
 }
 
 // ownersScratch makes sure the solve has the global vector through which
-// PEs read the owners' iterate.
+// PEs read the owners' iterate. It outlives the solve: every converging
+// solve takes its certificate through it, so a Dist allocates it once.
 func (o Operator) ownersScratch() {
 	if c := &o.D.rt.cg; c.tmp == nil {
 		c.tmp = make([]float64, 3*o.D.GlobalNodes)
@@ -192,18 +187,6 @@ func (o Operator) Iterate(rho float64, n int, stop func(pap, rn2, rho float64) b
 	c.op, c.rho, c.n, c.stop, c.its = cgIterate, rho, n, stop, 0
 	err = rt.runCG()
 	return c.its, c.pap, c.rn2, c.rhoNew, err
-}
-
-// Save implements the solver's backend.
-func (o Operator) Save() error {
-	o.D.rt.cg.op = cgSave
-	return o.D.rt.runCG()
-}
-
-// Restore implements the solver's backend.
-func (o Operator) Restore(xOnly bool) error {
-	o.D.rt.cg.op, o.D.rt.cg.xOnly = cgRestore, xOnly
-	return o.D.rt.runCG()
 }
 
 // cgPE is the per-PE body of every CG kernel.
@@ -250,20 +233,6 @@ func (rt *peRuntime) cgPE(pe int) {
 		rt.gather(pe, c.x, v.x)
 		rt.gather(pe, c.r, v.r)
 		rt.gather(pe, c.p, v.p)
-	case cgSave:
-		if v.ckX == nil {
-			n := 3 * len(nodes)
-			v.ckX, v.ckR, v.ckP = make([]float64, n), make([]float64, n), make([]float64, n)
-		}
-		copy(v.ckX, v.x)
-		copy(v.ckR, v.r)
-		copy(v.ckP, v.p)
-	case cgRestore:
-		copy(v.x, v.ckX)
-		if !c.xOnly {
-			copy(v.r, v.ckR)
-			copy(v.p, v.ckP)
-		}
 	case cgResidual, cgTrueResidual:
 		rt.residual(pe)
 	case cgIterate:

@@ -98,9 +98,9 @@ func TestPanicContainmentPhased(t *testing.T) {
 
 // TestSelfHealingCGUnderCorruption is the end-to-end robustness check:
 // a seeded bit-corruption plan flips exponent bits in exchanged partial
-// sums mid-solve, and self-healing CG must detect the damage via its
-// true-residual audits, roll back to a certified checkpoint, and still
-// converge to the fault-free answer.
+// sums mid-solve, and CG's convergence gate must refuse every answer
+// the damage falsifies, restart the Krylov state, and still converge to
+// the fault-free answer.
 func TestSelfHealingCGUnderCorruption(t *testing.T) {
 	f := newFixture(t)
 	d, _ := f.dist(t, 4, partition.RCB)
@@ -124,23 +124,18 @@ func TestSelfHealingCGUnderCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	healed := make([]float64, n)
-	res, err := solver.CG(op, b, healed, solver.Config{
-		MaxIter: 6 * n, Tol: 1e-10, CheckEvery: 5, MaxRecoveries: 8,
-	})
+	res, err := solver.CG(op, b, healed, solver.Config{MaxIter: 6 * n, Tol: 1e-10})
 	if err != nil {
-		t.Fatalf("self-healing solve failed: %v", err)
+		t.Fatalf("gated solve failed: %v", err)
 	}
-	if !res.Converged {
-		t.Fatalf("self-healing solve did not converge: %+v", res)
+	if !res.Converged || res.TrueResidual > 10*1e-10 {
+		t.Fatalf("gated solve not certified: %+v", res)
 	}
 	if got := in.Count(fault.Corrupt); got < 1 {
 		t.Fatalf("corruption plan never fired (injected %d)", got)
 	}
-	if res.Detections < 1 {
-		t.Fatalf("corruption fired but CG detected nothing: %+v", res)
-	}
-	if res.Rollbacks+res.Restarts < 1 {
-		t.Fatalf("CG detected corruption but never rolled back or restarted: %+v", res)
+	if res.Restarts < 1 {
+		t.Fatalf("corruption fired but CG never restarted: %+v", res)
 	}
 
 	var scale float64

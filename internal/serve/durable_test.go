@@ -71,9 +71,9 @@ func TestStatusJournalRoundTrip(t *testing.T) {
 	// down under them.
 	m1, _ := open()
 	for _, idem := range []string{"", "retry-me", ""} {
-		j, dup := m1.create(req(idem), art, false)
-		if dup != nil {
-			t.Fatalf("fresh job bound to %s", dup.st.ID)
+		j, dup, err := m1.create(req(idem), art, false)
+		if err != nil || dup != nil {
+			t.Fatalf("fresh job: err=%v, bound to %v", err, dup)
 		}
 		m1.setRunning(j)
 		m1.requeue(j)

@@ -101,6 +101,8 @@ func httpError(w http.ResponseWriter, res *SolveResult, err error) {
 		code = http.StatusTooManyRequests
 	case errors.Is(err, ErrBadRequest):
 		code = http.StatusBadRequest
+	case errors.Is(err, ErrUnavailable):
+		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrCanceled):
 		code = http.StatusRequestTimeout
 	case errors.Is(err, ErrClosed):

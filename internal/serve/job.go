@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -335,18 +336,29 @@ func (m *jobManager) register(j *Job) {
 	}
 }
 
+// unregister takes a job out of the table. Caller holds m.mu.
+func (m *jobManager) unregister(j *Job) {
+	delete(m.jobs, j.st.ID)
+	m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == j.st.ID })
+	if m.byIdem[j.st.IdempotencyKey] == j {
+		delete(m.byIdem, j.st.IdempotencyKey)
+	}
+}
+
 func (m *jobManager) ckptDir(id string) string {
 	return filepath.Join(m.dir, "ckpt", id)
 }
 
 // create registers a new job (journaling its acceptance) or, when the
-// idempotency key is already known, returns the existing job as dup.
-func (m *jobManager) create(req *SolveRequest, a *artifact, hit bool) (j, dup *Job) {
+// idempotency key is already known, returns the existing job as dup. A
+// job the journal refuses leaves the table, key included: ErrUnavailable.
+func (m *jobManager) create(req *SolveRequest, a *artifact, hit bool) (j, dup *Job, err error) {
 	m.mu.Lock()
 	if req.IdempotencyKey != "" {
 		if prev, ok := m.byIdem[req.IdempotencyKey]; ok {
 			m.mu.Unlock()
-			return nil, prev
+			jobDedup.Add(1)
+			return nil, prev, nil
 		}
 	}
 	j = newJob(req, a.key, hit)
@@ -355,11 +367,21 @@ func (m *jobManager) create(req *SolveRequest, a *artifact, hit bool) (j, dup *J
 	m.evictLocked()
 	m.mu.Unlock()
 
+	if err := m.jl.append(j.acceptRecord()); err != nil {
+		err = fmt.Errorf("%w: accepting job: %w", ErrUnavailable, err)
+		m.mu.Lock()
+		m.unregister(j)
+		m.mu.Unlock()
+		j.mu.Lock() // a duplicate bound meanwhile hears the refusal
+		j.st.State, j.st.Error, j.err = JobFailed, err.Error(), err
+		j.mu.Unlock()
+		close(j.done)
+		return nil, nil, err
+	}
 	jobAccepted.Add(1)
-	m.jl.append(j.acceptRecord())
 	fp := a.fp
 	j.emit(event{Event: "accepted", CacheHit: &hit, Fingerprints: &fp})
-	return j, nil
+	return j, nil, nil
 }
 
 // lookup returns the job with the given id.
@@ -425,11 +447,7 @@ func (m *jobManager) evictLocked() {
 			i++
 			continue
 		}
-		delete(m.jobs, j.st.ID)
-		if idem := j.st.IdempotencyKey; idem != "" && m.byIdem[idem] == j {
-			delete(m.byIdem, idem)
-		}
-		m.order = append(m.order[:i], m.order[i+1:]...)
+		m.unregister(j)
 		terminal--
 	}
 }
@@ -614,7 +632,7 @@ type admittedJob struct {
 
 // run executes the job to a terminal state (or a durable requeue at
 // engine shutdown). It is the engine's single solve path: budgets,
-// worker checkout, one supervised CG, certification, pool return, job
+// worker checkout, one supervised and gated CG, pool return, job
 // bookkeeping. What differs between solves is only the supervisor's loss
 // policy: a fault plan without "recovery":"migrate" shrinks and regrows
 // in place; everything else — plain solves included, so a genuine PE
@@ -685,11 +703,7 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 				j.mu.Lock()
 				j.st.CheckpointIter = st.Iter // where a migration or a restart resumes
 				j.mu.Unlock()
-				rel := norm2(st.R)
-				if normB > 0 {
-					rel /= normB
-				}
-				j.emit(event{Event: "progress", Iter: st.Iter, Residual: rel})
+				j.emit(event{Event: "progress", Iter: st.Iter, Residual: norm2(st.R) / normB})
 			},
 		},
 		// The supervisor lands every in-flight snapshot in the job's
@@ -755,12 +769,15 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 	}
 	if sr := out.Result; sr != nil {
 		res.Iterations, res.Residual, res.Converged = sr.Iterations, sr.Residual, sr.Converged
-	}
-	if serr == nil {
-		certify(res, out.Dist, shift, a.massNode, b, x, normB)
+		if sr.Converged {
+			res.Certified, res.CertResidual = true, sr.TrueResidual
+		}
 	}
 	res.SolutionFP = regress.Vector(x)
 	res.SolutionNorm = norm2(x)
+	if h := e.answered; h != nil {
+		h(b, x)
+	}
 
 	// The worker goes back to the pool only if its own Dist finished the
 	// solve alive; a Dist the supervisor rebuilt belongs to this solve

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -425,4 +428,48 @@ func BenchmarkDurable(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRefusedAcceptIsNotAcknowledged: a job whose accept record the
+// journal refuses is not acknowledged as accepted. The solve fails with
+// ErrUnavailable (503 over HTTP), the job is not listed, and its
+// idempotency key is free, so the client's retry runs it. At the parent
+// commit the append's error was dropped: the job ran and completed,
+// acknowledged but volatile.
+func TestRefusedAcceptIsNotAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, Config{JournalDir: dir})
+	t.Cleanup(func() { durable.Hook = nil })
+	errDisk := errors.New("no space left on device")
+	refused := 0
+	durable.Hook = func(step, path string, n int) (int, error) {
+		if step == "write" && path == journalPath(dir) && refused == 0 {
+			refused++
+			return 0, errDisk
+		}
+		return n, nil
+	}
+	req := func() *SolveRequest {
+		return &SolveRequest{Scenario: "tiny-refused", PEs: 2, Tol: 1e-8, IdempotencyKey: "retry-me"}
+	}
+	res, err := e.Solve(context.Background(), req())
+	durable.Hook = nil
+	if !errors.Is(err, ErrUnavailable) || !errors.Is(err, errDisk) || res != nil || refused != 1 {
+		t.Fatalf("refused accept: res=%+v err=%v (refused %d appends)", res, err, refused)
+	}
+	rec := httptest.NewRecorder()
+	httpError(rec, res, err)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("refused accept maps to HTTP %d, want 503", rec.Code)
+	}
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Fatalf("the refused job is listed: %+v", jobs)
+	}
+	res, err = e.Solve(context.Background(), req())
+	if err != nil || !res.Converged {
+		t.Fatalf("retry: %+v err=%v", res, err)
+	}
+	if jobs := e.Jobs(); len(jobs) != 1 || jobs[0].ID != res.JobID || jobs[0].IdempotencyKey != "retry-me" {
+		t.Fatalf("after the retry the jobs are %+v", jobs)
+	}
 }

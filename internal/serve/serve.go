@@ -67,6 +67,10 @@ var ErrCanceled = errors.New("serve: solve canceled")
 // plans. The HTTP layer maps it to 400 Bad Request.
 var ErrBadRequest = errors.New("serve: bad request")
 
+// ErrUnavailable reports a job the journal would not record, so it is
+// never acknowledged. The HTTP layer maps it to 503 Service Unavailable.
+var ErrUnavailable = errors.New("serve: journal unavailable")
+
 // Config tunes an Engine. The zero value gets sensible defaults.
 type Config struct {
 	// MaxConcurrent bounds solves executing at once (default
@@ -184,10 +188,11 @@ type Engine struct {
 	nextID   int64
 	closed   bool
 
-	// holdSolve, when non-nil, is called inside every admitted solve
-	// before the solver starts — a test hook to hold requests in
-	// flight deterministically.
+	// Test hooks, called when non-nil: holdSolve inside every admitted
+	// solve before the solver starts, to hold requests in flight;
+	// answered with every finished solve's right-hand side and iterate.
 	holdSolve func()
+	answered  func(b, x []float64)
 }
 
 // NewEngine builds an Engine; Close releases its pooled runtimes. With
@@ -340,11 +345,10 @@ func (e *Engine) admit(req *SolveRequest, s *Session, replayed *Job) (aj *admitt
 		return nil, nil, err
 	}
 	if j == nil {
-		if j, dup = e.jobs.create(req, art, hit); dup != nil {
+		if j, dup, err = e.jobs.create(req, art, hit); err != nil || dup != nil {
 			releaseSlot()
 			untrack()
-			jobDedup.Add(1)
-			return nil, dup, nil
+			return nil, dup, err
 		}
 	}
 	return &admittedJob{e: e, job: j, art: art, session: s, done: func() {

@@ -6,3 +6,9 @@ var (
 	BuildSystem     = buildSystem
 	FixtureMaterial = fixtureMaterial
 )
+
+// The gate's bound and restart budget, which the external tests pin.
+const (
+	CertSlack   = certSlack
+	MaxRestarts = maxRestarts
+)

@@ -4,7 +4,7 @@
 # rewrite results/ in the tree they run in) and `quakerepro` (default
 # flags) each run against a temporary copy, and every table either one
 # writes must come out byte-identical to the one in this tree. Only the
-# four tables that carry timings are excluded, by name. A table that
+# two tables that carry timings are excluded, by name. A table that
 # drifts, or one a generator writes that is not in results/, is named in
 # the diff output and the exit status is non-zero.
 #
@@ -18,7 +18,7 @@ cd "$root"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
-timed="-x ablation_ordering_native.txt -x ablation_ordering_random.txt -x ablation_ordering_rcm.txt -x eq12_measured_tf.txt"
+timed="-x ablation_ordering.txt -x eq12_measured_tf.txt"
 
 mkdir "$tmp/tree"
 git ls-files --cached --others --exclude-standard | while read -r f; do
