@@ -337,12 +337,10 @@ type (
 	// Aggregated is a fused two-level exchange plan (four schedule legs
 	// plus the PE→node mapping); build one with AggregateSchedule.
 	Aggregated = comm.Aggregated
-	// AggProperties are the extended-Eq.(2) inputs: inter-node and
-	// on-node (C, B) maxima of an aggregated plan.
-	AggProperties = model.AggProperties
-	// LocalParams are the on-node copy costs (T_l, T_w) the gather and
-	// scatter legs pay.
-	LocalParams = model.LocalParams
+	// Exchange is the Eq.(2) input of an exchange plan: F, the flat
+	// payload C_max, and the inter-node and on-node (C, B) maxima.
+	// Build it with PlanExchange or FlatExchange.
+	Exchange = model.Exchange
 	// AggregationRow is one node size of a blocks-vs-words sweep.
 	AggregationRow = report.AggregationRow
 )
@@ -358,32 +356,35 @@ func AggregateSchedule(s *Schedule, nodeOf func(pe int32) int32) (*Aggregated, e
 // size — the mapping cluster schedulers produce for packed ranks.
 func ContiguousNodes(size int) func(pe int32) int32 { return comm.ContiguousNodes(size) }
 
-// OnNode is the intra-node copy-cost preset used as LocalParams'
-// machine-shaped counterpart by the aggregated simulators.
+// OnNode is the intra-node copy-cost preset: the on-node (T_l, T_w)
+// of the gather and scatter legs.
 func OnNode() MachineParams { return machine.OnNode() }
 
 // Extended model: Eq.(2) split into an inter-node leg at machine
-// (Tl, Tw) and gather/scatter legs at on-node costs.
+// (Tl, Tw) and gather/scatter legs at on-node costs, evaluated by the
+// methods of Exchange (Tc, PhaseTimes, Efficiency, LatencyBudget). The
+// flat exchange is the plan of one PE per node.
 var (
-	AchievedTcAggregated = model.AchievedTcAggregated
-	AggregatedEfficiency = model.AggregatedEfficiency
+	// PlanExchange derives a plan's Exchange from the partition's F
+	// and C_max; FlatExchange is the paper's row as one.
+	PlanExchange = model.PlanExchange
+	FlatExchange = model.FlatExchange
 	// BetaOf is the Eq.(2) β load-imbalance bound for any per-PE (C, B)
 	// pair, e.g. an Aggregated plan's InterCB.
 	BetaOf = model.BetaOf
 )
 
-// SimulateExchangeAggregated replays an aggregated plan's three phases
-// (gather, fused inter-node, scatter) on the discrete-event machine
-// simulator; p prices the inter-node leg, local the on-node copies.
-func SimulateExchangeAggregated(a *Aggregated, p, local MachineParams, net NetworkConfig) (machine.AggSimResult, error) {
-	return machine.SimulateAggregated(a, p, local, net)
-}
-
-// SimulateTorusAggregated replays the fused inter-node leg over a
-// contended torus of nodes (t.PEs() must equal a.NumNodes).
-func SimulateTorusAggregated(a *Aggregated, p, local MachineParams, t Torus, cfg TorusConfig) (network.AggResult, error) {
-	return network.SimulateAggregated(a, p, local, t, cfg)
-}
+// Replaying a plan: ReplayPlan(a, local, fused) runs its three phases
+// (gather ∪ local, fused inter-node leg, scatter; the times add), the
+// on-node legs at local's costs on the discrete-event machine simulator
+// and the fused leg as fused prices it — FusedOnMachine (PE-side, with
+// an optional finite bisection) or FusedOnTorus (a contended torus of
+// nodes).
+var (
+	ReplayPlan     = machine.Replay
+	FusedOnMachine = machine.Fused
+	FusedOnTorus   = network.Fused
+)
 
 // AggSweep evaluates the blocks-vs-words tradeoff of a scenario over a
 // range of node sizes (cmd/quakenet -agg).
@@ -430,16 +431,15 @@ func ServeMetrics(addr string) (string, func(context.Context) error, error) {
 
 // AnalyzeWindow extracts the per-PE phase window recorded between two
 // snapshots (prev may be nil for run-so-far totals) — the input to
-// AnalyzeFlat.
+// AnalyzeExchange.
 func AnalyzeWindow(cur, prev *MetricsSnapshot) (AnalysisWindow, bool) {
 	return analyze.FromSnapshots(cur, prev)
 }
 
-// AnalyzeFlat computes λ, stragglers, the achieved decomposition, and
-// Eq.(2) drift of a window against the flat-schedule model.
-func AnalyzeFlat(w AnalysisWindow, app AppProperties, Tl, Tw float64) AnalysisReport {
-	return analyze.Analyze(w, app, Tl, Tw)
-}
+// AnalyzeExchange computes λ, stragglers, the achieved decomposition,
+// and Eq.(2) drift of a window against an Exchange at inter-node
+// (tl, tw) and on-node (localTl, localTw) costs.
+var AnalyzeExchange = analyze.Analyze
 
 // FlightEvents returns the flight recorder's current ring contents,
 // oldest first.

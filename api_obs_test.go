@@ -59,7 +59,7 @@ func TestObservabilityFacade(t *testing.T) {
 	}
 	app := quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()}
 	mp := quake.T3E()
-	rep := quake.AnalyzeFlat(w, app, mp.Tl, mp.Tw)
+	rep := quake.AnalyzeExchange(w, quake.FlatExchange(app), mp.Tl, mp.Tw, 0, 0)
 	if rep.Compute.Lambda < 1 || rep.Drift.PredictedTc <= 0 {
 		t.Fatalf("report: λ=%g predicted=%g", rep.Compute.Lambda, rep.Drift.PredictedTc)
 	}

@@ -395,36 +395,36 @@ func TestFacadeAggregation(t *testing.T) {
 	if beta := quake.BetaOf(c, b); beta < 1 || beta >= 2 {
 		t.Errorf("fused β = %g", beta)
 	}
-	t3e := quake.T3E()
-	local := quake.LocalParams{Tl: quake.OnNode().Tl, Tw: quake.OnNode().Tw}
-	app := quake.AggProperties{
-		App:       quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()},
-		InterBmax: agg.InterBmax(), InterCmax: maxOf(c),
-		LocalBmax: 1, LocalCmax: agg.CopiedWords(),
-	}
-	if err := app.Validate(); err != nil {
+	t3e, onNode := quake.T3E(), quake.OnNode()
+	ex := quake.PlanExchange(agg, pr.Fmax(), pr.Cmax())
+	if err := ex.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tc := quake.AchievedTcAggregated(app, t3e.Tl, t3e.Tw, local); tc <= 0 {
+	if tc := ex.Tc(t3e.Tl, t3e.Tw, onNode.Tl, onNode.Tw); tc <= 0 {
 		t.Error("non-positive aggregated Tc")
 	}
-	if e := quake.AggregatedEfficiency(app, t3e.Tf, t3e.Tl, t3e.Tw, local); e <= 0 || e >= 1 {
+	if e := ex.Efficiency(t3e.Tf, t3e.Tl, t3e.Tw, onNode.Tl, onNode.Tw); e <= 0 || e >= 1 {
 		t.Errorf("aggregated efficiency = %g", e)
 	}
+	// One PE per node is the paper's flat row.
+	one, err := quake.AggregateSchedule(sched, quake.ContiguousNodes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()}
+	if got, want := quake.PlanExchange(one, pr.Fmax(), pr.Cmax()), quake.FlatExchange(app); got != want {
+		t.Errorf("node size 1 exchange %+v, want the flat row %+v", got, want)
+	}
 
-	// Both simulators accept the plan.
-	mres, err := quake.SimulateExchangeAggregated(agg, t3e, quake.OnNode(), quake.NetworkConfig{})
+	// Both fused-leg pricers plug into the one replay.
+	mres, err := quake.ReplayPlan(agg, onNode, quake.FusedOnMachine(t3e, quake.NetworkConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.CommTime <= 0 {
 		t.Error("no machine-simulated aggregated time")
 	}
-	tor, err := quake.NewTorus(agg.NumNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nres, err := quake.SimulateTorusAggregated(agg, t3e, quake.OnNode(), tor, quake.TorusConfig{HopLatency: 100e-9})
+	nres, err := quake.ReplayPlan(agg, onNode, quake.FusedOnTorus(t3e, quake.TorusConfig{HopLatency: 100e-9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,14 +475,4 @@ func TestFacadeAggregation(t *testing.T) {
 	if !strings.Contains(sb.String(), "fused B_max") {
 		t.Errorf("sweep table missing fused column:\n%s", sb.String())
 	}
-}
-
-func maxOf(v []int64) int64 {
-	var m int64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -198,25 +198,6 @@ func (a *Aggregated) CopiedWords() int64 {
 	return totalWords(a.Gather) + totalWords(a.Scatter)
 }
 
-// InterBlocksPerPE returns, for each PE, the number of inter-node
-// blocks it sends plus receives — the aggregated analogue of the
-// paper's B_i, counting only the blocks that pay the expensive
-// inter-node latency.
-func (a *Aggregated) InterBlocksPerPE() []int64 { return a.Internode.BlocksPerPE() }
-
-// InterBmax returns the maximum over PEs of inter-node blocks sent plus
-// received: the aggregated B_max that replaces the flat B_max in the
-// extended Equation (2) (see model.AchievedTcAggregated).
-func (a *Aggregated) InterBmax() int64 {
-	var m int64
-	for _, b := range a.InterBlocksPerPE() {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // InterCB returns the per-PE inter-node word and block counts
 // (sent+received), the vectors the β error bound needs under
 // aggregation (model.BetaOf).
@@ -224,26 +205,10 @@ func (a *Aggregated) InterCB() (c, b []int64) {
 	return a.Internode.WordsPerPE(), a.Internode.BlocksPerPE()
 }
 
-// LocalCB returns the per-PE intra-node word and block counts
-// (sent+received) across the Local, Gather, and Scatter legs — the
-// cheap on-node traffic of the plan.
-func (a *Aggregated) LocalCB() (c, b []int64) {
-	c = make([]int64, a.P)
-	b = make([]int64, a.P)
-	for _, leg := range []*Schedule{a.Local, a.Gather, a.Scatter} {
-		lc, lb := leg.WordsPerPE(), leg.BlocksPerPE()
-		for i := 0; i < a.P; i++ {
-			c[i] += lc[i]
-			b[i] += lb[i]
-		}
-	}
-	return c, b
-}
-
 // InternodeByNode reprojects the fused leg onto node ids: a schedule
 // with one "PE" per node, message (a→b) carrying the fused payload of
 // node pair (a,b). This is what replays over a torus whose vertices are
-// nodes rather than PEs (network.SimulateAggregated).
+// nodes rather than PEs (network.Fused).
 func (a *Aggregated) InternodeByNode() *Schedule {
 	s := &Schedule{P: a.NumNodes, Out: make([][]Message, a.NumNodes)}
 	for pe := range a.Internode.Out {
@@ -364,9 +329,9 @@ func (a *Aggregated) Check(flat *Schedule) error {
 }
 
 // Merge returns a schedule carrying both inputs' messages (same P),
-// each per-PE list re-sorted by destination. The phase simulators use
-// it to run legs that may proceed together (e.g. Local alongside
-// Gather) as one schedule.
+// each per-PE list re-sorted by destination. machine.Replay uses it to
+// run the legs that proceed together (Local alongside Gather) as one
+// schedule.
 func Merge(x, y *Schedule) (*Schedule, error) {
 	if x.P != y.P {
 		return nil, fmt.Errorf("comm: Merge of schedules with %d and %d PEs", x.P, y.P)

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -83,8 +84,8 @@ func TestAggregateSmall(t *testing.T) {
 	}
 	// Block economics: the flat schedule's 6 inter-node blocks fuse
 	// into 2 (one per ordered node pair).
-	if got := a.InterBmax(); got >= s.BlocksPerPE()[0] {
-		t.Errorf("InterBmax = %d, want below flat B for PE0 (%d)", got, s.BlocksPerPE()[0])
+	if _, b := a.InterCB(); slices.Max(b) >= s.BlocksPerPE()[0] {
+		t.Errorf("fused B_max = %d, want below flat B for PE0 (%d)", slices.Max(b), s.BlocksPerPE()[0])
 	}
 }
 

@@ -30,17 +30,17 @@ func TestSimulateAggregatedReducesToFlat(t *testing.T) {
 		a := aggregateFor(t, s, 1)
 		for _, net := range []NetworkConfig{{}, {Transit: 1e-6}, {BisectionBytesPerSec: 50e6}} {
 			flat := Simulate(s, T3E(), net)
-			agg, err := SimulateAggregated(a, T3E(), localPreset(), net)
+			agg, err := Replay(a, localPreset(), Fused(T3E(), net))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if agg.CommTime != flat.CommTime {
-				t.Fatalf("p=%d net=%+v: aggregated %g != flat %g",
-					p, net, agg.CommTime, flat.CommTime)
+			if agg.CommTime != flat.CommTime || agg.Internode != flat.CommTime {
+				t.Fatalf("p=%d net=%+v: aggregated %g (fused %g) != flat %g",
+					p, net, agg.CommTime, agg.Internode, flat.CommTime)
 			}
-			if agg.Gather.CommTime != 0 || agg.Scatter.CommTime != 0 {
+			if agg.Gather != 0 || agg.Scatter != 0 {
 				t.Fatalf("p=%d: identity aggregation has local phases %g/%g",
-					p, agg.Gather.CommTime, agg.Scatter.CommTime)
+					p, agg.Gather, agg.Scatter)
 			}
 		}
 	}
@@ -53,22 +53,25 @@ func TestSimulateAggregatedPhasesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := mustSchedule(t, randomMatrix(rng, 12))
 	a := aggregateFor(t, s, 4)
-	res, err := SimulateAggregated(a, T3E(), localPreset(), NetworkConfig{})
+	res, err := Replay(a, localPreset(), Fused(T3E(), NetworkConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := res.Gather.CommTime + res.Internode.CommTime + res.Scatter.CommTime
+	if res.Gather <= 0 || res.Scatter <= 0 {
+		t.Fatalf("grouped plan should have on-node phases, got %g/%g", res.Gather, res.Scatter)
+	}
+	sum := res.Gather + res.Internode + res.Scatter
 	if math.Abs(res.CommTime-sum) > 1e-18 {
 		t.Fatalf("CommTime %g != phase sum %g", res.CommTime, sum)
 	}
 	one := aggregateFor(t, s, 12)
-	all, err := SimulateAggregated(one, T3E(), localPreset(), NetworkConfig{})
+	all, err := Replay(one, localPreset(), Fused(T3E(), NetworkConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.Internode.CommTime != 0 || all.Scatter.CommTime != 0 {
+	if all.Internode != 0 || all.Scatter != 0 {
 		t.Fatalf("one-node plan has inter-node %g / scatter %g",
-			all.Internode.CommTime, all.Scatter.CommTime)
+			all.Internode, all.Scatter)
 	}
 }
 
@@ -83,7 +86,7 @@ func TestSimulateAggregatedBeatsFlatWhenLatencyBound(t *testing.T) {
 	p := Params{Name: "latency-bound", Tf: 1e-9, Tl: 100e-6, Tw: 1e-9}
 	local := Params{Name: "on-node", Tf: 1e-9, Tl: 0.1e-6, Tw: 0.5e-9}
 	flat := Simulate(s, p, NetworkConfig{})
-	agg, err := SimulateAggregated(a, p, local, NetworkConfig{})
+	agg, err := Replay(a, local, Fused(p, NetworkConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +101,10 @@ func TestSimulateAggregatedBeatsFlatWhenLatencyBound(t *testing.T) {
 func TestSimulateAggregatedRejects(t *testing.T) {
 	s := mustSchedule(t, [][]int64{{0, 6}, {6, 0}})
 	a := aggregateFor(t, s, 2)
-	if _, err := SimulateAggregated(a, Params{}, localPreset(), NetworkConfig{}); err == nil {
+	if _, err := Replay(a, localPreset(), Fused(Params{}, NetworkConfig{})); err == nil {
 		t.Error("zero machine parameters accepted")
 	}
-	if _, err := SimulateAggregated(a, T3E(), Params{Tf: 1e-9, Tl: -1}, NetworkConfig{}); err == nil {
+	if _, err := Replay(a, Params{Tf: 1e-9, Tl: -1}, Fused(T3E(), NetworkConfig{})); err == nil {
 		t.Error("negative local latency accepted")
 	}
 }

@@ -214,3 +214,62 @@ func Simulate(s *comm.Schedule, p Params, net NetworkConfig) SimResult {
 	obs.GetGauge("machine.sim.comm_seconds").Set(res.CommTime)
 	return res
 }
+
+// OnNode returns the default intra-node parameters of the two-level
+// exchange (comm.Aggregate): a memcpy-like staging copy between PEs of
+// one node — roughly 20× cheaper per block than the T3E's network
+// interface and several times its burst bandwidth, consistent with
+// shared-memory transfer costs. Tf is the T3E's (unused by the
+// intra-node legs, but kept valid for Validate).
+func OnNode() Params { return Params{Name: "on-node", Tf: 14e-9, Tl: 1e-6, Tw: 10e-9} }
+
+// FusedLeg prices the fused inter-node leg of a two-level plan: its
+// phase time.
+type FusedLeg func(a *comm.Aggregated) (float64, error)
+
+// Fused prices the fused leg with Simulate at p through net.
+func Fused(p Params, net NetworkConfig) FusedLeg {
+	return func(a *comm.Aggregated) (float64, error) {
+		if err := p.Validate(); err != nil {
+			return 0, err
+		}
+		return Simulate(a.Internode, p, net).CommTime, nil
+	}
+}
+
+// Phases reports a replay of a two-level exchange: each phase's time
+// and their sum, CommTime.
+type Phases struct {
+	Gather, Internode, Scatter, CommTime float64
+}
+
+// Replay is the one replay of a two-level plan, flat (one PE per node)
+// included. It runs three barrier-separated phases, so their times add:
+// the Local payload messages merged with the Gather copy leg, then the
+// fused leader-to-leader leg, then the Scatter leg. The on-node phases
+// are replayed by Simulate at the local parameters (shared memory or an
+// on-node interconnect); only the fused leg pays the machine's block
+// latency, as fused prices it — Fused, or network.Fused over a
+// contended torus of nodes. With one PE per node the on-node legs are
+// empty and the fused leg is the flat schedule, so the replay is the
+// flat exchange's, bit for bit.
+func Replay(a *comm.Aggregated, local Params, fused FusedLeg) (Phases, error) {
+	if local.Tl < 0 || local.Tw < 0 {
+		return Phases{}, fmt.Errorf("machine: negative local parameters %+v", local)
+	}
+	intra, err := comm.Merge(a.Local, a.Gather)
+	if err != nil {
+		return Phases{}, err
+	}
+	inter, err := fused(a)
+	if err != nil {
+		return Phases{}, err
+	}
+	ph := Phases{
+		Gather:    Simulate(intra, local, NetworkConfig{}).CommTime,
+		Internode: inter,
+		Scatter:   Simulate(a.Scatter, local, NetworkConfig{}).CommTime,
+	}
+	ph.CommTime = ph.Gather + ph.Internode + ph.Scatter
+	return ph, nil
+}

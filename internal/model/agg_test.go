@@ -9,14 +9,17 @@ func TestAchievedTcAggregatedReducesToFlat(t *testing.T) {
 	// Node size one: the fused leg IS the flat schedule and there are
 	// no local legs, so the extended model must equal Equation (2).
 	app := AppProperties{F: 1e6, Cmax: 9000, Bmax: 48}
-	a := AggProperties{App: app, InterBmax: app.Bmax, InterCmax: app.Cmax}
+	a := Exchange{F: app.F, Cmax: app.Cmax, InterBmax: app.Bmax, InterCmax: app.Cmax}
+	if a != FlatExchange(app) || !a.Flat() {
+		t.Fatalf("node-size-1 exchange %+v is not the flat row %+v", a, FlatExchange(app))
+	}
 	tl, tw := 22e-6, 55e-9
-	got := AchievedTcAggregated(a, tl, tw, LocalParams{})
+	got := a.Tc(tl, tw, 0, 0)
 	want := AchievedTc(app, tl, tw)
 	if math.Abs(got-want) > 1e-18 {
-		t.Errorf("AchievedTcAggregated = %g, want flat %g", got, want)
+		t.Errorf("aggregated Tc = %g, want flat %g", got, want)
 	}
-	ec, em := AggregatedPhaseTimes(a, 10e-9, tl, tw, LocalParams{})
+	ec, em := a.PhaseTimes(10e-9, tl, tw, 0, 0)
 	fc, fm := PhaseTimes(app, 10e-9, tl, tw)
 	if ec != fc || math.Abs(em-fm) > 1e-15 {
 		t.Errorf("phase times %g/%g, want %g/%g", ec, em, fc, fm)
@@ -28,34 +31,34 @@ func TestAchievedTcAggregatedTradesBlocksForWords(t *testing.T) {
 	// extra copied words at cheap local rates. On a latency-dominated
 	// machine the aggregated Tc must come out lower.
 	app := AppProperties{F: 1e6, Cmax: 9000, Bmax: 48}
-	agg := AggProperties{
-		App:       app,
+	agg := Exchange{
+		F: app.F, Cmax: app.Cmax,
 		InterBmax: 8,        // 6× fewer expensive blocks
 		InterCmax: app.Cmax, // payload unchanged
 		LocalBmax: 60,       // gather/scatter legs
 		LocalCmax: 2 * 9000, // every payload word copied twice on-node
 	}
 	tl, tw := 22e-6, 55e-9
-	local := LocalParams{Tl: 0.5e-6, Tw: 5e-9}
+	ltl, ltw := 0.5e-6, 5e-9
 	flat := AchievedTc(app, tl, tw)
-	hier := AchievedTcAggregated(agg, tl, tw, local)
+	hier := agg.Tc(tl, tw, ltl, ltw)
 	if hier >= flat {
 		t.Errorf("aggregated Tc %g not below flat %g on a latency-bound machine", hier, flat)
 	}
-	if e := AggregatedEfficiency(agg, 10e-9, tl, tw, local); e <= Efficiency(app, 10e-9, tl, tw) {
+	if e := agg.Efficiency(10e-9, tl, tw, ltl, ltw); e <= Efficiency(app, 10e-9, tl, tw) {
 		t.Errorf("aggregated efficiency %g not above flat", e)
 	}
 }
 
 func TestAggregatedLatencyBudget(t *testing.T) {
 	app := AppProperties{F: 1e6, Cmax: 9000, Bmax: 48}
-	agg := AggProperties{App: app, InterBmax: 8, InterCmax: 9000, LocalBmax: 60, LocalCmax: 18000}
-	local := LocalParams{Tl: 0.5e-6, Tw: 5e-9}
+	agg := Exchange{F: app.F, Cmax: app.Cmax, InterBmax: 8, InterCmax: 9000, LocalBmax: 60, LocalCmax: 18000}
+	ltl, ltw := 0.5e-6, 5e-9
 	tc := RequiredTc(app, 0.8, 10e-9)
 	tw := 55e-9
-	budget := AggregatedLatencyBudget(agg, tc, tw, local)
+	budget := agg.LatencyBudget(tc, tw, ltl, ltw)
 	// Plugging the budget back in must achieve tc exactly.
-	check := AchievedTcAggregated(agg, budget, tw, local)
+	check := agg.Tc(budget, tw, ltl, ltw)
 	if math.Abs(check-tc) > 1e-15 {
 		t.Errorf("achieved Tc at budget latency = %g, want %g", check, tc)
 	}
@@ -67,17 +70,22 @@ func TestAggregatedLatencyBudget(t *testing.T) {
 }
 
 func TestAggPropertiesValidate(t *testing.T) {
-	app := AppProperties{F: 100, Cmax: 10, Bmax: 2}
-	good := AggProperties{App: app, InterBmax: 1, InterCmax: 10}
+	good := Exchange{F: 100, Cmax: 10, InterBmax: 1, InterCmax: 10}
 	if err := good.Validate(); err != nil {
-		t.Errorf("valid properties rejected: %v", err)
+		t.Errorf("valid exchange rejected: %v", err)
 	}
-	cases := []AggProperties{
-		{App: AppProperties{F: 0, Cmax: 10, Bmax: 2}},          // bad app
-		{App: app, InterBmax: -1},                              // negative
-		{App: app, InterBmax: 1, InterCmax: 0},                 // B/C not zero together
-		{App: app, InterBmax: 0, InterCmax: 5},                 // C without B
-		{App: app, InterBmax: 1, InterCmax: 10, LocalCmax: -3}, // negative local
+	if err := (Exchange{F: 100}).Validate(); err != nil {
+		t.Errorf("silent exchange rejected: %v", err)
+	}
+	cases := []Exchange{
+		{Cmax: 10, InterBmax: 1, InterCmax: 10},                        // no flops
+		{F: 100, Cmax: 10, InterBmax: -1},                              // negative
+		{F: 100, Cmax: 10, InterBmax: 1, InterCmax: 0},                 // B/C not zero together
+		{F: 100, Cmax: 10, InterBmax: 0, InterCmax: 5},                 // C without B
+		{F: 100, Cmax: 10, InterBmax: 1, InterCmax: 10, LocalCmax: -3}, // negative local
+		{F: 100, Cmax: 10, InterBmax: 1, InterCmax: 10, LocalBmax: 2},  // local B without C
+		{F: 100, InterBmax: 1, InterCmax: 10},                          // traffic without payload
+		{F: 100, Cmax: 10},                                             // payload without traffic
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {

@@ -26,18 +26,7 @@ type AppProperties struct {
 }
 
 // Validate reports whether the properties can drive the models.
-func (a AppProperties) Validate() error {
-	if a.F <= 0 {
-		return fmt.Errorf("model: F must be positive, got %d", a.F)
-	}
-	if a.Cmax < 0 || a.Bmax < 0 {
-		return fmt.Errorf("model: Cmax/Bmax must be non-negative, got %d/%d", a.Cmax, a.Bmax)
-	}
-	if (a.Cmax == 0) != (a.Bmax == 0) {
-		return fmt.Errorf("model: Cmax (%d) and Bmax (%d) must be zero together", a.Cmax, a.Bmax)
-	}
-	return nil
-}
+func (a AppProperties) Validate() error { return FlatExchange(a).Validate() }
 
 // RequiredTc solves Equation (1) for the amortized time per
 // communication word T_c that achieves target efficiency E on PEs that
@@ -65,45 +54,31 @@ func RequiredBandwidth(app AppProperties, E, Tf float64) float64 {
 	return BytesPerWord / RequiredTc(app, E, Tf)
 }
 
-// AchievedTc evaluates Equation (2): the amortized time per word
-// delivered by a communication system with block latency Tl and burst
-// bandwidth 1/Tw on this application:
+// AchievedTc, PhaseTimes, Efficiency and LatencyBudget are the paper's
+// flat Equation (2) — the Exchange methods at node size 1, bit for bit.
 //
-//	T_c = (B_max / C_max) · T_l + T_w.
+// AchievedTc is the amortized time per word delivered by a system with
+// block latency Tl and burst bandwidth 1/Tw: T_c = (B_max/C_max)·T_l + T_w.
 func AchievedTc(app AppProperties, Tl, Tw float64) float64 {
-	if app.Cmax <= 0 {
-		panic("model: AchievedTc needs positive Cmax")
-	}
-	return float64(app.Bmax)/float64(app.Cmax)*Tl + Tw
+	return FlatExchange(app).Tc(Tl, Tw, 0, 0)
 }
 
-// PhaseTimes returns the modeled computation and communication phase
-// times for one SMVP: T_comp = F·Tf and T_comm = B_max·Tl + C_max·Tw.
+// PhaseTimes returns T_comp = F·Tf and T_comm = B_max·Tl + C_max·Tw.
 func PhaseTimes(app AppProperties, Tf, Tl, Tw float64) (tcomp, tcomm float64) {
-	return float64(app.F) * Tf, float64(app.Bmax)*Tl + float64(app.Cmax)*Tw
+	return FlatExchange(app).PhaseTimes(Tf, Tl, Tw, 0, 0)
 }
 
-// Efficiency returns the modeled efficiency E = T_comp / (T_comp +
-// T_comm) of the SMVP on the given machine parameters.
+// Efficiency returns the modeled E = T_comp / (T_comp + T_comm).
 func Efficiency(app AppProperties, Tf, Tl, Tw float64) float64 {
-	tcomp, tcomm := PhaseTimes(app, Tf, Tl, Tw)
-	return tcomp / (tcomp + tcomm)
+	return FlatExchange(app).Efficiency(Tf, Tl, Tw, 0, 0)
 }
 
-// LatencyBudget inverts Equation (2) for the block latency: given a
-// required T_c and a burst word time Tw, the observed block latency must
-// not exceed
-//
-//	T_l = (T_c − T_w) · C_max / B_max.
-//
-// A non-positive result means the target is infeasible even with zero
-// latency (the burst bandwidth alone is too slow). This generates the
-// diagonal tradeoff curves of Figure 10.
+// LatencyBudget is the largest block latency that still meets a
+// required T_c at burst word time Tw, T_l = (T_c − T_w)·C_max/B_max; a
+// non-positive result means the burst bandwidth alone is too slow. It
+// generates the diagonal tradeoff curves of Figure 10.
 func LatencyBudget(app AppProperties, tc, tw float64) float64 {
-	if app.Bmax <= 0 {
-		panic("model: LatencyBudget needs positive Bmax")
-	}
-	return (tc - tw) * float64(app.Cmax) / float64(app.Bmax)
+	return FlatExchange(app).LatencyBudget(tc, tw, 0, 0)
 }
 
 // HalfBandwidthPoint returns the paper's suggested design point

@@ -59,7 +59,7 @@ func TestSimulateAggregatedTorusReducesToFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg, err := SimulateAggregated(a, machine.T3E(), localNet(), tor, cfg)
+			agg, err := machine.Replay(a, localNet(), Fused(machine.T3E(), cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,19 +67,17 @@ func TestSimulateAggregatedTorusReducesToFlat(t *testing.T) {
 				t.Fatalf("p=%d cfg=%+v: aggregated %g != flat %g",
 					p, cfg, agg.CommTime, flat.CommTime)
 			}
-			if agg.GatherTime != 0 || agg.ScatterTime != 0 {
+			if agg.Gather != 0 || agg.Scatter != 0 {
 				t.Fatalf("p=%d: identity aggregation has local phases %g/%g",
-					p, agg.GatherTime, agg.ScatterTime)
+					p, agg.Gather, agg.Scatter)
 			}
 		}
 	}
 }
 
 // TestSimulateAggregatedNodeTorus: the fused leg rides a torus of
-// nodes — the torus size must equal the node count, phases add, and
-// the fused replay uses fewer (or equal) injected blocks than the
-// flat one, which is visible as a strictly smaller busiest-link
-// occupancy on a latency-free contended network.
+// nodes, built from the plan's node count, and the phases of the
+// replay add.
 func TestSimulateAggregatedNodeTorus(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := netSchedule(t, netRandomMatrix(rng, 16))
@@ -87,32 +85,31 @@ func TestSimulateAggregatedNodeTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peTorus, err := NewTorus(16)
+	cfg := Config{LinkBytesPerSec: 100e6}
+	res, err := machine.Replay(a, localNet(), Fused(machine.T3E(), cfg))
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Wrong torus size: the PE torus does not fit the 4-node plan.
-	if _, err := SimulateAggregated(a, machine.T3E(), localNet(), peTorus, Config{}); err == nil {
-		t.Fatal("PE-sized torus accepted for a 4-node plan")
 	}
 	nodeTorus, err := NewTorus(a.NumNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateAggregated(a, machine.T3E(), localNet(), nodeTorus, Config{LinkBytesPerSec: 100e6})
+	inter, err := Simulate(a.InternodeByNode(), machine.T3E(), nodeTorus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := res.GatherTime + res.Internode.CommTime + res.ScatterTime
+	if res.Internode != inter.CommTime {
+		t.Fatalf("fused leg %g, node-torus replay %g", res.Internode, inter.CommTime)
+	}
+	sum := res.Gather + res.Internode + res.Scatter
 	if math.Abs(res.CommTime-sum) > 1e-18 {
 		t.Fatalf("CommTime %g != phase sum %g", res.CommTime, sum)
 	}
-	if res.GatherTime <= 0 || res.ScatterTime <= 0 {
+	if res.Gather <= 0 || res.Scatter <= 0 {
 		t.Fatalf("grouped plan should have local phases, got %g/%g",
-			res.GatherTime, res.ScatterTime)
+			res.Gather, res.Scatter)
 	}
-	if _, err := SimulateAggregated(a, machine.T3E(),
-		machine.Params{Tf: 1e-9, Tl: -1}, nodeTorus, Config{}); err == nil {
+	if _, err := machine.Replay(a, machine.Params{Tf: 1e-9, Tl: -1}, Fused(machine.T3E(), Config{})); err == nil {
 		t.Fatal("negative local parameters accepted")
 	}
 }
@@ -153,11 +150,7 @@ func TestSimulateDegenerateTori(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zt, err := NewTorus(za.NumNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zres, err := SimulateAggregated(za, machine.T3E(), localNet(), zt, Config{LinkBytesPerSec: 1e6})
+	zres, err := machine.Replay(za, localNet(), Fused(machine.T3E(), Config{LinkBytesPerSec: 1e6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +190,7 @@ func TestSimulateDegenerateTori(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeTor, err := NewTorus(a.NumNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := SimulateAggregated(a, machine.T3E(), localNet(), nodeTor, Config{LinkBytesPerSec: 10e6})
+	agg, err := machine.Replay(a, localNet(), Fused(machine.T3E(), Config{LinkBytesPerSec: 10e6}))
 	if err != nil {
 		t.Fatal(err)
 	}

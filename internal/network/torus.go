@@ -239,3 +239,19 @@ func Simulate(s *comm.Schedule, p machine.Params, t Torus, cfg Config) (Result, 
 	}
 	return res, nil
 }
+
+// Fused prices the fused leg of a two-level plan for machine.Replay.
+// Only the fused leader-to-leader blocks enter the interconnect, so the
+// torus is one of NODES, NewTorus(a.NumNodes), carrying the by-node
+// fused schedule (Aggregated.InternodeByNode) through Simulate at p.
+// With one PE per node that is the PE torus and the flat schedule.
+func Fused(p machine.Params, cfg Config) machine.FusedLeg {
+	return func(a *comm.Aggregated) (float64, error) {
+		t, err := NewTorus(a.NumNodes)
+		if err != nil {
+			return 0, err
+		}
+		res, err := Simulate(a.InternodeByNode(), p, t, cfg)
+		return res.CommTime, err
+	}
+}

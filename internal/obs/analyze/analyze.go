@@ -4,8 +4,8 @@
 // computes the load-imbalance factor λ = max/mean per-PE compute time,
 // identifies stragglers, recovers the achieved T_f and per-word
 // exchange cost, and measures drift between the observed exchange time
-// and the Equation (2) prediction — for both the flat and the
-// node-aware aggregated schedule. Drift is the sensor: a partition
+// and the Equation (2) prediction of the active exchange plan, flat or
+// node-aware (model.Exchange). Drift is the sensor: a partition
 // whose measured exchange diverges from its model is mis-balanced or
 // contended, which is exactly the signal elastic rebalancing needs.
 package analyze
@@ -160,24 +160,18 @@ type Drift struct {
 	Rel         float64 // (measured − predicted) / predicted
 }
 
-func driftOf(measured, predicted float64) Drift {
-	d := Drift{MeasuredTc: measured, PredictedTc: predicted}
-	if predicted > 0 {
-		d.Rel = (measured - predicted) / predicted
+// DriftOf measures drift against Equation (2) for exchange x when an
+// inter-node block costs tl + words·tw and an on-node one localTl +
+// words·localTw (zeros for a flat plan).
+func DriftOf(w Window, x model.Exchange, tl, tw, localTl, localTw float64) Drift {
+	d := Drift{
+		MeasuredTc:  AchievedOf(w, model.AppProperties{F: x.F, Cmax: x.Cmax}).Tc,
+		PredictedTc: x.Tc(tl, tw, localTl, localTw),
+	}
+	if d.PredictedTc > 0 {
+		d.Rel = (d.MeasuredTc - d.PredictedTc) / d.PredictedTc
 	}
 	return d
-}
-
-// DriftFlat measures drift against the flat-schedule Eq.(2):
-// AchievedTc = (Bmax/Cmax)·Tl + Tw.
-func DriftFlat(w Window, app model.AppProperties, Tl, Tw float64) Drift {
-	return driftOf(AchievedOf(w, app).Tc, model.AchievedTc(app, Tl, Tw))
-}
-
-// DriftAggregated measures drift against the two-level aggregated
-// Eq.(2) extension for a node-aware schedule.
-func DriftAggregated(w Window, agg model.AggProperties, Tl, Tw float64, local model.LocalParams) Drift {
-	return driftOf(AchievedOf(w, agg.App).Tc, model.AchievedTcAggregated(agg, Tl, Tw, local))
 }
 
 // Report bundles the full analysis of one window.
@@ -187,31 +181,23 @@ type Report struct {
 	Exchange Imbalance // λ over per-PE exchange time
 	Achieved Achieved
 	Drift    Drift
-	Schedule string // "flat" or "aggregated"
+	Schedule string // "flat" or "aggregated", from the exchange plan
 }
 
-// Analyze runs the full flat-schedule analysis of a window.
-func Analyze(w Window, app model.AppProperties, Tl, Tw float64) Report {
-	return Report{
-		Window:   w,
-		Compute:  ImbalanceOf(w.ComputeNS),
-		Exchange: ImbalanceOf(w.ExchangeNS),
-		Achieved: AchievedOf(w, app),
-		Drift:    DriftFlat(w, app, Tl, Tw),
-		Schedule: "flat",
+// Analyze runs the full analysis of a window against exchange x, with
+// DriftOf's costs.
+func Analyze(w Window, x model.Exchange, tl, tw, localTl, localTw float64) Report {
+	schedule := "aggregated"
+	if x.Flat() {
+		schedule = "flat"
 	}
-}
-
-// AnalyzeAggregated runs the full analysis against the aggregated
-// (node-aware) schedule model.
-func AnalyzeAggregated(w Window, agg model.AggProperties, Tl, Tw float64, local model.LocalParams) Report {
 	return Report{
 		Window:   w,
 		Compute:  ImbalanceOf(w.ComputeNS),
 		Exchange: ImbalanceOf(w.ExchangeNS),
-		Achieved: AchievedOf(w, agg.App),
-		Drift:    DriftAggregated(w, agg, Tl, Tw, local),
-		Schedule: "aggregated",
+		Achieved: AchievedOf(w, model.AppProperties{F: x.F, Cmax: x.Cmax}),
+		Drift:    DriftOf(w, x, tl, tw, localTl, localTw),
+		Schedule: schedule,
 	}
 }
 

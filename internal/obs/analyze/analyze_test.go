@@ -67,22 +67,22 @@ func TestAchievedOf(t *testing.T) {
 
 func TestDriftFlat(t *testing.T) {
 	w := Window{Iters: 10, ExchangeNS: []int64{100}} // measured Tc = 10ns/5 = 2ns
-	app := model.AppProperties{F: 8, Cmax: 5, Bmax: 10}
+	x := model.FlatExchange(model.AppProperties{F: 8, Cmax: 5, Bmax: 10})
 
 	// Eq.(2): (Bmax/Cmax)·Tl + Tw = 2·0.5ns + 1ns = 2ns → zero drift.
-	d := DriftFlat(w, app, 0.5e-9, 1e-9)
+	d := DriftOf(w, x, 0.5e-9, 1e-9, 0, 0)
 	if !almost(d.PredictedTc, 2e-9) || !almost(d.MeasuredTc, 2e-9) || !almost(d.Rel, 0) {
 		t.Fatalf("zero-drift case: %+v", d)
 	}
 
 	// Predicted 1.5ns, measured 2ns → +33.3% drift.
-	d = DriftFlat(w, app, 0.5e-9, 0.5e-9)
+	d = DriftOf(w, x, 0.5e-9, 0.5e-9, 0, 0)
 	if !almost(d.PredictedTc, 1.5e-9) || !almost(d.Rel, 1.0/3.0) {
 		t.Fatalf("slow case: %+v", d)
 	}
 
 	// Measured faster than predicted → negative drift.
-	d = DriftFlat(w, app, 1e-9, 2e-9) // predicted 4ns
+	d = DriftOf(w, x, 1e-9, 2e-9, 0, 0) // predicted 4ns
 	if d.Rel >= 0 || !almost(d.Rel, -0.5) {
 		t.Fatalf("fast case: %+v", d)
 	}
@@ -90,14 +90,13 @@ func TestDriftFlat(t *testing.T) {
 
 func TestDriftAggregated(t *testing.T) {
 	w := Window{Iters: 10, ExchangeNS: []int64{100}} // measured Tc = 2ns
-	agg := model.AggProperties{
-		App:       model.AppProperties{F: 8, Cmax: 5, Bmax: 10},
+	agg := model.Exchange{
+		F: 8, Cmax: 5,
 		InterBmax: 2, InterCmax: 4,
 		LocalBmax: 4, LocalCmax: 6,
 	}
-	local := model.LocalParams{Tl: 0.25e-9, Tw: 0.5e-9}
 	// (2/5)·1ns + (4/5)·0.5ns + (4/5)·0.25ns + (6/5)·0.5ns = 1.6ns
-	d := DriftAggregated(w, agg, 1e-9, 0.5e-9, local)
+	d := DriftOf(w, agg, 1e-9, 0.5e-9, 0.25e-9, 0.5e-9)
 	if !almost(d.PredictedTc, 1.6e-9) {
 		t.Fatalf("PredictedTc = %g, want 1.6e-9", d.PredictedTc)
 	}
@@ -177,7 +176,7 @@ func TestReportStringAndPublish(t *testing.T) {
 		ExchangeNS: []int64{100, 80},
 	}
 	app := model.AppProperties{F: 8, Cmax: 5, Bmax: 10}
-	rep := Analyze(w, app, 0.5e-9, 1e-9)
+	rep := Analyze(w, model.FlatExchange(app), 0.5e-9, 1e-9, 0, 0)
 	if rep.Schedule != "flat" {
 		t.Fatalf("Schedule = %q", rep.Schedule)
 	}

@@ -101,7 +101,7 @@ func TestAnalyzeSFScenario(t *testing.T) {
 
 	// Flat schedule.
 	flatW := runWindow(8)
-	checkReport(analyze.Analyze(flatW, app, t3e.Tl, t3e.Tw), "flat")
+	checkReport(analyze.Analyze(flatW, model.FlatExchange(app), t3e.Tl, t3e.Tw, 0, 0), "flat")
 
 	// Aggregated (node-aware) schedule: two PEs per node.
 	nodeOf := comm.ContiguousNodes(2)
@@ -116,28 +116,11 @@ func TestAnalyzeSFScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, ib := a.InterCB()
-	lc, lb := a.LocalCB()
-	agg := model.AggProperties{
-		App:       app,
-		InterBmax: maxI64(ib), InterCmax: maxI64(ic),
-		LocalBmax: maxI64(lb), LocalCmax: maxI64(lc),
-	}
+	agg := model.PlanExchange(a, pr.Fmax(), pr.Cmax())
 	if err := agg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	local := model.LocalParams{Tl: t3e.Tl / 10, Tw: t3e.Tw / 10}
 
 	aggW := runWindow(8)
-	checkReport(analyze.AnalyzeAggregated(aggW, agg, t3e.Tl, t3e.Tw, local), "aggregated")
-}
-
-func maxI64(xs []int64) int64 {
-	var m int64
-	for _, v := range xs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	checkReport(analyze.Analyze(aggW, agg, t3e.Tl, t3e.Tw, t3e.Tl/10, t3e.Tw/10), "aggregated")
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/comm"
 	"repro/internal/machine"
 	"repro/internal/mesh"
 	"repro/internal/model"
+	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/report"
 )
@@ -477,4 +479,68 @@ func names(scenarios []Scenario) []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// AggSweep is the experiment behind cmd/quakenet's -agg mode: the
+// blocks-vs-words tradeoff of the two-level exchange (comm.Aggregate),
+// the modern answer (node-aware aggregation) to the paper's
+// block-latency problem. It partitions the scenario's mesh onto p PEs
+// with the given method and evaluates the exchange at each node size,
+// replaying every plan with its fused leg over a contended torus of
+// nodes (cfg). The flat column is the same replay at node size 1, so a
+// node size 1 row, worth including in nodeSizes, anchors the table at
+// exactly 1.
+func AggSweep(s Scenario, p int, method partition.Method, nodeSizes []int, cfg network.Config) ([]report.AggregationRow, error) {
+	m, err := s.Mesh()
+	if err != nil {
+		return nil, err
+	}
+	pt, err := partition.PartitionMesh(m, p, method, 1)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := partition.Analyze(m, pt)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := comm.FromMatrix(pr.Msg)
+	if err != nil {
+		return nil, err
+	}
+	fused := network.Fused(machine.T3E(), cfg)
+	replay := func(nodeSize int) (*comm.Aggregated, machine.Phases, error) {
+		a, err := comm.Aggregate(sched, comm.ContiguousNodes(nodeSize))
+		if err != nil {
+			return nil, machine.Phases{}, err
+		}
+		ph, err := machine.Replay(a, machine.OnNode(), fused)
+		return a, ph, err
+	}
+	_, flat, err := replay(1)
+	if err != nil {
+		return nil, err
+	}
+
+	rows := make([]report.AggregationRow, 0, len(nodeSizes))
+	for _, ns := range nodeSizes {
+		a, res, err := replay(ns)
+		if err != nil {
+			return nil, err
+		}
+		c, b := a.InterCB()
+		rows = append(rows, report.AggregationRow{
+			NodeSize:     ns,
+			Nodes:        a.NumNodes,
+			FlatBmax:     pr.Bmax(),
+			InterBmax:    model.PlanExchange(a, pr.Fmax(), pr.Cmax()).InterBmax,
+			FlatBlocks:   int64(sched.TotalBlocks()),
+			FusedBlocks:  int64(a.Internode.TotalBlocks()),
+			PayloadWords: a.PayloadWords(),
+			CopiedWords:  a.CopiedWords(),
+			Beta:         model.BetaOf(c, b),
+			FlatComm:     flat.CommTime,
+			AggComm:      res.CommTime,
+		})
+	}
+	return rows, nil
 }

@@ -85,6 +85,9 @@ const maxGrows = 3
 
 // SuperviseConfig is the recovery policy around a solver.Config.
 type SuperviseConfig struct {
+	// Solver configures every CG attempt. Its Interrupt must be nil:
+	// the supervisor owns that hook for its own transitions, and a
+	// caller ends a solve with Stop.
 	Solver solver.Config
 	// MaxShrinks bounds the worker losses absorbed per solve — shrinks
 	// and replacements alike (default 3; negative absorbs none). A
@@ -125,10 +128,8 @@ type SuperviseConfig struct {
 	AdvanceKernels int64
 	// Stop, polled at checkpoint boundaries, ends the supervised solve
 	// when it returns true: Supervise returns the partial outcome with
-	// solver.ErrInterrupted instead of absorbing the interrupt and
-	// resuming. This is how callers impose a wall deadline — unlike
-	// Solver.Interrupt, which the supervisor shares with its own
-	// revive/rebalance signalling and resumes straight through.
+	// solver.ErrInterrupted instead of resuming. This is how callers
+	// impose a wall deadline.
 	Stop func() bool
 	// Rebalance arms straggler-driven rebalancing: at every checkpoint
 	// the supervisor reads the per-PE compute accumulators for the
@@ -246,6 +247,10 @@ func clampPlan(p *fault.Plan, width int, after int64) *fault.Plan {
 // same CG iteration on the same SPD system and converges to the same
 // tolerance.
 func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*SuperviseOutcome, error) {
+	if cfg.Solver.Interrupt != nil {
+		return &SuperviseOutcome{Part: sys.Part, Dist: d, Kernels: cfg.AdvanceKernels},
+			errors.New("recover: Supervise owns Solver.Interrupt; end a solve with Stop")
+	}
 	if cfg.MaxShrinks == 0 {
 		cfg.MaxShrinks = 3
 	}
@@ -254,7 +259,6 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		scfg.CheckpointEvery = 10
 	}
 	userCk := scfg.OnCheckpoint
-	userInt := scfg.Interrupt
 
 	out := &SuperviseOutcome{Part: sys.Part, Dist: d}
 	nodeOf := sys.NodeOf
@@ -346,7 +350,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			userCk(st)
 		}
 	}
-	scfg.Interrupt = func(iter int) bool {
+	scfg.Interrupt = func(int) bool {
 		due := len(pending) > 0 && pending[0].Iter <= globalIter()
 		if cfg.Rebalance {
 			cur := obs.Default.Snapshot()
@@ -363,9 +367,6 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			prevSnap = cur
 		}
 		if cfg.Stop != nil && cfg.Stop() {
-			return true
-		}
-		if userInt != nil && userInt(iter) {
 			return true
 		}
 		return due || wantRebalance

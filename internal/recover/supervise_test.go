@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,6 +292,27 @@ func TestSuperviseStop(t *testing.T) {
 		t.Fatal("stopped supervise claims convergence")
 	}
 	out.Dist.Close()
+}
+
+// TestSuperviseRefusesCallerInterrupt: Solver.Interrupt is the
+// supervisor's own hook, so a caller that sets one is refused before
+// any kernel runs; Stop is how a caller ends a supervised solve.
+func TestSuperviseRefusesCallerInterrupt(t *testing.T) {
+	f := newFixture(t)
+	b := f.rhs()
+	pt := f.partition(t, 2)
+	d := f.dist(t, pt)
+	defer d.Close()
+	sys := &System{Mesh: f.m, Material: f.mat, Part: pt, Shift: 20, MassNode: f.sys.MassNode}
+	out, err := Supervise(d, sys, b, make([]float64, len(b)), SuperviseConfig{
+		Solver: solver.Config{MaxIter: 10, Tol: 1e-8, Interrupt: func(int) bool { return false }},
+	})
+	if err == nil || !strings.Contains(err.Error(), "Stop") {
+		t.Fatalf("caller Interrupt accepted: err=%v", err)
+	}
+	if out == nil || out.Result != nil || out.Dist != d {
+		t.Fatalf("refused supervise ran or lost the operator: %+v", out)
+	}
 }
 
 // TestSuperviseDrainsWriter: whichever way Supervise returns, the newest

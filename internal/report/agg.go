@@ -2,7 +2,7 @@ package report
 
 // AggregationRow is one node size of a two-level exchange sweep: the
 // blocks-vs-words tradeoff of comm.Aggregate on one scenario/partition,
-// optionally with replayed exchange times.
+// with its replayed exchange times.
 type AggregationRow struct {
 	NodeSize int // PEs per node (1 = flat exchange)
 	Nodes    int
@@ -16,9 +16,8 @@ type AggregationRow struct {
 	PayloadWords, CopiedWords int64
 	// Beta is the Eq.(2) error bound evaluated on the fused leg.
 	Beta float64
-	// FlatComm / AggComm are replayed exchange times in seconds; both
-	// zero means the sweep was analytic only and the columns are
-	// omitted.
+	// FlatComm / AggComm are replayed exchange times in seconds: the
+	// node size 1 plan and this one.
 	FlatComm, AggComm float64
 }
 
@@ -27,25 +26,18 @@ type AggregationRow struct {
 // (the paper's latency-bound term) and how many cheap copied words it
 // pays for them.
 func AggregationSummary(title string, rows []AggregationRow) *Table {
-	timed := false
-	for _, r := range rows {
-		if r.FlatComm != 0 || r.AggComm != 0 {
-			timed = true
-			break
-		}
-	}
-	headers := []string{"node size", "nodes", "B_max", "fused B_max",
-		"blocks", "fused", "payload words", "copied words", "copy overhead", "β"}
-	if timed {
-		headers = append(headers, "exchange", "vs flat")
-	}
-	t := New(title, headers...)
+	t := New(title, "node size", "nodes", "B_max", "fused B_max", "blocks", "fused",
+		"payload words", "copied words", "copy overhead", "β", "exchange", "vs flat")
 	for _, r := range rows {
 		overhead := 0.0
 		if r.PayloadWords > 0 {
 			overhead = float64(r.CopiedWords) / float64(r.PayloadWords)
 		}
-		cells := []string{
+		ratio := "-"
+		if r.FlatComm > 0 {
+			ratio = F(r.AggComm/r.FlatComm, 3)
+		}
+		t.AddRow(
 			Int(int64(r.NodeSize)),
 			Int(int64(r.Nodes)),
 			Int(r.FlatBmax),
@@ -56,16 +48,9 @@ func AggregationSummary(title string, rows []AggregationRow) *Table {
 			Int(r.CopiedWords),
 			F(overhead, 3),
 			F(r.Beta, 3),
-		}
-		if timed {
-			cells = append(cells, SI(r.AggComm, "s"))
-			ratio := "-"
-			if r.FlatComm > 0 {
-				ratio = F(r.AggComm/r.FlatComm, 3)
-			}
-			cells = append(cells, ratio)
-		}
-		t.AddRow(cells...)
+			SI(r.AggComm, "s"),
+			ratio,
+		)
 	}
 	return t
 }

@@ -39,27 +39,6 @@ func TestPhaseSummary(t *testing.T) {
 	}
 }
 
-func TestAggregationSummaryAnalytic(t *testing.T) {
-	// No replay times anywhere: the time columns must be omitted.
-	rows := []AggregationRow{
-		{NodeSize: 1, Nodes: 16, FlatBmax: 9, InterBmax: 9, FlatBlocks: 120, FusedBlocks: 120, PayloadWords: 5000},
-		{NodeSize: 4, Nodes: 4, FlatBmax: 9, InterBmax: 3, FlatBlocks: 120, FusedBlocks: 12, PayloadWords: 5000, CopiedWords: 2500, Beta: 1.25},
-	}
-	out := renderToString(t, AggregationSummary("tradeoff", rows))
-	for _, want := range []string{"node size", "fused B_max", "copied words", "copy overhead", "β",
-		"0.5", // 2500/5000
-		"1.25"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("analytic table missing %q:\n%s", want, out)
-		}
-	}
-	for _, reject := range []string{"exchange", "vs flat"} {
-		if strings.Contains(out, reject) {
-			t.Errorf("analytic table has time column %q:\n%s", reject, out)
-		}
-	}
-}
-
 func TestAggregationSummaryTimed(t *testing.T) {
 	rows := []AggregationRow{
 		{NodeSize: 1, Nodes: 8, FlatBmax: 7, InterBmax: 7, FlatBlocks: 40, FusedBlocks: 40,
@@ -71,9 +50,12 @@ func TestAggregationSummaryTimed(t *testing.T) {
 			PayloadWords: 900, CopiedWords: 300, Beta: 1.1, AggComm: 120e-6},
 	}
 	out := renderToString(t, AggregationSummary("tradeoff", rows))
-	for _, want := range []string{"exchange", "vs flat",
+	for _, want := range []string{"node size", "fused B_max", "copied words", "copy overhead", "β",
+		"exchange", "vs flat",
 		"1.000", // flat anchor ratio
 		"0.250", // 50µs / 200µs
+		"0.333", // copy overhead 300/900
+		"1.100", // β
 		"50 µs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timed table missing %q:\n%s", want, out)

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -242,6 +244,7 @@ func (e *Engine) scenario(name string) (*scenarioProducts, error) {
 func (e *Engine) build(k Key) (*artifact, error) {
 	span := obs.StartSpan(obs.TrackDriver, "serve", "serve.build")
 	defer span.End()
+	heap := markHeap()
 
 	sp, err := e.scenario(k.Scenario)
 	if err != nil {
@@ -297,7 +300,36 @@ func (e *Engine) build(k Key) (*artifact, error) {
 	a.mu.Lock()
 	a.idle = append(a.idle, w)
 	a.mu.Unlock()
+	heap.settle()
 	return a, nil
+}
+
+// heapMark is the heap as a build starts: the bytes allocated so far
+// and the live heap the last collection left.
+type heapMark struct{ allocs, live uint64 }
+
+func markHeap() heapMark {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return heapMark{allocs: s[0].Value.Uint64(), live: s[1].Value.Uint64()}
+}
+
+// settle collects after a build that allocated more than the live heap
+// it started from, and reports whether it did. Such a build is mostly
+// transients (assembly, folding), and the collector's next target was
+// set mid-build from a heap still holding them: the first solves would
+// refill the heap up to that target, by an amount that depends on when
+// the last cycle happened to run, and so would the process's peak
+// resident size. Collecting here starts the first solve from the
+// settled heap every time. A build into a cache larger than itself is
+// left to the pacer, so what a collection marks stays in proportion to
+// what the build allocated.
+func (m heapMark) settle() bool {
+	if markHeap().allocs-m.allocs <= m.live {
+		return false
+	}
+	runtime.GC()
+	return true
 }
 
 // spawn builds a fresh worker from the canonical artifacts.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,5 +156,32 @@ func TestScenarioProductsBuiltOnce(t *testing.T) {
 		if &a.massNode[0] != &arts[0].massNode[0] || a.mesh != arts[0].mesh {
 			t.Errorf("tuple %d does not share the first tuple's mesh and lumped mass", i+1)
 		}
+	}
+}
+
+// TestBuildSettlesOnlyWhenItOutweighsTheHeap: a build that allocated
+// more than the live heap it started from is collected before its first
+// solve; one into a larger heap is left to the pacer.
+func TestBuildSettlesOnlyWhenItOutweighsTheHeap(t *testing.T) {
+	forced := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	big := markHeap()
+	big.live = math.MaxUint64
+	small := markHeap()
+	small.live = 0
+	buf := make([]byte, 1<<20)
+	buf[len(buf)-1] = 1
+	if big.settle() {
+		t.Fatal("a build smaller than the live heap was collected")
+	}
+	before := forced()
+	if !small.settle() {
+		t.Fatal("a build larger than the live heap was not collected")
+	}
+	if forced() <= before {
+		t.Fatal("settle reported a collection the runtime did not count")
 	}
 }

@@ -5,7 +5,8 @@
 # alternating which side goes first, appended to
 # results/e2e/<base>.seed<seed>.json and results/e2e/<base>+change.seed<seed>.json,
 # then `bench -compare` on the two files and, per end-to-end metric, the
-# pair table: wins, medians, quartiles.
+# pair table: wins, medians, quartiles. It then deletes the raw run sets
+# of every other revision; pair tables and traced runs are kept.
 #
 # BASE is exported with `git archive` into a temporary directory (no
 # worktree is registered, nothing is left behind in .git); the change is
@@ -56,6 +57,16 @@ while [ "$i" -le $((done_pairs + n)) ]; do
 done
 
 (cd "$root" && go run ./bench -compare "$a" "$b") || true
+
+# Retention: the raw run sets (<rev>[+change].seed<n>.json) of every other
+# revision go; the pair tables (*.pairs.tsv) and the traced runs
+# (*.traced.*) stay for good.
+for f in "$out"/*.seed*.json; do
+	case ${f##*/} in
+	*.traced.* | "$rev".seed*.json | "$rev"+change.seed*.json) ;;
+	*) rm -f "$f" ;;
+	esac
+done
 
 # The pair rule: the change wins a pair on a metric when its value is the
 # better one of that pair (ties count for neither side).
