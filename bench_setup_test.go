@@ -29,6 +29,13 @@ func BenchmarkSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The operators a respawn shares: one assembly of the same partition.
+	src, err := par.NewDist(m, mat, pt, pr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.Close()
+	ops := par.Operators{Part: pt, K: src.K}
 	stages := []struct {
 		name string
 		run  func() error
@@ -41,6 +48,13 @@ func BenchmarkSetup(b *testing.B) {
 		{"assemble", func() error { _, err := fem.Assemble(m, mat); return err }},
 		{"newdist", func() error {
 			d, err := par.NewDist(m, mat, pt, pr)
+			if err == nil {
+				d.Close()
+			}
+			return err
+		}},
+		{"respawn", func() error {
+			d, err := par.NewDistSharing(m, mat, pt, pr, ops)
 			if err == nil {
 				d.Close()
 			}

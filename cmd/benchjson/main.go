@@ -147,6 +147,7 @@ var setupBenchmarks = map[string]string{
 	"BenchmarkSetup/lumped_mass":        "lumped_mass",
 	"BenchmarkSetup/assemble":           "assemble",
 	"BenchmarkSetup/newdist":            "newdist",
+	"BenchmarkSetup/respawn":            "respawn",
 }
 
 // durableBenchmarks maps benchmark names to the term keys of the report's

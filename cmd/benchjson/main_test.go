@@ -299,6 +299,7 @@ BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
 BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
 BenchmarkSetup/partition_rcb-8 	 20 	 17000000 ns/op
 BenchmarkSetup/newdist-8 	 20 	 38000000 ns/op
+BenchmarkSetup/respawn-8 	 20 	 900000 ns/op
 BenchmarkDurable/ckpt_save_recycled-8 	 300 	 900000 ns/op
 BenchmarkDurable/journal_append-8 	 300 	 450000 ns/op
 `
@@ -363,7 +364,10 @@ func TestKernelsSection(t *testing.T) {
 	if pr := rep.Setup["partition_rcb"]; pr.NsPerOp != 17000000 || pr.PrevNsPerOp != 0 {
 		t.Errorf("setup partition_rcb = %+v, want current-only 17000000", pr)
 	}
-	if _, ok := rep.Kernels["newdist"]; ok || len(rep.Setup) != 2 {
+	if rs := rep.Setup["respawn"]; rs.NsPerOp != 900000 || rs.PrevNsPerOp != 0 {
+		t.Errorf("setup respawn = %+v, want current-only 900000", rs)
+	}
+	if _, ok := rep.Kernels["newdist"]; ok || len(rep.Setup) != 3 {
 		t.Errorf("sections mixed: kernels %+v, setup %+v", rep.Kernels, rep.Setup)
 	}
 	// So do the terms of the durable path.

@@ -39,7 +39,8 @@ type Dist struct {
 	Nodes [][]int32
 	// K[i] is PE i's local stiffness in local numbering, holding only
 	// the contributions of PE i's own elements: its diagonal and upper
-	// blocks, the one operator every kernel of the Dist streams.
+	// blocks, the one operator every kernel of the Dist streams. It may
+	// be shared with other Dists (see Operators) and is never written.
 	K []*sparse.SymBCSR
 	// Neighbors[i] lists the PEs that share at least one node with i.
 	Neighbors [][]int32
@@ -133,9 +134,38 @@ func (m *distMetrics) observeUpdate(pe int, iter int64, d time.Duration) {
 // three float64 words.
 const bytesPerSharedNode = 8 * partition.WordsPerNode
 
+// Operators are the per-PE stiffness matrices of a Dist together with
+// the partition they were assembled on: what a later Dist on the same
+// mesh, material and partition shares instead of assembling. K[i]
+// depends only on the mesh, the material and PE i's elements, and
+// nothing writes it once it is folded — not a kernel, not an injected
+// fault, not Close — so a shared operator is the same value a fresh
+// assembly would build.
+type Operators struct {
+	Part *partition.Partition
+	K    []*sparse.SymBCSR
+}
+
+// The construction counters: per-PE operators assembled from elements
+// and per-PE operators taken from an existing set.
+var (
+	opsAssembled = obs.GetCounter("par.dist.ops_assembled")
+	opsShared    = obs.GetCounter("par.dist.ops_shared")
+)
+
 // NewDist builds the distributed operator from a mesh, a material
-// model, and a partition with its analysis profile.
+// model, and a partition with its analysis profile, assembling every
+// PE's stiffness.
 func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *partition.Profile) (*Dist, error) {
+	return NewDistSharing(m, mat, pt, pr, Operators{})
+}
+
+// NewDistSharing builds the distributed operator like NewDist, but when
+// pt is the very partition src was built on it takes every PE's
+// stiffness from src and assembles none; on any other partition it
+// assembles every PE. src must have been built on m and mat. The
+// exchange lists, the PE runtime and its workspaces are always fresh.
+func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *partition.Profile, src Operators) (*Dist, error) {
 	if pr.P != pt.P {
 		return nil, fmt.Errorf("par: profile has %d PEs, partition %d", pr.P, pt.P)
 	}
@@ -156,13 +186,24 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		d.Owner[v] = pes[0]
 	}
 
-	// Elements per PE, ascending within each PE.
-	elems := make([][]int32, p)
-	for i, n := range pt.Sizes() {
-		elems[i] = make([]int32, 0, n)
+	// The same partition gives every PE the same elements, so the same K.
+	todo := p // PEs 0..todo−1 are assembled
+	if src.Part == pt && len(src.K) == p {
+		copy(d.K, src.K)
+		todo = 0
 	}
-	for e, pe := range pt.ElemPE {
-		elems[pe] = append(elems[pe], int32(e))
+	opsShared.Add(int64(p - todo))
+	opsAssembled.Add(int64(todo))
+
+	// Elements per PE, ascending within each PE.
+	elems := make([][]int32, todo)
+	if todo > 0 {
+		for i, n := range pt.Sizes() {
+			elems[i] = make([]int32, 0, n)
+		}
+		for e, pe := range pt.ElemPE {
+			elems[pe] = append(elems[pe], int32(e))
+		}
 	}
 
 	// Local structure and assembly: the PEs' matrices are independent, so
@@ -171,7 +212,7 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 	// order, so every sum has the order a serial loop over PEs gives it
 	// and the result does not depend on the worker count. The full matrix
 	// lives only until the worker has folded it.
-	workers := min(p, runtime.GOMAXPROCS(0))
+	workers := max(1, min(todo, runtime.GOMAXPROCS(0)))
 	scratch := make([]localScratch, workers)
 	errs := make([]error, p)
 	var next atomic.Int32
@@ -181,7 +222,7 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 		wg.Add(1)
 		go func(sc *localScratch) {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < p; i = int(next.Add(1)) - 1 {
+			for i := int(next.Add(1)) - 1; i < todo; i = int(next.Add(1)) - 1 {
 				full, err := assembleLocal(m, mat, d.Nodes[i], elems[i], sc)
 				if err == nil {
 					d.K[i], err = sparse.NewSymFromBCSR(full)

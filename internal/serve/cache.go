@@ -35,6 +35,7 @@ var (
 	poolSpawns      = obs.GetCounter("serve.pool.spawns")
 	poolReuses      = obs.GetCounter("serve.pool.reuses")
 	poolDiscards    = obs.GetCounter("serve.pool.discards")
+	poolSpawnNs     = obs.GetHistogram("serve.pool.spawn_ns")
 	sessionsOpened  = obs.GetCounter("serve.sessions.opened")
 	sessionsClosed  = obs.GetCounter("serve.sessions.closed")
 	streamEvents    = obs.GetCounter("serve.stream.events")
@@ -174,6 +175,10 @@ type artifact struct {
 	// nodeOf is the PE→node map of the exchange plan installed on every
 	// worker's Dist (nil, every PE its own node, when nodesize ≤ 1).
 	nodeOf func(pe int32) int32
+	// ops are the per-PE operators of part, assembled by the build's
+	// first worker and shared by every worker spawned after it. They are
+	// values, not a worker: holding them pins no Dist's runtime.
+	ops par.Operators
 
 	// idle is the warm pool: persistent-PE operators whose workspaces also
 	// hold the CG vectors of the one solve each serves at a time.
@@ -296,6 +301,7 @@ func (e *Engine) build(k Key) (*artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.ops = par.Operators{Part: pt, K: w.K}
 	stage(buildNewDistNs)
 	a.mu.Lock()
 	a.idle = append(a.idle, w)
@@ -332,9 +338,12 @@ func (m heapMark) settle() bool {
 	return true
 }
 
-// spawn builds a fresh worker from the canonical artifacts.
+// spawn builds a fresh worker from the canonical artifacts: fresh
+// runtime and workspaces, every operator shared with the artifact's
+// (the build's first spawn, with none yet, assembles them).
 func (a *artifact) spawn() (*par.Dist, error) {
-	d, err := par.NewDist(a.mesh, a.mat, a.part, a.prof)
+	start := time.Now()
+	d, err := par.NewDistSharing(a.mesh, a.mat, a.part, a.prof, a.ops)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building Dist for %s: %w", a.key, err)
 	}
@@ -343,6 +352,7 @@ func (a *artifact) spawn() (*par.Dist, error) {
 		return nil, fmt.Errorf("serve: aggregating %s: %w", a.key, err)
 	}
 	poolSpawns.Add(1)
+	poolSpawnNs.Observe(int64(time.Since(start)))
 	return d, nil
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/par"
 	iq "repro/internal/quake"
 	"repro/internal/testutil"
 )
@@ -183,5 +185,70 @@ func TestBuildSettlesOnlyWhenItOutweighsTheHeap(t *testing.T) {
 	}
 	if forced() <= before {
 		t.Fatal("settle reported a collection the runtime did not count")
+	}
+}
+
+// TestPoolWorkersShareOperators: the second worker of one artifact — a
+// spawn, the pool holding only the build's — takes every operator from
+// the artifact instead of assembling it: its K are the first worker's,
+// par.dist.ops_shared moves by p and par.dist.ops_assembled not at all.
+// Both workers then run the same SMVP at once, reading the shared
+// operators concurrently, to the same bits.
+func TestPoolWorkersShareOperators(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	e := newTestEngine(t, Config{WarmPool: 2})
+	a, _, err := e.artifact(Key{Scenario: "tiny-share", P: 3, Method: "rcb", NodeSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assembled, shared := obs.GetCounter("par.dist.ops_assembled"), obs.GetCounter("par.dist.ops_shared")
+	assembled0, shared0, spawns0 := assembled.Value(), shared.Value(), poolSpawnNs.Count()
+	w1, err := a.checkout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := a.checkout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w1 == w2 {
+		t.Fatal("two checkouts returned one worker")
+	}
+	for i := range w1.K {
+		if w1.K[i] != w2.K[i] {
+			t.Errorf("worker 2's K[%d] is not worker 1's", i)
+		}
+	}
+	if da, ds, dn := assembled.Value()-assembled0, shared.Value()-shared0, poolSpawnNs.Count()-spawns0; da != 0 || ds != 3 || dn != 1 {
+		t.Errorf("the spawn assembled %d and shared %d operators over %d spawns, want 0, 3, 1", da, ds, dn)
+	}
+	x := make([]float64, 3*w1.GlobalNodes)
+	for i := range x {
+		x[i] = math.Sin(float64(i))
+	}
+	y1, y2 := make([]float64, len(x)), make([]float64, len(x))
+	var wg sync.WaitGroup
+	for _, run := range []struct {
+		w *par.Dist
+		y []float64
+	}{{w1, y1}, {w2, y2}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := run.w.SMVP(run.y, x); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range y1 {
+		if math.Float64bits(y1[i]) != math.Float64bits(y2[i]) {
+			t.Fatalf("y[%d]: %x on worker 1, %x on worker 2", i, math.Float64bits(y1[i]), math.Float64bits(y2[i]))
+		}
+	}
+	a.release(w1, true)
+	a.release(w2, true)
+	if got := a.Warm(); got != 2 {
+		t.Errorf("%d warm workers pooled, want 2", got)
 	}
 }

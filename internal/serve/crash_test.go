@@ -299,11 +299,12 @@ func TestCrashAtEveryDurableStep(t *testing.T) {
 	}
 }
 
-// TestCompletionAcknowledgedAfterJournal: a waiter hears that a job is
-// done only once the terminal record is in the journal — the ordering
-// "none completes twice" rests on. The seam holds the terminal record's
-// write (the third on jobs.wal: accept, running, completed) until the test
-// has seen AwaitJob still waiting.
+// TestCompletionAcknowledgedAfterJournal: a waiter, and a status poll,
+// hear that a job is done only once the terminal record is in the journal
+// — the ordering "none completes twice" rests on. The seam holds the
+// terminal record's write (the third on jobs.wal: accept, running,
+// completed) until the test has seen AwaitJob still waiting and Job and
+// Jobs still reporting the job unfinished.
 func TestCompletionAcknowledgedAfterJournal(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	t.Cleanup(func() { durable.Hook = nil })
@@ -329,6 +330,18 @@ func TestCompletionAcknowledgedAfterJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-held
+	for range 100 {
+		if got, ok := e.Job(st.ID); !ok || got.State.terminal() || got.Finished != nil || got.Result != nil {
+			close(release)
+			t.Fatalf("Job reads %+v (found %v) while the terminal record is still being written", got, ok)
+		}
+		for _, got := range e.Jobs() {
+			if got.State.terminal() {
+				close(release)
+				t.Fatalf("Jobs lists %s as %s while its terminal record is still being written", got.ID, got.State)
+			}
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	_, err = e.AwaitJob(ctx, st.ID)
 	cancel()
@@ -338,5 +351,79 @@ func TestCompletionAcknowledgedAfterJournal(t *testing.T) {
 	}
 	if res, err := e.AwaitJob(context.Background(), st.ID); err != nil || !res.Converged {
 		t.Fatalf("after the record landed: %+v, %v", res, err)
+	}
+}
+
+// TestCompactionKeepsTheTerminalRecord: a compaction that starts while a
+// job's terminal record is being written must not rewrite the journal
+// with the job's state from before it — the WAL would then replay a job
+// a client has seen completed as queued, and run it twice. The seam holds
+// the terminal write: the state record a compaction takes must already
+// be the terminal one, and once a compaction started meanwhile and the
+// write are both done, so must the job's last journaled state.
+func TestCompactionKeepsTheTerminalRecord(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	t.Cleanup(func() { durable.Hook = nil })
+	var mu sync.Mutex
+	walWrites := 0
+	held, release := make(chan struct{}), make(chan struct{})
+	durable.Hook = func(step, path string, n int) (int, error) {
+		if step == "write" && filepath.Base(path) == journalFile {
+			mu.Lock()
+			walWrites++
+			third := walWrites == 3
+			mu.Unlock()
+			if third {
+				close(held)
+				<-release
+			}
+		}
+		return n, nil
+	}
+	dir := t.TempDir()
+	e := newTestEngine(t, Config{JournalDir: dir})
+	st, err := e.Submit(&SolveRequest{Scenario: "tiny-ack", PEs: 2, Tol: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	j, ok := e.jobs.lookup(st.ID)
+	if !ok {
+		close(release)
+		t.Fatalf("job %s is not tracked", st.ID)
+	}
+	if r := j.stateRecord(); r.State != JobCompleted {
+		close(release)
+		t.Fatalf("while its terminal record is being written, a compaction would journal the job as %q", r.State)
+	}
+	compacted := make(chan struct{})
+	go func() {
+		e.jobs.compact()
+		close(compacted)
+	}()
+	close(release)
+	<-compacted
+	if res, err := e.AwaitJob(context.Background(), st.ID); err != nil || !res.Converged {
+		t.Fatalf("AwaitJob: %+v, %v", res, err)
+	}
+
+	// What a crash now would replay: the WAL as it stands, engine open.
+	data, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last JobState
+	for len(data) > 0 {
+		r, n, err := decodeJournalRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Op == "state" && r.ID == st.ID {
+			last = r.State
+		}
+		data = data[n:]
+	}
+	if last != JobCompleted {
+		t.Fatalf("after a compaction raced the terminal write, the journal replays the job as %q", last)
 	}
 }

@@ -106,6 +106,10 @@ type Job struct {
 	// termEmitted marks that the terminal result/error event is in the
 	// buffer, so a stream can end only after delivering it.
 	termEmitted bool
+	// pending is the terminal state while its record is being journaled:
+	// what stateRecord, and so a compaction, writes, and what no status
+	// read sees until finish publishes it into st.
+	pending *JobStatus
 
 	// resume is the newest durable checkpoint, loaded at replay for the
 	// run to restart from; nil for a job this process accepted.
@@ -169,26 +173,31 @@ func (j *Job) acceptRecord() *jobRecord {
 	return &jobRecord{Op: "accept", ID: j.st.ID, Time: j.st.AcceptedAt, Idem: j.st.IdempotencyKey, Req: j.req}
 }
 
-// stateRecord is the journal record of where the job stands now. A
-// terminal record carries the finish time, so the job reads the same
-// after any number of restarts and compactions.
+// stateRecord is the journal record of where the job stands now, a
+// terminal state being journaled included. A terminal record carries
+// the finish time, so the job reads the same after any number of
+// restarts and compactions.
 func (j *Job) stateRecord() *jobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	st := &j.st
+	if j.pending != nil {
+		st = j.pending
+	}
 	r := &jobRecord{
 		Op:         "state",
-		ID:         j.st.ID,
+		ID:         st.ID,
 		Time:       time.Now(),
-		State:      j.st.State,
-		Attempts:   j.st.Attempts,
-		Migrations: j.st.Migrations,
-		CkptIter:   j.st.CheckpointIter,
-		Replayed:   j.st.Replayed,
-		Result:     j.st.Result,
-		Error:      j.st.Error,
+		State:      st.State,
+		Attempts:   st.Attempts,
+		Migrations: st.Migrations,
+		CkptIter:   st.CheckpointIter,
+		Replayed:   st.Replayed,
+		Result:     st.Result,
+		Error:      st.Error,
 	}
-	if j.st.Finished != nil {
-		r.Time = *j.st.Finished
+	if st.Finished != nil {
+		r.Time = *st.Finished
 	}
 	return r
 }
@@ -462,17 +471,17 @@ func (m *jobManager) logState(j *Job) {
 }
 
 // compact rewrites the journal to exactly the live job set: one accept
-// and one current-state record per tracked job.
+// and one current-state record per tracked job, read while no append
+// runs, so every state already appended is in the rewrite.
 func (m *jobManager) compact() {
-	if m.jl == nil {
-		return
-	}
-	jobs := m.tracked()
-	recs := make([]*jobRecord, 0, 2*len(jobs))
-	for _, j := range jobs {
-		recs = append(recs, j.acceptRecord(), j.stateRecord())
-	}
-	m.jl.compact(recs)
+	m.jl.compact(func() []*jobRecord {
+		jobs := m.tracked()
+		recs := make([]*jobRecord, 0, 2*len(jobs))
+		for _, j := range jobs {
+			recs = append(recs, j.acceptRecord(), j.stateRecord())
+		}
+		return recs
+	})
 }
 
 // setRunning moves a queued job into execution and returns its
@@ -519,16 +528,20 @@ func (m *jobManager) finish(j *Job, state JobState, res *SolveResult, err error)
 	}
 	now := time.Now()
 	j.mu.Lock()
-	j.st.State = state
-	j.st.Result = res
-	j.st.Error = ev.Error
-	j.st.Finished = &now
-	j.err = err
+	st := j.st
+	st.State, st.Result, st.Error, st.Finished = state, res, ev.Error, &now
+	j.pending = &st
+	j.mu.Unlock()
+	// Journal first, then publish: a status poll, like a waiter, hears of
+	// the end only once it is journaled, so a result a client has seen is
+	// one no restart runs again. Meanwhile the terminal state is pending,
+	// so a compaction writes it, not the state from before it.
+	m.logState(j)
+	j.mu.Lock()
+	j.st.State, j.st.Result, j.st.Error, j.st.Finished = state, res, ev.Error, &now
+	j.pending, j.err = nil, err
 	j.mu.Unlock()
 	jobOutcomes[state].Add(1)
-	m.logState(j)
-	// Waiters hear of the end only once it is journaled: a result a client
-	// has seen is one no restart runs again.
 	close(j.done)
 	j.emit(ev)
 	// The journal carries the result; the snapshots have nothing left to

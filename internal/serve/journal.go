@@ -205,12 +205,14 @@ func (j *journal) size() int64 {
 	return j.log.Size()
 }
 
-// compact atomically rewrites the WAL to exactly recs (the live job
-// set re-serialized), dropping every superseded state record and every
-// evicted job. The rewrite goes to a temp file, syncs, and renames
-// over the WAL, so a crash mid-compaction leaves either the old or the
-// new journal, never a mix.
-func (j *journal) compact(recs []*jobRecord) error {
+// compact atomically rewrites the WAL to exactly the records recs
+// returns (the live job set re-serialized), dropping every superseded
+// state record and every evicted job. recs runs with appends held off,
+// so no record lands between its read and the rewrite and is lost. The
+// rewrite goes to a temp file, syncs, and renames over the WAL, so a
+// crash mid-compaction leaves either the old or the new journal, never
+// a mix.
+func (j *journal) compact(recs func() []*jobRecord) error {
 	if j == nil {
 		return nil
 	}
@@ -220,7 +222,7 @@ func (j *journal) compact(recs []*jobRecord) error {
 		return fmt.Errorf("serve: journal %w", ErrClosed)
 	}
 	var buf []byte
-	for _, rec := range recs {
+	for _, rec := range recs() {
 		frame, err := encodeJournalRecord(rec)
 		if err != nil {
 			jobJournalErrors.Add(1)

@@ -269,7 +269,7 @@ func TestJournalCompact(t *testing.T) {
 	big := j.size()
 	keep := sampleRecords()[2:]
 	compactions0 := jobJournalCompactions.Value()
-	if err := j.compact(keep); err != nil {
+	if err := j.compact(func() []*jobRecord { return keep }); err != nil {
 		t.Fatal(err)
 	}
 	if j.size() >= big {
