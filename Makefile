@@ -16,8 +16,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet plus the formatting gate: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

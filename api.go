@@ -2,7 +2,6 @@ package quake
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/fault"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/partition"
 	iq "repro/internal/quake"
 	"repro/internal/report"
-	"repro/internal/serve"
 	"repro/internal/solver"
 	"repro/internal/spark"
 	"repro/internal/sparse"
@@ -444,68 +442,3 @@ var AnalyzeExchange = analyze.Analyze
 // FlightEvents returns the flight recorder's current ring contents,
 // oldest first.
 func FlightEvents() []FlightEvent { return obs.FlightRecorder.Events() }
-
-// Serving: the warm-pool session facade over internal/serve. Open a
-// session once, Solve it many times, Close when done — the expensive
-// mesh/partition/schedule/assembly artifacts and the warm Dist pool
-// live in a process-wide engine keyed by deterministic fingerprints,
-// so construct-use-Close callers and the quaked HTTP service share the
-// same cache semantics. See docs/SERVICE.md.
-type (
-	// Session is a warm handle on one cached (scenario, p, method,
-	// nodesize) tuple.
-	Session = serve.Session
-	// SessionSpec names the tuple a session binds to.
-	SessionSpec = serve.SessionSpec
-	// SessionStatus is a session's point-in-time state.
-	SessionStatus = serve.Status
-	// SolveSpec is one solve's parameters and budgets.
-	SolveSpec = serve.SolveSpec
-	// SolveOutcome reports one served solve: convergence, cache and
-	// fingerprint provenance, recovery transitions, certification.
-	SolveOutcome = serve.SolveResult
-	// JobStatus is a durable job's point-in-time public state: lifecycle
-	// state, attempts, migrations, checkpoint iteration.
-	JobStatus = serve.JobStatus
-)
-
-// Serving errors, for errors.Is against Session and engine results.
-var (
-	ErrServeBusy     = serve.ErrBusy
-	ErrServeCanceled = serve.ErrCanceled
-	ErrServeClosed   = serve.ErrClosed
-)
-
-// The process-wide default engine behind Open, built lazily.
-var (
-	defaultServeMu sync.Mutex
-	defaultServe   *serve.Engine
-)
-
-// Open creates (or re-binds) a session on the process-wide serving
-// engine, cold-building the tuple's artifacts on first use and serving
-// them warm afterwards. Telemetry is enabled as a side effect — the
-// cache counters are the engine's observable contract.
-func Open(spec SessionSpec) (*Session, error) {
-	defaultServeMu.Lock()
-	if defaultServe == nil {
-		obs.SetEnabled(true)
-		// No JournalDir → the constructor cannot fail.
-		defaultServe, _ = serve.NewEngine(serve.Config{})
-	}
-	e := defaultServe
-	defaultServeMu.Unlock()
-	return e.Open(spec)
-}
-
-// CloseServing shuts the process-wide engine down, releasing every
-// pooled runtime. A later Open starts a fresh (cold) engine.
-func CloseServing() {
-	defaultServeMu.Lock()
-	e := defaultServe
-	defaultServe = nil
-	defaultServeMu.Unlock()
-	if e != nil {
-		e.Close()
-	}
-}

@@ -5,18 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // TestMetricNamesDocumented is the doc-drift guard for the telemetry
-// surface: every metric name registered anywhere in the tree must
-// appear in the docs/OBSERVABILITY.md metrics table. Registration
-// sites are found by scanning non-test sources for obs.Get* calls —
-// literal names, fmt.Sprintf formats, and "prefix." + var concats —
-// and doc entries may use <placeholder> wildcards and {a,b} brace
-// lists. Adding a metric without documenting it fails this test.
+// surface, run both ways: every metric name registered anywhere in the
+// tree must appear in the first column of the docs/OBSERVABILITY.md
+// metrics table, and every name there must match a registration.
+// Registration sites are found by scanning non-test sources for obs.Get*
+// calls — literal names, fmt.Sprintf formats, and "prefix." + var
+// concats — and doc entries may use <placeholder> wildcards and {a,b}
+// brace lists. Adding a metric without documenting it, or deleting one
+// and leaving its row, fails this test.
 func TestMetricNamesDocumented(t *testing.T) {
 	patterns := docMetricPatterns(t)
 	names, prefixes := registeredMetricNames(t)
@@ -44,6 +47,19 @@ func TestMetricNamesDocumented(t *testing.T) {
 		t.Errorf("metrics registered in code but absent from the docs/OBSERVABILITY.md table:\n  %s",
 			strings.Join(missing, "\n  "))
 	}
+
+	var stale []string
+	for _, pat := range patterns {
+		registered := slices.ContainsFunc(names, pat.re.MatchString) ||
+			slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(pat.text, p) })
+		if !registered {
+			stale = append(stale, pat.text)
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("metrics in the docs/OBSERVABILITY.md table that nothing registers:\n  %s",
+			strings.Join(stale, "\n  "))
+	}
 }
 
 type docPattern struct {
@@ -51,9 +67,9 @@ type docPattern struct {
 	re   *regexp.Regexp
 }
 
-// docMetricPatterns extracts every `code span` from the metrics-table
-// rows of docs/OBSERVABILITY.md, expanding {a,b,c} alternatives and
-// turning <placeholder> into a wildcard.
+// docMetricPatterns extracts every `code span` from the first column of
+// the docs/OBSERVABILITY.md metrics table, expanding {a,b,c} alternatives
+// and turning <placeholder> into a wildcard.
 func docMetricPatterns(t *testing.T) []docPattern {
 	t.Helper()
 	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
@@ -63,11 +79,20 @@ func docMetricPatterns(t *testing.T) []docPattern {
 	span := regexp.MustCompile("`([^`]+)`")
 	placeholder := regexp.MustCompile(`<[^>]+>`)
 	var out []docPattern
+	inTable := false
 	for _, line := range strings.Split(string(raw), "\n") {
-		if !strings.HasPrefix(strings.TrimSpace(line), "|") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			inTable = false
 			continue
 		}
-		for _, m := range span.FindAllStringSubmatch(line, -1) {
+		if strings.TrimSpace(cells[1]) == "Metric" {
+			inTable = true
+		}
+		if !inTable {
+			continue
+		}
+		for _, m := range span.FindAllStringSubmatch(cells[1], -1) {
 			for _, expanded := range expandBraces(m[1]) {
 				text := placeholder.ReplaceAllString(expanded, "*")
 				re := "^" + strings.ReplaceAll(regexp.QuoteMeta(text), `\*`, `[^ ]+`) + "$"
@@ -97,9 +122,10 @@ func expandBraces(s string) []string {
 }
 
 var (
-	// obs.GetCounter("name"), obs.GetPEAccum("name", n), and the
-	// Sprintf / "prefix." + var forms that the same call wraps.
-	regCall = regexp.MustCompile(`obs\.Get(?:Counter|Gauge|Histogram|PEAccum)\(\s*(?:fmt\.Sprintf\()?"([^"]+)"`)
+	// obs.GetCounter("name"), obs.GetPEAccum("name", n), a Registry's
+	// own r.Gauge("name"), and the Sprintf / "prefix." + var forms that
+	// the same call wraps.
+	regCall = regexp.MustCompile(`(?:obs\.Get|\.)(?:Counter|Gauge|Histogram|PEAccum)\(\s*(?:fmt\.Sprintf\()?"([^"]+)"`)
 	// A "some.prefix." + variable concat assigned or passed as a
 	// metric name (e.g. the fault injector's prebuilt counter names).
 	regConcat  = regexp.MustCompile(`[=(]\s*"([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)*\.)"\s*\+`)
@@ -127,7 +153,7 @@ func registeredMetricNames(t *testing.T) (names, prefixes []string) {
 				return err
 			}
 			text := string(src)
-			if !strings.Contains(text, "obs.Get") {
+			if !strings.Contains(text, "obs.") {
 				return nil
 			}
 			for _, m := range regCall.FindAllStringSubmatch(text, -1) {

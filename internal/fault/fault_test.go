@@ -49,30 +49,30 @@ func TestParseUnicodeArrowAndSeed(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, s := range []string{
-		"",                        // empty plan
-		";;",                      // only separators
-		"explode:pe=1",            // unknown kind
-		"corrupt",                 // missing pe
-		"corrupt:iter=3",          // missing pe
-		"corrupt:pe=1,iter=0",     // iter < 1
-		"corrupt:pe=1,iter=-2",    // negative iter
-		"corrupt:pe=-1",           // negative pe
-		"corrupt:pe=x",            // non-numeric pe
-		"corrupt:pe=1,bit=64",     // bit out of range
-		"corrupt:pe=1,weird=3",    // unknown field
-		"corrupt:pe=1,bit",        // not key=value
-		"drop:pe=3",               // drop needs a destination
-		"drop:pe=3->3",            // self-transfer
-		"stall:pe=0",              // stall needs dur
-		"stall:pe=0,dur=-3ms",     // negative duration
-		"stall:pe=0,dur=xyz",      // bad duration
-		"stall:pe=0->1,dur=1ms",   // stall takes no destination
-		"panic:pe=1,dur=1ms",      // dur invalid on panic
-		"panic:pe=1,bit=3",        // bit invalid on panic
-		"seed:zzz",                // bad seed
-		"corrupt:pe=999999999999", // pe out of bounds
-		"revive:pe=3",             // revive needs iter
-		"revive:pe=3->1,iter=5",   // revive takes no destination
+		"",                           // empty plan
+		";;",                         // only separators
+		"explode:pe=1",               // unknown kind
+		"corrupt",                    // missing pe
+		"corrupt:iter=3",             // missing pe
+		"corrupt:pe=1,iter=0",        // iter < 1
+		"corrupt:pe=1,iter=-2",       // negative iter
+		"corrupt:pe=-1",              // negative pe
+		"corrupt:pe=x",               // non-numeric pe
+		"corrupt:pe=1,bit=64",        // bit out of range
+		"corrupt:pe=1,weird=3",       // unknown field
+		"corrupt:pe=1,bit",           // not key=value
+		"drop:pe=3",                  // drop needs a destination
+		"drop:pe=3->3",               // self-transfer
+		"stall:pe=0",                 // stall needs dur
+		"stall:pe=0,dur=-3ms",        // negative duration
+		"stall:pe=0,dur=xyz",         // bad duration
+		"stall:pe=0->1,dur=1ms",      // stall takes no destination
+		"panic:pe=1,dur=1ms",         // dur invalid on panic
+		"panic:pe=1,bit=3",           // bit invalid on panic
+		"seed:zzz",                   // bad seed
+		"corrupt:pe=999999999999",    // pe out of bounds
+		"revive:pe=3",                // revive needs iter
+		"revive:pe=3->1,iter=5",      // revive takes no destination
 		"revive:pe=3,iter=5,dur=1ms", // dur invalid on revive
 		"revive:pe=3,iter=5,bit=2",   // bit invalid on revive
 	} {

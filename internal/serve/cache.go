@@ -36,8 +36,6 @@ var (
 	poolReuses      = obs.GetCounter("serve.pool.reuses")
 	poolDiscards    = obs.GetCounter("serve.pool.discards")
 	poolSpawnNs     = obs.GetHistogram("serve.pool.spawn_ns")
-	sessionsOpened  = obs.GetCounter("serve.sessions.opened")
-	sessionsClosed  = obs.GetCounter("serve.sessions.closed")
 	streamEvents    = obs.GetCounter("serve.stream.events")
 	solvesSupervise = obs.GetCounter("serve.solves.supervised")
 

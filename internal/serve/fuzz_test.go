@@ -27,6 +27,8 @@ func FuzzSolveRequest(f *testing.F) {
 		`{"scenario":"sf10","pes":8,"deadline_ms":-5}`,
 		`{"scenario":"sf10","pes":8,"unknown_field":true}`,
 		`{"scenario":"sf10","pes":8}{"trailing":true}`,
+		`{"scenario":"sf10","pes":2}]`,
+		`{"scenario":"sf10","pes":2}}`,
 		`{"scenario":"sf10","pes":8,"faults":"` + strings.Repeat("k", 5000) + `"}`,
 		`{"scenario":"sf10","pes":2,"faults":"kill:pe=99,iter=5"}`,
 		`{"scenario":"sf10","pes":8,"nodesize":64}`,

@@ -14,8 +14,8 @@ import (
 	"repro/internal/obs/export"
 )
 
-// NewMux returns the service's HTTP surface: the solve, job, and
-// session endpoints under /v1/, a health probe, and the full
+// NewMux returns the service's HTTP surface: the solve and job
+// endpoints under /v1/, a health probe, and the full
 // observability export (metrics, flight recorder, expvar, pprof) on
 // the same mux so one port serves both traffic and introspection.
 func NewMux(e *Engine) *http.ServeMux {
@@ -39,27 +39,17 @@ func NewMux(e *Engine) *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs", e.handleJobList)
 	mux.HandleFunc("GET /v1/jobs/{id}", e.handleJobStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", e.handleJobEvents)
-	mux.HandleFunc("POST /v1/sessions", e.handleSessionOpen)
-	mux.HandleFunc("GET /v1/sessions", e.handleSessionList)
-	mux.HandleFunc("GET /v1/sessions/{id}", e.handleSessionStatus)
-	mux.HandleFunc("POST /v1/sessions/{id}/solve", e.handleSessionSolve)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", e.handleSessionClose)
 	return mux
 }
 
 const serviceIndex = `quaked endpoints:
-  POST   /v1/solve                one-shot solve; every accepted solve is a durable job
+  POST   /v1/solve                solve; every accepted solve is a durable job, and every solve
+                                  of a tuple after its first is served from the artifact cache
                                   ("stream":true for ndjson events, "detach":true for 202 + job id,
                                    "idempotency_key" to make retries safe)
   GET    /v1/jobs                 list tracked jobs
   GET    /v1/jobs/{id}            job status (state, attempts, migrations, checkpoint iter)
   GET    /v1/jobs/{id}/events     ndjson event stream, resumable with ?from=<seq>
-  POST   /v1/sessions             open a session {"scenario","pes","method","nodesize"}
-  GET    /v1/sessions             list open sessions
-  GET    /v1/sessions/{id}        session status
-  POST   /v1/sessions/{id}/solve  solve on a session (tuple comes from the session; stream, detach
-                                  and idempotency_key as on /v1/solve)
-  DELETE /v1/sessions/{id}        close a session (artifacts stay warm)
   GET    /healthz                 liveness probe
   /metrics /metrics.json /flight /debug/vars /debug/pprof/   observability
 `
@@ -118,23 +108,17 @@ func httpError(w http.ResponseWriter, res *SolveResult, err error) {
 // retryAfterSeconds draws the jittered Retry-After value (1..3).
 func retryAfterSeconds() int { return 1 + rand.Intn(3) }
 
-// handleSolve serves POST /v1/solve: one anonymous solve through the
-// shared artifact cache.
+// handleSolve serves POST /v1/solve: one solve through the shared
+// artifact cache. Every accepted solve is a durable job; the response
+// shape follows the request — a single document, an ndjson event stream,
+// or (detached) 202 with the job status to poll.
 func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r.Body)
 	if err != nil {
 		httpError(w, nil, err)
 		return
 	}
-	e.respond(w, r, req, nil)
-}
-
-// respond admits one decoded request and answers it. Every accepted
-// solve is a durable job; the response shape follows the request — a
-// single document, an ndjson event stream, or (detached) 202 with the
-// job status to poll.
-func (e *Engine) respond(w http.ResponseWriter, r *http.Request, req *SolveRequest, s *Session) {
-	aj, j, err := e.admit(req, s, nil)
+	aj, j, err := e.admit(req, nil)
 	if err != nil {
 		httpError(w, nil, err)
 		return
@@ -250,81 +234,4 @@ func (e *Engine) streamJob(w http.ResponseWriter, r *http.Request, j *Job, from 
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-}
-
-// handleSessionOpen serves POST /v1/sessions.
-func (e *Engine) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var spec SessionSpec
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, nil, fmt.Errorf("%w: %w", ErrBadRequest, err))
-		return
-	}
-	s, err := e.Open(spec)
-	if err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, s.Status())
-}
-
-// handleSessionList serves GET /v1/sessions.
-func (e *Engine) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	ids := e.Sessions()
-	statuses := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		if s, ok := e.Session(id); ok {
-			statuses = append(statuses, s.Status())
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Sessions []Status `json:"sessions"`
-	}{statuses})
-}
-
-// handleSessionStatus serves GET /v1/sessions/{id}.
-func (e *Engine) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	s, ok := e.Session(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Status())
-}
-
-// handleSessionSolve serves POST /v1/sessions/{id}/solve. The request
-// carries only per-solve fields; the tuple comes from the session, so
-// naming scenario/pes/method/nodesize in the body is an error. Past that
-// a session solve is a solve like any other: the same intake, the same
-// job, the same response shapes.
-func (e *Engine) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
-	s, ok := e.Session(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	req, err := decodeRequest(r.Body)
-	if err != nil {
-		httpError(w, nil, err)
-		return
-	}
-	if req.Scenario != "" || req.PEs != 0 || req.Method != "" || req.NodeSize != 0 {
-		httpError(w, nil, fmt.Errorf("%w: session solve must not name scenario/pes/method/nodesize", ErrBadRequest))
-		return
-	}
-	k := s.Key()
-	req.Scenario, req.PEs, req.Method, req.NodeSize = k.Scenario, k.P, k.Method, k.NodeSize
-	e.respond(w, r, req, s)
-}
-
-// handleSessionClose serves DELETE /v1/sessions/{id}.
-func (e *Engine) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	s, ok := e.Session(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	s.Close()
-	w.WriteHeader(http.StatusNoContent)
 }

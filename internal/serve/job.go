@@ -636,9 +636,6 @@ type admittedJob struct {
 	e   *Engine
 	job *Job
 	art *artifact
-	// session, when non-nil, is the session the solve was submitted
-	// through; its counters settle when run returns.
-	session *Session
 	// done releases the admission slot and the engine tracking ref.
 	done func()
 }
@@ -651,14 +648,9 @@ type admittedJob struct {
 // in place; everything else — plain solves included, so a genuine PE
 // panic still migrates — replaces a dead worker with a fresh one from the
 // pool at full width.
-func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
+func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 	e, a, j, req := aj.e, aj.art, aj.job, aj.job.req
-	defer func() {
-		if aj.session != nil {
-			aj.session.end(res, err)
-		}
-		aj.done()
-	}()
+	defer aj.done()
 
 	// Wait for a run slot (the queued half of admission).
 	runRelease, err := e.acquireRun(ctx)
@@ -773,7 +765,7 @@ func (aj *admittedJob) run(ctx context.Context) (res *SolveResult, err error) {
 	j.mu.Lock()
 	migrations := j.st.Migrations // this run's and, for a replayed job, the journaled ones
 	j.mu.Unlock()
-	res = &SolveResult{
+	res := &SolveResult{
 		JobID: j.st.ID, CacheHit: j.cacheHit, Fingerprints: a.fp,
 		Width:   out.Part.P,
 		Shrinks: out.Shrinks, Grows: out.Grows, DeadPEs: out.DeadPEs, RevivedPEs: out.RevivedPEs,

@@ -224,8 +224,9 @@ func TestIdempotencyKeyDedups(t *testing.T) {
 }
 
 // TestDetachAndJobsAPI: a detached submission answers 202 immediately
-// with a pollable job, the jobs list tracks it, and its ndjson event
-// feed is resumable from an arbitrary sequence number.
+// with a pollable job, its ndjson event feed holds until the terminal
+// line and is resumable from an arbitrary sequence number, and the
+// status and list endpoints then show it finished.
 func TestDetachAndJobsAPI(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	e := newTestEngine(t, Config{})
@@ -240,25 +241,37 @@ func TestDetachAndJobsAPI(t *testing.T) {
 		t.Fatalf("detach: status %d, job %+v, err %v", resp.StatusCode, st, err)
 	}
 
-	// Poll the job to completion through the API.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		r2, err := client.Get(srv.URL + "/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
+	// Full event feed, held open until the job ends: accepted first,
+	// result last, seq contiguous.
+	evs := readEvents(t, client, srv.URL+"/v1/jobs/"+st.ID+"/events")
+	if len(evs) < 3 {
+		t.Fatalf("want >= 3 events (accepted, progress, result), got %+v", evs)
+	}
+	if evs[0].Event != "accepted" || evs[0].Seq != 1 {
+		t.Fatalf("first event: %+v", evs[0])
+	}
+	last := evs[len(evs)-1]
+	if last.Event != "result" || last.Result == nil || !last.Result.Converged {
+		t.Fatalf("last event: %+v", last)
+	}
+	for i, ev := range evs {
+		if ev.Seq != int64(i)+1 {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i+1)
 		}
-		err = json.NewDecoder(r2.Body).Decode(&st)
-		r2.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		if ev.JobID != st.ID {
+			t.Fatalf("event %d names job %q, want %q", i, ev.JobID, st.ID)
 		}
-		if st.State.terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("detached job never finished: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
+	}
+
+	// The terminal line is sent only after the state is published.
+	r2, err := client.Get(srv.URL + "/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(r2.Body).Decode(&st)
+	r2.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st.State != JobCompleted || st.Result == nil || !st.Result.Converged {
 		t.Fatalf("detached job: %+v", st)
@@ -283,27 +296,6 @@ func TestDetachAndJobsAPI(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("job %s missing from /v1/jobs", st.ID)
-	}
-
-	// Full event feed: accepted first, result last, seq contiguous.
-	evs := readEvents(t, client, srv.URL+"/v1/jobs/"+st.ID+"/events")
-	if len(evs) < 3 {
-		t.Fatalf("want >= 3 events (accepted, progress, result), got %+v", evs)
-	}
-	if evs[0].Event != "accepted" || evs[0].Seq != 1 {
-		t.Fatalf("first event: %+v", evs[0])
-	}
-	last := evs[len(evs)-1]
-	if last.Event != "result" || last.Result == nil || !last.Result.Converged {
-		t.Fatalf("last event: %+v", last)
-	}
-	for i, ev := range evs {
-		if ev.Seq != int64(i)+1 {
-			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i+1)
-		}
-		if ev.JobID != st.ID {
-			t.Fatalf("event %d names job %q, want %q", i, ev.JobID, st.ID)
-		}
 	}
 
 	// Resume mid-stream: from the terminal event's seq, exactly one
@@ -535,37 +527,44 @@ func TestMigrateRejectsRevive(t *testing.T) {
 	}
 }
 
-// TestEveryDoorValidates: a spec that HTTP answers 400 is refused with
-// ErrBadRequest by every in-process entry point too — before a job
+// TestEveryDoorValidates: a request HTTP answers 400 is refused with
+// ErrBadRequest by the in-process entry points too — before a job
 // exists, before anything is journaled — because they all enter through
 // the one intake.
 func TestEveryDoorValidates(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	e := newTestEngine(t, Config{JournalDir: t.TempDir()})
-	sess, err := e.Open(SessionSpec{Scenario: "tiny-doors", PEs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startServer(t, e)
 	long := strings.Repeat("x", maxFaultPlanLen+1)
-	request := func(s SolveSpec) *SolveRequest {
-		return &SolveRequest{Scenario: "tiny-doors", PEs: 4, Shift: s.Shift, Tol: s.Tol,
-			Faults: s.Faults, Recovery: s.Recovery, IdempotencyKey: s.IdempotencyKey}
+	doors := map[string]func(*SolveRequest) error{
+		"Engine.Solve": func(req *SolveRequest) error {
+			_, err := e.Solve(context.Background(), req)
+			return err
+		},
+		"Engine.Submit": func(req *SolveRequest) error {
+			_, err := e.Submit(req)
+			return err
+		},
+		"POST /v1/solve": func(req *SolveRequest) error {
+			body, err := json.Marshal(req)
+			if err != nil {
+				// JSON has no spelling for ±Inf: a client's nearest is a
+				// literal past float64's range, which the decoder refuses.
+				body = []byte(fmt.Sprintf(`{"scenario":%q,"pes":%d,"shift":1e999}`, req.Scenario, req.PEs))
+			}
+			var reply errorReply
+			resp := postSolve(t, srv, string(body))
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+				return err
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				return fmt.Errorf("status %d: %s", resp.StatusCode, reply.Error)
+			}
+			return fmt.Errorf("%w: %s", ErrBadRequest, reply.Error)
+		},
 	}
-	doors := map[string]func(SolveSpec) error{
-		"Engine.Solve": func(s SolveSpec) error {
-			_, err := e.Solve(context.Background(), request(s))
-			return err
-		},
-		"Engine.Submit": func(s SolveSpec) error {
-			_, err := e.Submit(request(s))
-			return err
-		},
-		"Session.Solve": func(s SolveSpec) error {
-			_, err := sess.Solve(context.Background(), s)
-			return err
-		},
-	}
-	for name, spec := range map[string]SolveSpec{
+	for name, req := range map[string]SolveRequest{
 		"unknown recovery":    {Recovery: "bogus"},
 		"negative tol":        {Tol: -1},
 		"tol of one":          {Tol: 1},
@@ -575,21 +574,19 @@ func TestEveryDoorValidates(t *testing.T) {
 		"kill past the width": {Faults: "kill:pe=9,iter=5"},
 		"migrate with revive": {Faults: "kill:pe=1,iter=5;revive:pe=1,iter=15", Recovery: RecoveryMigrate},
 	} {
+		req.Scenario, req.PEs = "tiny-doors", 4
 		for door, solve := range doors {
 			jobs0, accepted0, records0 := len(e.Jobs()), jobAccepted.Value(), jobJournalRecords.Value()
-			if err := solve(spec); !errors.Is(err, ErrBadRequest) {
+			if err := solve(&req); !errors.Is(err, ErrBadRequest) {
 				t.Errorf("%s, %s: %v, want ErrBadRequest", door, name, err)
 			}
 			if n := len(e.Jobs()); n != jobs0 || jobAccepted.Value() != accepted0 {
-				t.Errorf("%s, %s: a refused spec created a job (%d tracked, was %d)", door, name, n, jobs0)
+				t.Errorf("%s, %s: a refused request created a job (%d tracked, was %d)", door, name, n, jobs0)
 			}
 			if d := jobJournalRecords.Value() - records0; d != 0 {
-				t.Errorf("%s, %s: a refused spec journaled %d records", door, name, d)
+				t.Errorf("%s, %s: a refused request journaled %d records", door, name, d)
 			}
 		}
-	}
-	if st := sess.Status(); st.Active != 0 || st.LastError == "" {
-		t.Fatalf("session after refused solves: %+v", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 
 	"repro/internal/fault"
 	"repro/internal/partition"
@@ -27,22 +28,49 @@ const (
 	maxIdempotencyKeyLen = 128
 )
 
-// SolveRequest is the wire form of one solve: the session tuple plus
-// the per-solve parameters and budgets. It is decoded strictly —
-// unknown fields, out-of-range values, malformed fault plans, and
-// non-finite numbers are all refused before any work starts.
+// Recovery strategies for solves whose fault plan kills workers.
+const (
+	// RecoveryElastic shrinks the partition around the dead PE and
+	// regrows on revive — the supervisor's shrink policy, and the
+	// default.
+	RecoveryElastic = "elastic"
+	// RecoveryMigrate re-dispatches the job onto another warm pool
+	// worker at full width, resuming from the newest checkpoint — the
+	// supervisor's replace policy.
+	RecoveryMigrate = "migrate"
+)
+
+// SolveRequest is the one form of a solve, whichever door it comes
+// through: the artifact tuple (scenario, pes, method, nodesize) plus the
+// per-solve parameters and budgets. It is decoded strictly — unknown
+// fields, out-of-range values, malformed fault plans, and non-finite
+// numbers are all refused before any work starts.
 type SolveRequest struct {
 	Scenario string `json:"scenario"`
-	PEs      int    `json:"pes"`
-	Method   string `json:"method,omitempty"`
-	NodeSize int    `json:"nodesize,omitempty"`
+	// PEs is the partition width (required, 1..Config.MaxPEs).
+	PEs int `json:"pes"`
+	// Method selects the partitioner (default "rcb").
+	Method string `json:"method,omitempty"`
+	// NodeSize > 1 installs two-level exchange aggregation with
+	// contiguous PE→node packing.
+	NodeSize int `json:"nodesize,omitempty"`
 
-	RHSSeed    int64   `json:"rhs_seed,omitempty"`
-	Shift      float64 `json:"shift,omitempty"`
-	Tol        float64 `json:"tol,omitempty"`
-	MaxIters   int     `json:"max_iters,omitempty"`
-	DeadlineMS int64   `json:"deadline_ms,omitempty"`
-	Faults     string  `json:"faults,omitempty"`
+	// RHSSeed selects the right-hand side: 0 is the canonical two-point
+	// load, anything else a seeded unit-normal vector — deterministic
+	// either way, so equal requests produce equal answers.
+	RHSSeed int64 `json:"rhs_seed,omitempty"`
+	// Shift is the σ of the SPD operator K + σ·diag(M) (default 20).
+	Shift float64 `json:"shift,omitempty"`
+	// Tol is the relative residual target (default 1e-8).
+	Tol float64 `json:"tol,omitempty"`
+	// MaxIters caps CG iterations; clamped to Config.MaxIter.
+	MaxIters int `json:"max_iters,omitempty"`
+	// DeadlineMS is the wall budget; clamped to Config.MaxDeadline,
+	// which also applies when zero. Exceeding it cancels the solve at
+	// the next checkpoint boundary with ErrCanceled.
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// Faults arms a fault plan for this solve (the chaos/soak surface).
+	Faults string `json:"faults,omitempty"`
 	// Recovery selects the strategy for plans that kill workers:
 	// "" / "elastic" shrink-and-regrow in place, "migrate" re-dispatch
 	// onto another warm pool worker from the newest checkpoint.
@@ -62,9 +90,57 @@ type SolveRequest struct {
 	Detach bool `json:"detach,omitempty"`
 }
 
-// key canonicalizes the request's tuple against the engine limits.
+// SolveResult reports one served solve.
+type SolveResult struct {
+	// JobID names the durable job that produced this result; poll it at
+	// GET /v1/jobs/{id} for attempts, migrations, and checkpoint state.
+	JobID      string  `json:"job_id,omitempty"`
+	Iterations int     `json:"iterations"`
+	Residual   float64 `json:"residual"`
+	Converged  bool    `json:"converged"`
+	// Canceled marks a solve stopped by its deadline; the other fields
+	// describe the partial state at the stop.
+	Canceled bool `json:"canceled,omitempty"`
+	// CacheHit reports whether the setup artifacts were served from
+	// the cache (true on every solve after the key's first).
+	CacheHit     bool         `json:"cache_hit"`
+	Fingerprints Fingerprints `json:"fingerprints"`
+	// Width is the PE count that finished the solve — smaller than the
+	// request's when a kill shrank the partition and no revive grew it
+	// back.
+	Width int `json:"width"`
+	// Elastic-recovery outcome of a faulted solve. Migrations counts
+	// both supervisor-internal migrations and whole-worker job
+	// migrations on the RecoveryMigrate path.
+	Shrinks    int   `json:"shrinks,omitempty"`
+	Grows      int   `json:"grows,omitempty"`
+	Migrations int   `json:"migrations,omitempty"`
+	DeadPEs    []int `json:"dead_pes,omitempty"`
+	RevivedPEs []int `json:"revived_pes,omitempty"`
+	// Certified reports that the answer passed the solver's convergence
+	// gate: CertResidual = ‖b − A·x‖/‖b‖ on the returned iterate ≤ 10·tol.
+	// A solve that cannot be certified fails; it never completes.
+	Certified    bool    `json:"certified"`
+	CertResidual float64 `json:"cert_residual,omitempty"`
+	// SolutionFP and SolutionNorm identify the solution vector without
+	// shipping it: the regress FNV-1a bit fingerprint and ‖x‖₂.
+	SolutionFP   uint64  `json:"solution_fp"`
+	SolutionNorm float64 `json:"solution_norm"`
+	WallMS       float64 `json:"wall_ms"`
+}
+
+// key canonicalizes the request's tuple (method defaults to "rcb", node
+// size is at least 1) and bounds its width by the engine's MaxPEs. The
+// structural checks are Validate's.
 func (r *SolveRequest) key(cfg Config) (Key, error) {
-	return SessionSpec{Scenario: r.Scenario, PEs: r.PEs, Method: r.Method, NodeSize: r.NodeSize}.key(cfg)
+	if r.PEs > cfg.MaxPEs {
+		return Key{}, fmt.Errorf("%w: pes %d outside [1,%d]", ErrBadRequest, r.PEs, cfg.MaxPEs)
+	}
+	m := r.Method
+	if m == "" {
+		m = "rcb"
+	}
+	return Key{Scenario: r.Scenario, P: r.PEs, Method: m, NodeSize: max(r.NodeSize, 1)}, nil
 }
 
 // decodeRequest strictly decodes exactly one JSON request document:
@@ -76,7 +152,9 @@ func decodeRequest(r io.Reader) (*SolveRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	if dec.More() {
+	// More() reports false before a stray ']' or '}', so only reading
+	// the end of input proves the document was the whole body.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data after the request document", ErrBadRequest)
 	}
 	return req, nil
@@ -169,3 +247,26 @@ func (r *SolveRequest) Validate() error {
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// rhsFor builds the deterministic right-hand side for a seed.
+func rhsFor(seed int64, n int) []float64 {
+	b := make([]float64, n)
+	if seed == 0 {
+		b[2] = 50
+		b[n-1] = -20
+		return b
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	return b
+}
+
+func norm2(xs []float64) float64 {
+	var s float64
+	for _, v := range xs {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}

@@ -13,13 +13,13 @@
 // returned afterwards, so steady-state requests spawn no goroutines
 // and reuse the exchange buffers built on the first request.
 //
-// There is one way in and one way through. Every solve — one-shot,
-// session, detached, streamed, or replayed from the journal — enters by
-// Engine.admit (validate, key, artifact, idempotency dedup, slot, job)
-// and runs as admittedJob.run: budgets, a pool worker, one
-// recover.Supervise call, one epilogue. The supervisor is the only code
-// that re-runs CG or writes a durable checkpoint; what a request selects
-// is its loss policy. A fault plan shrinks onto the survivors and
+// There is one way in and one way through. Every solve is a
+// SolveRequest — synchronous, detached, streamed, or replayed from the
+// journal — that enters by Engine.admit (validate, key, artifact,
+// idempotency dedup, slot, job) and runs as admittedJob.run: budgets, a
+// pool worker, one recover.Supervise call, one epilogue. The supervisor
+// is the only code that re-runs CG or writes a durable checkpoint; what
+// a request selects is its loss policy. A fault plan shrinks onto the survivors and
 // regrows on revive; everything else, plain solves included, replaces a
 // dead worker with a fresh one from the pool at full width — "migrate".
 //
@@ -54,7 +54,7 @@ import (
 // layer maps it to 429 Too Many Requests.
 var ErrBusy = errors.New("serve: admission queue full")
 
-// ErrClosed reports an operation on a closed engine or session.
+// ErrClosed reports an operation on a closed engine.
 var ErrClosed = errors.New("serve: closed")
 
 // ErrCanceled reports a solve stopped by its wall deadline or by the
@@ -159,8 +159,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine is the serving core shared by the HTTP surface (NewMux) and
-// the in-process session facade (Open). One engine per process is the
+// Engine is the serving core behind the HTTP surface (NewMux) and the
+// in-process callers (Solve, Submit). One engine per process is the
 // intended shape; all its state is concurrency-safe.
 type Engine struct {
 	cfg Config
@@ -183,10 +183,8 @@ type Engine struct {
 	scenarios onceCache[string, *scenarioProducts]
 	entries   onceCache[Key, *artifact]
 
-	mu       sync.Mutex
-	sessions map[string]*Session
-	nextID   int64
-	closed   bool
+	mu     sync.Mutex
+	closed bool
 
 	// Test hooks, called when non-nil: holdSolve inside every admitted
 	// solve before the solver starts, to hold requests in flight;
@@ -204,11 +202,10 @@ type Engine struct {
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:      cfg,
-		slots:    make(chan struct{}, cfg.MaxConcurrent+cfg.MaxQueue),
-		sem:      make(chan struct{}, cfg.MaxConcurrent),
-		closing:  make(chan struct{}),
-		sessions: make(map[string]*Session),
+		cfg:     cfg,
+		slots:   make(chan struct{}, cfg.MaxConcurrent+cfg.MaxQueue),
+		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		closing: make(chan struct{}),
 	}
 	jobs, replay, err := newJobManager(cfg)
 	if err != nil {
@@ -295,25 +292,14 @@ func (e *Engine) acquireRun(ctx context.Context) (release func(), err error) {
 	}, nil
 }
 
-// admit is the single intake: every solve — HTTP or in-process,
-// anonymous or through a session, fresh or replayed from the journal —
-// is validated, keyed, bound to its (possibly cold-built) artifacts,
-// deduplicated by idempotency key, given an admission slot, and only
-// then created as a journaled job. It returns either an admitted job the
-// caller must run, or the existing job a duplicate submission mapped to.
-// s is the session the solve came through, replayed the job a previous
-// process accepted; both are usually nil.
-func (e *Engine) admit(req *SolveRequest, s *Session, replayed *Job) (aj *admittedJob, dup *Job, err error) {
-	if s != nil {
-		if err := s.begin(); err != nil {
-			return nil, nil, err
-		}
-		defer func() {
-			if aj == nil {
-				s.end(nil, err)
-			}
-		}()
-	}
+// admit is the single intake: every solve — HTTP or in-process, fresh
+// or replayed from the journal — is validated, keyed, bound to its
+// (possibly cold-built) artifacts, deduplicated by idempotency key, given
+// an admission slot, and only then created as a journaled job. It
+// returns either an admitted job the caller must run, or the existing
+// job a duplicate submission mapped to. replayed is the job a previous
+// process accepted, usually nil.
+func (e *Engine) admit(req *SolveRequest, replayed *Job) (aj *admittedJob, dup *Job, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -351,23 +337,10 @@ func (e *Engine) admit(req *SolveRequest, s *Session, replayed *Job) (aj *admitt
 			return nil, dup, err
 		}
 	}
-	return &admittedJob{e: e, job: j, art: art, session: s, done: func() {
+	return &admittedJob{e: e, job: j, art: art, done: func() {
 		releaseSlot()
 		untrack()
 	}}, nil, nil
-}
-
-// solve is the synchronous form: admit, then run to a terminal state on
-// the caller's goroutine (or await the job a duplicate bound to).
-func (e *Engine) solve(ctx context.Context, req *SolveRequest, s *Session) (*SolveResult, error) {
-	aj, dup, err := e.admit(req, s, nil)
-	if err != nil {
-		return nil, err
-	}
-	if dup != nil {
-		return dup.await(ctx, e.closing)
-	}
-	return aj.run(ctx)
 }
 
 // replayJob re-admits one journal-recovered job: artifacts are rebuilt
@@ -377,7 +350,7 @@ func (e *Engine) solve(ctx context.Context, req *SolveRequest, s *Session) (*Sol
 // validates (a journal from a build with wider limits) fails cleanly.
 func (e *Engine) replayJob(j *Job) {
 	defer e.running.Done()
-	aj, _, err := e.admit(j.req, nil, j)
+	aj, _, err := e.admit(j.req, j)
 	if errors.Is(err, ErrClosed) {
 		return // engine closing again; the job stays queued in the journal
 	}
@@ -396,7 +369,7 @@ func (e *Engine) replayJob(j *Job) {
 // the background under the engine's lifecycle. The returned status
 // carries the job ID to poll (Job / AwaitJob, or GET /v1/jobs/{id}).
 func (e *Engine) Submit(req *SolveRequest) (JobStatus, error) {
-	aj, dup, err := e.admit(req, nil, nil)
+	aj, dup, err := e.admit(req, nil)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -431,70 +404,26 @@ func (e *Engine) AwaitJob(ctx context.Context, id string) (*SolveResult, error) 
 	return j.await(ctx, e.closing)
 }
 
-// Open creates a session bound to the spec's cached artifacts,
-// building them on first use. The session handle is cheap: the heavy
-// state lives in the engine's cache and outlives the session, so
-// closing and reopening the same tuple stays warm.
-func (e *Engine) Open(spec SessionSpec) (*Session, error) {
-	k, err := spec.key(e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	art, hit, err := e.artifact(k)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e.nextID++
-	s := &Session{
-		id:       fmt.Sprintf("s%08d", e.nextID),
-		eng:      e,
-		art:      art,
-		cacheHit: hit,
-		opened:   time.Now(),
-	}
-	e.sessions[s.id] = s
-	e.mu.Unlock()
-	sessionsOpened.Add(1)
-	return s, nil
-}
-
-// Session returns the open session with the given id.
-func (e *Engine) Session(id string) (*Session, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.sessions[id]
-	return s, ok
-}
-
-// Sessions returns the ids of the open sessions, unordered.
-func (e *Engine) Sessions() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ids := make([]string, 0, len(e.sessions))
-	for id := range e.sessions {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// Solve runs one solve without an explicit session: the artifacts are
-// resolved (or built) through the same cache, so anonymous one-shot
-// requests and session solves share warmth. Like every solve it is a
-// tracked job — the result carries the job ID.
+// Solve is the synchronous form: admit, then run to a terminal state on
+// the caller's goroutine (or await the job a duplicate bound to). The
+// artifacts are resolved (or built) through the shared cache, so every
+// request for a tuple after its first is served warm. Like every solve
+// it is a tracked job — the result carries the job ID.
 func (e *Engine) Solve(ctx context.Context, req *SolveRequest) (*SolveResult, error) {
-	return e.solve(ctx, req, nil)
+	aj, dup, err := e.admit(req, nil)
+	if err != nil {
+		return nil, err
+	}
+	if dup != nil {
+		return dup.await(ctx, e.closing)
+	}
+	return aj.run(ctx)
 }
 
 // Close shuts the engine down in order: refuse new jobs, interrupt
 // running solves at their next checkpoint (durable jobs park in the
 // journal for the next process; volatile ones cancel), drain the
-// runners, close every session and pooled worker, compact and close
-// the journal.
+// runners, close every pooled worker, compact and close the journal.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -507,15 +436,6 @@ func (e *Engine) Close() {
 
 	e.running.Wait()
 
-	e.mu.Lock()
-	sessions := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sessions = append(sessions, s)
-	}
-	e.mu.Unlock()
-	for _, s := range sessions {
-		s.Close()
-	}
 	for _, a := range e.entries.values() {
 		a.close()
 	}

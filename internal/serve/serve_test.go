@@ -321,7 +321,7 @@ func TestKillFaultHealsAndCertifies(t *testing.T) {
 		t.Fatalf("revived solve: converged=%v certified=%v", res.Converged, res.Certified)
 	}
 
-	// The session (tuple) survived its faulted members: a plain solve
+	// The tuple survived its faulted members: a plain solve
 	// still converges on a fresh pooled worker.
 	after := mustSolve(t, srv, plain)
 	if !after.Converged || !after.CacheHit {
@@ -329,223 +329,65 @@ func TestKillFaultHealsAndCertifies(t *testing.T) {
 	}
 }
 
-// TestSessionLifecycle drives the session surface end to end: open,
-// status, solve, list, close, and the 404/400 edges.
-func TestSessionLifecycle(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{})
-	srv := startServer(t, e)
-	client := srv.Client()
-
-	resp, err := client.Post(srv.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"scenario":"tiny-sess","pes":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding session status: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("open status %d, want 201", resp.StatusCode)
-	}
-	if st.ID == "" || st.Key.Scenario != "tiny-sess" || st.CacheHit {
-		t.Fatalf("opened session: %+v", st)
-	}
-	if st.WarmWorkers < 1 {
-		t.Fatalf("session opened with %d warm workers, want the pre-spawned one", st.WarmWorkers)
-	}
-
-	// Solve on the session: per-solve fields only.
-	resp, err = client.Post(srv.URL+"/v1/sessions/"+st.ID+"/solve", "application/json",
-		strings.NewReader(`{"tol":1e-9}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res SolveResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatalf("decoding session solve: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !res.Converged || !res.CacheHit {
-		t.Fatalf("session solve: status %d converged=%v hit=%v", resp.StatusCode, res.Converged, res.CacheHit)
-	}
-
-	// Naming the tuple in a session solve is an error.
-	resp, err = client.Post(srv.URL+"/v1/sessions/"+st.ID+"/solve", "application/json",
-		strings.NewReader(`{"scenario":"tiny-sess","pes":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("tuple-in-session-solve status %d, want 400", resp.StatusCode)
-	}
-
-	// Status reflects the finished solve; the list contains the session.
-	resp, err = client.Get(srv.URL + "/v1/sessions/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st2 Status
-	json.NewDecoder(resp.Body).Decode(&st2)
-	resp.Body.Close()
-	if st2.Solves != 1 || st2.LastIter == 0 {
-		t.Fatalf("post-solve status: %+v", st2)
-	}
-	resp, err = client.Get(srv.URL + "/v1/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list struct {
-		Sessions []Status `json:"sessions"`
-	}
-	json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
-	found := false
-	for _, s := range list.Sessions {
-		found = found || s.ID == st.ID
-	}
-	if !found {
-		t.Fatalf("session %s missing from list %+v", st.ID, list.Sessions)
-	}
-
-	// Close; the id is gone but the artifacts stay warm.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sessions/"+st.ID, nil)
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("close status %d, want 204", resp.StatusCode)
-	}
-	resp, err = client.Get(srv.URL + "/v1/sessions/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("closed session status %d, want 404", resp.StatusCode)
-	}
-	hit := mustSolve(t, srv, `{"scenario":"tiny-sess","pes":2}`)
-	if !hit.CacheHit {
-		t.Fatal("artifacts went cold after session close")
-	}
-}
-
-// TestStreamingSolveEvents reads the chunked ndjson stream of both solve
-// endpoints: an accepted header, per-checkpoint progress with decreasing
-// residuals, and a final result event, every one carrying the job id and
-// a strictly increasing sequence number, every progress line counted by
-// serve.stream.events. A session solve is a job like any other, so its
-// dropped stream resumes from the job's event feed.
+// TestStreamingSolveEvents reads the chunked ndjson stream of a solve:
+// an accepted header, per-checkpoint progress with decreasing residuals,
+// and a final result event, every one carrying the job id and a strictly
+// increasing sequence number, every progress line counted by
+// serve.stream.events.
 func TestStreamingSolveEvents(t *testing.T) {
-	for _, tc := range []struct {
-		name, scenario string
-		session        bool
-	}{
-		{"solve", "tiny-stream", false},
-		{"session", "tiny-stream-s", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			testutil.VerifyNoLeaks(t)
-			e := newTestEngine(t, Config{})
-			srv := startServer(t, e)
-			url := srv.URL + "/v1/solve"
-			body := fmt.Sprintf(`{"scenario":%q,"pes":2,"tol":1e-9,"stream":true}`, tc.scenario)
-			var sess *Session
-			if tc.session {
-				var err error
-				if sess, err = e.Open(SessionSpec{Scenario: tc.scenario, PEs: 2}); err != nil {
-					t.Fatal(err)
-				}
-				url = srv.URL + "/v1/sessions/" + sess.ID() + "/solve"
-				body = `{"tol":1e-9,"stream":true}`
-			}
+	t.Run("solve", func(t *testing.T) {
+		testutil.VerifyNoLeaks(t)
+		e := newTestEngine(t, Config{})
+		srv := startServer(t, e)
 
-			counted0 := streamEvents.Value()
-			resp, err := srv.Client().Post(url, "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+		counted0 := streamEvents.Value()
+		resp := postSolve(t, srv, `{"scenario":"tiny-stream","pes":2,"tol":1e-9,"stream":true}`)
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+			t.Fatalf("stream status %d, content type %q", resp.StatusCode, ct)
+		}
+		var events []event
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev event
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 			}
-			defer resp.Body.Close()
-			if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
-				t.Fatalf("stream status %d, content type %q", resp.StatusCode, ct)
-			}
-			var events []event
-			sc := bufio.NewScanner(resp.Body)
-			for sc.Scan() {
-				var ev event
-				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-					t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-				}
-				events = append(events, ev)
-				if tc.session && len(events) == 2 {
-					break // the connection drops mid-feed
-				}
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatalf("reading stream: %v", err)
-			}
-			if tc.session {
-				if len(events) != 2 {
-					t.Fatalf("session stream ended after %d events, before the drop", len(events))
-				}
-				resp.Body.Close()
-				events = append(events, readEvents(t, srv.Client(),
-					fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", srv.URL, events[0].JobID, events[1].Seq+1))...)
-			}
+			events = append(events, ev)
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatalf("reading stream: %v", err)
+		}
 
-			if len(events) < 4 {
-				t.Fatalf("stream carried %d events, want accepted + progress + result", len(events))
+		if len(events) < 4 {
+			t.Fatalf("stream carried %d events, want accepted + progress + result", len(events))
+		}
+		if events[0].Event != "accepted" || events[0].Fingerprints == nil || events[0].JobID == "" {
+			t.Fatalf("first event: %+v", events[0])
+		}
+		last := events[len(events)-1]
+		if last.Event != "result" || last.Result == nil || !last.Result.Converged {
+			t.Fatalf("final event: %+v", last)
+		}
+		for i, ev := range events {
+			if ev.JobID != events[0].JobID || ev.Seq != int64(i)+1 {
+				t.Fatalf("event %d is seq %d of job %q, want seq %d of job %q — a gap or a repeat",
+					i, ev.Seq, ev.JobID, i+1, events[0].JobID)
 			}
-			if events[0].Event != "accepted" || events[0].Fingerprints == nil || events[0].JobID == "" {
-				t.Fatalf("first event: %+v", events[0])
+		}
+		progress := events[1 : len(events)-1]
+		for _, ev := range progress {
+			if ev.Event != "progress" || ev.Iter < 0 {
+				t.Fatalf("bad progress event: %+v", ev)
 			}
-			last := events[len(events)-1]
-			if last.Event != "result" || last.Result == nil || !last.Result.Converged {
-				t.Fatalf("final event: %+v", last)
-			}
-			for i, ev := range events {
-				if ev.JobID != events[0].JobID || ev.Seq != int64(i)+1 {
-					t.Fatalf("event %d is seq %d of job %q, want seq %d of job %q — a gap or a repeat",
-						i, ev.Seq, ev.JobID, i+1, events[0].JobID)
-				}
-			}
-			progress := events[1 : len(events)-1]
-			for _, ev := range progress {
-				if ev.Event != "progress" || ev.Iter < 0 {
-					t.Fatalf("bad progress event: %+v", ev)
-				}
-			}
-			if first, lastP := progress[0].Residual, progress[len(progress)-1].Residual; lastP >= first {
-				t.Fatalf("residual did not decrease over the stream: %g → %g", first, lastP)
-			}
-			// Every progress line a client read was counted; lines written
-			// into the dropped connection after the client stopped reading
-			// count too, so only the unbroken stream is exact.
-			counted := streamEvents.Value() - counted0
-			if int(counted) < len(progress) || (!tc.session && int(counted) != len(progress)) {
-				t.Fatalf("serve.stream.events advanced by %d for %d progress lines read", counted, len(progress))
-			}
-
-			if tc.session {
-				// The session's counters settle once the job has finished.
-				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-					st := sess.Status()
-					if st.Solves == 1 && st.Active == 0 && st.LastIter == last.Result.Iterations {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("session never settled after its streamed solve: %+v", st)
-					}
-				}
-			}
-		})
-	}
+		}
+		if first, lastP := progress[0].Residual, progress[len(progress)-1].Residual; lastP >= first {
+			t.Fatalf("residual did not decrease over the stream: %g → %g", first, lastP)
+		}
+		if counted := streamEvents.Value() - counted0; int(counted) != len(progress) {
+			t.Fatalf("serve.stream.events advanced by %d for %d progress lines read", counted, len(progress))
+		}
+	})
 }
 
 // TestBadRequestsRejected is the malformed-input table: every row must
@@ -571,6 +413,8 @@ func TestBadRequestsRejected(t *testing.T) {
 		{"bad fault plan", `{"scenario":"tiny-bad","pes":2,"faults":"explode:everything"}`},
 		{"fault pe out of range", `{"scenario":"tiny-bad","pes":2,"faults":"kill:pe=7,iter=5"}`},
 		{"trailing data", `{"scenario":"tiny-bad","pes":2}{"again":true}`},
+		{"trailing bracket", `{"scenario":"tiny-bad","pes":2}]`},
+		{"trailing brace", `{"scenario":"tiny-bad","pes":2}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -608,7 +452,9 @@ func TestClosedEngineRefusesSolves(t *testing.T) {
 	}
 }
 
-// TestHealthAndIndex covers the probe and the index page.
+// TestHealthAndIndex covers the probe and the index page, and holds the
+// index to the mux: every "METHOD /path" line it lists must reach a
+// registered handler.
 func TestHealthAndIndex(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	srv := startServer(t, e)
@@ -622,5 +468,22 @@ func TestHealthAndIndex(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s status %d", path, resp.StatusCode)
 		}
+	}
+
+	mux := NewMux(e)
+	routes := 0
+	for _, line := range strings.Split(serviceIndex, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || !strings.HasPrefix(f[1], "/") || strings.ToUpper(f[0]) != f[0] {
+			continue
+		}
+		routes++
+		r := httptest.NewRequest(f[0], strings.NewReplacer("{id}", "j1").Replace(f[1]), nil)
+		if _, pattern := mux.Handler(r); pattern == "" {
+			t.Errorf("index lists %s %s, which no registered pattern serves", f[0], f[1])
+		}
+	}
+	if routes == 0 {
+		t.Fatal("found no METHOD /path lines in the service index")
 	}
 }
