@@ -78,15 +78,17 @@ bench-json:
 
 # Executes the distributed-kernel benchmark, the local-operator kernel
 # benchmark in its three forms, the host-scaling pairs, each setup-stage
-# benchmark and each durable-path benchmark once (no timing fidelity): a
-# fast gate that the parallel SMVP entry point, the resident kernel
-# (full-storage baseline, pure Go, the form selected for the host), the
-# seven cold-build stages (Setup: partition ×2, analyze, schedule,
-# lumped_mass, assemble, newdist) and the six terms of the durable path
-# (the journal's lives in internal/serve) still run, and that the
-# fault-injection hooks stay allocation-free on their hot path.
+# benchmark, each durable-path benchmark, the serial and resident CG
+# solves, both integrators and the local-kernel T_f once (no timing
+# fidelity): a fast gate that the parallel SMVP entry point, the resident
+# kernel (full-storage baseline, pure Go, the form selected for the
+# host), the seven cold-build stages (Setup: partition ×2, analyze,
+# schedule, lumped_mass, assemble, newdist), the six terms of the durable
+# path (the journal's lives in internal/serve), CG's shared vector sweeps
+# and fem's shared explicit step still run, and that the fault-injection
+# hooks stay allocation-free on their hot path.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='ParallelSMVP|LocalKernels|HostScaling|FaultHookOverhead|Setup|Durable' -benchtime=1x -benchmem . ./internal/serve/
+	$(GO) test -run='^$$' -bench='ParallelSMVP|LocalKernels|HostScaling|FaultHookOverhead|Setup|Durable|DistCGSolve|DistributedApplication|SMVPShare|TfLocalSMVP' -benchtime=1x -benchmem . ./internal/serve/
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): every
 # workload once, untraced. One run says little on a shared host; a claim

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/material"
@@ -28,7 +29,9 @@ type System struct {
 
 // Assemble builds the global stiffness and lumped mass for the mesh,
 // sampling the material model at each element centroid (constant
-// properties per element, the usual choice for constant-strain tets).
+// properties per element, the usual choice for constant-strain tets):
+// AssembleLocal over every node and element, then the scan for the
+// stability bounds.
 func Assemble(m *mesh.Mesh, mat *material.Model) (*System, error) {
 	if err := mat.Validate(); err != nil {
 		return nil, err
@@ -36,25 +39,14 @@ func Assemble(m *mesh.Mesh, mat *material.Model) (*System, error) {
 	if m.NumElems() == 0 {
 		return nil, fmt.Errorf("fem: empty mesh")
 	}
-	sys := &System{
-		Mesh:    m,
-		K:       sparse.NewBCSRStructure(m.NumNodes(), m.Edges()),
-		MinEdge: inf(),
+	nodes, elems := iota32(m.NumNodes()), iota32(m.NumElems())
+	k, err := AssembleLocal(m, mat, nodes, elems, &AssemblyScratch{})
+	if err != nil {
+		return nil, fmt.Errorf("fem: %w", err)
 	}
-	for e := 0; e < m.NumElems(); e++ {
+	sys := &System{Mesh: m, K: k, MinEdge: inf()}
+	for e := range m.NumElems() {
 		v := elemVerts(m, e)
-		t := m.Tets[e]
-		lambda, mu, _ := mat.Elastic(m.Centroid(e))
-		blocks, _, ok := ElementStiffness(v, lambda, mu)
-		if !ok {
-			return nil, fmt.Errorf("fem: degenerate element %d", e)
-		}
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				sys.K.AddBlock(t[a], t[b], &blocks[a][b])
-			}
-		}
-		// Track stability quantities.
 		vs := mat.ShearVelocity(m.Centroid(e))
 		if vp := vs * mat.VpVsRatio; vp > sys.MaxVp {
 			sys.MaxVp = vp
@@ -67,11 +59,93 @@ func Assemble(m *mesh.Mesh, mat *material.Model) (*System, error) {
 			}
 		}
 	}
-	var err error
 	if sys.MassNode, err = LumpedMass(m, mat); err != nil {
 		return nil, err
 	}
 	return sys, nil
+}
+
+// iota32 returns 0, 1, …, n−1.
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+// AssemblyScratch is AssembleLocal's reusable memory; the zero value is
+// ready. One scratch serves one assembly at a time.
+type AssemblyScratch struct {
+	// g2l maps a global node id to its local index in the assembly under
+	// way. It is dense over the whole mesh and never cleared: only nodes
+	// resident in the current assembly are looked up, and those were all
+	// just written, so entries left by the previous one are harmless.
+	g2l    []int32
+	packed []uint64
+	edges  [][2]int32
+}
+
+// AssembleLocal builds the stiffness of the elements elems (ascending)
+// in the local numbering of nodes (sorted global ids covering every
+// vertex of those elements): the global K when both are everything, one
+// PE's local operator when they are its subdomain (package par). Blocks
+// are added in ascending element order, so every sum is independent of
+// who else assembles. A degenerate element is an error naming it,
+// "degenerate element N", without a package prefix: each caller adds
+// its own.
+func AssembleLocal(m *mesh.Mesh, mat *material.Model, nodes, elems []int32, sc *AssemblyScratch) (*sparse.BCSR, error) {
+	if len(sc.g2l) < m.NumNodes() {
+		sc.g2l = make([]int32, m.NumNodes())
+	}
+	g2l := sc.g2l
+	for l, g := range nodes {
+		g2l[g] = int32(l)
+	}
+	// Local edge set: every element's six node pairs packed into one
+	// word each, sorted, duplicates dropped.
+	packed := sc.packed[:0]
+	for _, e := range elems {
+		t := m.Tets[e]
+		for a := 0; a < 4; a++ {
+			for b := a + 1; b < 4; b++ {
+				la, lb := g2l[t[a]], g2l[t[b]]
+				if la > lb {
+					la, lb = lb, la
+				}
+				packed = append(packed, uint64(la)<<32|uint64(lb))
+			}
+		}
+	}
+	slices.Sort(packed)
+	packed = slices.Compact(packed)
+	edges := sc.edges[:0]
+	for _, pk := range packed {
+		edges = append(edges, [2]int32{int32(pk >> 32), int32(pk & 0xffffffff)})
+	}
+	sc.packed, sc.edges = packed, edges
+
+	k := sparse.NewBCSRStructure(len(nodes), edges)
+	for _, e := range elems {
+		t := m.Tets[e]
+		var v [4]geom.Vec3
+		var l [4]int32
+		for a := 0; a < 4; a++ {
+			v[a] = m.Coords[t[a]]
+			l[a] = g2l[t[a]]
+		}
+		lambda, mu, _ := mat.Elastic(m.Centroid(int(e)))
+		blocks, _, ok := ElementStiffness(v, lambda, mu)
+		if !ok {
+			return nil, fmt.Errorf("degenerate element %d", e)
+		}
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				k.AddBlock(l[a], l[b], &blocks[a][b])
+			}
+		}
+	}
+	return k, nil
 }
 
 // LumpedMass returns the lumped mass at every mesh node — System.MassNode

@@ -453,3 +453,34 @@ func TestEnergyBoundedAfterSource(t *testing.T) {
 		t.Errorf("late motion %g grows beyond mid-run %g: energy not bounded", late, mid)
 	}
 }
+
+// TestRunAllocsFlat: a run allocates the same at 10 steps as at 50, so
+// the node update and the receiver and divergence probes allocate
+// nothing per step.
+func TestRunAllocsFlat(t *testing.T) {
+	sys := smallSystem(t)
+	ab, err := BuildAbsorbingDampers(sys, smallMaterial(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimConfig{
+		Dt:        sys.StableDt(0.5),
+		Source:    PointSource{Location: geom.V(0.5, 0.5, 0.2), Direction: geom.V(1, 0, 1), Amplitude: 10, PeakFreq: 3, Delay: 0.4},
+		Damping:   0.01,
+		Absorbers: ab,
+		Receivers: []int32{sys.NearestNode(geom.V(0.5, 0.5, 0.5))},
+	}
+	allocs := func(steps int) float64 {
+		cfg.Steps = steps
+		return testing.AllocsPerRun(5, func() {
+			if _, err := sys.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(50)
+	t.Logf("%.1f allocs at 10 steps, %.1f at 50", short, long)
+	if long != short {
+		t.Errorf("System.Run: %.1f allocs at 10 steps, %.1f at 50", short, long)
+	}
+}

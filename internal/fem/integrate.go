@@ -72,16 +72,103 @@ func solve3x3(a *[9]float64, b [3]float64) [3]float64 {
 }
 
 // NearestNode returns the index of the mesh node closest to p.
-func (s *System) NearestNode(p geom.Vec3) int32 {
+func (s *System) NearestNode(p geom.Vec3) int32 { return NearestNode(s.Mesh.Coords, p) }
+
+// NearestNode returns the index of the point in coords closest to p, the
+// lowest on a tie: where a point source acts.
+func NearestNode(coords []geom.Vec3, p geom.Vec3) int32 {
 	best := int32(0)
 	bestD := math.Inf(1)
-	for i, c := range s.Mesh.Coords {
+	for i, c := range coords {
 		if d := c.Dist(p); d < bestD {
 			bestD = d
 			best = int32(i)
 		}
 	}
 	return best
+}
+
+// Force returns the source's body force at time t: the Ricker wavelet
+// along the normalized direction, vertical when Direction is zero.
+func (ps PointSource) Force(t float64) [3]float64 {
+	dir := ps.Direction.Normalize()
+	if dir == (geom.Vec3{}) {
+		dir = geom.V(0, 0, 1)
+	}
+	amp := ps.Amplitude * Ricker(t, ps.PeakFreq, ps.Delay)
+	return [3]float64{amp * dir.X, amp * dir.Y, amp * dir.Z}
+}
+
+// UpdateNodes is the node update of one explicit step over the nodes
+// behind u and v (three scalars per node, mass one entry per node),
+// given ku = K·u: with the force f at node src (−1 for none) it steps
+//
+//	v⁺ = v + dt·(M⁻¹(f − K·u) − c·v),   u⁺ = u + dt·v⁺
+//
+// where a node with a boundary damper block (dampers nil without
+// absorbers) takes its damper implicitly, (I + dt·M⁻¹·C)·v⁺ = rhs,
+// which is unconditionally stable regardless of the damper magnitude.
+// Each node's update reads only its own entries, so every replica of a
+// node steps to the same bits.
+func UpdateNodes(u, v, ku, mass []float64, dampers [][9]float64, src int, f [3]float64, dt, damping float64) {
+	for i, m := range mass {
+		invM := 1 / m
+		var rhs [3]float64
+		for d := 0; d < 3; d++ {
+			k := 3*i + d
+			fk := -ku[k]
+			if i == src {
+				fk += f[d]
+			}
+			rhs[d] = v[k] + dt*(invM*fk-damping*v[k])
+		}
+		if dampers != nil {
+			blk := &dampers[i]
+			if blk[0] != 0 || blk[4] != 0 || blk[8] != 0 {
+				var a [9]float64
+				sc := dt * invM
+				for p := 0; p < 9; p++ {
+					a[p] = sc * blk[p]
+				}
+				a[0] += 1
+				a[4] += 1
+				a[8] += 1
+				rhs = solve3x3(&a, rhs)
+			}
+		}
+		for d := 0; d < 3; d++ {
+			k := 3*i + d
+			v[k] = rhs[d]
+			u[k] += dt * v[k]
+		}
+	}
+}
+
+// Magnitude returns |u| at node i, what a receiver records.
+func Magnitude(u []float64, i int) float64 {
+	k := 3 * i
+	return math.Sqrt(u[k]*u[k] + u[k+1]*u[k+1] + u[k+2]*u[k+2])
+}
+
+// MaxMagnitude returns the largest |u| over the nodes of u.
+func MaxMagnitude(u []float64) (m float64) {
+	for i := 0; i < len(u)/3; i++ {
+		if mi := Magnitude(u, i); mi > m {
+			m = mi
+		}
+	}
+	return m
+}
+
+// Diverged is the cheap stability probe of a run: every seventh scalar
+// of u is checked for NaN or a magnitude past 1e12.
+func Diverged(u []float64) bool {
+	for i := 0; i < len(u); i += 7 {
+		if math.IsNaN(u[i]) || math.Abs(u[i]) > 1e12 {
+			return true
+		}
+	}
+	return false
 }
 
 // Run integrates the semi-discrete system M·ü + C·u̇ + K·u = f with the
@@ -108,16 +195,14 @@ func (s *System) Run(cfg SimConfig) (*SimResult, error) {
 			return nil, fmt.Errorf("fem: receiver node %d out of range", r)
 		}
 	}
-	n := s.Mesh.NumNodes()
-	dof := 3 * n
+	dof := s.NumDOF()
 	u := make([]float64, dof)
 	v := make([]float64, dof)
 	ku := make([]float64, dof)
-
-	srcNode := s.NearestNode(cfg.Source.Location)
-	dir := cfg.Source.Direction.Normalize()
-	if dir == (geom.Vec3{}) {
-		dir = geom.V(0, 0, 1)
+	src := int(s.NearestNode(cfg.Source.Location))
+	var dampers [][9]float64
+	if cfg.Absorbers != nil {
+		dampers = cfg.Absorbers.Blocks
 	}
 
 	res := &SimResult{
@@ -131,77 +216,23 @@ func (s *System) Run(cfg SimConfig) (*SimResult, error) {
 	start := time.Now()
 	var smvp time.Duration
 	for step := 0; step < cfg.Steps; step++ {
-		t := float64(step) * cfg.Dt
-
 		t0 := time.Now()
 		s.K.MulVec(ku, u)
 		smvp += time.Since(t0)
 		res.FlopsSMVP += int64(2 * s.K.NNZ())
 
-		amp := cfg.Source.Amplitude * Ricker(t, cfg.Source.PeakFreq, cfg.Source.Delay)
-		fx, fy, fz := amp*dir.X, amp*dir.Y, amp*dir.Z
-
-		for i := 0; i < n; i++ {
-			invM := 1 / s.MassNode[i]
-			var rhs [3]float64
-			for d := 0; d < 3; d++ {
-				k := 3*i + d
-				f := -ku[k]
-				if int32(i) == srcNode {
-					switch d {
-					case 0:
-						f += fx
-					case 1:
-						f += fy
-					default:
-						f += fz
-					}
-				}
-				rhs[d] = v[k] + cfg.Dt*(invM*f-cfg.Damping*v[k])
-			}
-			if cfg.Absorbers != nil {
-				blk := &cfg.Absorbers.Blocks[i]
-				if blk[0] != 0 || blk[4] != 0 || blk[8] != 0 {
-					// Implicit treatment of the boundary damper:
-					// (I + dt·M⁻¹·C)·v⁺ = rhs. Unconditionally stable
-					// regardless of the damper magnitude.
-					var a [9]float64
-					s := cfg.Dt * invM
-					for p := 0; p < 9; p++ {
-						a[p] = s * blk[p]
-					}
-					a[0] += 1
-					a[4] += 1
-					a[8] += 1
-					rhs = solve3x3(&a, rhs)
-				}
-			}
-			for d := 0; d < 3; d++ {
-				k := 3*i + d
-				v[k] = rhs[d]
-				u[k] += cfg.Dt * v[k]
-			}
-		}
+		f := cfg.Source.Force(float64(step) * cfg.Dt)
+		UpdateNodes(u, v, ku, s.MassNode, dampers, src, f, cfg.Dt, cfg.Damping)
 
 		for r, node := range cfg.Receivers {
-			k := 3 * int(node)
-			res.Seismograms[r][step] = math.Sqrt(u[k]*u[k] + u[k+1]*u[k+1] + u[k+2]*u[k+2])
+			res.Seismograms[r][step] = Magnitude(u, int(node))
 		}
-		if step%16 == 0 || step == cfg.Steps-1 {
-			for i := 0; i < dof; i += 7 { // sampled norm check, cheap
-				if math.IsNaN(u[i]) || math.Abs(u[i]) > 1e12 {
-					return nil, fmt.Errorf("fem: solution diverged at step %d", step)
-				}
-			}
+		if (step%16 == 0 || step == cfg.Steps-1) && Diverged(u) {
+			return nil, fmt.Errorf("fem: solution diverged at step %d", step)
 		}
 	}
 	res.TotalSeconds = time.Since(start).Seconds()
 	res.SMVPSeconds = smvp.Seconds()
-	for i := 0; i < dof; i += 3 {
-		m := math.Sqrt(u[i]*u[i] + u[i+1]*u[i+1] + u[i+2]*u[i+2])
-		if m > res.MaxDisplacement {
-			res.MaxDisplacement = m
-		}
-	}
+	res.MaxDisplacement = MaxMagnitude(u)
 	return res, nil
 }

@@ -1,36 +1,34 @@
 package par
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // This file hosts conjugate gradients on the PEs. solver.CG keeps the
-// control loop; Operator implements the solver's backend methods, so the
-// iteration vectors r, z, p, x, the local slices of b and of the Jacobi
-// diagonal, and the local mass-shift diagonal live in the PE workspaces
-// for the whole solve, replicated — like the integrator's state — on
-// every PE where a node resides. One dispatch runs a burst of
+// control loop and solver.Vectors the vector sweeps; Operator implements
+// the solver's backend methods, so the iteration vectors r, z, p, x, the
+// local slices of b and of the Jacobi diagonal, and the local mass-shift
+// diagonal live in the PE workspaces for the whole solve, replicated —
+// like the integrator's state — on every PE where a node resides. What
+// this file adds to the sweeps is their distribution: the exchange that
+// completes each K·v, and the reductions. One dispatch runs a burst of
 // iterations; inside it only scalars cross PEs, as per-PE partials in
 // dotSlots that every PE sums in ascending PE order, so all PEs take
 // identical decisions without a coordinator and the result does not
 // depend on the exchange plan. Global vectors exist only at Begin and
 // Gather. See docs/PERFORMANCE.md, "PE-resident CG".
 
-// cgVectors is one PE's share of a resident solve. Vectors have
-// 3·len(nodes) scalars, shift and own one entry per local node.
+// cgVectors is one PE's share of a resident solve: the local nodes'
+// vectors, Own 1 for the nodes this PE owns and 0 for replicas.
 type cgVectors struct {
-	p, r, x, b []float64
-	// z is M⁻¹r and prec the local Jacobi diagonal; without a
-	// preconditioner z aliases r and prec is nil. The buffers behind
-	// them are allocated by the first preconditioned solve.
-	z, prec, zBuf, precBuf []float64
-	// shift is σ·m per local node; own is 1 for the nodes this PE owns
-	// and 0 for replicas, which is how reductions count a node once.
-	shift, own []float64
+	solver.Vectors
+	// The buffers behind Z and Prec, allocated by the first
+	// preconditioned solve.
+	zBuf, precBuf []float64
 }
 
 type cgOp int
@@ -114,8 +112,8 @@ func (rt *peRuntime) runCG() error {
 // replicas a checkpointed solve held, because replicas are bit-equal.
 func (o Operator) Begin(b, prec, x, r, p []float64) error {
 	rt := o.D.rt
-	if o.Shift > 0 && len(o.MassNode) != o.D.GlobalNodes {
-		return fmt.Errorf("par: mass vector has %d entries, want %d", len(o.MassNode), o.D.GlobalNodes)
+	if err := o.checkMass(); err != nil {
+		return err
 	}
 	rt.resident.Lock()
 	rt.cg = cgCall{op: cgScatter, b: b, prec: prec, x: x, r: r, p: p, shift: o.Shift, mass: o.MassNode, tmp: rt.cg.tmp}
@@ -198,41 +196,41 @@ func (rt *peRuntime) cgPE(pe int) {
 	switch c.op {
 	case cgScatter:
 		n := 3 * len(nodes)
-		if v.p == nil {
-			v.p, v.r, v.x, v.b = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-			v.shift, v.own = make([]float64, len(nodes)), make([]float64, len(nodes))
+		if v.P == nil {
+			v.P, v.R, v.X, v.B = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+			v.Shift, v.Own = make([]float64, len(nodes)), make([]float64, len(nodes))
 			for l, g := range nodes {
 				if rt.owner[g] == int32(pe) {
-					v.own[l] = 1
+					v.Own[l] = 1
 				}
 			}
 		}
-		v.z, v.prec = v.r, nil
+		v.Z, v.Prec = v.R, nil
 		if c.prec != nil {
 			if v.zBuf == nil {
 				v.zBuf, v.precBuf = make([]float64, n), make([]float64, n)
 			}
-			v.z, v.prec = v.zBuf, v.precBuf
+			v.Z, v.Prec = v.zBuf, v.precBuf
 		}
 		for l, g := range nodes {
-			v.shift[l] = 0
+			v.Shift[l] = 0
 			if c.shift > 0 {
-				v.shift[l] = c.shift * c.mass[g]
+				v.Shift[l] = c.shift * c.mass[g]
 			}
-			copy(v.b[3*l:3*l+3], c.b[3*g:3*g+3])
-			copy(v.x[3*l:3*l+3], c.x[3*g:3*g+3])
+			copy(v.B[3*l:3*l+3], c.b[3*g:3*g+3])
+			copy(v.X[3*l:3*l+3], c.x[3*g:3*g+3])
 			if c.prec != nil {
-				copy(v.prec[3*l:3*l+3], c.prec[3*g:3*g+3])
+				copy(v.Prec[3*l:3*l+3], c.prec[3*g:3*g+3])
 			}
 			if c.r != nil {
-				copy(v.r[3*l:3*l+3], c.r[3*g:3*g+3])
-				copy(v.p[3*l:3*l+3], c.p[3*g:3*g+3])
+				copy(v.R[3*l:3*l+3], c.r[3*g:3*g+3])
+				copy(v.P[3*l:3*l+3], c.p[3*g:3*g+3])
 			}
 		}
 	case cgGather:
-		rt.gather(pe, c.x, v.x)
-		rt.gather(pe, c.r, v.r)
-		rt.gather(pe, c.p, v.p)
+		rt.gather(pe, c.x, v.X)
+		rt.gather(pe, c.r, v.R)
+		rt.gather(pe, c.p, v.P)
 	case cgResidual, cgTrueResidual:
 		rt.residual(pe)
 	case cgIterate:
@@ -245,7 +243,7 @@ func (rt *peRuntime) gather(pe int, dst, src []float64) {
 	if dst == nil {
 		return
 	}
-	own := rt.ws[pe].cg.own
+	own := rt.ws[pe].cg.Own
 	for l, g := range rt.nodes[pe] {
 		if own[l] != 0 {
 			copy(dst[3*g:3*g+3], src[3*l:3*l+3])
@@ -256,13 +254,13 @@ func (rt *peRuntime) gather(pe int, dst, src []float64) {
 // residual evaluates b − A·x on the PE's replicas, A = K + σ·diag(m)
 // with the mass shift applied after the receive, on the summed value.
 // cgTrueResidual takes x from the owners and only reduces the squared
-// norm; cgResidual also rebuilds the Krylov state from it: r = b − A·x,
-// z = M⁻¹r, p = z, ρ = rᵀz.
+// norm; cgResidual also rebuilds the Krylov state from it (see
+// solver.Vectors.Residual).
 func (rt *peRuntime) residual(pe int) {
 	c := &rt.cg
 	ws := &rt.ws[pe]
 	v := &ws.cg
-	x := v.x
+	x := v.X
 	if c.op == cgTrueResidual || c.scrub {
 		// A corrupted exchange may have left replicas of x disagreeing;
 		// the owner's value is the one the solve reports. A restart
@@ -270,15 +268,11 @@ func (rt *peRuntime) residual(pe int) {
 		// entries); an audit only reads it, into the phased SMVP's local
 		// vector, which is free for the length of a dispatch.
 		if c.op == cgResidual {
-			for i, xi := range x {
-				if math.IsNaN(xi) || math.IsInf(xi, 0) {
-					x[i] = 0
-				}
-			}
+			v.Scrub()
 		} else {
 			x = ws.x
 		}
-		rt.gather(pe, c.tmp, v.x)
+		rt.gather(pe, c.tmp, v.X)
 		if !rt.bar.await() {
 			return
 		}
@@ -291,25 +285,7 @@ func (rt *peRuntime) residual(pe int) {
 	if !rt.exchange(pe, y) {
 		return
 	}
-	var rn2, rho float64
-	for l, f := range v.shift {
-		w := v.own[l]
-		for i := 3 * l; i < 3*l+3; i++ {
-			ri := v.b[i] - (y[i] + f*x[i])
-			rn2 += w * ri * ri
-			if c.op == cgTrueResidual {
-				continue
-			}
-			v.r[i] = ri
-			zi := ri
-			if v.prec != nil {
-				zi = v.prec[i] * ri
-				v.z[i] = zi
-			}
-			v.p[i] = zi
-			rho += w * ri * zi
-		}
-	}
+	rn2, rho := v.Residual(y, x, c.op == cgResidual)
 	rt.dotSlots[pe*dotStride+slotRN2] = rn2
 	rt.dotSlots[pe*dotStride+slotRho] = rho
 }
@@ -343,11 +319,7 @@ func (rt *peRuntime) iterate(pe int) {
 		if pe == 0 {
 			rt.met.smvps.Add(1)
 		}
-		pap := rt.compute(pe, y, v.p)
-		for l, f := range v.shift {
-			p0, p1, p2 := v.p[3*l], v.p[3*l+1], v.p[3*l+2]
-			pap += v.own[l] * f * (p0*p0 + p1*p1 + p2*p2)
-		}
+		pap := v.PAP(rt.compute(pe, y, v.P))
 		slots[slotPAP] = pap
 		if !rt.exchange(pe, y) {
 			return
@@ -357,7 +329,7 @@ func (rt *peRuntime) iterate(pe int) {
 		sp := obs.StartSpanPE("update", "par.cg.update", pe)
 		start := time.Now()
 		alpha := rho / pap
-		rn2, rz := v.step(y, alpha)
+		rn2, rz := v.Step(y, alpha)
 		slots[slotRN2], slots[slotRho] = rn2, rz
 		update := time.Since(start)
 		if !rt.bar.await() {
@@ -370,11 +342,8 @@ func (rt *peRuntime) iterate(pe int) {
 		stopped := c.stop(pap, rn2, rz)
 		if !stopped {
 			start = time.Now()
-			beta := rz / rho
+			v.Direction(rz / rho)
 			rho = rz
-			for i, zi := range v.z {
-				v.p[i] = zi + beta*v.p[i]
-			}
 			update += time.Since(start)
 		}
 		rt.met.observeUpdate(pe, ws.iter, update)
@@ -383,42 +352,4 @@ func (rt *peRuntime) iterate(pe int) {
 			return
 		}
 	}
-}
-
-// step is the local CG vector sweep of one iteration: x += α·p and
-// r −= α·(y + σm·p), z = M⁻¹r, and the PE's owned share of ‖r‖² and
-// rᵀz, every sum in ascending local index — at p = 1 the arithmetic of
-// the serial sweep. The two loops differ only in the preconditioner.
-func (v *cgVectors) step(y []float64, alpha float64) (rn2, rz float64) {
-	x, r, p := v.x, v.r, v.p
-	if v.prec == nil {
-		for l, f := range v.shift {
-			w := v.own[l]
-			i := 3 * l
-			x, r, p, y := x[i:i+3:i+3], r[i:i+3:i+3], p[i:i+3:i+3], y[i:i+3:i+3]
-			for c, pc := range p {
-				x[c] += alpha * pc
-				rc := r[c] - alpha*(y[c]+f*pc)
-				r[c] = rc
-				rn2 += w * rc * rc
-			}
-		}
-		return rn2, rn2
-	}
-	z, prec := v.z, v.prec
-	for l, f := range v.shift {
-		w := v.own[l]
-		i := 3 * l
-		x, r, p, y, z, prec := x[i:i+3:i+3], r[i:i+3:i+3], p[i:i+3:i+3], y[i:i+3:i+3], z[i:i+3:i+3], prec[i:i+3:i+3]
-		for c, pc := range p {
-			x[c] += alpha * pc
-			rc := r[c] - alpha*(y[c]+f*pc)
-			r[c] = rc
-			rn2 += w * rc * rc
-			zc := prec[c] * rc
-			z[c] = zc
-			rz += w * rc * zc
-		}
-	}
-	return rn2, rz
 }

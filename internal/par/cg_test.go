@@ -2,8 +2,11 @@ package par
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,9 +195,9 @@ func TestReplicasBitEqual(t *testing.T) {
 				name string
 				get  func(v *cgVectors) []float64
 			}{
-				{"p", func(v *cgVectors) []float64 { return v.p }},
-				{"r", func(v *cgVectors) []float64 { return v.r }},
-				{"x", func(v *cgVectors) []float64 { return v.x }},
+				{"p", func(v *cgVectors) []float64 { return v.P }},
+				{"r", func(v *cgVectors) []float64 { return v.R }},
+				{"x", func(v *cgVectors) []float64 { return v.X }},
 			} {
 				checkReplicas(t, d, "CG "+vec.name, func(pe int) []float64 { return vec.get(&d.rt.ws[pe].cg) })
 			}
@@ -253,7 +256,7 @@ func TestTrueResidualAuditsTheOwners(t *testing.T) {
 	if pe < 0 {
 		t.Fatal("no replica to perturb")
 	}
-	replica := &d.rt.ws[pe].cg.x[3*l]
+	replica := &d.rt.ws[pe].cg.X[3*l]
 	*replica += 1
 	parted := *replica
 	got, err := op.TrueResidual()
@@ -404,7 +407,7 @@ func TestPanicBetweenCrossingsDrains(t *testing.T) {
 		if _, _, _, _, err := op.Iterate(rho, 3, never); err != nil {
 			t.Fatal(err)
 		}
-		d.rt.ws[2].cg.r = nil // PE 2's update now indexes out of range
+		d.rt.ws[2].cg.R = nil // PE 2's update now indexes out of range
 		done := make(chan error, 1)
 		go func() {
 			_, _, _, _, err := op.Iterate(rho, 3, never)
@@ -474,5 +477,51 @@ func TestCloseAndDisarmRaceResidentSolve(t *testing.T) {
 			t.Errorf("closing=%v: waited %v for a running solve", closing, waited)
 		}
 		d.Close()
+	}
+}
+
+// TestEveryDoorChecksTheMassVector: a mass vector that is not one entry
+// per node is refused with the same error at every door that shifts by
+// it — the distributed operator's Apply, a resident solve, and the
+// serial Shifted operator — instead of shifting only a prefix of the
+// product or indexing past its end.
+func TestEveryDoorChecksTheMassVector(t *testing.T) {
+	f := newFixture(t)
+	d, _ := f.dist(t, 4, partition.RCB)
+	nodes, n := d.GlobalNodes, 3*d.GlobalNodes
+	for _, tc := range []struct {
+		name string
+		mass []float64
+	}{
+		{"short", f.sys.MassNode[:nodes-1]},
+		{"long", append(slices.Clone(f.sys.MassNode), 1)},
+	} {
+		y, x := make([]float64, n), cgRHS(n)
+		want := fmt.Sprintf("mass vector has %d entries, want %d", len(tc.mass), nodes)
+		for _, door := range []struct {
+			name string
+			call func() error
+		}{
+			{"par.Operator.Apply", func() error { return Operator{D: d, Shift: 20, MassNode: tc.mass}.Apply(y, x) }},
+			{"solver.Shifted.Apply", func() error {
+				return solver.Shifted{K: f.sys.K, MassNode: tc.mass, Sigma: 20}.Apply(y, x)
+			}},
+			{"resident CG", func() error {
+				_, err := solver.CG(Operator{D: d, Shift: 20, MassNode: tc.mass}, x, make([]float64, n), solver.Config{MaxIter: 5})
+				return err
+			}},
+		} {
+			err := func() (err error) {
+				defer func() {
+					if v := recover(); v != nil {
+						err = fmt.Errorf("panicked: %v", v)
+					}
+				}()
+				return door.call()
+			}()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s mass vector through %s: %v, want an error containing %q", tc.name, door.name, err, want)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/fem"
@@ -81,9 +80,10 @@ type DistSimResult struct {
 
 // Run advances the distributed system cfg.Steps steps. Receivers are
 // global node ids; their seismograms are recorded by the owning PE.
-// The scheme, source handling, and stability behavior match
-// fem.System.Run step for step, so the two integrators produce the same
-// trajectories (up to the reordering of floating-point sums).
+// Every PE steps its nodes with fem.UpdateNodes, the update
+// fem.System.Run applies, so the two integrators produce the same
+// trajectories (up to the reordering of floating-point sums in the
+// exchange).
 func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, error) {
 	d := s.D
 	if cfg.Dt <= 0 || cfg.Steps <= 0 {
@@ -97,36 +97,20 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 			return nil, fmt.Errorf("par: receiver node %d out of range", r)
 		}
 	}
-	// Locate the source node globally (same rule as fem.System.Run:
-	// nearest mesh node).
-	srcNode := int32(0)
-	bestD := math.Inf(1)
-	for i, c := range coords {
-		if dist := c.Dist(cfg.Source.Location); dist < bestD {
-			bestD = dist
-			srcNode = int32(i)
-		}
-	}
-	dir := cfg.Source.Direction.Normalize()
-	if dir == (geom.Vec3{}) {
-		dir = geom.V(0, 0, 1)
-	}
+	srcNode := fem.NearestNode(coords, cfg.Source.Location)
 
 	// Per-PE state.
 	u := make([][]float64, d.P)
 	s.u = u
 	v := make([][]float64, d.P)
 	ku := make([][]float64, d.P)
-	srcLocal := make([]int32, d.P) // local index of source node, -1 if absent
+	srcLocal := make([]int, d.P) // local index of source node, -1 if absent
 	for pe := 0; pe < d.P; pe++ {
 		n := len(d.Nodes[pe])
 		u[pe] = make([]float64, 3*n)
 		v[pe] = make([]float64, 3*n)
 		ku[pe] = make([]float64, 3*n)
-		srcLocal[pe] = -1
-		if l := indexOf(d.Nodes[pe], srcNode); l >= 0 {
-			srcLocal[pe] = int32(l)
-		}
+		srcLocal[pe] = indexOf(d.Nodes[pe], srcNode)
 	}
 	// Receiver bookkeeping: (pe, local) of the owner.
 	type rcv struct {
@@ -146,16 +130,15 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 	}
 	computeAcc := make([]time.Duration, d.P)
 	exchangeAcc := make([]time.Duration, d.P)
-	updateAcc := make([]time.Duration, d.P)
 
 	// One body drives a whole step on the persistent PEs: local SMVP,
 	// the runtime's barrier-synchronised exchange, replica update. The
 	// coordinator dispatches it once per step (no goroutine spawns, no
-	// per-step allocations); fx/fy/fz are refreshed between dispatches,
+	// per-step allocations); the force is refreshed between dispatches,
 	// which are full synchronization points. The closure below is
 	// created once per Run.
 	rt := d.rt
-	var fx, fy, fz float64
+	var force [3]float64
 	stepBody := func(pe int) {
 		iter := rt.ws[pe].iter
 		rt.compute(pe, ku[pe], u[pe])
@@ -169,48 +152,12 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 		// PE's u/v/ku, so no barrier is needed after the receive.
 		sp := obs.StartSpanPE("update", "par.step.update", pe)
 		t0 := time.Now()
-		nloc := len(d.Nodes[pe])
-		for i := 0; i < nloc; i++ {
-			invM := 1 / s.Mass[pe][i]
-			var rhs [3]float64
-			for dd := 0; dd < 3; dd++ {
-				k := 3*i + dd
-				f := -ku[pe][k]
-				if srcLocal[pe] == int32(i) {
-					switch dd {
-					case 0:
-						f += fx
-					case 1:
-						f += fy
-					default:
-						f += fz
-					}
-				}
-				rhs[dd] = v[pe][k] + cfg.Dt*(invM*f-cfg.Damping*v[pe][k])
-			}
-			if cfg.Absorbers != nil {
-				blk := &s.dampers[pe][i]
-				if blk[0] != 0 || blk[4] != 0 || blk[8] != 0 {
-					var a [9]float64
-					sc := cfg.Dt * invM
-					for p := 0; p < 9; p++ {
-						a[p] = sc * blk[p]
-					}
-					a[0] += 1
-					a[4] += 1
-					a[8] += 1
-					rhs = solve3(&a, rhs)
-				}
-			}
-			for dd := 0; dd < 3; dd++ {
-				k := 3*i + dd
-				v[pe][k] = rhs[dd]
-				u[pe][k] += cfg.Dt * v[pe][k]
-			}
+		var dampers [][9]float64
+		if cfg.Absorbers != nil {
+			dampers = s.dampers[pe]
 		}
-		du := time.Since(t0)
-		updateAcc[pe] += du
-		rt.met.observeUpdate(pe, iter, du)
+		fem.UpdateNodes(u[pe], v[pe], ku[pe], s.Mass[pe], dampers, srcLocal[pe], force, cfg.Dt, cfg.Damping)
+		rt.met.observeUpdate(pe, iter, time.Since(t0))
 		sp.End()
 	}
 
@@ -218,10 +165,7 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 	start := time.Now()
 	var flops int64
 	for step := 0; step < cfg.Steps; step++ {
-		t := float64(step) * cfg.Dt
-		amp := cfg.Source.Amplitude * fem.Ricker(t, cfg.Source.PeakFreq, cfg.Source.Delay)
-		fx, fy, fz = amp*dir.X, amp*dir.Y, amp*dir.Z
-
+		force = cfg.Source.Force(float64(step) * cfg.Dt)
 		if _, err := rt.runKernel(stepBody, nil, nil); err != nil {
 			return nil, err
 		}
@@ -230,16 +174,12 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 		}
 
 		for i, r := range rcvs {
-			k := 3 * int(r.local)
-			ul := u[r.pe]
-			res.Seismograms[i][step] = math.Sqrt(ul[k]*ul[k] + ul[k+1]*ul[k+1] + ul[k+2]*ul[k+2])
+			res.Seismograms[i][step] = fem.Magnitude(u[r.pe], int(r.local))
 		}
 		if step%16 == 0 || step == cfg.Steps-1 {
 			for pe := 0; pe < d.P; pe++ {
-				for i := 0; i < len(u[pe]); i += 7 {
-					if math.IsNaN(u[pe][i]) || math.Abs(u[pe][i]) > 1e12 {
-						return nil, fmt.Errorf("par: solution diverged at step %d", step)
-					}
+				if fem.Diverged(u[pe]) {
+					return nil, fmt.Errorf("par: solution diverged at step %d", step)
 				}
 			}
 		}
@@ -253,28 +193,10 @@ func (s *DistSim) Run(coords []geom.Vec3, cfg fem.SimConfig) (*DistSimResult, er
 		if e := exchangeAcc[pe].Seconds(); e > res.ExchangeSeconds {
 			res.ExchangeSeconds = e
 		}
-	}
-	res.SMVPSeconds = res.ComputeSeconds // the multiply phase only
-	for pe := 0; pe < d.P; pe++ {
-		for i := 0; i < len(u[pe]); i += 3 {
-			m := math.Sqrt(u[pe][i]*u[pe][i] + u[pe][i+1]*u[pe][i+1] + u[pe][i+2]*u[pe][i+2])
-			if m > res.MaxDisplacement {
-				res.MaxDisplacement = m
-			}
+		if m := fem.MaxMagnitude(u[pe]); m > res.MaxDisplacement {
+			res.MaxDisplacement = m
 		}
 	}
+	res.SMVPSeconds = res.ComputeSeconds // the multiply phase only
 	return res, nil
-}
-
-// solve3 mirrors fem's 3×3 Cramer solve for the implicit damper.
-func solve3(a *[9]float64, b [3]float64) [3]float64 {
-	det := a[0]*(a[4]*a[8]-a[5]*a[7]) -
-		a[1]*(a[3]*a[8]-a[5]*a[6]) +
-		a[2]*(a[3]*a[7]-a[4]*a[6])
-	inv := 1 / det
-	return [3]float64{
-		inv * (b[0]*(a[4]*a[8]-a[5]*a[7]) - a[1]*(b[1]*a[8]-a[5]*b[2]) + a[2]*(b[1]*a[7]-a[4]*b[2])),
-		inv * (a[0]*(b[1]*a[8]-a[5]*b[2]) - b[0]*(a[3]*a[8]-a[5]*a[6]) + a[2]*(a[3]*b[2]-b[1]*a[6])),
-		inv * (a[0]*(a[4]*b[2]-b[1]*a[7]) - a[1]*(a[3]*b[2]-b[1]*a[6]) + b[0]*(a[3]*a[7]-a[4]*a[6])),
-	}
 }

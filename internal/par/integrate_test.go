@@ -232,3 +232,31 @@ func TestDistributedCG(t *testing.T) {
 		t.Errorf("iteration counts diverge: dist %d vs seq %d", resD.Iterations, resS.Iterations)
 	}
 }
+
+// TestDistSimRunAllocsFlat: a distributed run allocates the same at 10
+// steps as at 50, so the step body — multiply, exchange and fem's node
+// update on every PE — allocates nothing per step.
+func TestDistSimRunAllocsFlat(t *testing.T) {
+	f := newFixture(t)
+	ab, err := fem.BuildAbsorbingDampers(f.sys, f.mat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := distSim(t, f, 4, ab)
+	cfg := simCfg(f, 0)
+	cfg.Absorbers, cfg.Damping = ab, 0.01
+	cfg.Receivers = []int32{f.sys.NearestNode(geom.V(1, 1, 0.5))}
+	allocs := func(steps int) float64 {
+		cfg.Steps = steps
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.Run(f.m.Coords, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(50)
+	t.Logf("%.1f allocs at 10 steps, %.1f at 50", short, long)
+	if long != short {
+		t.Errorf("DistSim.Run: %.1f allocs at 10 steps, %.1f at 50", short, long)
+	}
+}

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fem"
-	"repro/internal/geom"
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/obs"
@@ -213,23 +212,24 @@ func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, 
 	// and the result does not depend on the worker count. The full matrix
 	// lives only until the worker has folded it.
 	workers := max(1, min(todo, runtime.GOMAXPROCS(0)))
-	scratch := make([]localScratch, workers)
 	errs := make([]error, p)
 	var next atomic.Int32
 	var wg sync.WaitGroup
-	for w := range scratch {
-		scratch[w].g2l = make([]int32, d.GlobalNodes)
+	for range workers {
 		wg.Add(1)
-		go func(sc *localScratch) {
+		go func() {
 			defer wg.Done()
+			var sc fem.AssemblyScratch
 			for i := int(next.Add(1)) - 1; i < todo; i = int(next.Add(1)) - 1 {
-				full, err := assembleLocal(m, mat, d.Nodes[i], elems[i], sc)
-				if err == nil {
+				full, err := fem.AssembleLocal(m, mat, d.Nodes[i], elems[i], &sc)
+				if err != nil {
+					err = fmt.Errorf("par: %w", err)
+				} else {
 					d.K[i], err = sparse.NewSymFromBCSR(full)
 				}
 				errs[i] = err
 			}
-		}(&scratch[w])
+		}()
 	}
 	wg.Wait()
 	// The lowest PE's error, which is its first degenerate element: what
@@ -239,7 +239,7 @@ func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, 
 			return nil, err
 		}
 	}
-	g2l := scratch[0].g2l
+	g2l := make([]int32, d.GlobalNodes)
 
 	// Exchange lists from the residency sets: for every node on 2+ PEs,
 	// record it under each unordered PE pair. Node ids ascend during the
@@ -303,71 +303,6 @@ func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, 
 	// Close remains the deterministic path.
 	runtime.SetFinalizer(d, (*Dist).Close)
 	return d, nil
-}
-
-// localScratch is one assembly worker's reusable memory.
-type localScratch struct {
-	// g2l maps a global node id to its local index on the PE being
-	// assembled. It is dense over the whole mesh and never cleared: only
-	// nodes resident on the current PE are looked up, and those were all
-	// just written, so entries left by the previous PE are harmless.
-	g2l    []int32
-	packed []uint64
-	edges  [][2]int32
-}
-
-// assembleLocal builds one PE's local stiffness in local numbering from
-// the PE's resident nodes (sorted global ids) and its elements
-// (ascending).
-func assembleLocal(m *mesh.Mesh, mat *material.Model, nodes, elems []int32, sc *localScratch) (*sparse.BCSR, error) {
-	g2l := sc.g2l
-	for l, g := range nodes {
-		g2l[g] = int32(l)
-	}
-	// Local edge set: every element's six node pairs packed into one
-	// word each, sorted, duplicates dropped.
-	packed := sc.packed[:0]
-	for _, e := range elems {
-		t := m.Tets[e]
-		for a := 0; a < 4; a++ {
-			for b := a + 1; b < 4; b++ {
-				la, lb := g2l[t[a]], g2l[t[b]]
-				if la > lb {
-					la, lb = lb, la
-				}
-				packed = append(packed, uint64(la)<<32|uint64(lb))
-			}
-		}
-	}
-	slices.Sort(packed)
-	packed = slices.Compact(packed)
-	edges := sc.edges[:0]
-	for _, pk := range packed {
-		edges = append(edges, [2]int32{int32(pk >> 32), int32(pk & 0xffffffff)})
-	}
-	sc.packed, sc.edges = packed, edges
-
-	k := sparse.NewBCSRStructure(len(nodes), edges)
-	for _, e := range elems {
-		t := m.Tets[e]
-		var v [4]geom.Vec3
-		var l [4]int32
-		for a := 0; a < 4; a++ {
-			v[a] = m.Coords[t[a]]
-			l[a] = g2l[t[a]]
-		}
-		lambda, mu, _ := mat.Elastic(m.Centroid(int(e)))
-		blocks, _, ok := fem.ElementStiffness(v, lambda, mu)
-		if !ok {
-			return nil, fmt.Errorf("par: degenerate element %d", e)
-		}
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				k.AddBlock(l[a], l[b], &blocks[a][b])
-			}
-		}
-	}
-	return k, nil
 }
 
 // Close shuts down the persistent PE goroutines. It is idempotent and
@@ -652,6 +587,9 @@ type Operator struct {
 // mismatch, a closed Dist, or a Dist poisoned by a PE fault — is
 // propagated as an error, and solver.CG aborts the solve with it.
 func (o Operator) Apply(y, x []float64) error {
+	if err := o.checkMass(); err != nil {
+		return err
+	}
 	if _, err := o.D.SMVP(y, x); err != nil {
 		return err
 	}
@@ -668,3 +606,12 @@ func (o Operator) Apply(y, x []float64) error {
 
 // Dim implements solver.Operator.
 func (o Operator) Dim() int { return 3 * o.D.GlobalNodes }
+
+// checkMass is the one mass-vector rule of every door that shifts: one
+// entry per node whenever Shift is positive.
+func (o Operator) checkMass() error {
+	if o.Shift > 0 && len(o.MassNode) != o.D.GlobalNodes {
+		return fmt.Errorf("par: mass vector has %d entries, want %d", len(o.MassNode), o.D.GlobalNodes)
+	}
+	return nil
+}

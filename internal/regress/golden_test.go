@@ -30,8 +30,8 @@ const goldenFile = "testdata/fingerprints.txt"
 var goldenPCounts = []int{4, 8}
 
 // fingerprints computes the full golden map: mesh, partition, and
-// exchange-schedule hashes per scenario/p, plus the rendered Figure 6
-// and Figure 7 model tables.
+// exchange-schedule hashes per scenario/p, the rendered Figure 6 and
+// Figure 7 model tables, and the sf10 numerics (numericFingerprints).
 func fingerprints(t *testing.T) map[string]uint64 {
 	t.Helper()
 	got := make(map[string]uint64)
@@ -129,6 +129,7 @@ func fingerprints(t *testing.T) map[string]uint64 {
 		}
 		got["table/fig7/"+s.Name] = Table(f7)
 	}
+	numericFingerprints(t, got)
 	return got
 }
 

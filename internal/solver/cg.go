@@ -67,8 +67,12 @@ type Shifted struct {
 	Sigma    float64
 }
 
-// Apply implements Operator.
+// Apply implements Operator. A MassNode that is not one entry per block
+// row is an error whenever the shift would read it.
 func (s Shifted) Apply(y, x []float64) error {
+	if (s.Sigma != 0 || s.MassNode != nil) && len(s.MassNode) != s.K.N {
+		return fmt.Errorf("solver: mass vector has %d entries, want %d", len(s.MassNode), s.K.N)
+	}
 	s.K.MulVec(y, x)
 	for i, m := range s.MassNode {
 		f := s.Sigma * m
@@ -175,10 +179,12 @@ type Config struct {
 }
 
 // Workspace holds the serial backend's four iteration vectors (r, z, p,
-// Ap). One workspace serves any operator whose dimension fits; it grows
-// on demand and is reused across solves via Config.Workspace.
+// Ap) and its per-node weights (every node owned, no shift). One
+// workspace serves any operator whose dimension fits; it grows on demand
+// and is reused across solves via Config.Workspace.
 type Workspace struct {
 	r, z, p, ap []float64
+	own, shift  []float64
 }
 
 // NewWorkspace preallocates a workspace for operators of scalar
@@ -198,24 +204,31 @@ func (w *Workspace) ensure(n int) {
 		w.z = make([]float64, n)
 		w.p = make([]float64, n)
 		w.ap = make([]float64, n)
+		w.own = make([]float64, n/3)
+		w.shift = make([]float64, n/3)
+		for i := range w.own {
+			w.own[i] = 1
+		}
 	}
 	w.r = w.r[:n]
 	w.z = w.z[:n]
 	w.p = w.p[:n]
 	w.ap = w.ap[:n]
+	w.own = w.own[:n/3]
+	w.shift = w.shift[:n/3]
 }
 
 // backend is where one solve's iteration vectors (x, r, z, p, Ap) live
 // and where the kernels over them run. CG itself is one control loop —
 // convergence and its certificate, breakdown, restarts, checkpoints,
 // interrupts — that sees the iteration only through the
-// scalars a backend returns. There are two implementations: serial
-// (below) keeps plain slices on the caller and drives any Operator
-// through Apply; an Operator that implements these methods itself hosts
-// the iteration where its data lives (par.Operator keeps the vectors on
-// its PEs and runs a burst of iterations per dispatch) and CG uses it in
-// place of serial. The two are certified against each other by the
-// differential tests in internal/par.
+// scalars a backend returns. The vector recurrences themselves are
+// Vectors' sweeps, which both implementations run: serial (below) holds
+// one set over the caller's slices and drives any Operator through
+// Apply; an Operator that implements these methods itself hosts the
+// iteration where its data lives (par.Operator keeps one set per PE and
+// runs a burst of iterations per dispatch, adding only the exchange and
+// the reductions across PEs) and CG uses it in place of serial.
 type backend interface {
 	// Begin claims the backend for one solve and installs the right-hand
 	// side, the optional Jacobi diagonal and the iterate x. With r and p
@@ -242,22 +255,28 @@ type backend interface {
 	Gather(x, r, p []float64) error
 }
 
-// serial is the backend over plain slices: the caller's x, a Workspace,
-// and an operator reached only through Apply. It is the path for
-// BCSROperator, Shifted and any wrapper, and the reference the resident
-// backend is differenced against.
+// serial is the backend over plain slices: one Vectors set over the
+// caller's x and a Workspace, and an operator reached only through
+// Apply, which forms A·p whole — so the set has no shift — and whose
+// pᵀAp is taken by dot. It is the path for BCSROperator, Shifted and any
+// wrapper, and the reference the resident backend is differenced
+// against.
 type serial struct {
-	a          Operator
-	b, prec, x []float64
-	ws         *Workspace
+	a  Operator
+	v  Vectors
+	ws *Workspace
 }
 
 func (s *serial) Begin(b, prec, x, r, p []float64) error {
-	s.b, s.prec = b, prec
-	copy(s.x, x)
+	v := &s.v
+	v.B, v.Prec, v.Z = b, prec, s.ws.z
+	if prec == nil {
+		v.Z = v.R
+	}
+	copy(v.X, x)
 	if r != nil {
-		copy(s.ws.r, r)
-		copy(s.ws.p, p)
+		copy(v.R, r)
+		copy(v.P, p)
 	}
 	return nil
 }
@@ -265,69 +284,46 @@ func (s *serial) Begin(b, prec, x, r, p []float64) error {
 func (s *serial) End() {}
 
 func (s *serial) Residual(scrub bool) (rho float64, err error) {
-	ws := s.ws
 	if scrub {
-		for i, v := range s.x {
-			if !isFinite(v) {
-				s.x[i] = 0
-			}
-		}
+		s.v.Scrub()
 	}
-	if err := s.a.Apply(ws.ap, s.x); err != nil {
+	if err := s.a.Apply(s.ws.ap, s.v.X); err != nil {
 		return 0, err
 	}
-	for i := range ws.r {
-		ws.r[i] = s.b[i] - ws.ap[i]
-	}
-	if s.prec == nil {
-		copy(ws.z, ws.r)
-	} else {
-		for i, ri := range ws.r {
-			ws.z[i] = s.prec[i] * ri
-		}
-	}
-	copy(ws.p, ws.z)
-	return dot(ws.r, ws.z), nil
+	_, rho = s.v.Residual(s.ws.ap, s.v.X, true)
+	return rho, nil
 }
 
 func (s *serial) Iterate(rho float64, n int, stop func(pap, rn2, rho float64) bool) (its int, pap, rn2, rhoNew float64, err error) {
-	ws := s.ws
+	v, ap := &s.v, s.ws.ap
 	for its < n {
-		if err = s.a.Apply(ws.ap, ws.p); err != nil {
+		if err = s.a.Apply(ap, v.P); err != nil {
 			return its, pap, rn2, rhoNew, err
 		}
 		its++
-		pap = dot(ws.p, ws.ap)
-		rn2, rhoNew = fusedUpdate(s.x, ws.r, ws.z, ws.p, ws.ap, s.prec, rho/pap)
+		pap = dot(v.P, ap)
+		rn2, rhoNew = v.Step(ap, rho/pap)
 		if stop(pap, rn2, rhoNew) {
 			break
 		}
-		beta := rhoNew / rho
+		v.Direction(rhoNew / rho)
 		rho = rhoNew
-		for i := range ws.p {
-			ws.p[i] = ws.z[i] + beta*ws.p[i]
-		}
 	}
 	return its, pap, rn2, rhoNew, nil
 }
 
 func (s *serial) TrueResidual() (float64, error) {
-	ap := s.ws.ap
-	if err := s.a.Apply(ap, s.x); err != nil {
+	if err := s.a.Apply(s.ws.ap, s.v.X); err != nil {
 		return 0, err
 	}
-	var sum float64
-	for i := range ap {
-		d := s.b[i] - ap[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum), nil
+	rn2, _ := s.v.Residual(s.ws.ap, s.v.X, false)
+	return math.Sqrt(rn2), nil
 }
 
 func (s *serial) Gather(x, r, p []float64) error {
-	copy(x, s.x)
-	copy(r, s.ws.r)
-	copy(p, s.ws.p)
+	copy(x, s.v.X)
+	copy(r, s.v.R)
+	copy(p, s.v.P)
 	return nil
 }
 
@@ -372,6 +368,10 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	}
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-8
+	}
+	be, resident := a.(backend)
+	if !resident && n%3 != 0 {
+		return nil, fmt.Errorf("solver: operator dimension %d is not 3 per node", n)
 	}
 	if cfg.Precondition != nil && len(cfg.Precondition) != n {
 		return nil, fmt.Errorf("solver: preconditioner length %d, want %d", len(cfg.Precondition), n)
@@ -418,7 +418,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		return res, nil
 	}
 
-	be, resident := a.(backend)
 	if !resident {
 		ws := cfg.Workspace
 		if ws == nil {
@@ -426,7 +425,7 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		} else {
 			ws.ensure(n)
 		}
-		be = &serial{a: a, x: x, ws: ws}
+		be = &serial{a: a, ws: ws, v: Vectors{X: x, R: ws.r, P: ws.p, Own: ws.own, Shift: ws.shift}}
 	}
 	x0 := x
 	var r0, p0 []float64
@@ -566,36 +565,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// fusedUpdate is the CG vector sweep: in one pass over the iteration
-// vectors it applies x += α·p and r −= α·ap, accumulates ‖r‖², applies
-// the Jacobi preconditioner z = M⁻¹·r, and accumulates ρ = rᵀz. Each
-// reduction is accumulated one term at a time in ascending index order —
-// the order separate norm2/dot sweeps would use — so the merged sweep
-// produces bit-identical x, r, z, ‖r‖², and ρ. Without a preconditioner
-// z = r and ρ = ‖r‖², again exactly what copy + dot(r, z) yields.
-func fusedUpdate(x, r, z, p, ap, prec []float64, alpha float64) (rn2, rz float64) {
-	if prec == nil {
-		for i := range x {
-			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
-			r[i] = ri
-			z[i] = ri
-			rn2 += ri * ri
-		}
-		return rn2, rn2
-	}
-	for i := range x {
-		x[i] += alpha * p[i]
-		ri := r[i] - alpha*ap[i]
-		r[i] = ri
-		rn2 += ri * ri
-		zi := prec[i] * ri
-		z[i] = zi
-		rz += ri * zi
-	}
-	return rn2, rz
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -39,9 +39,11 @@ func fixtureMaterial() *material.Model {
 	return mat
 }
 
-// TestFusedUpdateBitIdentical pins the merged vector sweep against the
-// separate sweeps it replaced: x and r updates, norm², preconditioner
-// application, and rᵀz, each accumulated in ascending index order.
+// TestFusedUpdateBitIdentical pins the merged vector sweep, Vectors.Step
+// as the serial backend runs it (every node owned, no shift), against
+// the separate sweeps it replaced: x and r updates, norm²,
+// preconditioner application, and rᵀz, each accumulated in ascending
+// index order.
 func TestFusedUpdateBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 999
@@ -72,7 +74,18 @@ func TestFusedUpdateBitIdentical(t *testing.T) {
 		wantRz := dot(wr, wz)
 
 		z := make([]float64, n)
-		rn2, rz := fusedUpdate(x, r, z, p, ap, pc, alpha)
+		own := make([]float64, n/3)
+		for i := range own {
+			own[i] = 1
+		}
+		v := Vectors{X: x, R: r, Z: z, P: p, Prec: pc, Shift: make([]float64, n/3), Own: own}
+		if pc == nil {
+			v.Z = r
+		}
+		rn2, rz := v.Step(ap, alpha)
+		if pc == nil {
+			copy(z, r)
+		}
 		if math.Float64bits(rn2) != math.Float64bits(wantRn2) || math.Float64bits(rz) != math.Float64bits(wantRz) {
 			t.Fatalf("prec=%v: reductions (%x, %x), want (%x, %x)", pc != nil, rn2, rz, wantRn2, wantRz)
 		}
@@ -204,7 +217,17 @@ func TestCGErrors(t *testing.T) {
 		Config{Precondition: make([]float64, 2)}); err == nil {
 		t.Error("short preconditioner accepted")
 	}
+	if _, err := CG(scalarOp{}, []float64{1, 1, 1, 1}, make([]float64, 4), Config{}); err == nil {
+		t.Error("an operator of 4 scalars, not 3 per node, accepted")
+	}
 }
+
+// scalarOp is the identity on 4 scalars: an operator that does not have
+// 3 scalars per node.
+type scalarOp struct{}
+
+func (scalarOp) Apply(y, x []float64) error { copy(y, x); return nil }
+func (scalarOp) Dim() int                   { return 4 }
 
 func TestCGRejectsIndefinite(t *testing.T) {
 	// A 1-block matrix with a negative diagonal entry is indefinite.
@@ -254,5 +277,35 @@ func TestShiftedDiagonal(t *testing.T) {
 		if math.Abs(y[idx]-d[idx]) > 1e-9*(1+math.Abs(d[idx])) {
 			t.Errorf("diagonal[%d] = %g, apply gives %g", idx, d[idx], y[idx])
 		}
+	}
+}
+
+// TestSerialCGAllocsFlat: a serial solve with a Workspace allocates the
+// same at 5 iterations as at 40, so the sweeps allocate nothing per
+// iteration.
+func TestSerialCGAllocsFlat(t *testing.T) {
+	sys := buildSystem(t)
+	a := shifted(sys)
+	n := a.Dim()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Sin(float64(i) * 0.37)
+	}
+	x := make([]float64, n)
+	ws := NewWorkspace(n)
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			clear(x)
+			// A tolerance no solve reaches: every run takes all its
+			// iterations.
+			if _, err := CG(a, b, x, Config{MaxIter: iters, Tol: 1e-300, Workspace: ws}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(5), allocs(40)
+	t.Logf("%.1f allocs at 5 iterations, %.1f at 40", short, long)
+	if long != short {
+		t.Errorf("serial CG: %.1f allocs at 5 iterations, %.1f at 40", short, long)
 	}
 }
