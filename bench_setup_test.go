@@ -11,6 +11,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/partition"
 	iq "repro/internal/quake"
+	rec "repro/internal/recover"
 )
 
 func BenchmarkSetup(b *testing.B) {
@@ -29,13 +30,23 @@ func BenchmarkSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The operators a respawn shares: one assembly of the same partition.
+	// The operators a respawn shares and a shrink copies rows from: one
+	// assembly of the same partition.
 	src, err := par.NewDist(m, mat, pt, pr)
 	if err != nil {
 		b.Fatal(err)
 	}
 	src.Close()
-	ops := par.Operators{Part: pt, K: src.K}
+	ops := src.Operators(pt)
+	// The 15 survivors of PE 0, what a supervised shrink builds.
+	spt, err := rec.ShrinkPartition(m, pt, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spr, err := partition.Analyze(m, spt)
+	if err != nil {
+		b.Fatal(err)
+	}
 	stages := []struct {
 		name string
 		run  func() error
@@ -55,6 +66,13 @@ func BenchmarkSetup(b *testing.B) {
 		}},
 		{"respawn", func() error {
 			d, err := par.NewDistSharing(m, mat, pt, pr, ops)
+			if err == nil {
+				d.Close()
+			}
+			return err
+		}},
+		{"shrink", func() error {
+			d, err := par.NewDistSharing(m, mat, spt, spr, ops)
 			if err == nil {
 				d.Close()
 			}

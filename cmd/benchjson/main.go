@@ -93,7 +93,7 @@ type Report struct {
 	Kernels map[string]KernelStat `json:"kernels,omitempty"`
 	// Setup is the same view of the cold-build stages (BenchmarkSetup on
 	// sf10/p16), keyed by stage: partition_rcb, partition_inertial,
-	// analyze, schedule, lumped_mass, assemble, newdist.
+	// analyze, schedule, lumped_mass, assemble, newdist, respawn, shrink.
 	Setup map[string]KernelStat `json:"setup,omitempty"`
 	// Durable is the same view of the terms of the durable path
 	// (BenchmarkDurable on the sf10/p4 snapshot, 834 KB), keyed by term:
@@ -148,6 +148,7 @@ var setupBenchmarks = map[string]string{
 	"BenchmarkSetup/assemble":           "assemble",
 	"BenchmarkSetup/newdist":            "newdist",
 	"BenchmarkSetup/respawn":            "respawn",
+	"BenchmarkSetup/shrink":             "shrink",
 }
 
 // durableBenchmarks maps benchmark names to the term keys of the report's

@@ -300,6 +300,7 @@ BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
 BenchmarkSetup/partition_rcb-8 	 20 	 17000000 ns/op
 BenchmarkSetup/newdist-8 	 20 	 38000000 ns/op
 BenchmarkSetup/respawn-8 	 20 	 900000 ns/op
+BenchmarkSetup/shrink-8 	 20 	 12000000 ns/op
 BenchmarkDurable/ckpt_save_recycled-8 	 300 	 900000 ns/op
 BenchmarkDurable/journal_append-8 	 300 	 450000 ns/op
 `
@@ -367,7 +368,10 @@ func TestKernelsSection(t *testing.T) {
 	if rs := rep.Setup["respawn"]; rs.NsPerOp != 900000 || rs.PrevNsPerOp != 0 {
 		t.Errorf("setup respawn = %+v, want current-only 900000", rs)
 	}
-	if _, ok := rep.Kernels["newdist"]; ok || len(rep.Setup) != 3 {
+	if sh := rep.Setup["shrink"]; sh.NsPerOp != 12000000 || sh.PrevNsPerOp != 0 {
+		t.Errorf("setup shrink = %+v, want current-only 12000000", sh)
+	}
+	if _, ok := rep.Kernels["newdist"]; ok || len(rep.Setup) != 4 {
 		t.Errorf("sections mixed: kernels %+v, setup %+v", rep.Kernels, rep.Setup)
 	}
 	// So do the terms of the durable path.

@@ -134,22 +134,30 @@ func (m *distMetrics) observeUpdate(pe int, iter int64, d time.Duration) {
 const bytesPerSharedNode = 8 * partition.WordsPerNode
 
 // Operators are the per-PE stiffness matrices of a Dist together with
-// the partition they were assembled on: what a later Dist on the same
-// mesh, material and partition shares instead of assembling. K[i]
+// the partition they were assembled on and, per PE, the resident nodes
+// and boundary rows they are numbered by: what a later Dist on the same
+// mesh and material shares or copies instead of integrating. K[i]
 // depends only on the mesh, the material and PE i's elements, and
 // nothing writes it once it is folded — not a kernel, not an injected
 // fault, not Close — so a shared operator is the same value a fresh
-// assembly would build.
+// assembly would build, and so is a copied row.
 type Operators struct {
-	Part *partition.Partition
-	K    []*sparse.SymBCSR
+	Part     *partition.Partition
+	K        []*sparse.SymBCSR
+	Nodes    [][]int32
+	Boundary [][]int32
 }
 
-// The construction counters: per-PE operators assembled from elements
-// and per-PE operators taken from an existing set.
+// Operators returns d's operator set; pt is the partition d was built on.
+func (d *Dist) Operators(pt *partition.Partition) Operators {
+	return Operators{Part: pt, K: d.K, Nodes: d.Nodes, Boundary: d.Boundary}
+}
+
+// The construction counters: per-PE operators taken whole from an
+// existing set, and elements whose stiffness a construction integrated.
 var (
-	opsAssembled = obs.GetCounter("par.dist.ops_assembled")
-	opsShared    = obs.GetCounter("par.dist.ops_shared")
+	opsShared       = obs.GetCounter("par.dist.ops_shared")
+	elemsIntegrated = obs.GetCounter("par.dist.elems_integrated")
 )
 
 // NewDist builds the distributed operator from a mesh, a material
@@ -159,11 +167,17 @@ func NewDist(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *par
 	return NewDistSharing(m, mat, pt, pr, Operators{})
 }
 
-// NewDistSharing builds the distributed operator like NewDist, but when
-// pt is the very partition src was built on it takes every PE's
-// stiffness from src and assembles none; on any other partition it
-// assembles every PE. src must have been built on m and mat. The
-// exchange lists, the PE runtime and its workspaces are always fresh.
+// NewDistSharing builds the distributed operator like NewDist, taking
+// what it can from src, which must have been built on m and mat. When pt
+// is the very partition src was built on, every PE's stiffness is src's
+// and nothing is integrated. On any other partition a node resident on
+// one PE in both partitions has all its elements on that PE in both, so
+// its row of the new K[i] is its row of the old operator, the same
+// element blocks summed in the same ascending order: that row is copied,
+// its columns renumbered, and only the PE's elements touching some other
+// row are integrated. A PE with no row to copy is assembled whole, as
+// NewDist assembles it. The exchange lists, the PE runtime and its
+// workspaces are always fresh.
 func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *partition.Profile, src Operators) (*Dist, error) {
 	if pr.P != pt.P {
 		return nil, fmt.Errorf("par: profile has %d PEs, partition %d", pr.P, pt.P)
@@ -186,58 +200,11 @@ func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, 
 	}
 
 	// The same partition gives every PE the same elements, so the same K.
-	todo := p // PEs 0..todo−1 are assembled
 	if src.Part == pt && len(src.K) == p {
 		copy(d.K, src.K)
-		todo = 0
-	}
-	opsShared.Add(int64(p - todo))
-	opsAssembled.Add(int64(todo))
-
-	// Elements per PE, ascending within each PE.
-	elems := make([][]int32, todo)
-	if todo > 0 {
-		for i, n := range pt.Sizes() {
-			elems[i] = make([]int32, 0, n)
-		}
-		for e, pe := range pt.ElemPE {
-			elems[pe] = append(elems[pe], int32(e))
-		}
-	}
-
-	// Local structure and assembly: the PEs' matrices are independent, so
-	// workers pull PE indices from a counter and build each K[i] start to
-	// finish. One worker adds one PE's element blocks in ascending element
-	// order, so every sum has the order a serial loop over PEs gives it
-	// and the result does not depend on the worker count. The full matrix
-	// lives only until the worker has folded it.
-	workers := max(1, min(todo, runtime.GOMAXPROCS(0)))
-	errs := make([]error, p)
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc fem.AssemblyScratch
-			for i := int(next.Add(1)) - 1; i < todo; i = int(next.Add(1)) - 1 {
-				full, err := fem.AssembleLocal(m, mat, d.Nodes[i], elems[i], &sc)
-				if err != nil {
-					err = fmt.Errorf("par: %w", err)
-				} else {
-					d.K[i], err = sparse.NewSymFromBCSR(full)
-				}
-				errs[i] = err
-			}
-		}()
-	}
-	wg.Wait()
-	// The lowest PE's error, which is its first degenerate element: what
-	// the serial loop reported, whichever worker met it.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		opsShared.Add(int64(p))
+	} else if err := d.assemble(m, mat, pt, pr, src); err != nil {
+		return nil, err
 	}
 	g2l := make([]int32, d.GlobalNodes)
 
@@ -303,6 +270,153 @@ func NewDistSharing(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, 
 	// Close remains the deterministic path.
 	runtime.SetFinalizer(d, (*Dist).Close)
 	return d, nil
+}
+
+// assemble builds every PE's K on pt, copying from src the rows
+// NewDistSharing describes. The PEs' matrices are independent, so
+// workers pull PE indices from a counter and build each K[i] start to
+// finish. One worker adds one PE's element blocks in ascending element
+// order, so every sum has the order a serial loop over PEs gives it and
+// the result does not depend on the worker count. An assembled matrix
+// lives only until the worker has folded it.
+func (d *Dist) assemble(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, pr *partition.Profile, src Operators) error {
+	// Elements per PE, ascending within each PE.
+	elems := make([][]int32, d.P)
+	for i, n := range pt.Sizes() {
+		elems[i] = make([]int32, 0, n)
+	}
+	for e, pe := range pt.ElemPE {
+		elems[pe] = append(elems[pe], int32(e))
+	}
+	home := interiorRows(d.GlobalNodes, src)
+
+	workers := max(1, min(d.P, runtime.GOMAXPROCS(0)))
+	errs := make([]error, d.P)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b peBuilder
+			for i := int(next.Add(1)) - 1; i < d.P; i = int(next.Add(1)) - 1 {
+				var n int
+				d.K[i], n, errs[i] = b.build(m, mat, d.Nodes[i], elems[i], pr, src, home)
+				elemsIntegrated.Add(int64(n))
+			}
+		}()
+	}
+	wg.Wait()
+	// The lowest PE's error, which is its first degenerate element: what
+	// the serial loop reported, whichever worker met it.
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// interiorRows maps every node interior to src's partition — resident
+// on one PE, so every element touching it lies on that PE — to that PE
+// and its local row there; every other node maps to Src −1. It is nil
+// when src carries no rows to copy.
+func interiorRows(n int, src Operators) []sparse.RowRef {
+	if len(src.K) == 0 || len(src.Nodes) != len(src.K) || len(src.Boundary) != len(src.K) {
+		return nil
+	}
+	home := make([]sparse.RowRef, n)
+	for g := range home {
+		home[g].Src = -1
+	}
+	for r, nodes := range src.Nodes {
+		for l, g := range nodes {
+			home[g] = sparse.RowRef{Src: int32(r), Row: int32(l)}
+		}
+	}
+	for r, rows := range src.Boundary {
+		for _, l := range rows {
+			home[src.Nodes[r][l]].Src = -1
+		}
+	}
+	return home
+}
+
+// peBuilder is one construction worker's memory, reused PE to PE.
+type peBuilder struct {
+	asm fem.AssemblyScratch
+	// g2l maps a global node to its local index on the PE under way and
+	// every other node to −1.
+	g2l []int32
+}
+
+// build returns one PE's folded stiffness and the number of elements it
+// integrated. A row is copied from home when its node is interior to
+// the PE here and to one PE of src; the PE's elements touching any
+// other row are integrated, and the two row sets merged.
+func (b *peBuilder) build(m *mesh.Mesh, mat *material.Model, nodes, elems []int32, pr *partition.Profile, src Operators, home []sparse.RowRef) (*sparse.SymBCSR, int, error) {
+	var rows []sparse.RowRef
+	var srcPE []int32 // the source PE of each merge source
+	if home != nil {
+		rows = make([]sparse.RowRef, len(nodes))
+		for l, g := range nodes {
+			h := home[g]
+			if h.Src < 0 || len(pr.NodePEs[g]) != 1 {
+				rows[l].Src = -1
+				continue
+			}
+			k := slices.Index(srcPE, h.Src)
+			if k < 0 {
+				k = len(srcPE)
+				srcPE = append(srcPE, h.Src)
+			}
+			rows[l] = sparse.RowRef{Src: int32(k), Row: h.Row}
+		}
+	}
+	if len(srcPE) == 0 {
+		full, err := fem.AssembleLocal(m, mat, nodes, elems, &b.asm)
+		if err != nil {
+			return nil, 0, fmt.Errorf("par: %w", err)
+		}
+		k, err := sparse.NewSymFromBCSR(full)
+		return k, len(elems), err
+	}
+
+	if b.g2l == nil {
+		b.g2l = make([]int32, len(home))
+		for g := range b.g2l {
+			b.g2l[g] = -1
+		}
+	}
+	for l, g := range nodes {
+		b.g2l[g] = int32(l)
+	}
+	srcs := make([]sparse.SymSource, len(srcPE))
+	for k, r := range srcPE {
+		cols := make([]int32, len(src.Nodes[r]))
+		for c, g := range src.Nodes[r] {
+			cols[c] = b.g2l[g]
+		}
+		srcs[k] = sparse.SymSource{M: src.K[r], Cols: cols}
+	}
+	var touched []int32
+	for _, e := range elems {
+		for _, v := range m.Tets[e] {
+			if rows[b.g2l[v]].Src < 0 {
+				touched = append(touched, e)
+				break
+			}
+		}
+	}
+	for _, g := range nodes {
+		b.g2l[g] = -1
+	}
+	a, err := fem.AssembleLocal(m, mat, nodes, touched, &b.asm)
+	if err != nil {
+		return nil, 0, fmt.Errorf("par: %w", err)
+	}
+	k, err := sparse.NewSymMerged(a, srcs, rows)
+	return k, len(touched), err
 }
 
 // Close shuts down the persistent PE goroutines. It is idempotent and

@@ -2,11 +2,12 @@ package recover
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -24,6 +25,9 @@ import (
 // the seed's PE in the grown numbering; callers co-locating the revived
 // PE use it to pick a physical placement.
 func GrowPartition(m *mesh.Mesh, pt *partition.Partition, revived int) (*partition.Partition, int, error) {
+	if pt.P < 1 {
+		return nil, -1, fmt.Errorf("recover: cannot grow a %d-PE partition", pt.P)
+	}
 	if revived < 0 || revived > pt.P {
 		return nil, -1, fmt.Errorf("recover: revived slot %d out of range [0,%d]", revived, pt.P)
 	}
@@ -66,60 +70,57 @@ func GrowPartition(m *mesh.Mesh, pt *partition.Partition, revived int) (*partiti
 			donor = q
 		}
 	}
-	for e := range pe {
-		if int(pe[e]) == donor {
-			pe[e] = int32(revived)
-			load[donor]--
-			load[revived]++
-			break
-		}
-	}
+	seed := int32(slices.Index(pe, int32(donor)))
+	pe[seed] = int32(revived)
+	load[donor]--
+	load[revived]++
 
-	elemsOfNode := make([][]int32, m.NumNodes())
-	for e, t := range m.Tets {
-		for _, v := range t {
-			elemsOfNode[v] = append(elemsOfNode[v], int32(e))
-		}
-	}
-
-	for load[revived] < target {
-		// Candidates are the elements node-adjacent to the region as it
-		// stood entering the round (BFS layers), ascending; loads update
-		// live so the claim stops the moment a donor reaches the target.
-		seen := make(map[int32]bool)
-		var cand []int32
-		for e, p := range pe {
-			if int(p) != revived {
-				continue
-			}
-			for _, v := range m.Tets[e] {
-				for _, ne := range elemsOfNode[v] {
-					if int(pe[ne]) != revived && !seen[ne] {
-						seen[ne] = true
-						cand = append(cand, ne)
-					}
+	// The frontier: every element outside the region node-adjacent to
+	// it. A round claims from it against the region as it stood entering
+	// the round (BFS layers), ascending; the claimed elements then leave
+	// it and their outside neighbors join, so a round walks the
+	// frontier, not the mesh.
+	elemsOfNode := elementsOfNodes(m)
+	inFront := make([]bool, ne)
+	var front []int32
+	widen := func(e int32) {
+		for _, v := range m.Tets[e] {
+			for _, nb := range elemsOfNode[v] {
+				if int(pe[nb]) != revived && !inFront[nb] {
+					inFront[nb] = true
+					front = append(front, nb)
 				}
 			}
 		}
-		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
-		took := 0
-		for _, e := range cand {
+	}
+	widen(seed)
+	var claimed []int32
+	for load[revived] < target {
+		// Loads update live so the claim stops the moment a donor
+		// reaches the target.
+		slices.Sort(front)
+		claimed = claimed[:0]
+		for _, e := range front {
 			if load[revived] >= target {
 				break
 			}
 			q := pe[e]
-			if int(q) == revived || load[q] <= target {
+			if load[q] <= target {
 				continue
 			}
 			pe[e] = int32(revived)
 			load[q]--
 			load[revived]++
-			took++
+			claimed = append(claimed, e)
 		}
-		if took == 0 {
+		if len(claimed) == 0 {
 			// Every adjacent donor is at the target already; growing
 			// further would just relocate the imbalance.
 			break
+		}
+		front = slices.DeleteFunc(front, func(e int32) bool { return int(pe[e]) == revived })
+		for _, e := range claimed {
+			widen(e)
 		}
 	}
 
@@ -153,8 +154,14 @@ func GrowNodeOf(nodeOf func(pe int32) int32, revived, donor int) func(pe int32) 
 
 // Grow rebuilds the distributed operator at width P+1 with a recovered
 // PE at slot revived: regrow the partition (GrowPartition), then
-// rebuild. The mirror of Shrink.
+// rebuild, integrating every element. The mirror of Shrink; Supervise
+// grows from the superseded Dist's operators instead.
 func Grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived int) (*Rebuilt, error) {
+	return grow(m, mat, pt, revived, par.Operators{})
+}
+
+// grow is Grow copying from src, the operators built on pt.
+func grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived int, src par.Operators) (*Rebuilt, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.grow")
 	obs.GetCounter("recover.grows").Add(1)
 	obs.RecordFlight(obs.FlightRecovery, "recover.grow", revived, 0, 0)
@@ -163,7 +170,7 @@ func Grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived in
 		sp.End()
 		return nil, err
 	}
-	reb, err := rebuild(m, mat, gpt)
+	reb, err := rebuild(m, mat, gpt, src)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -171,4 +178,29 @@ func Grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived in
 	reb.Donor = donor
 	sp.EndWith(map[string]any{"revived_pe": revived, "width": gpt.P})
 	return reb, nil
+}
+
+// elementsOfNodes lists every node's incident elements, ascending, in
+// one backing array.
+func elementsOfNodes(m *mesh.Mesh) [][]int32 {
+	off := make([]int32, m.NumNodes()+1)
+	for _, t := range m.Tets {
+		for _, v := range t {
+			off[v+1]++
+		}
+	}
+	for v := range m.NumNodes() {
+		off[v+1] += off[v]
+	}
+	all := make([]int32, off[m.NumNodes()])
+	out := make([][]int32, m.NumNodes())
+	for v := range out {
+		out[v] = all[off[v]:off[v]:off[v+1]]
+	}
+	for e, t := range m.Tets {
+		for _, v := range t {
+			out[v] = append(out[v], int32(e))
+		}
+	}
+	return out
 }

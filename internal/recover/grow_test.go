@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/mesh"
 	"repro/internal/partition"
 	"repro/internal/testutil"
 )
@@ -282,7 +284,7 @@ func TestTransitionsConserveTheMesh(t *testing.T) {
 					loads[q] = int64(size) * 1000
 				}
 				loads[0] *= 3
-				moved, moves, err := Rebalance(f.m, f.mat, grown.Partition, loads, 2)
+				moved, moves, err := Rebalance(f.m, f.mat, grown.Partition, loads, 2, grown.Dist.Operators(grown.Partition))
 				if err != nil {
 					t.Fatalf("%s: rebalance: %v", what, err)
 				}
@@ -301,4 +303,166 @@ func TestTransitionsConserveTheMesh(t *testing.T) {
 	if rebalanced == 0 {
 		t.Fatal("no configuration admitted a rebalance move; the skew is too weak to test one")
 	}
+}
+
+// growPartitionReference is GrowPartition as it stood before it kept a
+// frontier: every round rescans the whole mesh for the region's
+// neighbors. TestGrowMatchesReference holds the frontier form to it.
+func growPartitionReference(m *mesh.Mesh, pt *partition.Partition, revived int) (*partition.Partition, int, error) {
+	if revived < 0 || revived > pt.P {
+		return nil, -1, fmt.Errorf("recover: revived slot %d out of range [0,%d]", revived, pt.P)
+	}
+	if len(pt.ElemPE) != m.NumElems() {
+		return nil, -1, fmt.Errorf("recover: partition covers %d elements, mesh has %d", len(pt.ElemPE), m.NumElems())
+	}
+	newP := pt.P + 1
+	ne := m.NumElems()
+	if newP > ne {
+		return nil, -1, fmt.Errorf("recover: growing to %d PEs with only %d elements", newP, ne)
+	}
+
+	pe := make([]int32, len(pt.ElemPE))
+	for e, p := range pt.ElemPE {
+		if int(p) >= revived {
+			p++
+		}
+		pe[e] = p
+	}
+	load := make([]int, newP)
+	for _, p := range pe {
+		load[p]++
+	}
+
+	// The balanced share the revived PE grows toward. Donors above it
+	// may give; donors at or below it are left alone.
+	target := ne / newP
+	if target < 1 {
+		target = 1
+	}
+
+	// Seed: the lowest-indexed element of the most-loaded donor, so the
+	// region starts in the thick of the imbalance the death created.
+	donor := -1
+	for q := 0; q < newP; q++ {
+		if q == revived {
+			continue
+		}
+		if donor == -1 || load[q] > load[donor] {
+			donor = q
+		}
+	}
+	for e := range pe {
+		if int(pe[e]) == donor {
+			pe[e] = int32(revived)
+			load[donor]--
+			load[revived]++
+			break
+		}
+	}
+
+	elemsOfNode := make([][]int32, m.NumNodes())
+	for e, t := range m.Tets {
+		for _, v := range t {
+			elemsOfNode[v] = append(elemsOfNode[v], int32(e))
+		}
+	}
+
+	for load[revived] < target {
+		// Candidates are the elements node-adjacent to the region as it
+		// stood entering the round (BFS layers), ascending; loads update
+		// live so the claim stops the moment a donor reaches the target.
+		seen := make(map[int32]bool)
+		var cand []int32
+		for e, p := range pe {
+			if int(p) != revived {
+				continue
+			}
+			for _, v := range m.Tets[e] {
+				for _, ne := range elemsOfNode[v] {
+					if int(pe[ne]) != revived && !seen[ne] {
+						seen[ne] = true
+						cand = append(cand, ne)
+					}
+				}
+			}
+		}
+		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
+		took := 0
+		for _, e := range cand {
+			if load[revived] >= target {
+				break
+			}
+			q := pe[e]
+			if int(q) == revived || load[q] <= target {
+				continue
+			}
+			pe[e] = int32(revived)
+			load[q]--
+			load[revived]++
+			took++
+		}
+		if took == 0 {
+			// Every adjacent donor is at the target already; growing
+			// further would just relocate the imbalance.
+			break
+		}
+	}
+
+	out := &partition.Partition{P: newP, ElemPE: pe}
+	if err := out.Validate(); err != nil {
+		return nil, -1, fmt.Errorf("recover: grown partition invalid: %w", err)
+	}
+	return out, donor, nil
+}
+
+// TestGrowMatchesReference: the frontier form of GrowPartition returns
+// the reference's partition and donor over seeded random graded meshes
+// × {rcb, inertial} × p ∈ {1, 2, 4, 8} × every slot, on fresh
+// partitions and on the shrunk ones Supervise regrows — including grows
+// that stop short of the target because every adjacent donor is at it.
+func TestGrowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	grows, stalled := 0, 0
+	check := func(what string, m *mesh.Mesh, pt *partition.Partition) {
+		t.Helper()
+		for slot := 0; slot <= pt.P; slot++ {
+			got, donor, err := GrowPartition(m, pt, slot)
+			want, wantDonor, wantErr := growPartitionReference(m, pt, slot)
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s, slot %d: %v, reference %v", what, slot, err, wantErr)
+			}
+			if donor != wantDonor || !slices.Equal(got.ElemPE, want.ElemPE) {
+				t.Fatalf("%s, slot %d: donor %d, reference %d; ElemPE equal %v",
+					what, slot, donor, wantDonor, slices.Equal(got.ElemPE, want.ElemPE))
+			}
+			grows++
+			if got.Sizes()[slot] < max(1, m.NumElems()/got.P) {
+				stalled++
+			}
+		}
+	}
+	for mi := 0; mi < 3; mi++ {
+		m, _ := testutil.RandomMesh(t, rng)
+		for _, method := range []partition.Method{partition.RCB, partition.Inertial} {
+			for _, p := range []int{1, 2, 4, 8} {
+				what := fmt.Sprintf("mesh %d, %v, p=%d", mi, method, p)
+				pt, err := partition.PartitionMesh(m, p, method, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(what, m, pt)
+				if p > 1 {
+					spt, err := ShrinkPartition(m, pt, mi%p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(what+", shrunk", m, spt)
+				}
+			}
+		}
+	}
+	if stalled == 0 {
+		t.Fatalf("none of %d grows stopped short of its target; the early exit went untested", grows)
+	}
+	t.Logf("%d grows, %d stopped short of the target", grows, stalled)
 }

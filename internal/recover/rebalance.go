@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -141,10 +142,11 @@ func RebalancePartition(m *mesh.Mesh, pt *partition.Partition, loads []int64, ma
 
 // Rebalance rebuilds the distributed operator on a rebalanced
 // partition, mirroring Shrink and Grow: migrate boundary layers
-// (RebalancePartition), then rebuild. When no admissible move exists it
-// returns (nil, 0, nil) and the caller keeps its current operator — a
-// no-op rebalance must not cost a Dist rebuild.
-func Rebalance(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, loads []int64, maxMoves int) (*Rebuilt, int, error) {
+// (RebalancePartition), then rebuild, copying from src — the operators
+// built on pt, or none — every row the moves left interior. When no
+// admissible move exists it returns (nil, 0, nil) and the caller keeps
+// its current operator — a no-op rebalance must not cost a Dist rebuild.
+func Rebalance(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, loads []int64, maxMoves int, src par.Operators) (*Rebuilt, int, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.rebalance")
 	rpt, moves, err := RebalancePartition(m, pt, loads, maxMoves)
 	if err != nil {
@@ -155,7 +157,7 @@ func Rebalance(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, loads
 		sp.EndWith(map[string]any{"moves": 0})
 		return nil, 0, nil
 	}
-	reb, err := rebuild(m, mat, rpt)
+	reb, err := rebuild(m, mat, rpt, src)
 	if err != nil {
 		sp.End()
 		return nil, moves, err

@@ -71,12 +71,7 @@ func ShrinkPartition(m *mesh.Mesh, pt *partition.Partition, dead int) (*partitio
 
 	// Node → incident elements, built once; adjacency queries then walk
 	// short per-node lists instead of rescanning the mesh every round.
-	elemsOfNode := make([][]int32, m.NumNodes())
-	for e, t := range m.Tets {
-		for _, v := range t {
-			elemsOfNode[v] = append(elemsOfNode[v], int32(e))
-		}
-	}
+	elemsOfNode := elementsOfNodes(m)
 	load := make([]int, pt.P)
 	var orphans []int32
 	for e, p := range pe {
@@ -183,14 +178,16 @@ type Rebuilt struct {
 
 // rebuild is the tail every transition ends in: re-analyze the
 // communication structure of the new partition and construct a fresh
-// Dist on it. The old Dist is untouched and remains the caller's to
-// Close.
-func rebuild(m *mesh.Mesh, mat *material.Model, pt *partition.Partition) (*Rebuilt, error) {
+// Dist on it, copying from src — the operators of the Dist it replaces,
+// empty when there are none — every row the transition left interior
+// (par.NewDistSharing). The old Dist is untouched and remains the
+// caller's to Close; a closed one's operators stay readable.
+func rebuild(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, src par.Operators) (*Rebuilt, error) {
 	pr, err := partition.Analyze(m, pt)
 	if err != nil {
 		return nil, fmt.Errorf("recover: re-analyzing %d-PE partition: %w", pt.P, err)
 	}
-	d, err := par.NewDist(m, mat, pt, pr)
+	d, err := par.NewDistSharing(m, mat, pt, pr, src)
 	if err != nil {
 		return nil, fmt.Errorf("recover: rebuilding Dist: %w", err)
 	}
@@ -198,10 +195,17 @@ func rebuild(m *mesh.Mesh, mat *material.Model, pt *partition.Partition) (*Rebui
 }
 
 // Shrink rebuilds the distributed operator on the survivors of dead:
-// remap the dead PE's elements (ShrinkPartition), then rebuild at p−1.
-// The poisoned Dist is untouched — the caller closes it once the
-// checkpointed state has been scattered onto the replacement.
+// remap the dead PE's elements (ShrinkPartition), then rebuild at p−1,
+// integrating every element. Supervise shrinks from the poisoned Dist's
+// operators instead, which is the same operator for less work.
 func Shrink(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, dead int) (*Rebuilt, error) {
+	return shrink(m, mat, pt, dead, par.Operators{})
+}
+
+// shrink is Shrink copying from src, the operators built on pt. The
+// poisoned Dist is untouched — the caller closes it once the
+// checkpointed state has been scattered onto the replacement.
+func shrink(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, dead int, src par.Operators) (*Rebuilt, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.shrink")
 	obs.GetCounter("recover.shrinks").Add(1)
 	obs.RecordFlight(obs.FlightRecovery, "recover.shrink", dead, 0, 0)
@@ -213,7 +217,7 @@ func Shrink(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, dead int
 		sp.End()
 		return nil, err
 	}
-	reb, err := rebuild(m, mat, spt)
+	reb, err := rebuild(m, mat, spt, src)
 	if err != nil {
 		sp.End()
 		return nil, err

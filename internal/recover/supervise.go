@@ -234,7 +234,10 @@ func clampPlan(p *fault.Plan, width int, after int64) *fault.Plan {
 // hysteresis threshold migrates boundary layers off stragglers at a
 // checkpoint (Rebalance). Every transition re-arms the remaining fault
 // plan with the global kernel count fast-forwarded and resumes CG from
-// the last consistent checkpoint; the ones that rebuild the operator also
+// the last consistent checkpoint; the ones that rebuild the operator
+// build it from the outgoing Dist's operators — poisoned or superseded,
+// perhaps already closed, but still readable — integrating only the
+// elements whose rows the transition moved (par.NewDistSharing), and
 // recompose the two-level aggregation map. With no plan, no fault and no
 // Stop it is exactly one solver.CG call. Software faults under the shrink
 // policy, and losses beyond the bounds, propagate unchanged.
@@ -413,7 +416,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				slot := min(ev.PE, out.Part.P)
 				obs.RecordFlight(obs.FlightRecovery, "recover.revive", slot, ev.Iter, 0)
 				base = globalIter()
-				grown, gerr := Grow(sys.Mesh, sys.Material, out.Part, slot)
+				grown, gerr := grow(sys.Mesh, sys.Material, out.Part, slot, out.Dist.Operators(out.Part))
 				if gerr != nil {
 					return fail(fmt.Errorf("recover: growing onto revived PE %d: %w", slot, gerr))
 				}
@@ -429,7 +432,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				wantRebalance = false
 				if len(loads) == out.Part.P {
 					base = globalIter()
-					moved, moves, rerr := Rebalance(sys.Mesh, sys.Material, out.Part, loads, rebalanceMaxMoves)
+					moved, moves, rerr := Rebalance(sys.Mesh, sys.Material, out.Part, loads, rebalanceMaxMoves, out.Dist.Operators(out.Part))
 					if rerr != nil {
 						return fail(fmt.Errorf("recover: rebalancing: %w", rerr))
 					}
@@ -467,7 +470,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				}
 				out.Replacements++
 			} else {
-				shrunk, serr := Shrink(sys.Mesh, sys.Material, out.Part, dead)
+				shrunk, serr := shrink(sys.Mesh, sys.Material, out.Part, dead, out.Dist.Operators(out.Part))
 				if serr != nil {
 					return fail(fmt.Errorf("recover: shrinking after %v: %w", err, serr))
 				}

@@ -299,7 +299,7 @@ func (e *Engine) build(k Key) (*artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.ops = par.Operators{Part: pt, K: w.K}
+	a.ops = w.Operators(pt)
 	stage(buildNewDistNs)
 	a.mu.Lock()
 	a.idle = append(a.idle, w)

@@ -191,7 +191,7 @@ func TestBuildSettlesOnlyWhenItOutweighsTheHeap(t *testing.T) {
 // TestPoolWorkersShareOperators: the second worker of one artifact — a
 // spawn, the pool holding only the build's — takes every operator from
 // the artifact instead of assembling it: its K are the first worker's,
-// par.dist.ops_shared moves by p and par.dist.ops_assembled not at all.
+// par.dist.ops_shared moves by p and par.dist.elems_integrated not at all.
 // Both workers then run the same SMVP at once, reading the shared
 // operators concurrently, to the same bits.
 func TestPoolWorkersShareOperators(t *testing.T) {
@@ -201,8 +201,8 @@ func TestPoolWorkersShareOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assembled, shared := obs.GetCounter("par.dist.ops_assembled"), obs.GetCounter("par.dist.ops_shared")
-	assembled0, shared0, spawns0 := assembled.Value(), shared.Value(), poolSpawnNs.Count()
+	integrated, shared := obs.GetCounter("par.dist.elems_integrated"), obs.GetCounter("par.dist.ops_shared")
+	integrated0, shared0, spawns0 := integrated.Value(), shared.Value(), poolSpawnNs.Count()
 	w1, err := a.checkout()
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +219,8 @@ func TestPoolWorkersShareOperators(t *testing.T) {
 			t.Errorf("worker 2's K[%d] is not worker 1's", i)
 		}
 	}
-	if da, ds, dn := assembled.Value()-assembled0, shared.Value()-shared0, poolSpawnNs.Count()-spawns0; da != 0 || ds != 3 || dn != 1 {
-		t.Errorf("the spawn assembled %d and shared %d operators over %d spawns, want 0, 3, 1", da, ds, dn)
+	if di, ds, dn := integrated.Value()-integrated0, shared.Value()-shared0, poolSpawnNs.Count()-spawns0; di != 0 || ds != 3 || dn != 1 {
+		t.Errorf("the spawn integrated %d elements and shared %d operators over %d spawns, want 0, 3, 1", di, ds, dn)
 	}
 	x := make([]float64, 3*w1.GlobalNodes)
 	for i := range x {

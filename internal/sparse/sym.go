@@ -19,7 +19,8 @@ type SymBCSR struct {
 	Val    []float64 // 9 per upper block
 	Diag   []float64 // 9 per block row
 
-	// folded marks a matrix built by NewSymFromBCSR: every column lies in
+	// folded marks a matrix built by NewSymFromBCSR or NewSymMerged:
+	// every column lies in
 	// (row, N) and Val and Diag own symPad words of capacity past their
 	// length. A vector kernel streams such a matrix without bounds
 	// checks; a hand-built SymBCSR gets the pure-Go kernel, which has
@@ -74,6 +75,95 @@ func NewSymFromBCSR(a *BCSR) (*SymBCSR, error) {
 	}
 	if diags != n || k != upper {
 		return nil, fmt.Errorf("sparse: pattern asymmetric: %d diagonal and %d upper blocks of %d on %d rows", diags, k, nb, n)
+	}
+	return s, nil
+}
+
+// RowRef names where one block row of a merged matrix comes from: block
+// row Row of source Src, or, when Src is negative, the assembled
+// matrix's row of the same index.
+type RowRef struct{ Src, Row int32 }
+
+// SymSource is a folded matrix a merge copies rows from, with its column
+// numbering: Cols[c] is the merged matrix's block index of the source's
+// block column c, negative where the merged matrix has no such column.
+type SymSource struct {
+	M    *SymBCSR
+	Cols []int32
+}
+
+// NewSymMerged builds the symmetric storage of a matrix of len(rows)
+// block rows, each taken whole from one place: a source row named by
+// rows[i], its diagonal and upper blocks copied and its columns
+// renumbered through the source's Cols, or, for Src < 0, row i of a,
+// folded as NewSymFromBCSR folds it. A copied column must land above
+// its row and inside the matrix; a renumbering that is monotone keeps
+// the row's column order. The result is padded and folded like
+// NewSymFromBCSR's, so the vector kernel streams it.
+func NewSymMerged(a *BCSR, srcs []SymSource, rows []RowRef) (*SymBCSR, error) {
+	n := len(rows)
+	if a.N != n {
+		return nil, fmt.Errorf("sparse: merging %d rows with a %d-row matrix", n, a.N)
+	}
+	rowOff := make([]int64, n+1)
+	for i, r := range rows {
+		var upper int64
+		if r.Src < 0 {
+			for b := a.RowOff[i]; b < a.RowOff[i+1]; b++ {
+				if a.Col[b] > int32(i) {
+					upper++
+				}
+			}
+		} else {
+			m := srcs[r.Src].M
+			upper = m.RowOff[r.Row+1] - m.RowOff[r.Row]
+		}
+		rowOff[i+1] = rowOff[i] + upper
+	}
+	upper := rowOff[n]
+	s := &SymBCSR{
+		N:      n,
+		RowOff: rowOff,
+		Col:    make([]int32, upper),
+		Val:    make([]float64, 9*upper, 9*upper+symPad),
+		Diag:   make([]float64, 9*n, 9*n+symPad),
+		folded: true,
+	}
+	for i, r := range rows {
+		k := rowOff[i]
+		if r.Src < 0 {
+			diag := false
+			for b := a.RowOff[i]; b < a.RowOff[i+1]; b++ {
+				switch j := a.Col[b]; {
+				case j == int32(i):
+					copy(s.Diag[9*i:9*i+9], a.Val[9*b:9*b+9])
+					diag = true
+				case j > int32(i):
+					if int(j) >= n {
+						return nil, fmt.Errorf("sparse: block (%d,%d) outside %d rows", i, j, n)
+					}
+					s.Col[k] = j
+					copy(s.Val[9*k:9*k+9], a.Val[9*b:9*b+9])
+					k++
+				}
+			}
+			if !diag {
+				return nil, fmt.Errorf("sparse: row %d has no diagonal block", i)
+			}
+			continue
+		}
+		src := srcs[r.Src]
+		lo, hi := src.M.RowOff[r.Row], src.M.RowOff[r.Row+1]
+		for _, c := range src.M.Col[lo:hi] {
+			j := src.Cols[c]
+			if j <= int32(i) || int(j) >= n {
+				return nil, fmt.Errorf("sparse: row %d copies column %d to %d, outside (%d,%d)", i, c, j, i, n)
+			}
+			s.Col[k] = j
+			k++
+		}
+		copy(s.Diag[9*i:9*i+9], src.M.Diag[9*r.Row:9*r.Row+9])
+		copy(s.Val[9*rowOff[i]:9*k], src.M.Val[9*lo:9*hi])
 	}
 	return s, nil
 }

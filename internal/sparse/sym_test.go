@@ -162,3 +162,93 @@ func TestSymHandBuiltRunsChecked(t *testing.T) {
 	}()
 	hand.MulVec(yh, x)
 }
+
+// TestSymMerged: a merge is the fold of the matrix its rows come from.
+// Every row from the assembled matrix is NewSymFromBCSR's result; every
+// row, or every other row, copied from that fold through the identity
+// numbering is the fold again; a source renumbered into a matrix one row
+// larger keeps its values under the shifted columns. A copied column not
+// above its row, an assembled row without a diagonal block and an
+// assembled matrix of another size are errors.
+func TestSymMerged(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, n := range []int{1, 2, 7, 20} {
+		a := randomBCSR(rng, n)
+		want, err := NewSymFromBCSR(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ident := make([]int32, n)
+		for c := range ident {
+			ident[c] = int32(c)
+		}
+		srcs := []SymSource{{M: want, Cols: ident}}
+		for _, every := range []int{0, 1, 2} { // copy no row, every row, every other row
+			rows := make([]RowRef, n)
+			for i := range rows {
+				rows[i] = RowRef{Src: -1}
+				if every > 0 && i%every == 0 {
+					rows[i] = RowRef{Src: 0, Row: int32(i)}
+				}
+			}
+			got, err := NewSymMerged(a, srcs, rows)
+			if err != nil {
+				t.Fatalf("n=%d, every %d: %v", n, every, err)
+			}
+			if !reflect.DeepEqual(got, want) || cap(got.Val)-len(got.Val) != symPad || cap(got.Diag)-len(got.Diag) != symPad {
+				t.Fatalf("n=%d, every %d: merge differs from the fold", n, every)
+			}
+		}
+
+		// Shift every row down by one under a new, empty row 0.
+		shift := make([]int32, n)
+		rows := []RowRef{{Src: -1}}
+		for c := range shift {
+			shift[c] = int32(c + 1)
+			rows = append(rows, RowRef{Src: 0, Row: int32(c)})
+		}
+		got, err := NewSymMerged(NewBCSRStructure(n+1, nil), []SymSource{{M: want, Cols: shift}}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			lo, hi := want.RowOff[i], want.RowOff[i+1]
+			glo := got.RowOff[i+1]
+			for k := lo; k < hi; k++ {
+				if got.Col[glo+k-lo] != want.Col[k]+1 {
+					t.Fatalf("n=%d: shifted row %d has column %d, want %d", n, i+1, got.Col[glo+k-lo], want.Col[k]+1)
+				}
+			}
+			if !reflect.DeepEqual(got.Val[9*glo:9*(glo+hi-lo)], want.Val[9*lo:9*hi]) || !reflect.DeepEqual(got.Diag[9*(i+1):9*(i+2)], want.Diag[9*i:9*i+9]) {
+				t.Fatalf("n=%d: shifted row %d has other values", n, i+1)
+			}
+		}
+	}
+
+	a := randomBCSR(rng, 6)
+	s, err := NewSymFromBCSR(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := make([]RowRef, 6)
+	assembled := make([]RowRef, 6)
+	for i := range copied {
+		copied[i] = RowRef{Src: 0, Row: int32(i)}
+		assembled[i] = RowRef{Src: -1}
+	}
+	noDiag := &BCSR{N: 6, RowOff: make([]int64, 7)}
+	for _, c := range []struct {
+		name string
+		a    *BCSR
+		srcs []SymSource
+		rows []RowRef
+	}{
+		{"column not above its row", a, []SymSource{{M: s, Cols: []int32{-1, -1, -1, -1, -1, -1}}}, copied},
+		{"no diagonal block", noDiag, nil, assembled},
+		{"assembled matrix of another size", NewBCSRStructure(5, nil), nil, assembled},
+	} {
+		if _, err := NewSymMerged(c.a, c.srcs, c.rows); err == nil {
+			t.Errorf("%s: merged without an error", c.name)
+		}
+	}
+}
