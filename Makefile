@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race lines bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro results-check examples clean
+.PHONY: all build vet fma-check test race lines bench bench-json bench-smoke e2e e2e-pairs fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro results-check examples clean
 
 # Benchmarks must run at the host's full width: a throttled GOMAXPROCS
 # makes every parallel benchmark meaningless (the PE goroutines
@@ -20,6 +20,12 @@ build:
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
+
+# No fused multiply-add in internal/solver or the symmetric kernel's Go
+# form on arm64, the target where Go fuses and amd64's goldens would
+# stop holding (scripts/fma-check.sh; compiles only, runs on any host).
+fma-check:
+	sh scripts/fma-check.sh
 
 test:
 	$(GO) test ./...
@@ -41,14 +47,15 @@ race:
 lines:
 	@sh scripts/lines.sh $(REV)
 
-# The gate CI runs: build + vet + full tests (as a coverage run with a
-# floor), plus the race detector on the concurrency-heavy packages, plus
-# a one-iteration benchmark smoke run so the kernel entry points cannot
-# silently rot, plus a few seconds of fuzzing on the parsers that face
-# untrusted input, plus the elastic-recovery chaos soak, the quaked
-# service smoke, the durable-job chaos drill, and the check that both
-# table generators still reproduce results/.
-ci: build vet cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos results-check
+# The gate CI runs: build + vet + the fused-multiply-add check + full
+# tests (as a coverage run with a floor), plus the race detector on the
+# concurrency-heavy packages, plus a one-iteration benchmark smoke run
+# so the kernel entry points cannot silently rot, plus a few seconds of
+# fuzzing on the parsers that face untrusted input, plus the
+# elastic-recovery chaos soak, the quaked service smoke, the
+# durable-job chaos drill, and the check that both table generators
+# still reproduce results/.
+ci: build vet fma-check cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos results-check
 
 # Total statement coverage must not sink below the floor (measured
 # 88.1% when the gate was introduced; the margin absorbs run-to-run

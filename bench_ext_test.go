@@ -6,6 +6,7 @@ package quake_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	quake "repro"
@@ -118,11 +119,15 @@ type applyOnly struct{ op quake.DistOperator }
 func (a applyOnly) Apply(y, x []float64) error { return a.op.Apply(y, x) }
 func (a applyOnly) Dim() int                   { return a.op.Dim() }
 
-// benchDistCG measures one repeated implicit-method solve on the
-// persistent-PE runtime (sf10, 8 PEs). per-solve allocations stay flat
-// (one Result plus telemetry, independent of the iteration count).
-func benchDistCG(b *testing.B, wrap func(quake.DistOperator) solver.Operator) {
-	m, err := quake.SF10.Mesh()
+// benchDistCG measures one repeated implicit-method solve (σ = 20, to
+// tol) on the persistent-PE runtime, sc partitioned onto p PEs, and
+// reports the wall and CPU time per iteration beside it. The right-hand
+// side is a point load, or with a nonzero rhsSeed standard normal
+// entries drawn from it, as quaked draws a request's. per-solve
+// allocations stay flat (one Result plus telemetry, independent of the
+// iteration count).
+func benchDistCG(b *testing.B, sc quake.Scenario, p int, tol float64, rhsSeed int64, wrap func(quake.DistOperator) solver.Operator) {
+	m, err := sc.Mesh()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func benchDistCG(b *testing.B, wrap func(quake.DistOperator) solver.Operator) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pt, err := partition.PartitionMesh(m, 8, partition.RCB, 1)
+	pt, err := partition.PartitionMesh(m, p, partition.RCB, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,16 +152,23 @@ func benchDistCG(b *testing.B, wrap func(quake.DistOperator) solver.Operator) {
 	n := op.Dim()
 	rhs := make([]float64, n)
 	rhs[3] = 1e2
+	if rhsSeed != 0 {
+		rng := rand.New(rand.NewSource(rhsSeed))
+		for i := range rhs {
+			rhs[i] = rng.NormFloat64()
+		}
+	}
 	x := make([]float64, n)
 	ws := quake.NewCGWorkspace(n)
-	var iters int
+	var iters, total int
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0 := cpuTime()
 	for i := 0; i < b.N; i++ {
 		for j := range x {
 			x[j] = 0
 		}
-		res, err := quake.SolveCG(op, rhs, x, quake.CGConfig{MaxIter: 2 * n, Tol: 1e-7, Workspace: ws})
+		res, err := quake.SolveCG(op, rhs, x, quake.CGConfig{MaxIter: 2 * n, Tol: tol, Workspace: ws})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,14 +176,21 @@ func benchDistCG(b *testing.B, wrap func(quake.DistOperator) solver.Operator) {
 			b.Fatal("CG did not converge")
 		}
 		iters = res.Iterations
+		total += iters
 	}
+	cpu := cpuTime() - cpu0
+	b.StopTimer()
 	b.ReportMetric(float64(iters), "iters/solve")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(total), "us/iter")
+	if cpu > 0 {
+		b.ReportMetric(float64(cpu.Microseconds())/float64(total), "cpu-us/iter")
+	}
 }
 
 // BenchmarkDistCGSolveSerial is the serial reference: global iteration
 // vectors on the caller, one dispatched SMVP per iteration.
 func BenchmarkDistCGSolveSerial(b *testing.B) {
-	benchDistCG(b, func(op quake.DistOperator) solver.Operator { return applyOnly{op} })
+	benchDistCG(b, quake.SF10, 8, 1e-7, 0, func(op quake.DistOperator) solver.Operator { return applyOnly{op} })
 }
 
 // BenchmarkDistCGSolveResident is the production path: the iteration
@@ -179,7 +198,16 @@ func BenchmarkDistCGSolveSerial(b *testing.B) {
 // benchjson pairs the two under cg_serial/cg_resident in the report's
 // kernels section.
 func BenchmarkDistCGSolveResident(b *testing.B) {
-	benchDistCG(b, func(op quake.DistOperator) solver.Operator { return op })
+	benchDistCG(b, quake.SF10, 8, 1e-7, 0, func(op quake.DistOperator) solver.Operator { return op })
+}
+
+// BenchmarkDistCGSolveResidentP2 is the resident solve at the shape of
+// the end-to-end warm_large workload, sf5 on 2 PEs to tol 1e-8 with a
+// random right-hand side (≈ 600 iterations): on a host with two or more
+// processors every PE has one, so its phase crossings spin before they
+// park (benchjson's cg_resident_p2).
+func BenchmarkDistCGSolveResidentP2(b *testing.B) {
+	benchDistCG(b, quake.SF5, 2, 1e-8, 1, func(op quake.DistOperator) solver.Operator { return op })
 }
 
 // BenchmarkAblationBlockSize sweeps the transfer-unit size: the same

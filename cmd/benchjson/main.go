@@ -126,6 +126,7 @@ var kernelBenchmarks = map[string]string{
 	"BenchmarkLocalKernels/sym_avx2":    "local_sym_avx2",
 	"BenchmarkDistCGSolveSerial":        "cg_serial",
 	"BenchmarkDistCGSolveResident":      "cg_resident",
+	"BenchmarkDistCGSolveResidentP2":    "cg_resident_p2",
 }
 
 // hostBenchmarks maps benchmark names to the keys of the report's host

@@ -297,6 +297,7 @@ BenchmarkAblationKernels/csr_seg-8 	 200 	 4800 ns/op
 BenchmarkAblationKernels/fused-8 	 200 	 2000 ns/op
 BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
 BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
+BenchmarkDistCGSolveResidentP2-8 	 2 	 560000000 ns/op 	 604.0 iters/solve 	 927.2 us/iter 	 1489 cpu-us/iter
 BenchmarkSetup/partition_rcb-8 	 20 	 17000000 ns/op
 BenchmarkSetup/newdist-8 	 20 	 38000000 ns/op
 BenchmarkSetup/respawn-8 	 20 	 900000 ns/op
@@ -338,7 +339,7 @@ func TestKernelsSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"csr", "bcsr", "sym", "sym_avx2", "csr_seg", "fused",
-		"local_bcsr", "local_sym", "local_sym_avx2", "cg_serial", "cg_resident"} {
+		"local_bcsr", "local_sym", "local_sym_avx2", "cg_serial", "cg_resident", "cg_resident_p2"} {
 		if _, ok := rep.Kernels[key]; !ok {
 			t.Errorf("kernels section missing %q: %+v", key, rep.Kernels)
 		}
@@ -353,6 +354,10 @@ func TestKernelsSection(t *testing.T) {
 	}
 	if cg := rep.Kernels["cg_serial"]; cg.SpeedupVsPrev != 1.1 {
 		t.Errorf("cg_serial speedup = %v, want 1.1", cg.SpeedupVsPrev)
+	}
+	// The sf5/p2 solve is a row of its own, not folded into cg_resident.
+	if cg := rep.Kernels["cg_resident_p2"]; cg.NsPerOp != 560000000 || rep.Kernels["cg_resident"].NsPerOp != 30000000 {
+		t.Errorf("cg_resident_p2 = %+v, cg_resident = %+v, want 560000000 and 30000000 ns/op", cg, rep.Kernels["cg_resident"])
 	}
 	// The host's scaling pairs sit in a block of their own.
 	if h := rep.Host; len(h) != 4 || h["fp_g2"].NsPerOp != 2800000 || h["stream_g1"].NsPerOp != 2000000 || h["stream_g2"].NsPerOp != 1000000 {

@@ -319,11 +319,7 @@ func TestExchangeCrossings(t *testing.T) {
 		t.Fatal(err)
 	}
 	y, x := vecs(d)
-	gen := func() uint64 {
-		d.rt.bar.mu.Lock()
-		defer d.rt.bar.mu.Unlock()
-		return d.rt.bar.gen
-	}
+	gen := d.rt.bar.gen.Load
 	for _, c := range []struct {
 		name   string
 		nodeOf func(pe int32) int32

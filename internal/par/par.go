@@ -73,6 +73,10 @@ type distMetrics struct {
 	// bytes gather-copied into staging (zero while no leader gathers).
 	aggFused       *obs.Counter
 	aggStagedBytes *obs.Counter
+	// How waiters left the PEs' phase barrier: released while spinning,
+	// or parked. One per waiter per crossing; see barrier.await.
+	barrierSpun   *obs.Counter
+	barrierParked *obs.Counter
 	// Per-PE phase accumulators and merged duration histograms: the
 	// substrate obs/analyze reads for λ, stragglers, and Eq.(2) drift.
 	// One observation per PE per kernel invocation, in nanoseconds.
@@ -92,6 +96,8 @@ func newDistMetrics(p int) distMetrics {
 		exchBytes:      make([]*obs.Counter, p),
 		aggFused:       obs.GetCounter("par.exchange.agg.fused_blocks"),
 		aggStagedBytes: obs.GetCounter("par.exchange.agg.staged_bytes"),
+		barrierSpun:    obs.GetCounter("par.barrier.spun"),
+		barrierParked:  obs.GetCounter("par.barrier.parked"),
 		phaseCompute:   obs.GetPEAccum("par.phase.compute.ns", p),
 		phaseExchange:  obs.GetPEAccum("par.phase.exchange.ns", p),
 		phaseUpdate:    obs.GetPEAccum("par.phase.update.ns", p),

@@ -3,7 +3,9 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -64,14 +66,21 @@ func (e *PEFaultError) Unwrap() error { return ErrPoisoned }
 // resets for the next round. The mutex/cond pair both parks waiters
 // (PEs may outnumber OS threads by far) and provides the happens-before
 // edge that lets PEs read each other's buffers after a crossing without
-// any further synchronization.
+// any further synchronization; gen and broken are atomics as well so a
+// spinning waiter can watch them without the mutex, and its load of the
+// advanced gen is the same edge.
 type barrier struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	n      int
 	count  int
-	gen    uint64
-	broken bool
+	gen    atomic.Uint64
+	broken atomic.Bool
+	// spun and parked count the waiters released while spinning and
+	// those that parked, one per waiter per crossing. They are set only
+	// on the PEs' phase barrier, the one barrier whose waiters spin: a
+	// barrier without them always parks.
+	spun, parked *obs.Counter
 }
 
 func newBarrier(n int) *barrier {
@@ -79,6 +88,26 @@ func newBarrier(n int) *barrier {
 	b.cond.L = &b.mu
 	return b
 }
+
+// spinBudget bounds how long a waiter at the phase barrier polls before
+// it parks; spinYield is how many polls it makes between yields to the
+// scheduler. Waking a parked goroutine costs more than the spin when
+// its partner runs on another processor. In a sweep over 25–400 µs on
+// the resident sf5/p2 solve, 100–400 µs reached the same best wall
+// time; at 100 µs a quarter of a served sf5/p2 solve's waits still
+// parked, at 200 µs a tenth, and 400 µs cost more CPU
+// (docs/PERFORMANCE.md, "Crossings that do not sleep").
+const (
+	spinBudget = 200 * time.Microsecond
+	spinYield  = 32
+)
+
+// running counts the PEs inside kernels across the process: launch adds
+// a Dist's p before its start crossing and takes it off after its done
+// crossing. A waiter spins only while it is no more than GOMAXPROCS —
+// while every running PE can have a processor, so the partner it waits
+// for is making progress instead of waiting for the spinner's.
+var running atomic.Int64
 
 // await arrives at the barrier and blocks until the round completes.
 // It performs no heap allocations. A poisoned barrier never blocks:
@@ -94,35 +123,69 @@ func newBarrier(n int) *barrier {
 // the coordinator turns the recorded fault into ErrPoisoned.)
 func (b *barrier) await() bool {
 	b.mu.Lock()
-	if b.broken {
+	if b.broken.Load() {
 		b.mu.Unlock()
 		return false
 	}
-	gen := b.gen
+	gen := b.gen.Load()
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.gen++
+		b.gen.Store(gen + 1)
 		b.mu.Unlock()
 		b.cond.Broadcast()
 		return true
 	}
-	for gen == b.gen && !b.broken {
+	b.mu.Unlock()
+	if b.spun != nil {
+		if procs := int64(runtime.GOMAXPROCS(0)); running.Load() <= procs {
+			if ok, released := b.spin(gen, procs); released {
+				b.spun.Add(1)
+				return ok
+			}
+		}
+	}
+	b.parked.Add(1)
+	b.mu.Lock()
+	for gen == b.gen.Load() && !b.broken.Load() {
 		b.cond.Wait()
 	}
 	// A round that completed before the poison did complete: a waiter
 	// that is slow to wake must see it the way its faster peers did, or
 	// PEs would disagree about how far a burst of iterations got.
-	ok := gen != b.gen
+	ok := gen != b.gen.Load()
 	b.mu.Unlock()
 	return ok
+}
+
+// spin polls for the end of round gen for at most spinBudget, yielding
+// every spinYield polls and giving up early once more than procs PEs
+// are running. It reports whether the round ended while it polled and,
+// if so, how — by await's rule: gen cannot advance once the barrier is
+// broken, so the gen read after seeing broken is final.
+func (b *barrier) spin(gen uint64, procs int64) (ok, released bool) {
+	start := time.Now()
+	for i := 1; ; i++ {
+		if b.gen.Load() != gen {
+			return true, true
+		}
+		if b.broken.Load() {
+			return b.gen.Load() != gen, true
+		}
+		if i%spinYield == 0 {
+			if time.Since(start) > spinBudget || running.Load() > procs {
+				return false, false
+			}
+			runtime.Gosched()
+		}
+	}
 }
 
 // poison permanently breaks the barrier, releasing every waiter.
 // Idempotent and safe to call concurrently with await.
 func (b *barrier) poison() {
 	b.mu.Lock()
-	b.broken = true
+	b.broken.Store(true)
 	b.count = 0
 	b.mu.Unlock()
 	b.cond.Broadcast()
@@ -282,6 +345,7 @@ func newPERuntime(d *Dist) *peRuntime {
 		}
 		w.self = make([]float64, 3*len(w.replica))
 	}
+	rt.bar.spun, rt.bar.parked = rt.met.barrierSpun, rt.met.barrierParked
 	rt.plan = rt.buildPlan(ownNode)
 	rt.phasedBody = rt.phasedPE
 	rt.cgBody = rt.cgPE
@@ -357,8 +421,10 @@ func (rt *peRuntime) collectFaults() error {
 // under the dispatch mutex, after usable.
 func (rt *peRuntime) launch(body func(pe int)) error {
 	rt.body = body
+	running.Add(int64(rt.p))
 	rt.start.await()
 	rt.done.await()
+	running.Add(-int64(rt.p))
 	rt.body = nil
 	return rt.collectFaults()
 }

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,37 +14,160 @@ import (
 	"repro/internal/testutil"
 )
 
+// testBarrier is a barrier for n parties whose waiters spin before they
+// park (as the PEs' phase barrier's do) when spin is set, and always
+// park otherwise (as the coordinator's start and done barriers do).
+func testBarrier(n int, spin bool) *barrier {
+	b := newBarrier(n)
+	if spin {
+		b.spun, b.parked = new(obs.Counter), new(obs.Counter)
+	}
+	return b
+}
+
+// arrived waits until k parties are inside the barrier's current round.
+func arrived(b *barrier, k int) {
+	for {
+		b.mu.Lock()
+		c := b.count
+		b.mu.Unlock()
+		if c == k {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestBarrierRounds hammers the generation barrier: every party
 // increments its slot before each crossing, and after the crossing all
 // slots must show the same round — a straggler or a double-release
-// breaks the invariant immediately.
+// breaks the invariant immediately. Waiters park, or spin first.
 func TestBarrierRounds(t *testing.T) {
-	const parties, rounds = 8, 500
-	b := newBarrier(parties)
-	counts := make([]int, parties)
-	var wg sync.WaitGroup
-	errs := make(chan error, parties)
-	wg.Add(parties)
-	for p := 0; p < parties; p++ {
-		go func(p int) {
-			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				counts[p] = r
-				b.await()
-				for q := 0; q < parties; q++ {
-					if counts[q] != r {
-						errs <- fmt.Errorf("party %d saw counts[%d]=%d in round %d", p, q, counts[q], r)
-						return
+	for _, spin := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spin=%v", spin), func(t *testing.T) {
+			const parties, rounds = 8, 500
+			b := testBarrier(parties, spin)
+			counts := make([]int, parties)
+			var wg sync.WaitGroup
+			errs := make(chan error, parties)
+			wg.Add(parties)
+			for p := 0; p < parties; p++ {
+				go func(p int) {
+					defer wg.Done()
+					for r := 1; r <= rounds; r++ {
+						counts[p] = r
+						b.await()
+						for q := 0; q < parties; q++ {
+							if counts[q] != r {
+								errs <- fmt.Errorf("party %d saw counts[%d]=%d in round %d", p, q, counts[q], r)
+								return
+							}
+						}
+						b.await()
+					}
+				}(p)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestBarrierPoisonRule pins the two answers iterate's fault-plan
+// indexing depends on, for a waiter that parks and for one that is
+// still spinning: released by poison, await returns false; released by
+// a round that completed before the poison, it returns true. A spinning
+// waiter is the usual case right after its partner acts; trials repeat
+// until a few of them were released while spinning.
+func TestBarrierPoisonRule(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	for _, completed := range []bool{false, true} {
+		for _, spin := range []bool{false, true} {
+			t.Run(fmt.Sprintf("completed=%v/spin=%v", completed, spin), func(t *testing.T) {
+				spun := 0
+				for trial := 0; trial < 500 && spun < 5; trial++ {
+					b := testBarrier(2, spin)
+					got := make(chan bool)
+					go func() { got <- b.await() }()
+					arrived(b, 1)
+					if completed && !b.await() {
+						t.Fatal("the last arrival's await returned false")
+					}
+					b.poison()
+					if ok := <-got; ok != completed {
+						t.Fatalf("trial %d: waiter returned %v, want %v", trial, ok, completed)
+					}
+					if b.spun.Value() == 1 {
+						spun++
 					}
 				}
-				b.await()
-			}
-		}(p)
+				if spin && spun == 0 {
+					t.Fatal("no waiter was released while spinning in 500 trials")
+				}
+			})
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+}
+
+// TestBarrierSpinGate runs two Dists of two PEs each under GOMAXPROCS 2:
+// while the second is inside a kernel four PEs are running on two
+// processors, and no waiter of the first may spin — every one parks.
+// Once the second is done the first runs alone, two PEs on two
+// processors, and its waiters spin. Either way each crossing releases
+// exactly one waiter.
+func TestBarrierSpinGate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	f := newFixture(t)
+	a, _ := f.dist(t, 2, partition.RCB)
+	b, _ := f.dist(t, 2, partition.RCB)
+	y, x := vecs(a)
+	counts := func() (spun, parked int64) {
+		return a.rt.met.barrierSpun.Value(), a.rt.met.barrierParked.Value()
+	}
+	smvps := func(n int) (spun, parked int64) {
+		s0, p0 := counts()
+		for i := 0; i < n; i++ {
+			if _, err := a.SMVP(y, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s1, p1 := counts()
+		return s1 - s0, p1 - p0
+	}
+
+	release := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		_, err := b.rt.runKernel(func(int) { <-release }, nil, nil)
+		done <- err
+	}()
+	for running.Load() < 2 {
+		runtime.Gosched()
+	}
+	const n = 200
+	spun, parked := smvps(n)
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if spun != 0 || parked != n {
+		t.Errorf("4 PEs running on 2 processors: %d waiters spun and %d parked over %d crossings, want 0 and %d", spun, parked, n, n)
+	}
+
+	spun, parked = smvps(n)
+	if spun+parked != n {
+		t.Errorf("2 PEs running on 2 processors: %d spun + %d parked over %d crossings, want %d", spun, parked, n, n)
+	}
+	if spun == 0 && runtime.NumCPU() >= 2 {
+		t.Errorf("2 PEs running on 2 processors: no waiter spun over %d crossings", n)
 	}
 }
 

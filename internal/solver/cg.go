@@ -76,9 +76,9 @@ func (s Shifted) Apply(y, x []float64) error {
 	s.K.MulVec(y, x)
 	for i, m := range s.MassNode {
 		f := s.Sigma * m
-		y[3*i] += f * x[3*i]
-		y[3*i+1] += f * x[3*i+1]
-		y[3*i+2] += f * x[3*i+2]
+		y[3*i] += float64(f * x[3*i])
+		y[3*i+1] += float64(f * x[3*i+1])
+		y[3*i+2] += float64(f * x[3*i+2])
 	}
 	return nil
 }
@@ -92,9 +92,9 @@ func (s Shifted) Diagonal() []float64 {
 	d := make([]float64, s.Dim())
 	for i := 0; i < s.K.N; i++ {
 		blk := s.K.Block(int32(i), int32(i))
-		d[3*i] = blk[0] + s.Sigma*s.MassNode[i]
-		d[3*i+1] = blk[4] + s.Sigma*s.MassNode[i]
-		d[3*i+2] = blk[8] + s.Sigma*s.MassNode[i]
+		d[3*i] = blk[0] + float64(s.Sigma*s.MassNode[i])
+		d[3*i+1] = blk[4] + float64(s.Sigma*s.MassNode[i])
+		d[3*i+2] = blk[8] + float64(s.Sigma*s.MassNode[i])
 	}
 	return d
 }
@@ -572,7 +572,7 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
