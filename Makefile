@@ -21,9 +21,10 @@ vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
-# No fused multiply-add in internal/solver or the symmetric kernel's Go
-# form on arm64, the target where Go fuses and amd64's goldens would
-# stop holding (scripts/fma-check.sh; compiles only, runs on any host).
+# No fused multiply-add in internal/solver, internal/sparse or
+# par.(Operator).Apply on arm64, the target where Go fuses and amd64's
+# goldens would stop holding (scripts/fma-check.sh; compiles only, runs
+# on any host).
 fma-check:
 	sh scripts/fma-check.sh
 

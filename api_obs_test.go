@@ -8,17 +8,18 @@ import (
 	"testing"
 
 	quake "repro"
+	"repro/internal/model"
+	"repro/internal/obs"
+	obsanalyze "repro/internal/obs/analyze"
+	"repro/internal/obs/export"
 )
 
-// TestObservabilityFacade exercises the telemetry surface end to end
-// through the public API: enable collection, run distributed kernels,
-// snapshot, analyze the window, and serve the HTTP endpoints.
+// TestObservabilityFacade exercises the telemetry surface end to end on
+// a facade Dist: enable collection (obs), run distributed kernels,
+// snapshot, analyze the window (obs/analyze), and serve the HTTP
+// endpoints (obs/export).
 func TestObservabilityFacade(t *testing.T) {
-	s, err := quake.ScenarioByName("sf10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Mesh()
+	m, err := quake.SF10.Mesh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +37,10 @@ func TestObservabilityFacade(t *testing.T) {
 	}
 	defer d.Close()
 
-	quake.SetTelemetry(true)
-	defer quake.SetTelemetry(false)
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
 
-	before := quake.MetricsSnapshotNow()
+	before := obs.Default.Snapshot()
 	x := make([]float64, 3*m.NumNodes())
 	y := make([]float64, len(x))
 	for i := range x {
@@ -51,26 +52,26 @@ func TestObservabilityFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cur := quake.MetricsSnapshotNow()
+	cur := obs.Default.Snapshot()
 
-	w, ok := quake.AnalyzeWindow(cur, before)
+	w, ok := obsanalyze.FromSnapshots(cur, before)
 	if !ok || w.Iters != iters {
 		t.Fatalf("window: ok=%v iters=%d, want %d", ok, w.Iters, iters)
 	}
 	app := quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()}
 	mp := quake.T3E()
-	rep := quake.AnalyzeExchange(w, quake.FlatExchange(app), mp.Tl, mp.Tw, 0, 0)
+	rep := obsanalyze.Analyze(w, model.FlatExchange(app), mp.Tl, mp.Tw, 0, 0)
 	if rep.Compute.Lambda < 1 || rep.Drift.PredictedTc <= 0 {
 		t.Fatalf("report: λ=%g predicted=%g", rep.Compute.Lambda, rep.Drift.PredictedTc)
 	}
 
 	// The flight ring saw the kernels' phase spans.
-	if len(quake.FlightEvents()) == 0 {
+	if len(obs.FlightRecorder.Events()) == 0 {
 		t.Error("flight recorder is empty after distributed kernels")
 	}
 
 	// HTTP surface.
-	addr, shutdown, err := quake.ServeMetrics("127.0.0.1:0")
+	addr, shutdown, err := export.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

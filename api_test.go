@@ -7,17 +7,24 @@ import (
 	"testing"
 
 	quake "repro"
+	"repro/internal/comm"
+	"repro/internal/fault"
+	"repro/internal/machine"
+	"repro/internal/model"
+	"repro/internal/network"
+	"repro/internal/par"
+	"repro/internal/partition"
+	iq "repro/internal/quake"
+	"repro/internal/report"
+	"repro/internal/spark"
 )
 
 // TestFacadeEndToEnd drives the whole public API once on the smallest
-// scenario: mesh, partition, profile, models, schedule, simulator,
-// distributed runtime, and the figure tables.
+// scenario: mesh, partition, profile, models, distributed runtime, and
+// the symmetric kernel; the exchange schedule and its simulator, which
+// the facade does not re-export, through their packages.
 func TestFacadeEndToEnd(t *testing.T) {
-	s, err := quake.ScenarioByName("sf10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Mesh()
+	m, err := quake.SF10.Mesh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +61,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Exchange schedule and discrete simulation.
-	sched, err := quake.ScheduleFromProfile(pr)
+	sched, err := comm.FromMatrix(pr.Msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := quake.SimulateExchange(sched, t3e, quake.NetworkConfig{Transit: 1e-6})
+	res := machine.Simulate(sched, t3e, machine.NetworkConfig{Transit: 1e-6})
 	if res.CommTime <= 0 {
 		t.Error("no simulated exchange time")
 	}
@@ -105,11 +112,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("sym mismatch at %d", i)
 		}
 	}
-
-	// Host T_f measurement.
-	if tf := quake.MeasureTf(sys.K, 2); tf <= 0 {
-		t.Error("bad measured Tf")
-	}
 }
 
 func TestFacadeTables(t *testing.T) {
@@ -148,11 +150,10 @@ func TestFacadeTables(t *testing.T) {
 }
 
 func TestFamilyAndPresets(t *testing.T) {
-	if got := quake.Family(false); len(got) != 4 || got[3].Name != "sf1s" {
-		t.Errorf("Family(false) = %v", got)
-	}
-	if got := quake.Family(true); got[3].Name != "sf1" {
-		t.Errorf("Family(true) = %v", got)
+	for i, s := range []quake.Scenario{quake.SF10, quake.SF5, quake.SF2, quake.SF1, quake.SF1Small} {
+		if got, err := iq.ByName(s.Name); err != nil || got != s {
+			t.Errorf("family member %d: ByName(%q) = %+v, %v", i, s.Name, got, err)
+		}
 	}
 	if len(quake.PECounts) != 6 || quake.PECounts[0] != 4 || quake.PECounts[5] != 128 {
 		t.Errorf("PECounts = %v", quake.PECounts)
@@ -162,14 +163,15 @@ func TestFamilyAndPresets(t *testing.T) {
 			t.Errorf("%s: %v", m.Name, err)
 		}
 	}
-	if _, err := quake.ScenarioByName("bogus"); err == nil {
+	if _, err := iq.ByName("bogus"); err == nil {
 		t.Error("bogus scenario accepted")
 	}
 }
 
-// TestFacadeExtensions drives the extension surface of the facade:
-// absorbers, the distributed application, the torus simulator, the
-// spark suite, and the distributed CG operator.
+// TestFacadeExtensions drives the extension surface of the facade —
+// absorbers, the distributed application, and the distributed CG
+// operator — next to the torus simulator, the spark suite and the
+// overlap model through their packages.
 func TestFacadeExtensions(t *testing.T) {
 	m, err := quake.SF10.Mesh()
 	if err != nil {
@@ -188,7 +190,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal("no absorber faces")
 	}
 
-	pt, err := quake.PartitionMesh(m, 4, quake.Multilevel, 1)
+	pt, err := quake.PartitionMesh(m, 4, partition.Multilevel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +222,16 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("distributed run: %+v", res)
 	}
 
-	// Torus simulation through the facade.
-	sched, err := quake.ScheduleFromProfile(pr)
+	// Torus simulation.
+	sched, err := comm.FromMatrix(pr.Msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tor, err := quake.NewTorus(4)
+	tor, err := network.NewTorus(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tres, err := quake.SimulateTorus(sched, quake.T3E(), tor, quake.TorusConfig{LinkBytesPerSec: 1e9})
+	tres, err := network.Simulate(sched, quake.T3E(), tor, network.Config{LinkBytesPerSec: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Spark suite.
-	suite, err := quake.NewSparkSuite(sys.K)
+	suite, err := spark.NewSuite(sys.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +254,7 @@ func TestFacadeExtensions(t *testing.T) {
 	suite.RMV(y2, x, 2)
 	for i := range y1 {
 		if math.Abs(y1[i]-y2[i]) > 1e-9*(1+math.Abs(y1[i])) {
-			t.Fatal("spark kernels disagree via facade")
+			t.Fatal("spark kernels disagree")
 		}
 	}
 
@@ -270,7 +272,7 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Overlap and implicit models.
-	o := quake.OverlapModel{App: quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()},
+	o := model.Overlap{App: quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()},
 		FBoundary: pr.FBoundaryMax()}
 	t3e := quake.T3E()
 	if s := o.Speedup(t3e.Tf, t3e.Tl, t3e.Tw); s < 1 || s > 2 {
@@ -284,7 +286,7 @@ func TestFacadeExtensions(t *testing.T) {
 // TestFacadeReliability drives the fault-injection surface through the
 // public API: plan parsing round-trips, a corruption plan is armed and
 // SolveCG's convergence gate restarts past it to a certified answer, and
-// a dead PE poisons the Dist with an ErrDistPoisoned-matchable error.
+// a dead PE poisons the Dist with a par.ErrPoisoned-matchable error.
 func TestFacadeReliability(t *testing.T) {
 	plan, err := quake.ParseFaultPlan("seed:3;corrupt:pe=1->0,iter=4,bit=62")
 	if err != nil {
@@ -334,7 +336,7 @@ func TestFacadeReliability(t *testing.T) {
 	if err != nil || !res.Converged || res.TrueResidual > 10*1e-8 {
 		t.Fatalf("gated solve through facade: %+v err=%v", res, err)
 	}
-	if in.Count(quake.FaultKind(0)) < 1 { // Corrupt is kind 0
+	if in.Count(fault.Corrupt) < 1 {
 		t.Fatalf("no corruption injected: total %d", in.Total())
 	}
 	if res.Restarts < 1 {
@@ -350,22 +352,20 @@ func TestFacadeReliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := make([]float64, n)
-	if _, err := dist.SMVP(y, x); !errors.Is(err, quake.ErrDistPoisoned) {
-		t.Fatalf("expected ErrDistPoisoned, got %v", err)
+	if _, err := dist.SMVP(y, x); !errors.Is(err, par.ErrPoisoned) {
+		t.Fatalf("expected par.ErrPoisoned, got %v", err)
 	}
-	if _, err := dist.SMVP(y, x); !errors.Is(err, quake.ErrDistPoisoned) {
+	if _, err := dist.SMVP(y, x); !errors.Is(err, par.ErrPoisoned) {
 		t.Fatalf("poisoned Dist accepted a later kernel: %v", err)
 	}
 }
 
-// TestFacadeAggregation drives the two-level exchange through the
-// public API: fuse a schedule, replay it on both simulators, run the
-// aggregated distributed kernel bit-identically, and sweep node sizes.
+// TestFacadeAggregation drives the two-level exchange on a facade Dist
+// through the packages that own it: fuse a schedule (comm), replay it on
+// both simulators (machine, network), run the aggregated distributed
+// kernel bit-identically, and sweep node sizes (quake, report).
 func TestFacadeAggregation(t *testing.T) {
-	s, err := quake.ScenarioByName("sf10")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := quake.SF10
 	m, err := s.Mesh()
 	if err != nil {
 		t.Fatal(err)
@@ -378,11 +378,11 @@ func TestFacadeAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := quake.ScheduleFromProfile(pr)
+	sched, err := comm.FromMatrix(pr.Msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := quake.AggregateSchedule(sched, quake.ContiguousNodes(4))
+	agg, err := comm.Aggregate(sched, comm.ContiguousNodes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +392,11 @@ func TestFacadeAggregation(t *testing.T) {
 
 	// Extended model and β on the fused leg.
 	c, b := agg.InterCB()
-	if beta := quake.BetaOf(c, b); beta < 1 || beta >= 2 {
+	if beta := model.BetaOf(c, b); beta < 1 || beta >= 2 {
 		t.Errorf("fused β = %g", beta)
 	}
-	t3e, onNode := quake.T3E(), quake.OnNode()
-	ex := quake.PlanExchange(agg, pr.Fmax(), pr.Cmax())
+	t3e, onNode := quake.T3E(), machine.OnNode()
+	ex := model.PlanExchange(agg, pr.Fmax(), pr.Cmax())
 	if err := ex.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,24 +407,24 @@ func TestFacadeAggregation(t *testing.T) {
 		t.Errorf("aggregated efficiency = %g", e)
 	}
 	// One PE per node is the paper's flat row.
-	one, err := quake.AggregateSchedule(sched, quake.ContiguousNodes(1))
+	one, err := comm.Aggregate(sched, comm.ContiguousNodes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	app := quake.AppProperties{F: pr.Fmax(), Cmax: pr.Cmax(), Bmax: pr.Bmax()}
-	if got, want := quake.PlanExchange(one, pr.Fmax(), pr.Cmax()), quake.FlatExchange(app); got != want {
+	if got, want := model.PlanExchange(one, pr.Fmax(), pr.Cmax()), model.FlatExchange(app); got != want {
 		t.Errorf("node size 1 exchange %+v, want the flat row %+v", got, want)
 	}
 
 	// Both fused-leg pricers plug into the one replay.
-	mres, err := quake.ReplayPlan(agg, onNode, quake.FusedOnMachine(t3e, quake.NetworkConfig{}))
+	mres, err := machine.Replay(agg, onNode, machine.Fused(t3e, machine.NetworkConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.CommTime <= 0 {
 		t.Error("no machine-simulated aggregated time")
 	}
-	nres, err := quake.ReplayPlan(agg, onNode, quake.FusedOnTorus(t3e, quake.TorusConfig{HopLatency: 100e-9}))
+	nres, err := machine.Replay(agg, onNode, network.Fused(t3e, network.Config{HopLatency: 100e-9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestFacadeAggregation(t *testing.T) {
 	if _, err := dist.SMVP(flat, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := dist.SetAggregation(quake.ContiguousNodes(4)); err != nil {
+	if err := dist.SetAggregation(comm.ContiguousNodes(4)); err != nil {
 		t.Fatal(err)
 	}
 	fused := make([]float64, len(x))
@@ -464,12 +464,12 @@ func TestFacadeAggregation(t *testing.T) {
 	}
 
 	// Node-size sweep and its table.
-	rows, err := quake.AggSweep(s, 8, quake.RCB, []int{1, 2, 4}, quake.TorusConfig{HopLatency: 100e-9})
+	rows, err := iq.AggSweep(s, 8, quake.RCB, []int{1, 2, 4}, network.Config{HopLatency: 100e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := quake.AggregationSummary("tradeoff", rows).Render(&sb); err != nil {
+	if err := report.AggregationSummary("tradeoff", rows).Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "fused B_max") {

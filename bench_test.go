@@ -432,11 +432,6 @@ func BenchmarkAblationKernels(b *testing.B) {
 		{"csr", func() { csr.MulVec(y, x) }},
 		{"sym", func() { d = portable.MulVecDot(y, x) }},
 		{"sym_avx2", func() { d = sym.MulVecDot(y, x) }},
-		{"csr_seg", func() { csr.MulVecSegmented(y, x) }},
-		// The fused kernel does strictly more work (the dot rides along),
-		// so comparing its ns/op against bcsr shows what the fusion costs —
-		// the win is the separate dot sweep it makes unnecessary.
-		{"fused", func() { d = sys.K.MulVecDot(y, x) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -454,8 +449,10 @@ func BenchmarkAblationKernels(b *testing.B) {
 // (here: one core's FP ports and its L3 stream, see BenchmarkHostScaling)
 // is in the number. bcsr is full storage, the kernel a Dist ran before it
 // held symmetric storage (the global K's submatrix on each PE's nodes:
-// the same rows, the same pattern); sym and sym_avx2 are the two forms of
-// the kernel it runs now. One op is one fused SMVP on each PE.
+// the same rows, the same pattern), without the dot a Dist fused into it;
+// sym and sym_avx2 are the two forms of the kernel it runs now, dot
+// included (MulVec is MulVecDot with the dot dropped). One op is one SMVP
+// on each PE.
 func BenchmarkLocalKernels(b *testing.B) {
 	m, err := quake.SF5.Mesh()
 	if err != nil {
@@ -479,16 +476,16 @@ func BenchmarkLocalKernels(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dist.Close()
-	type dotter interface {
-		MulVecDot(y, x []float64) float64
+	type multiplier interface {
+		MulVec(y, x []float64)
 	}
 	forms := []struct {
 		name string
-		of   func(pe int) dotter
+		of   func(pe int) multiplier
 	}{
-		{"bcsr", func(pe int) dotter { return sparse.Submatrix(sys.K, dist.Nodes[pe]) }},
-		{"sym", func(pe int) dotter { return portableSym(dist.K[pe]) }},
-		{"sym_avx2", func(pe int) dotter { return dist.K[pe] }},
+		{"bcsr", func(pe int) multiplier { return sparse.Submatrix(sys.K, dist.Nodes[pe]) }},
+		{"sym", func(pe int) multiplier { return portableSym(dist.K[pe]) }},
+		{"sym_avx2", func(pe int) multiplier { return dist.K[pe] }},
 	}
 	var flops float64
 	for _, f := range dist.FlopsPerPE() {
@@ -496,7 +493,7 @@ func BenchmarkLocalKernels(b *testing.B) {
 	}
 	for _, form := range forms {
 		b.Run(form.name, func(b *testing.B) {
-			ks := make([]dotter, dist.P)
+			ks := make([]multiplier, dist.P)
 			xs, ys := make([][]float64, dist.P), make([][]float64, dist.P)
 			for pe := range ks {
 				ks[pe] = form.of(pe)
@@ -506,7 +503,6 @@ func BenchmarkLocalKernels(b *testing.B) {
 					xs[pe][i] = float64(i%9) * 0.25
 				}
 			}
-			dots := make([]float64, dist.P)
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for pe := range ks {
@@ -514,7 +510,7 @@ func BenchmarkLocalKernels(b *testing.B) {
 				go func(pe int) {
 					defer wg.Done()
 					for i := 0; i < b.N; i++ {
-						dots[pe] = ks[pe].MulVecDot(ys[pe], xs[pe])
+						ks[pe].MulVec(ys[pe], xs[pe])
 					}
 				}(pe)
 			}

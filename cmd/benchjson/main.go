@@ -83,8 +83,7 @@ type Report struct {
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
 	// Kernels is the A/B view of the SMVP kernel variants and the
 	// serial-reference vs PE-resident CG solves, keyed by short kernel
-	// name (csr, bcsr, sym, sym_avx2, csr_seg, fused on the global sf5
-	// matrix; local_bcsr, local_sym, local_sym_avx2 on the two sf5/p2 local
+	// name (csr, bcsr, sym, sym_avx2 on the global sf5 matrix; local_bcsr, local_sym, local_sym_avx2 on the two sf5/p2 local
 	// operators at once; cg_serial, cg_resident). When a previous
 	// BENCH_*.json is available (-prev, or auto-discovered), each entry
 	// carries that snapshot's ns/op and the speedup against it, so a
@@ -119,8 +118,6 @@ var kernelBenchmarks = map[string]string{
 	"BenchmarkAblationKernels/bcsr":     "bcsr",
 	"BenchmarkAblationKernels/sym":      "sym",
 	"BenchmarkAblationKernels/sym_avx2": "sym_avx2",
-	"BenchmarkAblationKernels/csr_seg":  "csr_seg",
-	"BenchmarkAblationKernels/fused":    "fused",
 	"BenchmarkLocalKernels/bcsr":        "local_bcsr",
 	"BenchmarkLocalKernels/sym":         "local_sym",
 	"BenchmarkLocalKernels/sym_avx2":    "local_sym_avx2",

@@ -293,8 +293,6 @@ BenchmarkHostScaling/fp/g=1-8 	 50 	 2800000 ns/op
 BenchmarkHostScaling/fp/g=2-8 	 50 	 2800000 ns/op
 BenchmarkHostScaling/stream/g=1-8 	 50 	 2000000 ns/op 	 14.00 GB/s
 BenchmarkHostScaling/stream/g=2-8 	 50 	 1000000 ns/op 	 28.00 GB/s
-BenchmarkAblationKernels/csr_seg-8 	 200 	 4800 ns/op
-BenchmarkAblationKernels/fused-8 	 200 	 2000 ns/op
 BenchmarkDistCGSolveSerial-8 	 10 	 40000000 ns/op
 BenchmarkDistCGSolveResident-8 	 10 	 30000000 ns/op
 BenchmarkDistCGSolveResidentP2-8 	 2 	 560000000 ns/op 	 604.0 iters/solve 	 927.2 us/iter 	 1489 cpu-us/iter
@@ -338,8 +336,7 @@ func TestKernelsSection(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"csr", "bcsr", "sym", "sym_avx2", "csr_seg", "fused",
-		"local_bcsr", "local_sym", "local_sym_avx2", "cg_serial", "cg_resident", "cg_resident_p2"} {
+	for _, key := range []string{"csr", "bcsr", "sym", "sym_avx2", "local_bcsr", "local_sym", "local_sym_avx2", "cg_serial", "cg_resident", "cg_resident_p2"} {
 		if _, ok := rep.Kernels[key]; !ok {
 			t.Errorf("kernels section missing %q: %+v", key, rep.Kernels)
 		}
@@ -349,8 +346,8 @@ func TestKernelsSection(t *testing.T) {
 		t.Errorf("csr = %+v, want {5000 6000 1.2}", csr)
 	}
 	// No entry in the previous snapshot → current-only, no phantom deltas.
-	if f := rep.Kernels["fused"]; f.PrevNsPerOp != 0 || f.SpeedupVsPrev != 0 {
-		t.Errorf("fused should have no prev delta, got %+v", f)
+	if f := rep.Kernels["sym"]; f.PrevNsPerOp != 0 || f.SpeedupVsPrev != 0 {
+		t.Errorf("sym should have no prev delta, got %+v", f)
 	}
 	if cg := rep.Kernels["cg_serial"]; cg.SpeedupVsPrev != 1.1 {
 		t.Errorf("cg_serial speedup = %v, want 1.1", cg.SpeedupVsPrev)

@@ -1,12 +1,13 @@
-// Command quakegen generates the synthetic San Fernando meshes and
-// prints their sizes against the paper's Figure 2. With -out it also
-// writes the mesh in the binary format read by mesh.Read.
+// Command quakegen generates one synthetic San Fernando mesh, prints its
+// size against the paper's Figure 2, and with -vtk writes it as a
+// legacy-VTK file with the local shear velocity as point data, for
+// ParaView. The Figure 2 table of the whole family is quakerepro's
+// fig2_mesh_sizes (-scenarios sf10,sf5,sf2,sf1 for the full-scale sf1).
 //
 // Usage:
 //
-//	quakegen                      # sf10+sf5+sf2+sf1s size table
-//	quakegen -full                # include the 2.4M-node sf1
-//	quakegen -scenario sf5 -out sf5.qmesh
+//	quakegen -scenario sf10
+//	quakegen -scenario sf5 -vtk sf5.vtk
 package main
 
 import (
@@ -20,66 +21,47 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "", "generate a single scenario (sf10|sf5|sf2|sf1|sf1s)")
-	out := flag.String("out", "", "write the generated mesh to this file (requires -scenario)")
-	vtk := flag.String("vtk", "", "write the mesh in legacy VTK format, with the local shear velocity as point data (requires -scenario)")
-	full := flag.Bool("full", false, "include the full-scale sf1 in the table sweep")
+	scenario := flag.String("scenario", "", "the scenario to generate (sf10|sf5|sf2|sf1|sf1s)")
+	vtk := flag.String("vtk", "", "write the mesh in legacy VTK format, with the local shear velocity as point data")
 	flag.Parse()
 
-	if err := run(*scenario, *out, *vtk, *full); err != nil {
+	if err := run(*scenario, *vtk); err != nil {
 		fmt.Fprintln(os.Stderr, "quakegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scenario, out, vtk string, full bool) error {
-	if scenario != "" {
-		s, err := quake.ByName(scenario)
-		if err != nil {
-			return err
-		}
-		m, err := s.Mesh()
-		if err != nil {
-			return err
-		}
-		printStats(s, m)
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := m.Write(f); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-		if vtk != "" {
-			mat := quake.Material()
-			vs := make([]float64, m.NumNodes())
-			for i, p := range m.Coords {
-				vs[i] = mat.ShearVelocity(p)
-			}
-			f, err := os.Create(vtk)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := m.WriteVTK(f, s.Name+" mesh", mesh.VTKField{Name: "Vs", Data: vs}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", vtk)
-		}
-		return nil
+func run(scenario, vtk string) error {
+	if scenario == "" {
+		return fmt.Errorf("-scenario is required (the family's size table is quakerepro -only fig2_mesh_sizes)")
 	}
-	if out != "" || vtk != "" {
-		return fmt.Errorf("-out/-vtk require -scenario")
-	}
-	tab, err := quake.Fig2Table(quake.Family(full))
+	s, err := quake.ByName(scenario)
 	if err != nil {
 		return err
 	}
-	return tab.Render(os.Stdout)
+	m, err := s.Mesh()
+	if err != nil {
+		return err
+	}
+	printStats(s, m)
+	if vtk == "" {
+		return nil
+	}
+	mat := quake.Material()
+	vs := make([]float64, m.NumNodes())
+	for i, p := range m.Coords {
+		vs[i] = mat.ShearVelocity(p)
+	}
+	f, err := os.Create(vtk)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := m.WriteVTK(f, s.Name+" mesh", mesh.VTKField{Name: "Vs", Data: vs}); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", vtk)
+	return nil
 }
 
 func printStats(s quake.Scenario, m *mesh.Mesh) {

@@ -6,35 +6,28 @@ import (
 	"testing"
 )
 
-func TestRunTable(t *testing.T) {
-	if err := run("", "", "", false); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunSingleScenarioWithOutputs(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "m.qmesh")
-	vtk := filepath.Join(dir, "m.vtk")
-	if err := run("sf10", out, vtk, false); err != nil {
+	vtk := filepath.Join(t.TempDir(), "m.vtk")
+	if err := run("sf10", vtk); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{out, vtk} {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if fi.Size() == 0 {
-			t.Fatalf("%s is empty", p)
-		}
+	fi, err := os.Stat(vtk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatalf("%s is empty", vtk)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("nope", "", "", false); err == nil {
+	if err := run("nope", ""); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if err := run("", "x.mesh", "", false); err == nil {
-		t.Error("-out without -scenario accepted")
+	if err := run("", "x.vtk"); err == nil {
+		t.Error("-vtk without -scenario accepted")
+	}
+	if err := run("", ""); err == nil {
+		t.Error("no -scenario accepted")
 	}
 }

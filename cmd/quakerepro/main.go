@@ -111,8 +111,16 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Figure 10 and the EXFLOW comparison describe one instance: the
-	// largest scenario at the sweep's last PE count, filled in below.
-	var last quake.PropsRow
+	// largest scenario at the sweep's last PE count. Its row is computed
+	// when a table asks (Properties caches it), so a run of tables that
+	// read none, Figure 2's, partitions nothing.
+	last := func() (quake.PropsRow, error) {
+		rows, err := quake.Properties(largest, pcounts, method)
+		if err != nil {
+			return quake.PropsRow{}, err
+		}
+		return rows[len(rows)-1], nil
+	}
 	type job struct {
 		name string
 		make func() (*report.Table, error)
@@ -124,11 +132,19 @@ func run(args []string, stdout io.Writer) error {
 		{"fig8_bisection", func() (*report.Table, error) { return quake.Fig8Table(largest, pcounts, method) }},
 		{"fig9_sustained_bw", func() (*report.Table, error) { return quake.Fig9Table(largest, pcounts, method) }},
 		{"fig10_tradeoff", func() (*report.Table, error) {
-			return quake.Fig10Table(last, 5e-9, []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000}), nil
+			row, err := last()
+			if err != nil {
+				return nil, err
+			}
+			return quake.Fig10Table(row, 5e-9, []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000}), nil
 		}},
 		{"fig11_half_bandwidth", func() (*report.Table, error) { return quake.Fig11Table(largest, pcounts, method) }},
 		{"exflow_comparison", func() (*report.Table, error) {
-			cmp, err := quake.CompareEXFLOW(largest, last)
+			row, err := last()
+			if err != nil {
+				return nil, err
+			}
+			cmp, err := quake.CompareEXFLOW(largest, row)
 			if err != nil {
 				return nil, err
 			}
@@ -147,12 +163,6 @@ func run(args []string, stdout io.Writer) error {
 			jobs = append(jobs, all[i])
 		}
 	}
-	// Every table but Figure 2 reads these rows (Properties caches them).
-	rows, err := quake.Properties(largest, pcounts, method)
-	if err != nil {
-		return err
-	}
-	last = rows[len(rows)-1]
 	if *outDir != "-" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err

@@ -105,6 +105,18 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestFig2PartitionsNothing: the mesh-size table reads no Figure 7 row,
+// so a sweep no partitioner accepts does not stop it.
+func TestFig2PartitionsNothing(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-scenarios", "sf10", "-only", "fig2_mesh_sizes", "-out", "-", "-sweep", "0"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(got.Bytes(), []byte("sf10")) {
+		t.Errorf("no sf10 row in:\n%s", got.String())
+	}
+}
+
 // TestReproMatchesCommitted holds the generator to the committed files:
 // the default sweep must reproduce every table it writes byte for byte.
 func TestReproMatchesCommitted(t *testing.T) {

@@ -25,8 +25,9 @@
 //     derived requirement sweeps of Figures 8-11 (internal/model,
 //     internal/quake).
 //
-// The root package re-exports the pieces a downstream user needs; the
-// cmd/ tools and examples/ programs exercise it end to end, and the
+// The root package re-exports what the examples and benchmarks use, and
+// nothing else (TestFacadeHasCallers holds it to that); the cmd/ tools
+// and examples/ programs exercise the pipeline end to end, and the
 // benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation (see EXPERIMENTS.md).
 package quake

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -113,49 +112,5 @@ func TestStatsEmptyMesh(t *testing.T) {
 	s := m.ComputeStats()
 	if s.Nodes != 0 || s.Elems != 0 || s.AvgDegree != 0 {
 		t.Errorf("empty stats = %+v", s)
-	}
-}
-
-func TestWriteReadRoundtrip(t *testing.T) {
-	m := twoTets()
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes() != m.NumNodes() || got.NumElems() != m.NumElems() {
-		t.Fatalf("roundtrip sizes: %d/%d", got.NumNodes(), got.NumElems())
-	}
-	for i := range m.Coords {
-		if got.Coords[i] != m.Coords[i] {
-			t.Errorf("node %d = %v, want %v", i, got.Coords[i], m.Coords[i])
-		}
-	}
-	for i := range m.Tets {
-		if got.Tets[i] != m.Tets[i] {
-			t.Errorf("tet %d = %v, want %v", i, got.Tets[i], m.Tets[i])
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a mesh file at all"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-	// Correct magic but truncated body.
-	var buf bytes.Buffer
-	m := twoTets()
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-10]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated input accepted")
 	}
 }

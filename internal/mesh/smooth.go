@@ -15,8 +15,7 @@ import (
 //
 // The native octree fan meshes are already well-shaped, so smoothing
 // changes their quality little (the guard keeps any local degradation
-// bounded); the feature exists for downstream users deforming meshes or
-// importing distorted ones through mesh.Read.
+// bounded); the feature exists for downstream users deforming meshes.
 func (m *Mesh) Smooth(passes int, relax float64) int {
 	if passes <= 0 || relax <= 0 || relax > 1 {
 		return 0

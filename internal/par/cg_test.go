@@ -483,8 +483,9 @@ func TestCloseAndDisarmRaceResidentSolve(t *testing.T) {
 // TestEveryDoorChecksTheMassVector: a mass vector that is not one entry
 // per node is refused with the same error at every door that shifts by
 // it — the distributed operator's Apply, a resident solve, and the
-// serial Shifted operator — instead of shifting only a prefix of the
-// product or indexing past its end.
+// serial Shifted operator's Apply and Diagonal — instead of shifting only
+// a prefix of the product or indexing past its end; and Diagonal accepts
+// what Apply accepts, a nil mass at σ = 0.
 func TestEveryDoorChecksTheMassVector(t *testing.T) {
 	f := newFixture(t)
 	d, _ := f.dist(t, 4, partition.RCB)
@@ -506,22 +507,40 @@ func TestEveryDoorChecksTheMassVector(t *testing.T) {
 			{"solver.Shifted.Apply", func() error {
 				return solver.Shifted{K: f.sys.K, MassNode: tc.mass, Sigma: 20}.Apply(y, x)
 			}},
+			{"solver.Shifted.Diagonal", func() error {
+				solver.Shifted{K: f.sys.K, MassNode: tc.mass, Sigma: 20}.Diagonal()
+				return nil
+			}},
 			{"resident CG", func() error {
 				_, err := solver.CG(Operator{D: d, Shift: 20, MassNode: tc.mass}, x, make([]float64, n), solver.Config{MaxIter: 5})
 				return err
 			}},
 		} {
-			err := func() (err error) {
-				defer func() {
-					if v := recover(); v != nil {
-						err = fmt.Errorf("panicked: %v", v)
-					}
-				}()
-				return door.call()
-			}()
-			if err == nil || !strings.Contains(err.Error(), want) {
+			if err := recovered(door.call); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s mass vector through %s: %v, want an error containing %q", tc.name, door.name, err, want)
 			}
 		}
 	}
+
+	// Without a shift there is no mass to check: K's own diagonal.
+	var diag []float64
+	if err := recovered(func() error { diag = solver.Shifted{K: f.sys.K}.Diagonal(); return nil }); err != nil {
+		t.Fatalf("nil mass at σ = 0 through solver.Shifted.Diagonal: %v", err)
+	}
+	for i := range nodes {
+		blk := f.sys.K.Block(int32(i), int32(i))
+		if diag[3*i] != blk[0] || diag[3*i+1] != blk[4] || diag[3*i+2] != blk[8] {
+			t.Fatalf("node %d: diagonal %v, K's block diagonal %v", i, diag[3*i:3*i+3], []float64{blk[0], blk[4], blk[8]})
+		}
+	}
+}
+
+// recovered runs call and turns a panic into its error.
+func recovered(call func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panicked: %v", v)
+		}
+	}()
+	return call()
 }

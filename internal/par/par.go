@@ -23,6 +23,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -668,27 +669,6 @@ func indexOf(s []int32, v int32) int {
 	return -1
 }
 
-// MeasureTf times repeated local SMVPs on the host and returns the
-// achieved seconds per flop (the paper's T_f, Section 3.1). The matrix
-// should be large enough to overflow cache for a realistic figure.
-func MeasureTf(k *sparse.BCSR, iters int) float64 {
-	if iters <= 0 {
-		iters = 1
-	}
-	x := make([]float64, 3*k.N)
-	y := make([]float64, 3*k.N)
-	for i := range x {
-		x[i] = float64(i%7) * 0.25
-	}
-	k.MulVec(y, x) // warm up
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		k.MulVec(y, x)
-	}
-	elapsed := time.Since(start).Seconds()
-	return elapsed / (float64(iters) * float64(2*k.NNZ()))
-}
-
 // Operator adapts the distributed SMVP to the solver.Operator
 // interface, so conjugate gradients (package solver) can run on the
 // goroutine-PE runtime: every CG iteration then exercises exactly the
@@ -714,12 +694,7 @@ func (o Operator) Apply(y, x []float64) error {
 		return err
 	}
 	if o.Shift > 0 {
-		for i, m := range o.MassNode {
-			f := o.Shift * m
-			y[3*i] += f * x[3*i]
-			y[3*i+1] += f * x[3*i+1]
-			y[3*i+2] += f * x[3*i+2]
-		}
+		solver.AddShift(y, x, o.MassNode, o.Shift)
 	}
 	return nil
 }

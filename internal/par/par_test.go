@@ -271,17 +271,6 @@ func TestFlopsPerPE(t *testing.T) {
 	}
 }
 
-func TestMeasureTf(t *testing.T) {
-	f := newFixture(t)
-	tf := MeasureTf(f.sys.K, 3)
-	if tf <= 0 || tf > 1e-5 {
-		t.Errorf("implausible Tf = %g s/flop", tf)
-	}
-	if tf2 := MeasureTf(f.sys.K, 0); tf2 <= 0 {
-		t.Error("iters=0 not defaulted")
-	}
-}
-
 // TestBoundaryInteriorPartition: Boundary[pe] lists, sorted and without
 // repeats, exactly the local rows whose node the profile says is shared
 // — every other row is interior, resident on this PE alone — and the

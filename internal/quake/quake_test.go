@@ -22,12 +22,6 @@ func TestByNameAndFamily(t *testing.T) {
 	if _, err := ByName("sf3"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if f := Family(false); f[3].Name != "sf1s" {
-		t.Errorf("Family(false) ends with %s", f[3].Name)
-	}
-	if f := Family(true); f[3].Name != "sf1" {
-		t.Errorf("Family(true) ends with %s", f[3].Name)
-	}
 	if len(Small()) != 2 {
 		t.Error("Small() size")
 	}

@@ -50,16 +50,6 @@ var (
 		PaperNodes: 2461694, PaperElems: 13980162, PaperEdges: 16684112}
 )
 
-// Family returns the scenarios the harness sweeps. With full=true the
-// genuine sf1 is included; otherwise the 1/8-scale sf1s proxy stands in
-// for it.
-func Family(full bool) []Scenario {
-	if full {
-		return []Scenario{SF10, SF5, SF2, SF1}
-	}
-	return []Scenario{SF10, SF5, SF2, SF1Small}
-}
-
 // Small returns the scenarios cheap enough for unit tests and default
 // benchmarks (sf10 and sf5).
 func Small() []Scenario { return []Scenario{SF10, SF5} }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/par"
 	"repro/internal/solver"
 	"repro/internal/testutil"
@@ -134,10 +135,17 @@ func TestSuperviseAggregated(t *testing.T) {
 	}
 }
 
+// soakFlopLambda bounds the flop λ TestMultiFaultSoak may end with. In
+// 24 -race runs beside `make race` the final partition read 1.087–1.293
+// (the old wall-clock λ read 1.09–6.07 in the same runs, ≥ 3 in 11); an
+// 8-way partition of the fixture with 40 % of its elements on PE 0
+// (skewedPartition) reads 3.1.
+const soakFlopLambda = 1.5
+
 // TestMultiFaultSoak is the chaos soak: two different PEs die and
 // revive in one solve with rebalancing armed. The solve must converge,
-// the final measured λ must sit below the soak threshold, and closing
-// the final Dist must leak no goroutines.
+// the final partition's flop λ must sit below soakFlopLambda, and
+// closing the final Dist must leak no goroutines.
 func TestMultiFaultSoak(t *testing.T) {
 	prevEnabled := obs.Enabled()
 	obs.SetEnabled(true)
@@ -180,14 +188,18 @@ func TestMultiFaultSoak(t *testing.T) {
 	certify(t, f, refD, b, x, tol)
 
 	// The rebalancer measured windows throughout; the run must end
-	// without a gross straggler. The bound is loose (the fixture kernels
-	// are microseconds, so scheduling noise is real) but far below the
-	// λ ≈ 3 a genuinely skewed partition measures.
+	// without a gross straggler. That is asserted on the work the final
+	// PEs were handed — λ of their flop counts, as
+	// TestRebalanceReducesMeasuredLambda does — not on the last measured
+	// λ: the fixture's kernels take microseconds, so a wall-clock window
+	// measures the scheduler, and read ≥ 3 beside a -race run of other
+	// packages.
 	if out.FinalLambda <= 0 {
 		t.Fatal("rebalancing was armed but no window was ever measured")
 	}
-	if out.FinalLambda >= 3 {
-		t.Fatalf("final measured λ = %.3f, soak ended badly imbalanced", out.FinalLambda)
+	flops := analyze.ImbalanceOf(out.Dist.FlopsPerPE())
+	if flops.Lambda >= soakFlopLambda {
+		t.Fatalf("final flop λ = %.3f (PE %d), soak ended badly imbalanced", flops.Lambda, flops.Straggler)
 	}
 
 	// No leaked goroutines once every Dist is closed — checked by the

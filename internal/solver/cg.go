@@ -70,16 +70,11 @@ type Shifted struct {
 // Apply implements Operator. A MassNode that is not one entry per block
 // row is an error whenever the shift would read it.
 func (s Shifted) Apply(y, x []float64) error {
-	if (s.Sigma != 0 || s.MassNode != nil) && len(s.MassNode) != s.K.N {
-		return fmt.Errorf("solver: mass vector has %d entries, want %d", len(s.MassNode), s.K.N)
+	if err := s.checkMass(); err != nil {
+		return err
 	}
 	s.K.MulVec(y, x)
-	for i, m := range s.MassNode {
-		f := s.Sigma * m
-		y[3*i] += float64(f * x[3*i])
-		y[3*i+1] += float64(f * x[3*i+1])
-		y[3*i+2] += float64(f * x[3*i+2])
-	}
+	AddShift(y, x, s.MassNode, s.Sigma)
 	return nil
 }
 
@@ -87,16 +82,41 @@ func (s Shifted) Apply(y, x []float64) error {
 func (s Shifted) Dim() int { return 3 * s.K.N }
 
 // Diagonal returns the scalar diagonal of the operator, used to build
-// the Jacobi preconditioner.
+// the Jacobi preconditioner. A mass vector Apply refuses panics with
+// Apply's error.
 func (s Shifted) Diagonal() []float64 {
-	d := make([]float64, s.Dim())
+	if err := s.checkMass(); err != nil {
+		panic(err)
+	}
+	d, ones := make([]float64, s.Dim()), make([]float64, s.Dim())
 	for i := 0; i < s.K.N; i++ {
 		blk := s.K.Block(int32(i), int32(i))
-		d[3*i] = blk[0] + float64(s.Sigma*s.MassNode[i])
-		d[3*i+1] = blk[4] + float64(s.Sigma*s.MassNode[i])
-		d[3*i+2] = blk[8] + float64(s.Sigma*s.MassNode[i])
+		d[3*i], d[3*i+1], d[3*i+2] = blk[0], blk[4], blk[8]
+		ones[3*i], ones[3*i+1], ones[3*i+2] = 1, 1, 1
 	}
+	AddShift(d, ones, s.MassNode, s.Sigma)
 	return d
+}
+
+// checkMass is the mass rule of Apply and Diagonal: one entry per block
+// row whenever σ is set or a mass is given.
+func (s Shifted) checkMass() error {
+	if (s.Sigma != 0 || s.MassNode != nil) && len(s.MassNode) != s.K.N {
+		return fmt.Errorf("solver: mass vector has %d entries, want %d", len(s.MassNode), s.K.N)
+	}
+	return nil
+}
+
+// AddShift adds σ·diag(M)·x to y, one mass per node for its three rows:
+// the shift of every operator K + σ·diag(M). Each product is converted
+// explicitly, so no target fuses it into the add.
+func AddShift(y, x, mass []float64, sigma float64) {
+	for i, m := range mass {
+		f := sigma * m
+		y[3*i] += float64(f * x[3*i])
+		y[3*i+1] += float64(f * x[3*i+1])
+		y[3*i+2] += float64(f * x[3*i+2])
+	}
 }
 
 // Result reports a CG solve.

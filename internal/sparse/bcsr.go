@@ -112,7 +112,8 @@ func (a *BCSR) Block(i, j int32) [9]float64 {
 // and the value cursor advances by 9 through a row-local slice instead
 // of re-indexing the whole Val array per block. The floating-point
 // evaluation order of each sum is exactly the reference kernel's, so
-// the output is bit-identical.
+// the output is bit-identical; each product is converted explicitly, so
+// no target fuses it into the add that follows.
 func (a *BCSR) MulVec(y, x []float64) {
 	if len(x) != 3*a.N || len(y) != 3*a.N {
 		panic(fmt.Sprintf("sparse: BCSR MulVec dimension mismatch: N=%d, x %d, y %d", a.N, len(x), len(y)))
@@ -129,9 +130,9 @@ func (a *BCSR) MulVec(y, x []float64) {
 			j := int(c) * 3
 			v := vals[vi : vi+9 : vi+9]
 			x0, x1, x2 := x[j], x[j+1], x[j+2]
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2
-			s1 += v[3]*x0 + v[4]*x1 + v[5]*x2
-			s2 += v[6]*x0 + v[7]*x1 + v[8]*x2
+			s0 += float64(v[0]*x0) + float64(v[1]*x1) + float64(v[2]*x2)
+			s1 += float64(v[3]*x0) + float64(v[4]*x1) + float64(v[5]*x2)
+			s2 += float64(v[6]*x0) + float64(v[7]*x1) + float64(v[8]*x2)
 			vi += 9
 		}
 		y[3*i] = s0
@@ -139,45 +140,6 @@ func (a *BCSR) MulVec(y, x []float64) {
 		y[3*i+2] = s2
 		lo = hi
 	}
-}
-
-// MulVecDot computes y = A·x and returns x·y accumulated in the same
-// pass over the matrix: the fused kernel a CG iteration uses to obtain
-// ap = A·p and pᵀAp without a second sweep over the vectors. The dot is
-// accumulated one scalar product at a time in ascending index order —
-// the same order a sequential dot(x, y) uses — so the returned value is
-// bit-identical to MulVec followed by a separate dot.
-func (a *BCSR) MulVecDot(y, x []float64) float64 {
-	if len(x) != 3*a.N || len(y) != 3*a.N {
-		panic(fmt.Sprintf("sparse: BCSR MulVecDot dimension mismatch: N=%d, x %d, y %d", a.N, len(x), len(y)))
-	}
-	rowOff := a.RowOff
-	lo := rowOff[0]
-	var d float64
-	for i := 0; i < a.N; i++ {
-		hi := rowOff[i+1]
-		cols := a.Col[lo:hi]
-		vals := a.Val[9*lo : 9*hi : 9*hi]
-		var s0, s1, s2 float64
-		vi := 0
-		for _, c := range cols {
-			j := int(c) * 3
-			v := vals[vi : vi+9 : vi+9]
-			x0, x1, x2 := x[j], x[j+1], x[j+2]
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2
-			s1 += v[3]*x0 + v[4]*x1 + v[5]*x2
-			s2 += v[6]*x0 + v[7]*x1 + v[8]*x2
-			vi += 9
-		}
-		y[3*i] = s0
-		y[3*i+1] = s1
-		y[3*i+2] = s2
-		d += x[3*i] * s0
-		d += x[3*i+1] * s1
-		d += x[3*i+2] * s2
-		lo = hi
-	}
-	return d
 }
 
 // ToCSR expands the block matrix into scalar CSR form.

@@ -74,7 +74,9 @@ func NewCSRFromTriplets(rows, cols int, ri, ci []int32, v []float64) (*CSR, erro
 // column segment, so the inner loop carries no per-element bounds
 // checks on the matrix arrays and no repeated RowOff loads — the
 // accumulation order is unchanged (left to right within the row), so
-// the result is bit-identical to the reference formulation.
+// the result is bit-identical to the reference formulation. Each product
+// is converted explicitly, which forbids fusing it into the add (arm64):
+// every target rounds it as amd64 does.
 func (a *CSR) MulVec(y, x []float64) {
 	if len(x) != a.Cols || len(y) != a.Rows {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: A is %d×%d, x %d, y %d",
@@ -88,91 +90,9 @@ func (a *CSR) MulVec(y, x []float64) {
 		vals := a.Val[lo:hi:hi]
 		var sum float64
 		for k, c := range cols {
-			sum += vals[k] * x[c]
+			sum += float64(vals[k] * x[c])
 		}
 		y[i] = sum
-		lo = hi
-	}
-}
-
-// MulVecDot computes y = A·x and returns x·y accumulated in the same
-// pass, for square matrices. The dot is accumulated one scalar product
-// at a time in row order — exactly the order a separate sequential
-// dot(x, y) would use — so MulVecDot(y, x) is bit-identical to
-// MulVec(y, x) followed by dot(x, y), while touching y only once.
-func (a *CSR) MulVecDot(y, x []float64) float64 {
-	if a.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: MulVecDot needs a square matrix, got %d×%d", a.Rows, a.Cols))
-	}
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("sparse: MulVecDot dimension mismatch: A is %d×%d, x %d, y %d",
-			a.Rows, a.Cols, len(x), len(y)))
-	}
-	rowOff := a.RowOff
-	lo := rowOff[0]
-	var d float64
-	for i := 0; i < a.Rows; i++ {
-		hi := rowOff[i+1]
-		cols := a.Col[lo:hi]
-		vals := a.Val[lo:hi:hi]
-		var sum float64
-		for k, c := range cols {
-			sum += vals[k] * x[c]
-		}
-		y[i] = sum
-		d += x[i] * sum
-		lo = hi
-	}
-	return d
-}
-
-// segThreshold is the row length above which MulVecSegmented switches
-// from the single-accumulator loop to the four-way segmented sum. Short
-// rows gain nothing from extra accumulators (the chain is shorter than
-// the FP-add latency window) and would pay the drain step.
-const segThreshold = 16
-
-// MulVecSegmented computes y = A·x using a segmented sum on long rows:
-// rows with more than segThreshold nonzeros accumulate into four
-// independent partial sums (breaking the floating-point add dependence
-// chain that serializes the classic kernel) which are reduced at the
-// end of the row. The result differs from MulVec only by the
-// reassociation of each long row's sum — a relative perturbation of
-// order machine epsilon per row, never a dropped or duplicated term.
-// Use it when the matrix has long rows and the caller tolerates
-// reassociated rounding; MulVec remains the bit-exact reference.
-func (a *CSR) MulVecSegmented(y, x []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("sparse: MulVecSegmented dimension mismatch: A is %d×%d, x %d, y %d",
-			a.Rows, a.Cols, len(x), len(y)))
-	}
-	rowOff := a.RowOff
-	lo := rowOff[0]
-	for i := 0; i < a.Rows; i++ {
-		hi := rowOff[i+1]
-		cols := a.Col[lo:hi]
-		vals := a.Val[lo:hi:hi]
-		if len(cols) <= segThreshold {
-			var sum float64
-			for k, c := range cols {
-				sum += vals[k] * x[c]
-			}
-			y[i] = sum
-			lo = hi
-			continue
-		}
-		var s0, s1, s2, s3 float64
-		k := 0
-		for ; k+4 <= len(cols); k += 4 {
-			s0 += vals[k] * x[cols[k]]
-			s1 += vals[k+1] * x[cols[k+1]]
-			s2 += vals[k+2] * x[cols[k+2]]
-			s3 += vals[k+3] * x[cols[k+3]]
-		}
-		for ; k < len(cols); k++ {
-			s0 += vals[k] * x[cols[k]]
-		}
-		y[i] = (s0 + s1) + (s2 + s3)
 		lo = hi
 	}
 }
