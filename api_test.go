@@ -65,8 +65,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := machine.Simulate(sched, t3e, machine.NetworkConfig{Transit: 1e-6})
-	if res.CommTime <= 0 {
+	res, err := machine.Simulate(sched, t3e, machine.Crossbar{Transit: 1e-6})
+	if err != nil || res.CommTime <= 0 {
 		t.Error("no simulated exchange time")
 	}
 
@@ -231,7 +231,8 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tres, err := network.Simulate(sched, quake.T3E(), tor, network.Config{LinkBytesPerSec: 1e9})
+	tor.LinkBytesPerSec = 1e9
+	tres, err := machine.Simulate(sched, quake.T3E(), tor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,15 +417,19 @@ func TestFacadeAggregation(t *testing.T) {
 		t.Errorf("node size 1 exchange %+v, want the flat row %+v", got, want)
 	}
 
-	// Both fused-leg pricers plug into the one replay.
-	mres, err := machine.Replay(agg, onNode, machine.Fused(t3e, machine.NetworkConfig{}))
+	// Both topologies carry the one replay's fused leg.
+	mres, err := machine.Replay(agg, onNode, t3e, func(int) machine.Topology { return machine.Crossbar{} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.CommTime <= 0 {
 		t.Error("no machine-simulated aggregated time")
 	}
-	nres, err := machine.Replay(agg, onNode, network.Fused(t3e, network.Config{HopLatency: 100e-9}))
+	nres, err := machine.Replay(agg, onNode, t3e, func(nodes int) machine.Topology {
+		tor, _ := network.NewTorus(nodes)
+		tor.HopLatency = 100e-9
+		return tor
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +469,7 @@ func TestFacadeAggregation(t *testing.T) {
 	}
 
 	// Node-size sweep and its table.
-	rows, err := iq.AggSweep(s, 8, quake.RCB, []int{1, 2, 4}, network.Config{HopLatency: 100e-9})
+	rows, err := iq.AggSweep(s, 8, quake.RCB, []int{1, 2, 4}, 0, 100e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

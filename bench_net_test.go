@@ -44,6 +44,7 @@ func BenchmarkAblationTorusContention(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tor.HopLatency = 100e-9
 	t3e := machine.T3E()
 	tab := report.New("Ablation: torus link contention (sf5/64, T3E, 4x4x4 DOR torus)",
 		"link MB/s", "exchange time", "vs infinite", "max link busy", "max hops")
@@ -51,13 +52,14 @@ func BenchmarkAblationTorusContention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Rows = tab.Rows[:0]
-		free, err := network.Simulate(sched, t3e, tor, network.Config{HopLatency: 100e-9})
+		free, err := machine.Simulate(sched, t3e, tor)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, mbps := range []float64{0, 1000, 600, 300, 100, 30, 10} {
-			cfg := network.Config{LinkBytesPerSec: mbps * 1e6, HopLatency: 100e-9}
-			res, err := network.Simulate(sched, t3e, tor, cfg)
+			links := tor
+			links.LinkBytesPerSec = mbps * 1e6
+			res, err := machine.Simulate(sched, t3e, links)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -180,9 +182,12 @@ func BenchmarkTorusVsModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			modelT := machine.ModelCommTime(sched, t3e)
-			simT := machine.Simulate(sched, t3e, machine.NetworkConfig{Transit: 1e-6}).CommTime
-			torRes, err := network.Simulate(sched, t3e, tor,
-				network.Config{LinkBytesPerSec: 300e6, HopLatency: 100e-9})
+			sim, err := machine.Simulate(sched, t3e, machine.Crossbar{Transit: 1e-6})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tor.LinkBytesPerSec, tor.HopLatency = 300e6, 100e-9
+			torRes, err := machine.Simulate(sched, t3e, tor)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -190,7 +195,7 @@ func BenchmarkTorusVsModel(b *testing.B) {
 			if ratio > worst {
 				worst = ratio
 			}
-			tab.AddRow(fmt.Sprint(p), report.SI(modelT, "s"), report.SI(simT, "s"),
+			tab.AddRow(fmt.Sprint(p), report.SI(modelT, "s"), report.SI(sim.CommTime, "s"),
 				report.SI(torRes.CommTime, "s"), report.F(ratio, 3))
 		}
 		saveTable(b, "validation_torus", tab)

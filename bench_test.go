@@ -327,7 +327,10 @@ func BenchmarkModelValidation(b *testing.B) {
 			}
 			modelT := machine.ModelCommTime(sched, t3e)
 			exactT := machine.ExactCommTime(sched, t3e)
-			simT := machine.Simulate(sched, t3e, machine.NetworkConfig{Transit: 1e-6}).CommTime
+			sim, err := machine.Simulate(sched, t3e, machine.Crossbar{Transit: 1e-6})
+			if err != nil {
+				b.Fatal(err)
+			}
 			beta := pr.Beta()
 			ratio := modelT / exactT
 			if ratio > beta+1e-9 {
@@ -338,7 +341,7 @@ func BenchmarkModelValidation(b *testing.B) {
 			}
 			tab.AddRow(fmt.Sprint(p), report.SI(modelT, "s"), report.SI(exactT, "s"),
 				report.F(beta, 2), report.F(ratio, 3),
-				report.SI(simT, "s"), report.F(simT/exactT, 3))
+				report.SI(sim.CommTime, "s"), report.F(sim.CommTime/exactT, 3))
 		}
 		saveTable(b, "model_validation", tab)
 	}
@@ -616,16 +619,22 @@ func BenchmarkAblationBisectionNetwork(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Rows = tab.Rows[:0]
-		free := machine.Simulate(sched, t3e, machine.NetworkConfig{}).CommTime
+		free, err := machine.Simulate(sched, t3e, machine.Crossbar{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		knee = 0
 		for _, mbps := range []float64{0, 10000, 1000, 300, 100, 30, 10, 3, 1} {
-			net := machine.NetworkConfig{BisectionBytesPerSec: mbps * 1e6}
-			ct := machine.Simulate(sched, t3e, net).CommTime
+			res, err := machine.Simulate(sched, t3e, machine.Crossbar{BisectionBytesPerSec: mbps * 1e6})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ct := res.CommTime
 			label := fmt.Sprint(mbps)
 			if mbps == 0 {
 				label = "inf"
 			}
-			slow := ct / free
+			slow := ct / free.CommTime
 			tab.AddRow(label, report.SI(ct, "s"), report.F(slow, 2))
 			if slow > 1.5 && (knee == 0 || mbps > knee) {
 				knee = mbps

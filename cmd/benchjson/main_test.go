@@ -81,8 +81,10 @@ func TestParseNoSuffix(t *testing.T) {
 // HEAD's full hash; the dirty flag just has to be a sane bool (the
 // test tree may legitimately be mid-edit).
 func TestGitMetadata(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not installed")
+	// Without git, or in an exported tree that is no repository, there
+	// is no commit to record.
+	if err := exec.Command("git", "rev-parse", "--is-inside-work-tree").Run(); err != nil {
+		t.Skipf("no git work tree: %v", err)
 	}
 	rep, err := parse(strings.NewReader("BenchmarkX \t 10 \t 100 ns/op\n"))
 	if err != nil {

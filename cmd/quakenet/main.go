@@ -96,7 +96,8 @@ func run(name string, pes int, hop float64, methodName string, agg bool, nodesiz
 	fmt.Printf("%s/%d (%s) on a %dx%dx%d torus (%s PE parameters, %.0f ns/hop)\n\n",
 		s.Name, pes, method, tor.DX, tor.DY, tor.DZ, t3e.Name, hop*1e9)
 
-	free, err := network.Simulate(sched, t3e, tor, network.Config{HopLatency: hop})
+	tor.HopLatency = hop
+	free, err := machine.Simulate(sched, t3e, tor)
 	if err != nil {
 		return err
 	}
@@ -104,8 +105,8 @@ func run(name string, pes int, hop float64, methodName string, agg bool, nodesiz
 		"link MB/s", "exchange", "vs infinite", "max link busy", "avg link busy")
 	tab.AddRow("inf", report.SI(free.CommTime, "s"), "1.000", "-", "-")
 	for _, mbps := range []float64{1000, 600, 300, 100, 30, 10, 3} {
-		res, err := network.Simulate(sched, t3e, tor,
-			network.Config{LinkBytesPerSec: mbps * 1e6, HopLatency: hop})
+		tor.LinkBytesPerSec = mbps * 1e6
+		res, err := machine.Simulate(sched, t3e, tor)
 		if err != nil {
 			return err
 		}
@@ -129,8 +130,7 @@ func run(name string, pes int, hop float64, methodName string, agg bool, nodesiz
 	if err != nil {
 		return err
 	}
-	rows, err := quake.AggSweep(s, pes, method, sizes,
-		network.Config{LinkBytesPerSec: 300e6, HopLatency: hop})
+	rows, err := quake.AggSweep(s, pes, method, sizes, 300e6, hop)
 	if err != nil {
 		return err
 	}

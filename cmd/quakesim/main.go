@@ -343,9 +343,12 @@ func run(opt *options) error {
 	}
 	modelT := machine.ModelCommTime(sched, t3e)
 	exactT := machine.ExactCommTime(sched, t3e)
-	simT := machine.Simulate(sched, t3e, machine.NetworkConfig{Transit: 1e-6}).CommTime
+	sim, err := machine.Simulate(sched, t3e, machine.Crossbar{Transit: 1e-6})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\nexchange phase on %s: model %s, exact per-PE %s, discrete sim %s (β=%.2f)\n",
-		t3e.Name, report.SI(modelT, "s"), report.SI(exactT, "s"), report.SI(simT, "s"), pr.Beta())
+		t3e.Name, report.SI(modelT, "s"), report.SI(exactT, "s"), report.SI(sim.CommTime, "s"), pr.Beta())
 	fmt.Printf("modeled efficiency of %s on %s/%d: %.3f\n",
 		t3e.Name, s.Name, pes, model.Efficiency(app, t3e.Tf, t3e.Tl, t3e.Tw))
 

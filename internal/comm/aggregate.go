@@ -208,7 +208,7 @@ func (a *Aggregated) InterCB() (c, b []int64) {
 // InternodeByNode reprojects the fused leg onto node ids: a schedule
 // with one "PE" per node, message (a→b) carrying the fused payload of
 // node pair (a,b). This is what replays over a torus whose vertices are
-// nodes rather than PEs (network.Fused).
+// nodes rather than PEs (machine.Replay's fused leg).
 func (a *Aggregated) InternodeByNode() *Schedule {
 	s := &Schedule{P: a.NumNodes, Out: make([][]Message, a.NumNodes)}
 	for pe := range a.Internode.Out {

@@ -10,6 +10,10 @@ import (
 
 func localPreset() Params { return Params{Name: "on-node", Tf: 1e-9, Tl: 0.5e-6, Tw: 5e-9} }
 
+// joins returns the topology function of Replay that puts every node
+// count on topo.
+func joins(topo Topology) func(int) Topology { return func(int) Topology { return topo } }
+
 func aggregateFor(t *testing.T, s *comm.Schedule, nodeSize int) *comm.Aggregated {
 	t.Helper()
 	a, err := comm.Aggregate(s, comm.ContiguousNodes(nodeSize))
@@ -28,9 +32,9 @@ func TestSimulateAggregatedReducesToFlat(t *testing.T) {
 	for _, p := range []int{2, 5, 8, 16} {
 		s := mustSchedule(t, randomMatrix(rng, p))
 		a := aggregateFor(t, s, 1)
-		for _, net := range []NetworkConfig{{}, {Transit: 1e-6}, {BisectionBytesPerSec: 50e6}} {
-			flat := Simulate(s, T3E(), net)
-			agg, err := Replay(a, localPreset(), Fused(T3E(), net))
+		for _, net := range []Crossbar{{}, {Transit: 1e-6}, {BisectionBytesPerSec: 50e6}} {
+			flat := simulate(t, s, T3E(), net)
+			agg, err := Replay(a, localPreset(), T3E(), joins(net))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +57,7 @@ func TestSimulateAggregatedPhasesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := mustSchedule(t, randomMatrix(rng, 12))
 	a := aggregateFor(t, s, 4)
-	res, err := Replay(a, localPreset(), Fused(T3E(), NetworkConfig{}))
+	res, err := Replay(a, localPreset(), T3E(), joins(Crossbar{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestSimulateAggregatedPhasesAdd(t *testing.T) {
 		t.Fatalf("CommTime %g != phase sum %g", res.CommTime, sum)
 	}
 	one := aggregateFor(t, s, 12)
-	all, err := Replay(one, localPreset(), Fused(T3E(), NetworkConfig{}))
+	all, err := Replay(one, localPreset(), T3E(), joins(Crossbar{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +89,8 @@ func TestSimulateAggregatedBeatsFlatWhenLatencyBound(t *testing.T) {
 	// Make blocks expensive and words (and local copies) nearly free.
 	p := Params{Name: "latency-bound", Tf: 1e-9, Tl: 100e-6, Tw: 1e-9}
 	local := Params{Name: "on-node", Tf: 1e-9, Tl: 0.1e-6, Tw: 0.5e-9}
-	flat := Simulate(s, p, NetworkConfig{})
-	agg, err := Replay(a, local, Fused(p, NetworkConfig{}))
+	flat := simulate(t, s, p, Crossbar{})
+	agg, err := Replay(a, local, p, joins(Crossbar{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +105,10 @@ func TestSimulateAggregatedBeatsFlatWhenLatencyBound(t *testing.T) {
 func TestSimulateAggregatedRejects(t *testing.T) {
 	s := mustSchedule(t, [][]int64{{0, 6}, {6, 0}})
 	a := aggregateFor(t, s, 2)
-	if _, err := Replay(a, localPreset(), Fused(Params{}, NetworkConfig{})); err == nil {
+	if _, err := Replay(a, localPreset(), Params{}, joins(Crossbar{})); err == nil {
 		t.Error("zero machine parameters accepted")
 	}
-	if _, err := Replay(a, Params{Tf: 1e-9, Tl: -1}, Fused(T3E(), NetworkConfig{})); err == nil {
+	if _, err := Replay(a, Params{Tf: 1e-9, Tl: -1}, T3E(), joins(Crossbar{})); err == nil {
 		t.Error("negative local latency accepted")
 	}
 }

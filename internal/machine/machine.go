@@ -2,11 +2,11 @@
 // works: a per-flop time T_f for the local SMVP, and a communication
 // system characterized by block latency T_l and burst word time T_w.
 // It provides the measured presets the paper quotes (Cray T3D and T3E)
-// and its two hypothetical machines (100- and 200-MFLOP PEs), plus a
-// discrete-event simulator of the exchange phase that validates the
-// closed-form model — including an optional finite-bandwidth bisection
-// channel used to demonstrate that bisection bandwidth is not the
-// bottleneck.
+// and its two hypothetical machines (100- and 200-MFLOP PEs), plus the
+// one discrete-event simulator of the exchange phase that validates the
+// closed-form model. The network it crosses is a Topology: the paper's
+// constant-latency Crossbar (with an optional finite-bandwidth bisection
+// channel), or a contended torus (package network).
 package machine
 
 import (
@@ -98,103 +98,133 @@ func ModelCommTime(s *comm.Schedule, p Params) float64 {
 	return float64(bmax)*p.Tl + float64(cmax)*p.Tw
 }
 
-// NetworkConfig configures the discrete-event exchange simulation.
-type NetworkConfig struct {
-	// Transit is the constant network transit latency added to every
-	// block (the paper assumes a constant-latency, infinite-capacity
-	// network; this is that constant).
-	Transit float64
-	// BisectionBytesPerSec, when positive, serializes all blocks whose
-	// endpoints lie on opposite sides of the canonical bisection
-	// (PE < P/2 versus PE ≥ P/2) through a shared channel with this
-	// bandwidth. Zero means infinite bisection capacity.
+// A Topology is the network an exchange crosses. It names its links by
+// dense ids, gives each a bandwidth and each block a route through them;
+// every link a block crosses adds one hop of latency.
+type Topology interface {
+	// Links returns, for an exchange among p endpoints, the bandwidth of
+	// every link in bytes per second, indexed by link id (0 means
+	// infinite: no queueing), and the latency of one hop. It errors if
+	// the topology does not join p endpoints.
+	Links(p int) (bytesPerSec []float64, hop float64, err error)
+	// AppendRoute appends to route the ids of the links a block from
+	// endpoint a to endpoint b of p crosses, in order.
+	AppendRoute(route []int32, p, a, b int) []int32
+}
+
+// Crossbar is the paper's constant-latency, infinite-capacity network,
+// with an optional bisection channel to show that bisection bandwidth is
+// not the bottleneck. Every block takes one hop of latency Transit. A
+// block whose endpoints lie on opposite sides of the canonical bisection
+// (endpoint < p/2 versus ≥ p/2) takes link 1, the one shared channel,
+// which queues it when BisectionBytesPerSec is positive; every other
+// block takes link 0, which never queues.
+type Crossbar struct {
+	Transit              float64
 	BisectionBytesPerSec float64
 }
 
-// SimResult reports the outcome of a discrete-event exchange simulation.
-type SimResult struct {
-	// PETime[i] is the time PE i finished its sends and had processed
-	// all its received blocks.
+// Links implements Topology: a crossbar joins any number of endpoints.
+func (c Crossbar) Links(int) ([]float64, float64, error) {
+	return []float64{0, c.BisectionBytesPerSec}, c.Transit, nil
+}
+
+// AppendRoute implements Topology.
+func (Crossbar) AppendRoute(route []int32, p, a, b int) []int32 {
+	if (a < p/2) != (b < p/2) {
+		return append(route, 1)
+	}
+	return append(route, 0)
+}
+
+// Result reports a simulated exchange phase.
+type Result struct {
+	// PETime[i] is the time endpoint i finished its sends and had
+	// processed all its received blocks.
 	PETime []float64
-	// CommTime is the phase time: max over PEs.
+	// CommTime is the phase time: max over endpoints.
 	CommTime float64
-	// BisectionBusy is the total time the bisection channel was busy
-	// (0 when the channel is infinite).
-	BisectionBusy float64
+	// MaxLinkBusy is the busiest link's total occupancy, and AvgLinkBusy
+	// the mean over the links that were busy (both 0 when no link queues).
+	MaxLinkBusy, AvgLinkBusy float64
+	// MaxHops is the longest route any block took.
+	MaxHops int
 }
 
 // Simulate runs a deterministic discrete-event simulation of one
-// exchange phase. Each PE's network interface is a single serial
-// resource (matching the paper's accounting, where a PE's B_i and C_i
-// count both directions): it first performs its sends back to back,
-// each occupying the NI for T_l + words·T_w, then processes incoming
-// blocks in arrival order at the same cost, idling when none has
-// arrived yet. Block arrival time is the sender-side completion plus
-// Transit, plus any queueing delay in the bisection channel.
-func Simulate(s *comm.Schedule, p Params, net NetworkConfig) SimResult {
+// exchange phase over topo. Each endpoint's network interface is a
+// single serial resource (matching the paper's accounting, where a PE's
+// B_i and C_i count both directions): it first performs its sends back
+// to back, each occupying the NI for T_l + words·T_w, then processes
+// incoming blocks in arrival order at the same cost, idling when none
+// has arrived yet. In between, blocks are taken in order of (injection
+// time, sender, send index); each crosses its route link by link,
+// queueing behind earlier traffic at every link of finite bandwidth
+// (store-and-forward at link granularity, a conservative model — wormhole
+// routing would only lower contention) and paying the hop latency at
+// each.
+func Simulate(s *comm.Schedule, p Params, topo Topology) (Result, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "simulate", "machine.simulate")
 	defer sp.End()
+	bw, hop, err := topo.Links(s.P)
+	if err != nil {
+		return Result{}, err
+	}
+	type flight struct {
+		inject float64
+		from   int32
+		seq    int
+		to     int32
+		words  int64
+	}
+	var flights []flight
+	sendDone := make([]float64, s.P)
+	for i := 0; i < s.P; i++ {
+		busy := 0.0
+		for seq, m := range s.Out[i] {
+			busy += p.Tl + float64(m.Words)*p.Tw
+			flights = append(flights, flight{
+				inject: busy, from: m.From, seq: seq, to: m.To, words: m.Words,
+			})
+		}
+		sendDone[i] = busy
+	}
+	sort.Slice(flights, func(a, b int) bool {
+		if flights[a].inject != flights[b].inject {
+			return flights[a].inject < flights[b].inject
+		}
+		if flights[a].from != flights[b].from {
+			return flights[a].from < flights[b].from
+		}
+		return flights[a].seq < flights[b].seq
+	})
+
+	linkFree := make([]float64, len(bw))
+	linkBusy := make([]float64, len(bw))
+	res := Result{PETime: make([]float64, s.P)}
 	type arrival struct {
 		at    float64
 		words int64
 	}
 	arrivals := make([][]arrival, s.P)
-	sendDone := make([]float64, s.P)
-
-	// Sender side: NIs serialize their sends starting at time zero.
-	type crossing struct {
-		idx   int // index into arrivals[to]
-		to    int32
-		end   float64 // sender-side completion
-		words int64
-	}
-	var crossings []crossing
-	half := s.P / 2
-	for i := 0; i < s.P; i++ {
-		busy := 0.0
-		for _, m := range s.Out[i] {
-			busy += p.Tl + float64(m.Words)*p.Tw
-			a := arrival{at: busy + net.Transit, words: m.Words}
-			arrivals[m.To] = append(arrivals[m.To], a)
-			if net.BisectionBytesPerSec > 0 && (int(m.From) < half) != (int(m.To) < half) {
-				crossings = append(crossings, crossing{
-					idx:   len(arrivals[m.To]) - 1,
-					to:    m.To,
-					end:   busy,
-					words: m.Words,
-				})
+	var route []int32
+	for _, f := range flights {
+		route = topo.AppendRoute(route[:0], s.P, int(f.from), int(f.to))
+		res.MaxHops = max(res.MaxHops, len(route))
+		at := f.inject
+		for _, l := range route {
+			if bw[l] > 0 {
+				start := max(at, linkFree[l])
+				dur := float64(f.words) * 8 / bw[l]
+				linkFree[l] = start + dur
+				linkBusy[l] += dur
+				at = start + dur + hop
+			} else {
+				at += hop
 			}
 		}
-		sendDone[i] = busy
+		arrivals[f.to] = append(arrivals[f.to], arrival{at: at, words: f.words})
 	}
-
-	// Bisection channel: serialize crossing blocks in sender-completion
-	// order.
-	res := SimResult{PETime: make([]float64, s.P)}
-	if net.BisectionBytesPerSec > 0 {
-		sort.Slice(crossings, func(a, b int) bool {
-			if crossings[a].end != crossings[b].end {
-				return crossings[a].end < crossings[b].end
-			}
-			if crossings[a].to != crossings[b].to {
-				return crossings[a].to < crossings[b].to
-			}
-			return crossings[a].idx < crossings[b].idx
-		})
-		chanFree := 0.0
-		for _, c := range crossings {
-			start := c.end
-			if chanFree > start {
-				start = chanFree
-			}
-			dur := float64(c.words) * 8 / net.BisectionBytesPerSec
-			chanFree = start + dur
-			res.BisectionBusy += dur
-			arrivals[c.to][c.idx].at = chanFree + net.Transit
-		}
-	}
-
-	// Receiver side: after finishing sends, process arrivals in order.
 	for i := 0; i < s.P; i++ {
 		as := arrivals[i]
 		sort.Slice(as, func(a, b int) bool { return as[a].at < as[b].at })
@@ -206,13 +236,23 @@ func Simulate(s *comm.Schedule, p Params, net NetworkConfig) SimResult {
 			busy += p.Tl + float64(a.words)*p.Tw
 		}
 		res.PETime[i] = busy
-		if busy > res.CommTime {
-			res.CommTime = busy
+		res.CommTime = max(res.CommTime, busy)
+	}
+	var used int
+	var sum float64
+	for _, b := range linkBusy {
+		if b > 0 {
+			used++
+			sum += b
+			res.MaxLinkBusy = max(res.MaxLinkBusy, b)
 		}
+	}
+	if used > 0 {
+		res.AvgLinkBusy = sum / float64(used)
 	}
 	obs.GetCounter("machine.sim.runs").Add(1)
 	obs.GetGauge("machine.sim.comm_seconds").Set(res.CommTime)
-	return res
+	return res, nil
 }
 
 // OnNode returns the default intra-node parameters of the two-level
@@ -222,20 +262,6 @@ func Simulate(s *comm.Schedule, p Params, net NetworkConfig) SimResult {
 // shared-memory transfer costs. Tf is the T3E's (unused by the
 // intra-node legs, but kept valid for Validate).
 func OnNode() Params { return Params{Name: "on-node", Tf: 14e-9, Tl: 1e-6, Tw: 10e-9} }
-
-// FusedLeg prices the fused inter-node leg of a two-level plan: its
-// phase time.
-type FusedLeg func(a *comm.Aggregated) (float64, error)
-
-// Fused prices the fused leg with Simulate at p through net.
-func Fused(p Params, net NetworkConfig) FusedLeg {
-	return func(a *comm.Aggregated) (float64, error) {
-		if err := p.Validate(); err != nil {
-			return 0, err
-		}
-		return Simulate(a.Internode, p, net).CommTime, nil
-	}
-}
 
 // Phases reports a replay of a two-level exchange: each phase's time
 // and their sum, CommTime.
@@ -247,29 +273,32 @@ type Phases struct {
 // included. It runs three barrier-separated phases, so their times add:
 // the Local payload messages merged with the Gather copy leg, then the
 // fused leader-to-leader leg, then the Scatter leg. The on-node phases
-// are replayed by Simulate at the local parameters (shared memory or an
-// on-node interconnect); only the fused leg pays the machine's block
-// latency, as fused prices it — Fused, or network.Fused over a
+// run at the local parameters (shared memory or an on-node
+// interconnect) on a plain Crossbar. Only the fused leg pays the
+// machine's parameters, fused: it runs as the by-node schedule
+// (Aggregated.InternodeByNode) over topo(a.NumNodes) — a Crossbar, or a
 // contended torus of nodes. With one PE per node the on-node legs are
 // empty and the fused leg is the flat schedule, so the replay is the
 // flat exchange's, bit for bit.
-func Replay(a *comm.Aggregated, local Params, fused FusedLeg) (Phases, error) {
+func Replay(a *comm.Aggregated, local, fused Params, topo func(nodes int) Topology) (Phases, error) {
 	if local.Tl < 0 || local.Tw < 0 {
 		return Phases{}, fmt.Errorf("machine: negative local parameters %+v", local)
+	}
+	if err := fused.Validate(); err != nil {
+		return Phases{}, err
 	}
 	intra, err := comm.Merge(a.Local, a.Gather)
 	if err != nil {
 		return Phases{}, err
 	}
-	inter, err := fused(a)
+	inter, err := Simulate(a.InternodeByNode(), fused, topo(a.NumNodes))
 	if err != nil {
 		return Phases{}, err
 	}
-	ph := Phases{
-		Gather:    Simulate(intra, local, NetworkConfig{}).CommTime,
-		Internode: inter,
-		Scatter:   Simulate(a.Scatter, local, NetworkConfig{}).CommTime,
-	}
+	// A crossbar joins any number of endpoints: these cannot fail.
+	gather, _ := Simulate(intra, local, Crossbar{})
+	scatter, _ := Simulate(a.Scatter, local, Crossbar{})
+	ph := Phases{Gather: gather.CommTime, Internode: inter.CommTime, Scatter: scatter.CommTime}
 	ph.CommTime = ph.Gather + ph.Internode + ph.Scatter
 	return ph, nil
 }

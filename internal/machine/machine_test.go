@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,16 @@ func mustSchedule(t testing.TB, m [][]int64) *comm.Schedule {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// simulate runs Simulate and fails the test on an error.
+func simulate(t testing.TB, s *comm.Schedule, p Params, topo Topology) Result {
+	t.Helper()
+	res, err := Simulate(s, p, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // randomMatrix builds a random symmetric message matrix on p PEs.
@@ -83,13 +94,13 @@ func TestSimulateMatchesClosedFormWithoutContention(t *testing.T) {
 	// exactly 2(Tl + w·Tw) = B_i·Tl + C_i·Tw: the closed form is exact.
 	s := mustSchedule(t, [][]int64{{0, 100}, {100, 0}})
 	p := Params{Name: "test", Tf: 1e-9, Tl: 1e-6, Tw: 10e-9}
-	res := Simulate(s, p, NetworkConfig{})
+	res := simulate(t, s, p, Crossbar{})
 	exact := ExactCommTime(s, p)
 	if math.Abs(res.CommTime-exact) > 1e-15 {
 		t.Errorf("sim %g != exact %g", res.CommTime, exact)
 	}
-	if res.BisectionBusy != 0 {
-		t.Error("bisection busy with infinite channel")
+	if res.MaxLinkBusy != 0 || res.AvgLinkBusy != 0 || res.MaxHops != 1 {
+		t.Errorf("infinite crossbar: link busy %g/%g, %d hops", res.MaxLinkBusy, res.AvgLinkBusy, res.MaxHops)
 	}
 }
 
@@ -98,7 +109,7 @@ func TestSimulateNeverBeatsExact(t *testing.T) {
 	p := T3E()
 	for trial := 0; trial < 30; trial++ {
 		s := mustSchedule(t, randomMatrix(rng, 2+rng.Intn(24)))
-		res := Simulate(s, p, NetworkConfig{Transit: 1e-6})
+		res := simulate(t, s, p, Crossbar{Transit: 1e-6})
 		exact := ExactCommTime(s, p)
 		if res.CommTime < exact-1e-12 {
 			t.Fatalf("trial %d: sim %g < exact per-PE bound %g", trial, res.CommTime, exact)
@@ -121,7 +132,7 @@ func TestSimulateNeverBeatsExact(t *testing.T) {
 func TestSimulatePerPETimes(t *testing.T) {
 	s := mustSchedule(t, [][]int64{{0, 30, 0}, {30, 0, 12}, {0, 12, 0}})
 	p := Params{Name: "test", Tf: 1e-9, Tl: 1e-6, Tw: 10e-9}
-	res := Simulate(s, p, NetworkConfig{})
+	res := simulate(t, s, p, Crossbar{})
 	if len(res.PETime) != 3 {
 		t.Fatalf("PETime len %d", len(res.PETime))
 	}
@@ -147,39 +158,40 @@ func TestSimulateBisectionContention(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := mustSchedule(t, randomMatrix(rng, 16))
 	p := Future200()
-	free := Simulate(s, p, NetworkConfig{}).CommTime
+	free := simulate(t, s, p, Crossbar{}).CommTime
 	// A generous bisection channel should barely matter...
-	wide := Simulate(s, p, NetworkConfig{BisectionBytesPerSec: 100e9}).CommTime
+	wide := simulate(t, s, p, Crossbar{BisectionBytesPerSec: 100e9}).CommTime
 	if wide > free*1.05 {
 		t.Errorf("wide bisection slowed phase: %g vs %g", wide, free)
 	}
 	// ...a starved one must dominate the phase.
-	narrow := Simulate(s, p, NetworkConfig{BisectionBytesPerSec: 1e6})
+	narrow := simulate(t, s, p, Crossbar{BisectionBytesPerSec: 1e6})
 	if narrow.CommTime < 2*free {
 		t.Errorf("narrow bisection did not bottleneck: %g vs %g", narrow.CommTime, free)
 	}
-	if narrow.BisectionBusy <= 0 {
-		t.Error("no bisection busy time recorded")
+	if narrow.MaxLinkBusy <= 0 || narrow.AvgLinkBusy != narrow.MaxLinkBusy {
+		t.Errorf("bisection busy %g, mean %g: want one busy link", narrow.MaxLinkBusy, narrow.AvgLinkBusy)
 	}
 }
 
+// TestSimulateDeterministic: repeated runs on equal schedules agree on
+// every Result field, bit for bit (%v prints a float64 so that distinct
+// values print differently).
 func TestSimulateDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	m := randomMatrix(rng, 12)
-	s1 := mustSchedule(t, m)
-	s2 := mustSchedule(t, m)
-	p := T3E()
-	net := NetworkConfig{Transit: 2e-6, BisectionBytesPerSec: 1e9}
-	a := Simulate(s1, p, net)
-	b := Simulate(s2, p, net)
-	if a.CommTime != b.CommTime || a.BisectionBusy != b.BisectionBusy {
-		t.Error("simulation not deterministic")
+	net := Crossbar{Transit: 2e-6, BisectionBytesPerSec: 1e9}
+	want := fmt.Sprintf("%+v", simulate(t, mustSchedule(t, m), T3E(), net))
+	for run := 0; run < 20; run++ {
+		if got := fmt.Sprintf("%+v", simulate(t, mustSchedule(t, m), T3E(), net)); got != want {
+			t.Fatalf("run %d: %s, want %s", run, got, want)
+		}
 	}
 }
 
 func TestSimulateEmpty(t *testing.T) {
 	s := mustSchedule(t, [][]int64{{0}})
-	res := Simulate(s, T3E(), NetworkConfig{})
+	res := simulate(t, s, T3E(), Crossbar{})
 	if res.CommTime != 0 {
 		t.Errorf("empty schedule CommTime = %g", res.CommTime)
 	}

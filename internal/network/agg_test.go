@@ -34,14 +34,24 @@ func netRandomMatrix(rng *rand.Rand, p int) [][]int64 {
 	return m
 }
 
+// nodeTorus is machine.Replay's topology function for a torus of nodes
+// with the given links.
+func nodeTorus(linkBytesPerSec, hop float64) func(int) machine.Topology {
+	return func(nodes int) machine.Topology {
+		t, _ := NewTorus(nodes)
+		t.LinkBytesPerSec, t.HopLatency = linkBytesPerSec, hop
+		return t
+	}
+}
+
 func localNet() machine.Params {
 	return machine.Params{Name: "on-node", Tf: 1e-9, Tl: 0.5e-6, Tw: 5e-9}
 }
 
 // TestSimulateAggregatedTorusReducesToFlat: with one PE per node the
 // node torus is the PE torus and the fused schedule is the flat one,
-// so the aggregated replay must match Simulate exactly, contended or
-// not.
+// so the aggregated replay must match the flat simulation exactly,
+// contended or not.
 func TestSimulateAggregatedTorusReducesToFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, p := range []int{8, 12, 27} {
@@ -50,22 +60,16 @@ func TestSimulateAggregatedTorusReducesToFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tor, err := NewTorus(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cfg := range []Config{{}, {HopLatency: 100e-9}, {LinkBytesPerSec: 100e6, HopLatency: 100e-9}} {
-			flat, err := Simulate(s, machine.T3E(), tor, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			agg, err := machine.Replay(a, localNet(), Fused(machine.T3E(), cfg))
+		for _, link := range [][2]float64{{0, 0}, {0, 100e-9}, {100e6, 100e-9}} {
+			topo := nodeTorus(link[0], link[1])
+			flat := simulate(t, s, machine.T3E(), topo(p))
+			agg, err := machine.Replay(a, localNet(), machine.T3E(), topo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if agg.CommTime != flat.CommTime {
-				t.Fatalf("p=%d cfg=%+v: aggregated %g != flat %g",
-					p, cfg, agg.CommTime, flat.CommTime)
+				t.Fatalf("p=%d links %v: aggregated %g != flat %g",
+					p, link, agg.CommTime, flat.CommTime)
 			}
 			if agg.Gather != 0 || agg.Scatter != 0 {
 				t.Fatalf("p=%d: identity aggregation has local phases %g/%g",
@@ -85,19 +89,12 @@ func TestSimulateAggregatedNodeTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{LinkBytesPerSec: 100e6}
-	res, err := machine.Replay(a, localNet(), Fused(machine.T3E(), cfg))
+	topo := nodeTorus(100e6, 0)
+	res, err := machine.Replay(a, localNet(), machine.T3E(), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeTorus, err := NewTorus(a.NumNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter, err := Simulate(a.InternodeByNode(), machine.T3E(), nodeTorus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := simulate(t, a.InternodeByNode(), machine.T3E(), topo(a.NumNodes))
 	if res.Internode != inter.CommTime {
 		t.Fatalf("fused leg %g, node-torus replay %g", res.Internode, inter.CommTime)
 	}
@@ -109,7 +106,7 @@ func TestSimulateAggregatedNodeTorus(t *testing.T) {
 		t.Fatalf("grouped plan should have local phases, got %g/%g",
 			res.Gather, res.Scatter)
 	}
-	if _, err := machine.Replay(a, machine.Params{Tf: 1e-9, Tl: -1}, Fused(machine.T3E(), Config{})); err == nil {
+	if _, err := machine.Replay(a, machine.Params{Tf: 1e-9, Tl: -1}, machine.T3E(), nodeTorus(0, 0)); err == nil {
 		t.Fatal("negative local parameters accepted")
 	}
 }
@@ -125,10 +122,8 @@ func TestSimulateDegenerateTori(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := netSchedule(t, [][]int64{{0}})
-	res, err := Simulate(empty, machine.T3E(), tor1, Config{LinkBytesPerSec: 1e6, HopLatency: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tor1.LinkBytesPerSec, tor1.HopLatency = 1e6, 1e-6
+	res := simulate(t, empty, machine.T3E(), tor1)
 	if res.CommTime != 0 || res.MaxHops != 0 || res.MaxLinkBusy != 0 {
 		t.Fatalf("single-PE sim nonzero: %+v", res)
 	}
@@ -139,10 +134,8 @@ func TestSimulateDegenerateTori(t *testing.T) {
 		t.Fatal(err)
 	}
 	silent := netSchedule(t, [][]int64{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}})
-	res, err = Simulate(silent, machine.T3E(), tor4, Config{LinkBytesPerSec: 1e6, HopLatency: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tor4.LinkBytesPerSec, tor4.HopLatency = 1e6, 1e-6
+	res = simulate(t, silent, machine.T3E(), tor4)
 	if res.CommTime != 0 {
 		t.Fatalf("zero-word schedule took %g s", res.CommTime)
 	}
@@ -150,7 +143,7 @@ func TestSimulateDegenerateTori(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zres, err := machine.Replay(za, localNet(), Fused(machine.T3E(), Config{LinkBytesPerSec: 1e6}))
+	zres, err := machine.Replay(za, localNet(), machine.T3E(), nodeTorus(1e6, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +162,13 @@ func TestSimulateDegenerateTori(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	s7 := netSchedule(t, netRandomMatrix(rng, 7))
-	free, err := Simulate(s7, machine.T3E(), tor7, Config{HopLatency: 100e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tor7.HopLatency = 100e-9
+	free := simulate(t, s7, machine.T3E(), tor7)
 	if free.MaxHops > 3 {
 		t.Fatalf("ring of 7: max hops %d > 3", free.MaxHops)
 	}
-	contended, err := Simulate(s7, machine.T3E(), tor7, Config{LinkBytesPerSec: 10e6, HopLatency: 100e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tor7.LinkBytesPerSec = 10e6
+	contended := simulate(t, s7, machine.T3E(), tor7)
 	if contended.CommTime < free.CommTime {
 		t.Fatalf("contention sped up the ring: %g < %g", contended.CommTime, free.CommTime)
 	}
@@ -190,7 +179,7 @@ func TestSimulateDegenerateTori(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := machine.Replay(a, localNet(), Fused(machine.T3E(), Config{LinkBytesPerSec: 10e6}))
+	agg, err := machine.Replay(a, localNet(), machine.T3E(), nodeTorus(10e6, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// Package network simulates a 3D torus interconnect — the topology of
-// the Cray T3D/T3E the paper measured — with finite per-link bandwidth
-// and dimension-ordered routing. The paper's models assume the network
+// Package network models a 3D torus interconnect — the topology of the
+// Cray T3D/T3E the paper measured — with finite per-link bandwidth and
+// dimension-ordered routing, as a machine.Topology for the one exchange
+// simulator, machine.Simulate. The paper's models assume the network
 // has infinite capacity and constant latency, citing an empirical
 // argument in the expanded technical report; this package recreates
 // that argument: running the SMVP exchange over a contended torus and
@@ -10,21 +11,26 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/comm"
 	"repro/internal/machine"
 )
 
-// Torus is a DX×DY×DZ 3D torus with one PE per node.
+// Torus is a DX×DY×DZ 3D torus with one PE per node. Each directed link
+// carries LinkBytesPerSec (zero means infinite: no contention, pure hop
+// latency) and each hop adds the router traversal time HopLatency. It is
+// a machine.Topology through its dimension-ordered routes.
 type Torus struct {
-	DX, DY, DZ int
+	DX, DY, DZ      int
+	LinkBytesPerSec float64
+	HopLatency      float64
 }
 
+var _ machine.Topology = Torus{}
+
 // NewTorus factors p into the most cube-like torus shape with
-// DX·DY·DZ = p. It errors if p has no 3-factor decomposition (p must
-// be a positive integer; every p works since 1s are allowed, but very
-// prime p degenerates to a ring).
+// DX·DY·DZ = p, with infinite links and no hop latency. It errors if p
+// is not positive (every p > 0 factors since 1s are allowed; a prime p
+// degenerates to a ring).
 func NewTorus(p int) (Torus, error) {
 	if p <= 0 {
 		return Torus{}, fmt.Errorf("network: torus needs positive PE count, got %d", p)
@@ -76,8 +82,7 @@ type Link struct {
 // degenerate dimensions of extent 1, which have none).
 func (t Torus) NumLinks() int {
 	n := 0
-	for dim, extent := range [3]int{t.DX, t.DY, t.DZ} {
-		_ = dim
+	for _, extent := range [3]int{t.DX, t.DY, t.DZ} {
 		if extent > 1 {
 			n += 2 * t.PEs()
 		}
@@ -117,141 +122,31 @@ func (t Torus) Route(a, b int) []Link {
 	return path
 }
 
-// Hops returns the dimension-ordered hop count between two PEs.
-func (t Torus) Hops(a, b int) int { return len(t.Route(a, b)) }
-
-// Config sets the physical parameters of the torus channels.
-type Config struct {
-	// LinkBytesPerSec is the bandwidth of each directed link; zero
-	// means infinite (no contention, pure hop latency).
-	LinkBytesPerSec float64
-	// HopLatency is the router traversal time per hop.
-	HopLatency float64
+// Links implements machine.Topology: NumLinks links of LinkBytesPerSec.
+func (t Torus) Links(p int) ([]float64, float64, error) {
+	if t.PEs() != p {
+		return nil, 0, fmt.Errorf("network: torus has %d PEs, schedule %d", t.PEs(), p)
+	}
+	bw := make([]float64, t.NumLinks())
+	for i := range bw {
+		bw[i] = t.LinkBytesPerSec
+	}
+	return bw, t.HopLatency, nil
 }
 
-// Result reports a torus exchange simulation.
-type Result struct {
-	CommTime float64
-	PETime   []float64
-	// MaxLinkBusy is the busiest single link's total occupancy, and
-	// AvgLinkBusy the mean over links that carried traffic.
-	MaxLinkBusy float64
-	AvgLinkBusy float64
-	// MaxHops is the longest route used by any message.
-	MaxHops int
-}
-
-// Simulate runs the exchange schedule over the torus. Sender network
-// interfaces serialize their blocks exactly as in machine.Simulate (the
-// per-block cost T_l + words·T_w); each block then traverses its
-// dimension-ordered path, queueing at every link behind earlier
-// traffic (store-and-forward at link granularity, a conservative model
-// — wormhole routing would only lower contention); receivers process
-// arrivals in order at the same NI cost. Blocks are processed in
-// deterministic order.
-func Simulate(s *comm.Schedule, p machine.Params, t Torus, cfg Config) (Result, error) {
-	if t.PEs() != s.P {
-		return Result{}, fmt.Errorf("network: torus has %d PEs, schedule %d", t.PEs(), s.P)
-	}
-	type flight struct {
-		inject float64
-		from   int32
-		seq    int
-		to     int32
-		words  int64
-	}
-	var flights []flight
-	sendDone := make([]float64, s.P)
-	for i := 0; i < s.P; i++ {
-		busy := 0.0
-		for seq, m := range s.Out[i] {
-			busy += p.Tl + float64(m.Words)*p.Tw
-			flights = append(flights, flight{
-				inject: busy, from: m.From, seq: seq, to: m.To, words: m.Words,
-			})
-		}
-		sendDone[i] = busy
-	}
-	sort.Slice(flights, func(a, b int) bool {
-		if flights[a].inject != flights[b].inject {
-			return flights[a].inject < flights[b].inject
-		}
-		if flights[a].from != flights[b].from {
-			return flights[a].from < flights[b].from
-		}
-		return flights[a].seq < flights[b].seq
-	})
-
-	linkFree := make(map[Link]float64)
-	linkBusy := make(map[Link]float64)
-	res := Result{PETime: make([]float64, s.P)}
-	type arrival struct {
-		at    float64
-		words int64
-	}
-	arrivals := make([][]arrival, s.P)
-	for _, f := range flights {
-		path := t.Route(int(f.from), int(f.to))
-		if len(path) > res.MaxHops {
-			res.MaxHops = len(path)
-		}
-		at := f.inject
-		for _, l := range path {
-			if cfg.LinkBytesPerSec > 0 {
-				start := at
-				if free := linkFree[l]; free > start {
-					start = free
-				}
-				dur := float64(f.words) * 8 / cfg.LinkBytesPerSec
-				linkFree[l] = start + dur
-				linkBusy[l] += dur
-				at = start + dur + cfg.HopLatency
-			} else {
-				at += cfg.HopLatency
+// AppendRoute implements machine.Topology with Route. Link ids are
+// dense: the links of each dimension of extent > 1, in dimension order,
+// minus direction then plus, node-major within.
+func (t Torus) AppendRoute(route []int32, _, a, b int) []int32 {
+	ext := [3]int{t.DX, t.DY, t.DZ}
+	for _, l := range t.Route(a, b) {
+		k := 0 // dimensions with links before l's
+		for _, n := range ext[:l.Dim] {
+			if n > 1 {
+				k++
 			}
 		}
-		arrivals[f.to] = append(arrivals[f.to], arrival{at: at, words: f.words})
+		route = append(route, int32((2*k+int(l.Dir))*t.PEs()+l.Node))
 	}
-	for i := 0; i < s.P; i++ {
-		as := arrivals[i]
-		sort.Slice(as, func(a, b int) bool { return as[a].at < as[b].at })
-		busy := sendDone[i]
-		for _, a := range as {
-			if a.at > busy {
-				busy = a.at
-			}
-			busy += p.Tl + float64(a.words)*p.Tw
-		}
-		res.PETime[i] = busy
-		if busy > res.CommTime {
-			res.CommTime = busy
-		}
-	}
-	if n := len(linkBusy); n > 0 {
-		var sum float64
-		for _, b := range linkBusy {
-			sum += b
-			if b > res.MaxLinkBusy {
-				res.MaxLinkBusy = b
-			}
-		}
-		res.AvgLinkBusy = sum / float64(n)
-	}
-	return res, nil
-}
-
-// Fused prices the fused leg of a two-level plan for machine.Replay.
-// Only the fused leader-to-leader blocks enter the interconnect, so the
-// torus is one of NODES, NewTorus(a.NumNodes), carrying the by-node
-// fused schedule (Aggregated.InternodeByNode) through Simulate at p.
-// With one PE per node that is the PE torus and the flat schedule.
-func Fused(p machine.Params, cfg Config) machine.FusedLeg {
-	return func(a *comm.Aggregated) (float64, error) {
-		t, err := NewTorus(a.NumNodes)
-		if err != nil {
-			return 0, err
-		}
-		res, err := Simulate(a.InternodeByNode(), p, t, cfg)
-		return res.CommTime, err
-	}
+	return route
 }

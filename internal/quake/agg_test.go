@@ -59,7 +59,7 @@ func TestAggregationReducesInterBmaxSF5(t *testing.T) {
 // block totals while paying copied words, and the rendered table
 // carries the tradeoff columns.
 func TestAggSweepSF10(t *testing.T) {
-	rows, err := AggSweep(SF10, 16, partition.RCB, []int{1, 2, 4, 8}, network.Config{HopLatency: 100e-9})
+	rows, err := AggSweep(SF10, 16, partition.RCB, []int{1, 2, 4, 8}, 0, 100e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,34 +172,30 @@ func TestNodeSizeOneIsFlat(t *testing.T) {
 					t.Fatalf("analysis %q predicts %v, paper %v", rep.Schedule, rep.Drift.PredictedTc, paperTc)
 				}
 
-				net := machine.NetworkConfig{Transit: draw(1e-8, 1e-5)}
+				xbar := machine.Crossbar{Transit: draw(1e-8, 1e-5)}
 				if rng.Intn(2) == 0 {
-					net.BisectionBytesPerSec = draw(1e6, 1e9)
-				}
-				ph, err := machine.Replay(one, local, machine.Fused(mp, net))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if flat := machine.Simulate(sched, mp, net).CommTime; ph.CommTime != flat || ph.Gather != 0 || ph.Scatter != 0 {
-					t.Fatalf("machine replay %+v, flat %v", ph, flat)
-				}
-				cfg := network.Config{HopLatency: draw(1e-9, 1e-6)}
-				if rng.Intn(2) == 0 {
-					cfg.LinkBytesPerSec = draw(1e6, 1e9)
+					xbar.BisectionBytesPerSec = draw(1e6, 1e9)
 				}
 				tor, err := network.NewTorus(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				flat, err := network.Simulate(sched, mp, tor, cfg)
-				if err != nil {
-					t.Fatal(err)
+				tor.HopLatency = draw(1e-9, 1e-6)
+				if rng.Intn(2) == 0 {
+					tor.LinkBytesPerSec = draw(1e6, 1e9)
 				}
-				if ph, err = machine.Replay(one, local, network.Fused(mp, cfg)); err != nil {
-					t.Fatal(err)
-				}
-				if ph.CommTime != flat.CommTime || ph.Gather != 0 || ph.Scatter != 0 {
-					t.Fatalf("torus replay %+v, flat %v", ph, flat.CommTime)
+				for _, topo := range []machine.Topology{xbar, tor} {
+					ph, err := machine.Replay(one, local, mp, func(int) machine.Topology { return topo })
+					if err != nil {
+						t.Fatal(err)
+					}
+					flat, err := machine.Simulate(sched, mp, topo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ph.CommTime != flat.CommTime || ph.Gather != 0 || ph.Scatter != 0 {
+						t.Fatalf("%T replay %+v, flat %v", topo, ph, flat.CommTime)
+					}
 				}
 			}
 

@@ -487,10 +487,11 @@ func names(scenarios []Scenario) []string {
 // block-latency problem. It partitions the scenario's mesh onto p PEs
 // with the given method and evaluates the exchange at each node size,
 // replaying every plan with its fused leg over a contended torus of
-// nodes (cfg). The flat column is the same replay at node size 1, so a
+// nodes (links of linkBytesPerSec, 0 for infinite, and hopLatency per
+// hop). The flat column is the same replay at node size 1, so a
 // node size 1 row, worth including in nodeSizes, anchors the table at
 // exactly 1.
-func AggSweep(s Scenario, p int, method partition.Method, nodeSizes []int, cfg network.Config) ([]report.AggregationRow, error) {
+func AggSweep(s Scenario, p int, method partition.Method, nodeSizes []int, linkBytesPerSec, hopLatency float64) ([]report.AggregationRow, error) {
 	m, err := s.Mesh()
 	if err != nil {
 		return nil, err
@@ -507,13 +508,17 @@ func AggSweep(s Scenario, p int, method partition.Method, nodeSizes []int, cfg n
 	if err != nil {
 		return nil, err
 	}
-	fused := network.Fused(machine.T3E(), cfg)
+	nodeTorus := func(nodes int) machine.Topology {
+		t, _ := network.NewTorus(nodes) // a plan has at least one node
+		t.LinkBytesPerSec, t.HopLatency = linkBytesPerSec, hopLatency
+		return t
+	}
 	replay := func(nodeSize int) (*comm.Aggregated, machine.Phases, error) {
 		a, err := comm.Aggregate(sched, comm.ContiguousNodes(nodeSize))
 		if err != nil {
 			return nil, machine.Phases{}, err
 		}
-		ph, err := machine.Replay(a, machine.OnNode(), fused)
+		ph, err := machine.Replay(a, machine.OnNode(), machine.T3E(), nodeTorus)
 		return a, ph, err
 	}
 	_, flat, err := replay(1)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/report"
 )
@@ -77,8 +76,7 @@ func TestGoldenBetaSF10(t *testing.T) {
 // table quakenet prints and followed by every replayed exchange time in
 // full precision, so a change of one bit in either replay shows.
 func TestGoldenAggSweepSF10(t *testing.T) {
-	rows, err := AggSweep(SF10, 16, partition.RCB, []int{1, 2, 4, 8},
-		network.Config{LinkBytesPerSec: 300e6, HopLatency: 100e-9})
+	rows, err := AggSweep(SF10, 16, partition.RCB, []int{1, 2, 4, 8}, 300e6, 100e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

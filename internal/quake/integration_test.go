@@ -97,9 +97,10 @@ func TestModelWithinBetaOfExact(t *testing.T) {
 	}
 }
 
-// TestSimulatorsConsistent: discrete NI simulation ≥ exact closed form;
-// torus with infinite links equals the NI simulation; contended torus
-// is never faster.
+// TestSimulatorsConsistent: the simulated exchange on the paper's
+// network ≥ exact closed form; a torus with infinite links and no hop
+// latency is that network bit for bit; a contended torus is never
+// faster.
 func TestSimulatorsConsistent(t *testing.T) {
 	for _, p := range []int{8, 27, 64} {
 		pr := profileFor(t, p, partition.RCB)
@@ -109,23 +110,26 @@ func TestSimulatorsConsistent(t *testing.T) {
 		}
 		t3e := machine.T3E()
 		exact := machine.ExactCommTime(s, t3e)
-		sim := machine.Simulate(s, t3e, machine.NetworkConfig{}).CommTime
-		if sim < exact-1e-12 {
-			t.Fatalf("p=%d: sim %g < exact %g", p, sim, exact)
+		sim, err := machine.Simulate(s, t3e, machine.Crossbar{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.CommTime < exact-1e-12 {
+			t.Fatalf("p=%d: sim %g < exact %g", p, sim.CommTime, exact)
 		}
 		tor, err := network.NewTorus(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		free, err := network.Simulate(s, t3e, tor, network.Config{})
+		free, err := machine.Simulate(s, t3e, tor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(free.CommTime-sim) > 1e-12*(1+sim) {
-			t.Fatalf("p=%d: free torus %g != NI sim %g", p, free.CommTime, sim)
+		if free.CommTime != sim.CommTime {
+			t.Fatalf("p=%d: free torus %g != crossbar %g", p, free.CommTime, sim.CommTime)
 		}
-		contended, err := network.Simulate(s, t3e, tor,
-			network.Config{LinkBytesPerSec: 100e6, HopLatency: 100e-9})
+		tor.LinkBytesPerSec, tor.HopLatency = 100e6, 100e-9
+		contended, err := machine.Simulate(s, t3e, tor)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,6 @@ func TestByNameAndFamily(t *testing.T) {
 	if _, err := ByName("sf3"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if len(Small()) != 2 {
-		t.Error("Small() size")
-	}
 }
 
 func TestBuildRejectsUnconfigured(t *testing.T) {
@@ -39,7 +36,7 @@ func TestBuildRejectsUnconfigured(t *testing.T) {
 // by roughly the paper's factor of eight.
 func TestCalibrationTracksPaperSizes(t *testing.T) {
 	var nodes [2]float64
-	for i, s := range Small() {
+	for i, s := range []Scenario{SF10, SF5} {
 		m, err := s.Mesh()
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +139,7 @@ func TestPropertiesCached(t *testing.T) {
 }
 
 func TestFig2Table(t *testing.T) {
-	tab, err := Fig2Table(Small())
+	tab, err := Fig2Table([]Scenario{SF10, SF5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +156,14 @@ func TestFig2Table(t *testing.T) {
 }
 
 func TestFig6And7Tables(t *testing.T) {
-	t6, err := Fig6Table(Small(), testPCounts, partition.RCB)
+	t6, err := Fig6Table([]Scenario{SF10, SF5}, testPCounts, partition.RCB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(t6.Rows) != len(testPCounts) {
 		t.Errorf("Fig6 rows = %d", len(t6.Rows))
 	}
-	t7, err := Fig7Table(Small(), testPCounts, partition.RCB)
+	t7, err := Fig7Table([]Scenario{SF10, SF5}, testPCounts, partition.RCB)
 	if err != nil {
 		t.Fatal(err)
 	}

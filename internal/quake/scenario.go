@@ -50,10 +50,6 @@ var (
 		PaperNodes: 2461694, PaperElems: 13980162, PaperEdges: 16684112}
 )
 
-// Small returns the scenarios cheap enough for unit tests and default
-// benchmarks (sf10 and sf5).
-func Small() []Scenario { return []Scenario{SF10, SF5} }
-
 // ByName returns the named scenario.
 func ByName(name string) (Scenario, error) {
 	for _, s := range []Scenario{SF10, SF5, SF2, SF1, SF1Small} {

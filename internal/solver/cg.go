@@ -42,18 +42,6 @@ type Operator interface {
 	Dim() int
 }
 
-// BCSROperator adapts a BCSR matrix to the Operator interface.
-type BCSROperator struct{ M *sparse.BCSR }
-
-// Apply implements Operator.
-func (o BCSROperator) Apply(y, x []float64) error {
-	o.M.MulVec(y, x)
-	return nil
-}
-
-// Dim implements Operator.
-func (o BCSROperator) Dim() int { return 3 * o.M.N }
-
 // Shifted is the operator A = K + σ·diag(M): the stiffness matrix plus
 // a scaled lumped-mass diagonal. K alone is positive semidefinite (it
 // annihilates rigid-body modes); any σ > 0 makes the operator strictly
@@ -278,8 +266,8 @@ type backend interface {
 // serial is the backend over plain slices: one Vectors set over the
 // caller's x and a Workspace, and an operator reached only through
 // Apply, which forms A·p whole — so the set has no shift — and whose
-// pᵀAp is taken by dot. It is the path for BCSROperator, Shifted and any
-// wrapper, and the reference the resident backend is differenced
+// pᵀAp is taken by dot. It is the path for Shifted (K alone is
+// Shifted{K: k}) and any wrapper, and the reference the resident backend is differenced
 // against.
 type serial struct {
 	a  Operator

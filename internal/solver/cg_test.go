@@ -234,7 +234,7 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	k := sparse.NewBCSRStructure(1, nil)
 	blk := [9]float64{-1, 0, 0, 0, -1, 0, 0, 0, -1}
 	k.AddBlock(0, 0, &blk)
-	a := BCSROperator{M: k}
+	a := Shifted{K: k}
 	b := []float64{1, 1, 1}
 	x := make([]float64, 3)
 	if _, err := CG(a, b, x, Config{MaxIter: 10}); err == nil {
@@ -242,9 +242,12 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestBCSROperator(t *testing.T) {
+// TestShiftedWithoutMass: Shifted{K: k} applies K itself, bit for bit
+// (its Diagonal, K's block diagonal, is checked by par's
+// TestEveryDoorChecksTheMassVector).
+func TestShiftedWithoutMass(t *testing.T) {
 	sys := buildSystem(t)
-	op := BCSROperator{M: sys.K}
+	op := Shifted{K: sys.K}
 	if op.Dim() != 3*sys.K.N {
 		t.Errorf("Dim = %d", op.Dim())
 	}
@@ -254,7 +257,9 @@ func TestBCSROperator(t *testing.T) {
 	}
 	y1 := make([]float64, op.Dim())
 	y2 := make([]float64, op.Dim())
-	op.Apply(y1, x)
+	if err := op.Apply(y1, x); err != nil {
+		t.Fatal(err)
+	}
 	sys.K.MulVec(y2, x)
 	for i := range y1 {
 		if y1[i] != y2[i] {
