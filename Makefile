@@ -54,8 +54,8 @@ lines:
 # so the kernel entry points cannot silently rot, plus a few seconds of
 # fuzzing on the parsers that face untrusted input, plus the
 # elastic-recovery chaos soak, the quaked service smoke, the
-# durable-job chaos drill, and the check that both table generators
-# still reproduce results/.
+# durable-job chaos drill, and the check that the one table generator
+# still reproduces results/ and nothing else writes there.
 ci: build vet fma-check cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos results-check
 
 # Total statement coverage must not sink below the floor (measured
@@ -70,8 +70,8 @@ cover:
 		'/^total:/ { sub(/%/, "", $$3); printf "total coverage: %s%% (floor %s%%)\n", $$3, floor; \
 		 if ($$3 + 0 < floor + 0) { print "FAIL: coverage below floor"; exit 1 } }'
 
-# Regenerates every table/figure into results/ and records the raw
-# benchmark log (the EXPERIMENTS.md pipeline), then distills it into a
+# Records the raw benchmark log — benchmarks only time; every table of
+# results/ is `make repro`'s — then distills it into a
 # machine-readable BENCH_<date>.json for the perf trajectory
 # (ns/op + B/op + allocs/op; the kernels section pairs bcsr / sym /
 # sym_avx2, their two-goroutine local_* twins and cg_resident against the
@@ -109,8 +109,9 @@ e2e:
 # ended with `bench -compare` and the per-metric pair table:
 #   make e2e-pairs BASE=HEAD~1 N=10 W=warm_large [SEED=2]
 # The script keeps the raw run sets (results/e2e/<rev>[+change].seed<n>.json)
-# of BASE only, deleting every other revision's; the .pairs.tsv tables and
-# the traced runs stay for good.
+# of BASE only, deleting every other revision's; the .pairs.tsv tables
+# stay. A traced run stays while it is the newest revision's or a doc
+# cites it (scripts/e2e-pairs.sh).
 N ?= 10
 SEED ?= 1
 e2e-pairs:
@@ -168,15 +169,18 @@ serve-smoke:
 serve-chaos:
 	$(GO) run ./cmd/quaked -chaos -smoke-pes 4
 
-# One-shot figure regeneration without the benchmark harness: the
-# committed sweep (sf10, sf5, sf2) into results/.
+# Regenerates every table of results/ that carries no host timing
+# (cmd/quakerepro over internal/quake's Catalogue; the figure tables on
+# the committed sweep sf10, sf5, sf2). The two timed tables:
+# `go run ./cmd/quakerepro -only ablation_ordering,eq12_measured_tf`.
 repro:
 	$(GO) run ./cmd/quakerepro
 
-# Both table generators — the root benchmarks at -benchtime=1x and
-# quakerepro — rerun against a temporary copy of the tree, every table
-# either writes diffed against results/*.txt (the two timing-bearing
-# tables excluded by name). Writes nothing here; ≈ 30 s.
+# quakerepro rerun into a temporary directory and every table it writes
+# diffed against results/*.txt; every results/*.txt must have a generator
+# (the three *_full tables are an allowlist naming their command); and
+# the root benchmarks at -benchtime=1x, run in a temporary copy of the
+# tree, must leave its results/ unchanged. Writes nothing here.
 results-check:
 	sh scripts/results-check.sh
 

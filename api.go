@@ -11,7 +11,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/partition"
 	iq "repro/internal/quake"
-	"repro/internal/report"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
@@ -97,17 +96,13 @@ type (
 	// PropsRow is one Figure 7 row: the SMVP properties of a scenario
 	// at one PE count.
 	PropsRow = iq.PropsRow
-	// Table is an aligned text/CSV table.
-	Table = report.Table
 )
 
 // The calibrated scenario family (see Figure 2 of the paper).
 var (
-	SF10     = iq.SF10
-	SF5      = iq.SF5
-	SF2      = iq.SF2
-	SF1      = iq.SF1
-	SF1Small = iq.SF1Small
+	SF10 = iq.SF10
+	SF5  = iq.SF5
+	SF2  = iq.SF2
 )
 
 // PECounts is the subdomain sweep used by the paper's tables (4..128).
@@ -210,18 +205,3 @@ type FaultPlan = fault.Plan
 // ParseFaultPlan parses the fault-plan grammar, e.g.
 // "corrupt:pe=2,iter=5;stall:pe=0,dur=10ms;panic:pe=1,iter=12".
 func ParseFaultPlan(s string) (*FaultPlan, error) { return fault.Parse(s) }
-
-// Experiment tables (one per paper figure).
-var (
-	Fig2Table  = iq.Fig2Table
-	Fig6Table  = iq.Fig6Table
-	Fig7Table  = iq.Fig7Table
-	Fig8Table  = iq.Fig8Table
-	Fig9Table  = iq.Fig9Table
-	Fig10Table = iq.Fig10Table
-	Fig11Table = iq.Fig11Table
-	// MeasuredTfTable regenerates the Eq.(1)/(2) requirements at a
-	// measured per-flop time next to the paper-era baseline, showing how
-	// the required T_c and bandwidths shift with the real kernel speed.
-	MeasuredTfTable = iq.MeasuredTfTable
-)

@@ -114,43 +114,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeTables(t *testing.T) {
-	small := []quake.Scenario{quake.SF10}
-	pcs := []int{4, 8}
-	if _, err := quake.Fig2Table(small); err != nil {
-		t.Fatal(err)
-	}
-	for name, f := range map[string]func() (*quake.Table, error){
-		"fig6":  func() (*quake.Table, error) { return quake.Fig6Table(small, pcs, quake.RCB) },
-		"fig7":  func() (*quake.Table, error) { return quake.Fig7Table(small, pcs, quake.RCB) },
-		"fig8":  func() (*quake.Table, error) { return quake.Fig8Table(quake.SF10, pcs, quake.RCB) },
-		"fig9":  func() (*quake.Table, error) { return quake.Fig9Table(quake.SF10, pcs, quake.RCB) },
-		"fig11": func() (*quake.Table, error) { return quake.Fig11Table(quake.SF10, pcs, quake.RCB) },
-	} {
-		tab, err := f()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var sb strings.Builder
-		if err := tab.Render(&sb); err != nil {
-			t.Fatalf("%s render: %v", name, err)
-		}
-		if len(sb.String()) < 50 {
-			t.Errorf("%s output too short", name)
-		}
-	}
-	rows, err := quake.Properties(quake.SF10, pcs, quake.RCB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := quake.Fig10Table(rows[1], 5e-9, []float64{10, 100})
-	if len(tab.Rows) == 0 {
-		t.Error("fig10 empty")
-	}
-}
-
 func TestFamilyAndPresets(t *testing.T) {
-	for i, s := range []quake.Scenario{quake.SF10, quake.SF5, quake.SF2, quake.SF1, quake.SF1Small} {
+	for i, s := range []quake.Scenario{quake.SF10, quake.SF5, quake.SF2, iq.SF1, iq.SF1Small} {
 		if got, err := iq.ByName(s.Name); err != nil || got != s {
 			t.Errorf("family member %d: ByName(%q) = %+v, %v", i, s.Name, got, err)
 		}

@@ -1,8 +1,13 @@
-// Command quakerepro regenerates the paper's figure tables and writes
-// them to a directory (default results/), without going through the
-// benchmark harness. Its job slice is the catalogue of every table a
-// command can produce: -only picks tables by name, in the order given,
-// and -out - prints them to stdout instead of writing files.
+// Command quakerepro regenerates the tables of results/ — the paper's
+// figures, the model validations, and the ablation, sensitivity and
+// extension studies — and writes them to a directory (default
+// results/). Its job slice is internal/quake's Catalogue, which lists
+// every table: -only picks tables by name, in the order given, and
+// -out - prints them to stdout instead of writing files. Without -only it
+// makes every table that carries no host timing; the two that do,
+// ablation_ordering and eq12_measured_tf, are made only when named.
+// -scenarios, -sweep and -method set what the figure tables cover; the
+// other tables run fixed configurations.
 //
 // With -trace and/or -metrics it also executes a measured distributed
 // SMVP pass on the largest requested scenario, so the written telemetry
@@ -13,6 +18,7 @@
 // Usage:
 //
 //	quakerepro                    # the committed sweep: sf10,sf5,sf2 into results/
+//	quakerepro -only ablation_ordering,eq12_measured_tf -out -   # the timed tables
 //	quakerepro -only fig7_properties,fig6_beta -out - -sweep 4,8 -method random -format csv
 //	quakerepro -scenarios sf10 -trace trace.json -metrics metrics.json
 package main
@@ -30,7 +36,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/export"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/quake"
 	"repro/internal/report"
@@ -45,12 +50,12 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("quakerepro", flag.ExitOnError)
-	scenarioList := fs.String("scenarios", "sf10,sf5,sf2", "comma-separated scenario names; the single-instance tables (figures 8-11, EXFLOW, presets) use the last")
+	scenarioList := fs.String("scenarios", "sf10,sf5,sf2", "comma-separated scenario names of the figure tables; the single-instance ones (figures 8-11, EXFLOW, presets) use the last")
 	outDir := fs.String("out", "results", "output directory, or - to print the tables to stdout")
 	format := fs.String("format", "text", "output format: text|md|csv")
-	only := fs.String("only", "", "comma-separated table names to produce, in this order (default: every table)")
-	sweep := fs.String("sweep", "4,8,16,32,64,128", "comma-separated PE counts of the subdomain sweep")
-	methodName := fs.String("method", "rcb", "partitioner: rcb|inertial|random|linear|stripes-z|multilevel")
+	only := fs.String("only", "", "comma-separated table names to produce, in this order (default: every table without host timings)")
+	sweep := fs.String("sweep", "4,8,16,32,64,128", "comma-separated PE counts of the figure tables' subdomain sweep")
+	methodName := fs.String("method", "rcb", "partitioner of the figure tables: rcb|inertial|random|linear|stripes-z|multilevel")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file here")
 	metricsPath := fs.String("metrics", "", "write a metrics snapshot JSON file here")
 	pes := fs.Int("pes", 8, "PE count of the measured pass run for -trace/-metrics")
@@ -83,7 +88,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		ss = append(ss, s)
 	}
-	largest := ss[len(ss)-1]
 	var pcounts []int
 	for _, f := range strings.Split(*sweep, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(f))
@@ -110,57 +114,21 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown format %q (want text, md, or csv)", *format)
 	}
 
-	// Figure 10 and the EXFLOW comparison describe one instance: the
-	// largest scenario at the sweep's last PE count. Its row is computed
-	// when a table asks (Properties caches it), so a run of tables that
-	// read none, Figure 2's, partitions nothing.
-	last := func() (quake.PropsRow, error) {
-		rows, err := quake.Properties(largest, pcounts, method)
-		if err != nil {
-			return quake.PropsRow{}, err
+	w := quake.Sweep{Scenarios: ss, PEs: pcounts, Method: method}
+	var jobs []quake.Experiment
+	if *only == "" {
+		for _, e := range quake.Catalogue {
+			if !e.Timed {
+				jobs = append(jobs, e)
+			}
 		}
-		return rows[len(rows)-1], nil
-	}
-	type job struct {
-		name string
-		make func() (*report.Table, error)
-	}
-	jobs := []job{
-		{"fig2_mesh_sizes", func() (*report.Table, error) { return quake.Fig2Table(ss) }},
-		{"fig6_beta", func() (*report.Table, error) { return quake.Fig6Table(ss, pcounts, method) }},
-		{"fig7_properties", func() (*report.Table, error) { return quake.Fig7Table(ss, pcounts, method) }},
-		{"fig8_bisection", func() (*report.Table, error) { return quake.Fig8Table(largest, pcounts, method) }},
-		{"fig9_sustained_bw", func() (*report.Table, error) { return quake.Fig9Table(largest, pcounts, method) }},
-		{"fig10_tradeoff", func() (*report.Table, error) {
-			row, err := last()
-			if err != nil {
-				return nil, err
-			}
-			return quake.Fig10Table(row, 5e-9, []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000}), nil
-		}},
-		{"fig11_half_bandwidth", func() (*report.Table, error) { return quake.Fig11Table(largest, pcounts, method) }},
-		{"exflow_comparison", func() (*report.Table, error) {
-			row, err := last()
-			if err != nil {
-				return nil, err
-			}
-			cmp, err := quake.CompareEXFLOW(largest, row)
-			if err != nil {
-				return nil, err
-			}
-			return quake.EXFLOWTable(cmp), nil
-		}},
-		{"preset_efficiency", func() (*report.Table, error) { return quake.PresetEfficiencyTable(largest, pcounts, method) }},
-	}
-	if *only != "" {
-		all := jobs
-		jobs = nil
+	} else {
 		for _, name := range strings.Split(*only, ",") {
-			i := slices.IndexFunc(all, func(j job) bool { return j.name == strings.TrimSpace(name) })
+			i := slices.IndexFunc(quake.Catalogue, func(e quake.Experiment) bool { return e.Name == strings.TrimSpace(name) })
 			if i < 0 {
 				return fmt.Errorf("unknown table %q", name)
 			}
-			jobs = append(jobs, all[i])
+			jobs = append(jobs, quake.Catalogue[i])
 		}
 	}
 	if *outDir != "-" {
@@ -169,9 +137,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	for _, j := range jobs {
-		t, err := j.make()
+		t, err := j.Make(w)
 		if err != nil {
-			return fmt.Errorf("%s: %w", j.name, err)
+			return fmt.Errorf("%s: %w", j.Name, err)
 		}
 		if *outDir == "-" {
 			if err := render(t, stdout); err != nil {
@@ -182,10 +150,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 			continue
 		}
-		if err := writeFile(filepath.Join(*outDir, j.name+ext), func(w io.Writer) error { return render(t, w) }); err != nil {
+		if err := writeFile(filepath.Join(*outDir, j.Name+ext), func(w io.Writer) error { return render(t, w) }); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote %s\n", j.name)
+		fmt.Fprintf(stdout, "wrote %s\n", j.Name)
 	}
 
 	if !telemetry {
@@ -194,7 +162,7 @@ func run(args []string, stdout io.Writer) error {
 	// Measured pass: run the real goroutine-PE SMVP on the largest
 	// scenario so the trace carries per-PE compute/exchange spans and
 	// the metrics carry observed exchange volumes.
-	if err := measuredPass(stdout, largest, *pes, method); err != nil {
+	if err := measuredPass(stdout, ss[len(ss)-1], *pes, method); err != nil {
 		return err
 	}
 	if *metricsPath != "" {
@@ -239,45 +207,19 @@ const measuredReps = 3
 // prints the observed exchange volume against the partition profile's
 // analytic C accounting.
 func measuredPass(stdout io.Writer, s quake.Scenario, pes int, method partition.Method) error {
-	m, err := s.Mesh()
+	pass, err := quake.MeasureSMVP(s, pes, method, measuredReps)
 	if err != nil {
 		return err
 	}
-	pt, err := partition.PartitionMesh(m, pes, method, 1)
-	if err != nil {
-		return err
-	}
-	pr, err := partition.Analyze(m, pt)
-	if err != nil {
-		return err
-	}
-	dist, err := par.NewDist(m, quake.Material(), pt, pr)
-	if err != nil {
-		return err
-	}
-	defer dist.Close()
-	x := make([]float64, 3*m.NumNodes())
-	for i := range x {
-		x[i] = float64(i%11) * 0.1
-	}
-	y := make([]float64, len(x))
-	before := obs.Default.Snapshot()
-	for i := 0; i < measuredReps; i++ {
-		if _, err := dist.SMVP(y, x); err != nil {
-			return err
-		}
-	}
-	after := obs.Default.Snapshot()
-
 	// Cross-check: per-PE observed bytes vs 8·C[i] per SMVP invocation.
 	var observedMax, analyticMax int64
 	for i := 0; i < pes; i++ {
 		name := fmt.Sprintf("par.exchange.bytes.pe%d", i)
-		observed := (after.Counters[name] - before.Counters[name]) / measuredReps
+		observed := (pass.After.Counters[name] - pass.Before.Counters[name]) / measuredReps
 		if observed > observedMax {
 			observedMax = observed
 		}
-		if c := 8 * pr.C[i]; c > analyticMax {
+		if c := 8 * pass.Profile.C[i]; c > analyticMax {
 			analyticMax = c
 		}
 	}

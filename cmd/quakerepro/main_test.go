@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -15,19 +17,26 @@ import (
 	"repro/internal/report"
 )
 
-// catalogue is every table quakerepro can produce.
-var catalogue = []string{
-	"fig2_mesh_sizes", "fig6_beta", "fig7_properties",
-	"fig8_bisection", "fig9_sustained_bw", "fig10_tradeoff",
-	"fig11_half_bandwidth", "exflow_comparison", "preset_efficiency",
+// untimed is every catalogue table a run without -only makes.
+func untimed() []string {
+	var names []string
+	for _, e := range quake.Catalogue {
+		if !e.Timed {
+			names = append(names, e.Name)
+		}
+	}
+	return names
 }
 
+// TestRunText: a run without -only writes every untimed table of the
+// catalogue, and nothing else.
 func TestRunText(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-scenarios", "sf10", "-out", dir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range catalogue {
+	names := untimed()
+	for _, name := range names {
 		fi, err := os.Stat(filepath.Join(dir, name+".txt"))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -36,11 +45,14 @@ func TestRunText(t *testing.T) {
 			t.Fatalf("%s is empty", name)
 		}
 	}
+	if written, err := os.ReadDir(dir); err != nil || len(written) != len(names) {
+		t.Errorf("wrote %d files (%v), want the %d untimed tables", len(written), err, len(names))
+	}
 }
 
 func TestRunMarkdown(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-scenarios", "sf10", "-out", dir, "-format", "md"}, io.Discard); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-only", "fig7_properties", "-out", dir, "-format", "md"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig7_properties.md")); err != nil {
@@ -52,7 +64,7 @@ func TestRunMarkdown(t *testing.T) {
 // CSV.
 func TestRunCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-scenarios", "sf10", "-out", dir, "-format", "csv", "-sweep", "4", "-method", "multilevel"}, io.Discard); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-only", "fig7_properties", "-out", dir, "-format", "csv", "-sweep", "4", "-method", "multilevel"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig7_properties.csv")); err != nil {
@@ -118,7 +130,8 @@ func TestFig2PartitionsNothing(t *testing.T) {
 }
 
 // TestReproMatchesCommitted holds the generator to the committed files:
-// the default sweep must reproduce every table it writes byte for byte.
+// the default sweep must write every untimed table of the catalogue, and
+// only those, byte for byte as results/ holds them.
 func TestReproMatchesCommitted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full sf10,sf5,sf2 sweep")
@@ -127,24 +140,61 @@ func TestReproMatchesCommitted(t *testing.T) {
 	if err := run([]string{"-out", dir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	written, err := os.ReadDir(dir)
-	if err != nil {
+	names := untimed()
+	if written, err := os.ReadDir(dir); err != nil || len(written) != len(names) {
+		t.Errorf("wrote %d files (%v), the catalogue has %d untimed tables", len(written), err, len(names))
+	}
+	for _, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, name+".txt"))
+		if err != nil {
+			t.Errorf("%s was not written: %v", name, err)
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name+".txt"))
+		if err != nil {
+			t.Errorf("%s is not committed: %v", name, err)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from results/%s.txt:\n%s", name, name, got)
+		}
+	}
+}
+
+// TestTimedTablesKeepTheirShape: the two timed tables, which no default
+// run makes and no check diffs, still come out with the committed
+// title, columns and row labels — only the measured numbers differ.
+func TestTimedTablesKeepTheirShape(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-only", "ablation_ordering,eq12_measured_tf", "-out", "-"}, &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(written) != len(catalogue) {
-		t.Errorf("wrote %d tables, catalogue has %d", len(written), len(catalogue))
-	}
-	for _, e := range written {
-		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	var want []byte
+	for _, name := range []string{"ablation_ordering", "eq12_measured_tf"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", "results", name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "results", e.Name()))
-		if err != nil {
-			t.Errorf("%s is not committed: %v", e.Name(), err)
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from results/%s:\n%s", e.Name(), e.Name(), got)
+		want = append(append(want, b...), '\n')
+	}
+	// shape keeps of each table what a timing does not move: the title
+	// up to its measured number, the column names and each row's label.
+	shape := func(text []byte) []string {
+		var out []string
+		for _, table := range strings.Split(strings.TrimSpace(string(text)), "\n\n") {
+			lines := strings.Split(table, "\n")
+			rule := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "---") })
+			if rule < 1 {
+				return append(out, "not a table: "+table)
+			}
+			title, _, _ := strings.Cut(strings.Join(lines[:rule-1], "\n"), " vs measured ")
+			out = append(out, title, strings.Join(strings.Fields(lines[rule-1]), " "))
+			for _, row := range lines[rule+1:] {
+				out = append(out, strings.Fields(row)[0])
+			}
 		}
+		return out
+	}
+	if g, w := shape(got.Bytes()), shape(want); len(g) < 10 || !slices.Equal(g, w) {
+		t.Errorf("timed tables changed shape:\n%s\nwant\n%s", strings.Join(g, "\n"), strings.Join(w, "\n"))
 	}
 }
 
@@ -159,7 +209,7 @@ func TestRunTelemetry(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.json")
 
 	before := obs.Default.Snapshot()
-	if err := run([]string{"-scenarios", "sf10", "-out", dir, "-trace", tracePath, "-metrics", metricsPath, "-pes", fmt.Sprint(pes)}, io.Discard); err != nil {
+	if err := run([]string{"-scenarios", "sf10", "-only", "fig2_mesh_sizes", "-out", dir, "-trace", tracePath, "-metrics", metricsPath, "-pes", fmt.Sprint(pes)}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 

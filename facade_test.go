@@ -20,10 +20,10 @@ import (
 // exported name api.go declares must have a caller. A name has one if
 // examples/, a root benchmark file (bench_test.go, bench_*_test.go),
 // example_test.go or README.md writes quake.<Name>, or if it is a type
-// that appears in the type of a name that has one (Fig2Table returns a
-// *Table, so Table stays). api_test.go and api_obs_test.go do not count:
-// a name that only its own test calls is not public surface, and the
-// test should call the internal package instead. Adding a re-export that
+// that appears in the type of a name that has one (Properties returns
+// []PropsRow, so PropsRow stays). api_test.go and api_obs_test.go do not
+// count: a name that only its own test calls is not public surface, and
+// the test should call the internal package instead. Adding a re-export that
 // nothing uses fails this test.
 func TestFacadeHasCallers(t *testing.T) {
 	fset := token.NewFileSet()

@@ -15,9 +15,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fem"
 	"repro/internal/geom"
+	"repro/internal/material"
+	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/octree"
 	"repro/internal/partition"
-	"repro/internal/quake"
 	"repro/internal/solver"
 	"repro/internal/testutil"
 )
@@ -133,16 +135,29 @@ func checkReplicas(t *testing.T, d *Dist, what string, vec func(pe int) []float6
 	}
 }
 
+// sf10Mesh builds the sf10 scenario's mesh and returns it with its
+// material, as internal/quake's SF10.Mesh does: internal/quake imports
+// this package, so a test here cannot import it.
+func sf10Mesh(t *testing.T) (*mesh.Mesh, *material.Model) {
+	t.Helper()
+	mat := material.SanFernando()
+	tr, err := octree.Build(octree.Config{Origin: geom.V(0, 0, 0), CubeSize: 10, Nx: 5, Ny: 5, Nz: 1, MaxDepth: 6}, mat.Sizing(10, 2.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mesh.FromTree(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, mat
+}
+
 // TestReplicasBitEqual is the invariant the canonical summation order
 // buys: after integrator steps, and after a burst of CG iterations, all
 // replicas of a shared node are bit-equal — on sf10 at widths where
 // nodes live on three and more PEs, flat and aggregated.
 func TestReplicasBitEqual(t *testing.T) {
-	m, err := quake.SF10.Mesh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := quake.Material()
+	m, mat := sf10Mesh(t)
 	sys, err := fem.Assemble(m, mat)
 	if err != nil {
 		t.Fatal(err)

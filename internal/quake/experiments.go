@@ -80,11 +80,7 @@ func Properties(s Scenario, pcounts []int, method partition.Method) ([]PropsRow,
 }
 
 func analyzeOne(m *mesh.Mesh, name string, p int, method partition.Method) (*PropsRow, error) {
-	pt, err := partition.PartitionMesh(m, p, method, 1)
-	if err != nil {
-		return nil, fmt.Errorf("quake: %s/%d: %w", name, p, err)
-	}
-	pr, err := partition.Analyze(m, pt)
+	_, pr, err := profileOf(m, p, method, 1)
 	if err != nil {
 		return nil, fmt.Errorf("quake: %s/%d: %w", name, p, err)
 	}
@@ -345,8 +341,8 @@ func Fig11Table(s Scenario, pcounts []int, method partition.Method) (*report.Tab
 	return t, nil
 }
 
-// MeasuredTfTable regenerates the Equation (1)/(2) requirements table
-// with the harness's *measured* per-flop time alongside the paper-era
+// measuredTfTable regenerates the Equation (1)/(2) requirements table
+// with a *measured* per-flop time alongside the paper-era
 // baseline assumption: for every PE count and target efficiency it
 // shows how the required amortized word time T_c, the required per-PE
 // bandwidth, and the half-bandwidth design point shift when baseTf
@@ -355,7 +351,7 @@ func Fig11Table(s Scenario, pcounts []int, method partition.Method) (*report.Tab
 // Equation (1) is linear in T_f, so the whole table moves by the
 // kernel speedup — the quantitative form of the paper's "faster
 // processors need faster networks" argument.
-func MeasuredTfTable(s Scenario, pcounts []int, method partition.Method, baseTf, measuredTf float64) (*report.Table, error) {
+func measuredTfTable(s Scenario, pcounts []int, method partition.Method, baseTf, measuredTf float64) (*report.Table, error) {
 	rows, err := Properties(s, pcounts, method)
 	if err != nil {
 		return nil, err

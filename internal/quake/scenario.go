@@ -90,8 +90,8 @@ func (s Scenario) Build() (*mesh.Mesh, error) {
 var meshCache sync.Map // name -> *mesh.Mesh
 
 // Mesh returns the scenario's mesh, generating it on first use and
-// caching it for the life of the process (the benchmark harness touches
-// the same meshes many times). The returned mesh is shared: treat it as
+// caching it for the life of the process (the catalogue's tables and
+// the benchmarks touch the same meshes many times). The returned mesh is shared: treat it as
 // immutable. Callers that mutate geometry (Smooth, Permute-and-modify)
 // must generate a private copy with Build instead.
 func (s Scenario) Mesh() (*mesh.Mesh, error) {

@@ -1,6 +1,6 @@
-// Package report renders the experiment tables and data series the
-// benchmark harness produces: fixed-width text tables (mirroring the
-// paper's figures) and CSV for plotting.
+// Package report renders the experiment tables and data series
+// cmd/quakerepro and the other commands produce: fixed-width text
+// tables (mirroring the paper's figures) and CSV for plotting.
 package report
 
 import (

@@ -6,7 +6,7 @@
 # results/e2e/<base>.seed<seed>.json and results/e2e/<base>+change.seed<seed>.json,
 # then `bench -compare` on the two files and, per end-to-end metric, the
 # pair table: wins, medians, quartiles. It then deletes the raw run sets
-# of every other revision; pair tables and traced runs are kept.
+# of every other revision; pair tables are kept.
 #
 # BASE is exported with `git archive` into a temporary directory (no
 # worktree is registered, nothing is left behind in .git); the change is
@@ -59,8 +59,10 @@ done
 (cd "$root" && go run ./bench -compare "$a" "$b") || true
 
 # Retention: the raw run sets (<rev>[+change].seed<n>.json) of every other
-# revision go; the pair tables (*.pairs.tsv) and the traced runs
-# (*.traced.*) stay for good.
+# revision go and the pair tables (*.pairs.tsv) stay. Traced runs
+# (*.traced.*, recorded by hand with -trace 1) are not this script's to
+# delete: one is kept while it is the newest revision's or a doc cites
+# it, and removed by hand once neither holds.
 for f in "$out"/*.seed*.json; do
 	case ${f##*/} in
 	*.traced.* | "$rev".seed*.json | "$rev"+change.seed*.json) ;;
