@@ -152,22 +152,24 @@ soak-smoke:
 	rm -rf soak-ck soak.flight.trace.json
 	$(GO) test -count=1 -run 'TestMultiFaultSoak|TestKillReviveRoundTrip' ./internal/recover/
 
-# The quaked service smoke: start the warm-pool server, run one cold
-# and one cached solve against it over HTTP, assert the
-# serve.cache.{hits,misses} counters through /metrics.json, and shut
-# down gracefully — the whole serving stack exercised as a binary, not
-# just in unit tests (see docs/SERVICE.md).
+# The quaked service smoke (cmd/quaked TestRunSmoke): start the
+# warm-pool server through run, run one cold and one cached sf10/p4
+# solve against it over HTTP, assert the serve.cache.{hits,misses}
+# counters through /metrics.json, and shut down gracefully — the whole
+# serving stack exercised as the command runs it (see docs/SERVICE.md).
 serve-smoke:
-	$(GO) run ./cmd/quaked -addr 127.0.0.1:0 -smoke
+	$(GO) test -count=1 -run '^TestRunSmoke$$' ./cmd/quaked/
 
-# The durable-job chaos drill: a solve with a kill fault and migrate
-# recovery is submitted over HTTP with an idempotency key, the whole
-# engine is torn down mid-solve after at least one migration and one
-# durable checkpoint, and a second engine on the same journal replays
-# the job and finishes it from the checkpoint — crash-safety of the
-# jobs WAL exercised as a binary (see docs/RELIABILITY.md).
+# The durable-job chaos drill (internal/serve
+# TestJobSurvivesWorkerKillAndRestart): an sf10/p4 solve with a kill
+# fault and migrate recovery is submitted over HTTP with an idempotency
+# key, the whole engine is torn down mid-solve after at least one
+# migration and one durable checkpoint, and a second engine on the same
+# journal replays the job and finishes it from the checkpoint with no
+# job lost — crash-safety of the jobs WAL exercised over the real HTTP
+# surface (see docs/RELIABILITY.md).
 serve-chaos:
-	$(GO) run ./cmd/quaked -chaos -smoke-pes 4
+	$(GO) test -count=1 -run '^TestJobSurvivesWorkerKillAndRestart$$' ./internal/serve/
 
 # Regenerates every table of results/ that carries no host timing
 # (cmd/quakerepro over internal/quake's Catalogue; the figure tables on

@@ -8,7 +8,7 @@
 // Usage:
 //
 // With -metrics it additionally folds a telemetry snapshot (the JSON
-// written by `quakerepro -metrics` or served at /metrics.json) into the
+// written by `quakesim -metrics` or served at /metrics.json) into the
 // report as per-histogram p50/p95/max, so phase-latency percentiles
 // ride along with the ns/op numbers. Enabled/Disabled benchmark pairs
 // from internal/obs are summarized under obs_overhead, pinning the
@@ -72,7 +72,7 @@ type Report struct {
 	// commit alongside the kernel numbers.
 	ObsOverhead map[string]Overhead `json:"obs_overhead,omitempty"`
 	// Phases summarizes the histograms of a -metrics telemetry snapshot
-	// (quakerepro -metrics, or a saved /metrics.json) as latency
+	// (quakesim -metrics, or a saved /metrics.json) as latency
 	// percentiles, keyed by metric name.
 	Phases map[string]PhasePercentiles `json:"phase_percentiles,omitempty"`
 	// Recovery summarizes the elastic-recovery activity of a -metrics

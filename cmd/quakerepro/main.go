@@ -7,24 +7,17 @@
 // makes every table that carries no host timing; the two that do,
 // ablation_ordering and eq12_measured_tf, are made only when named.
 // -scenarios, -sweep and -method set what the figure tables cover; the
-// other tables run fixed configurations.
-//
-// With -trace and/or -metrics it also executes a measured distributed
-// SMVP pass on the largest requested scenario, so the written telemetry
-// contains real per-PE compute/exchange spans and exchanged-byte
-// counters that can be cross-checked against the analytic C_max
-// accounting.
+// other tables run fixed configurations. Telemetry of a running
+// application (trace, metrics, live endpoints) is quakesim's.
 //
 // Usage:
 //
 //	quakerepro                    # the committed sweep: sf10,sf5,sf2 into results/
 //	quakerepro -only ablation_ordering,eq12_measured_tf -out -   # the timed tables
 //	quakerepro -only fig7_properties,fig6_beta -out - -sweep 4,8 -method random -format csv
-//	quakerepro -scenarios sf10 -trace trace.json -metrics metrics.json
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,8 +27,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/internal/partition"
 	"repro/internal/quake"
 	"repro/internal/report"
@@ -56,30 +47,8 @@ func run(args []string, stdout io.Writer) error {
 	only := fs.String("only", "", "comma-separated table names to produce, in this order (default: every table without host timings)")
 	sweep := fs.String("sweep", "4,8,16,32,64,128", "comma-separated PE counts of the figure tables' subdomain sweep")
 	methodName := fs.String("method", "rcb", "partitioner of the figure tables: rcb|inertial|random|linear|stripes-z|multilevel")
-	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file here")
-	metricsPath := fs.String("metrics", "", "write a metrics snapshot JSON file here")
-	pes := fs.Int("pes", 8, "PE count of the measured pass run for -trace/-metrics")
-	httpAddr := fs.String("http", "", "serve live observability on this address while the figures regenerate (Prometheus /metrics, /metrics.json, /flight, expvar, pprof)")
 	fs.Parse(args) // ExitOnError: a bad flag has already exited
 
-	if *httpAddr != "" {
-		obs.SetEnabled(true)
-		addr, shutdown, err := export.Serve(*httpAddr)
-		if err != nil {
-			return fmt.Errorf("-http: %w", err)
-		}
-		defer shutdown(context.Background())
-		fmt.Fprintf(stdout, "observability: http://%s/\n", addr)
-	}
-	telemetry := *tracePath != "" || *metricsPath != ""
-	if telemetry {
-		obs.SetEnabled(true)
-		obs.StartTrace()
-		defer func() {
-			obs.SetEnabled(false)
-			obs.StopTrace()
-		}()
-	}
 	var ss []quake.Scenario
 	for _, name := range strings.Split(*scenarioList, ",") {
 		s, err := quake.ByName(strings.TrimSpace(name))
@@ -155,34 +124,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", j.Name)
 	}
-
-	if !telemetry {
-		return nil
-	}
-	// Measured pass: run the real goroutine-PE SMVP on the largest
-	// scenario so the trace carries per-PE compute/exchange spans and
-	// the metrics carry observed exchange volumes.
-	if err := measuredPass(stdout, ss[len(ss)-1], *pes, method); err != nil {
-		return err
-	}
-	if *metricsPath != "" {
-		if err := writeFile(*metricsPath, obs.Default.Snapshot().WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote metrics snapshot to %s\n", *metricsPath)
-	}
-	tr := obs.StopTrace()
-	if tr != nil {
-		if err := report.PhaseSummary("Measured phase summary", tr.PhaseStats()).Render(stdout); err != nil {
-			return err
-		}
-		if *tracePath != "" {
-			if err := writeFile(*tracePath, tr.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", *tracePath)
-		}
-	}
 	return nil
 }
 
@@ -198,32 +139,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// measuredReps is how many SMVPs the measured pass executes.
-const measuredReps = 3
-
-// measuredPass executes a few distributed SMVPs on goroutine PEs and
-// prints the observed exchange volume against the partition profile's
-// analytic C accounting.
-func measuredPass(stdout io.Writer, s quake.Scenario, pes int, method partition.Method) error {
-	pass, err := quake.MeasureSMVP(s, pes, method, measuredReps)
-	if err != nil {
-		return err
-	}
-	// Cross-check: per-PE observed bytes vs 8·C[i] per SMVP invocation.
-	var observedMax, analyticMax int64
-	for i := 0; i < pes; i++ {
-		name := fmt.Sprintf("par.exchange.bytes.pe%d", i)
-		observed := (pass.After.Counters[name] - pass.Before.Counters[name]) / measuredReps
-		if observed > observedMax {
-			observedMax = observed
-		}
-		if c := 8 * pass.Profile.C[i]; c > analyticMax {
-			analyticMax = c
-		}
-	}
-	fmt.Fprintf(stdout, "measured pass on %s/%d: observed max exchange %s B/SMVP, analytic 8·C_max %s B\n",
-		s.Name, pes, report.Int(observedMax), report.Int(analyticMax))
-	return nil
 }

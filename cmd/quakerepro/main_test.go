@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/quake"
 	"repro/internal/report"
@@ -195,87 +192,5 @@ func TestTimedTablesKeepTheirShape(t *testing.T) {
 	}
 	if g, w := shape(got.Bytes()), shape(want); len(g) < 10 || !slices.Equal(g, w) {
 		t.Errorf("timed tables changed shape:\n%s\nwant\n%s", strings.Join(g, "\n"), strings.Join(w, "\n"))
-	}
-}
-
-// TestRunTelemetry is the end-to-end acceptance check: quakerepro with
-// -trace/-metrics emits valid Chrome trace JSON with distinct
-// compute/exchange spans per PE, and per-PE exchanged-byte counters
-// that match the partition profile's analytic C accounting.
-func TestRunTelemetry(t *testing.T) {
-	const pes = 4
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	metricsPath := filepath.Join(dir, "metrics.json")
-
-	before := obs.Default.Snapshot()
-	if err := run([]string{"-scenarios", "sf10", "-only", "fig2_mesh_sizes", "-out", dir, "-trace", tracePath, "-metrics", metricsPath, "-pes", fmt.Sprint(pes)}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-
-	// --- metrics: observed exchange bytes vs analytic C accounting ---
-	data, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("metrics JSON does not parse: %v", err)
-	}
-	m, err := quake.SF10.Mesh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := partition.PartitionMesh(m, pes, partition.RCB, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := partition.Analyze(m, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The measured pass runs measuredReps SMVPs; each moves 8·C[i] bytes
-	// through PE i.
-	for i := 0; i < pes; i++ {
-		name := fmt.Sprintf("par.exchange.bytes.pe%d", i)
-		delta := snap.Counters[name] - before.Counters[name]
-		want := measuredReps * 8 * pr.C[i]
-		if delta != want {
-			t.Errorf("%s: observed %d bytes, analytic %d", name, delta, want)
-		}
-	}
-
-	// --- trace: valid JSON, compute+exchange spans on every PE track ---
-	data, err = os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-			Ph   string `json:"ph"`
-			Tid  int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatalf("trace JSON does not parse: %v", err)
-	}
-	computeTids := make(map[int]bool)
-	exchangeTids := make(map[int]bool)
-	for _, e := range file.TraceEvents {
-		if e.Ph != "X" {
-			continue
-		}
-		switch e.Cat {
-		case "compute":
-			computeTids[e.Tid] = true
-		case "exchange":
-			exchangeTids[e.Tid] = true
-		}
-	}
-	if len(computeTids) < pes || len(exchangeTids) < pes {
-		t.Fatalf("want compute and exchange spans on %d distinct PE tracks, got %d/%d",
-			pes, len(computeTids), len(exchangeTids))
 	}
 }

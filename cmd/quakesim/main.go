@@ -95,7 +95,7 @@ func parseOptions(args []string, out io.Writer) (*options, error) {
 	fs.StringVar(&opt.seis, "seis", "", "write receiver seismograms as CSV to this file")
 	fs.StringVar(&opt.trace, "trace", "", "write a Chrome trace_event JSON file here")
 	fs.StringVar(&opt.metrics, "metrics", "", "write a metrics snapshot JSON file here")
-	fs.StringVar(&opt.faults, "faults", "", "fault-injection soak: arm this plan (e.g. 'corrupt:pe=1->0,iter=4,bit=62') on the distributed runtime and run a gated CG solve against a fault-free reference; a plan with a kill event instead demonstrates shrink-to-survivors recovery; see docs/RELIABILITY.md")
+	fs.StringVar(&opt.faults, "faults", "", "fault-injection soak: arm this plan (e.g. 'corrupt:pe=1->0,iter=4,bit=62' or 'kill:pe=3,iter=40') on a supervised CG solve, checked against a fault-free reference and certified on the disarmed operator; a kill shrinks onto the survivors; see docs/RELIABILITY.md")
 	fs.StringVar(&opt.checkpoint, "checkpoint", "", "write durable solver checkpoints to this directory (see -every)")
 	fs.IntVar(&opt.every, "every", 10, "checkpoint period in CG iterations (requires -checkpoint)")
 	fs.StringVar(&opt.resume, "resume", "", "resume the solve from the latest checkpoint in this directory")
@@ -174,6 +174,10 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// smvpReps is how many distributed SMVPs are timed before the
+// distributed application runs.
+const smvpReps = 5
 
 func run(opt *options) error {
 	name, steps, pes := opt.scenario, opt.steps, opt.pes
@@ -306,8 +310,7 @@ func run(opt *options) error {
 	}
 	y := make([]float64, len(x))
 	var tm *par.Timing
-	const reps = 5
-	for i := 0; i < reps; i++ {
+	for i := 0; i < smvpReps; i++ {
 		if tm, err = dist.SMVP(y, x); err != nil {
 			return err
 		}
@@ -352,36 +355,37 @@ func run(opt *options) error {
 	fmt.Printf("modeled efficiency of %s on %s/%d: %.3f\n",
 		t3e.Name, s.Name, pes, model.Efficiency(app, t3e.Tf, t3e.Tl, t3e.Tw))
 
-	// Fault soak / graceful-degradation demo: runs last, because a plan
-	// with a panic event poisons the Dist for good (the containment
-	// being demonstrated). Checkpointing, resume, rebalancing, and
-	// kill/revive plans route to the recovery supervisor; other plans to
-	// the gated soak.
-	if opt.checkpoint != "" || opt.resume != "" || opt.rebalance ||
-		(plan != nil && (plan.Has(fault.Kill) || plan.Has(fault.Revive))) {
-		return recoveryRun(opt, plan, dist, sys, m, mat, pt)
-	}
-	if plan != nil {
-		if err := soakFaults(dist, sys, plan); err != nil {
-			return err
-		}
+	// Fault plans, checkpoints, resume and rebalancing: run last,
+	// because a plan with a panic event poisons the Dist for good (the
+	// containment being demonstrated).
+	if plan != nil || opt.checkpoint != "" || opt.resume != "" || opt.rebalance {
+		return supervisedRun(opt, plan, dist, sys, m, mat, pt)
 	}
 	return nil
 }
 
-// recoveryRun demonstrates elastic recovery: it solves the shifted
-// elastodynamic system under the recovery supervisor, writing durable
-// checkpoints when -checkpoint is set, restarting from the latest
-// snapshot when -resume is set, shrinking onto the survivors when the
-// plan kills a PE, regrowing onto revived slots when the plan revives
-// one, and — with -rebalance — migrating boundary layers off measured
+// supervisedRun solves the shifted elastodynamic system under the
+// recovery supervisor, the one path every fault plan takes: it writes
+// durable checkpoints when -checkpoint is set, restarts from the latest
+// snapshot when -resume is set, shrinks onto the survivors when the
+// plan kills a PE, regrows onto revived slots when the plan revives
+// one, and — with -rebalance — migrates boundary layers off measured
 // stragglers at checkpoints. The supervisor owns the fault injector;
 // the plan is handed over unarmed.
-func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System,
+//
+// Three checks hold every run: a fault-free reference solve is taken
+// before arming; a finished answer must carry a certificate
+// ‖b − A·x‖/‖b‖ within 10·tol on the final Dist, checked after
+// disarming it; and a fault the supervisor does not absorb (a panic
+// under the shrink policy, a loss past its bounds) must leave a
+// poisoned Dist that refuses the next kernel — the documented
+// containment, reported as such rather than as an error.
+func supervisedRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System,
 	m *mesh.Mesh, mat *material.Model, pt *partition.Partition) error {
-	fmt.Printf("\nelastic recovery: checkpoint=%q every=%d resume=%q rebalance=%v plan=%q\n",
+	fmt.Printf("\nsupervised solve: checkpoint=%q every=%d resume=%q rebalance=%v plan=%q\n",
 		opt.checkpoint, opt.every, opt.resume, opt.rebalance, opt.faults)
 
+	const tol = 1e-8
 	op := par.Operator{D: dist, Shift: 20, MassNode: sys.MassNode}
 	n := op.Dim()
 	b := make([]float64, n)
@@ -398,15 +402,10 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 	}
 
 	cfg := rec.SuperviseConfig{
-		Solver: solver.Config{MaxIter: 4 * n, Tol: 1e-8, CheckpointEvery: opt.every},
+		Solver: solver.Config{MaxIter: 4 * n, Tol: tol, CheckpointEvery: opt.every},
 		Store:  store,
 		MeshID: meshID,
 		Plan:   plan,
-	}
-	if opt.rebalance {
-		// The rebalancer's windows come from the live per-PE accumulators.
-		obs.SetEnabled(true)
-		cfg.Rebalance = true
 	}
 	if opt.resume != "" {
 		rs, err := rec.NewStore(opt.resume)
@@ -433,6 +432,24 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 		fmt.Printf("resuming from %s at CG iteration %d (global kernel count %d)\n", path, ck.Iter, ck.FaultIter)
 	}
 
+	// The reference runs on the unarmed Dist, before the rebalancer's
+	// accumulators are switched on.
+	ref := make([]float64, n)
+	rres, err := solver.CG(op, b, ref, solver.Config{MaxIter: 4 * n, Tol: tol})
+	if err != nil {
+		return fmt.Errorf("reference solve: %w", err)
+	}
+	if !rres.Converged {
+		return fmt.Errorf("reference solve did not converge: %+v", rres)
+	}
+	fmt.Printf("fault-free reference: %d iterations, residual %.3g\n", rres.Iterations, rres.Residual)
+
+	if opt.rebalance {
+		// The rebalancer's windows come from the live per-PE accumulators.
+		obs.SetEnabled(true)
+		cfg.Rebalance = true
+	}
+
 	x := make([]float64, n)
 	out, err := rec.Supervise(dist, &rec.System{Mesh: m, Material: mat, Part: pt, Shift: 20, MassNode: sys.MassNode},
 		b, x, cfg)
@@ -440,7 +457,15 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 		defer out.Dist.Close() // rebuilt after a transition; the original is closed by Supervise
 	}
 	if err != nil {
-		return fmt.Errorf("supervised solve: %w", err)
+		if !errors.Is(err, par.ErrPoisoned) {
+			return fmt.Errorf("supervised solve: %w", err)
+		}
+		fmt.Printf("contained PE failure: %v\n", err)
+		if _, e := out.Dist.SMVP(make([]float64, n), x); e == nil {
+			return fmt.Errorf("poisoned Dist accepted a kernel")
+		}
+		fmt.Println("poisoned Dist fails fast on every later kernel, as documented")
+		return nil
 	}
 	if out.Shrinks > 0 {
 		fmt.Printf("lost PE(s) %v mid-solve; shrank %d time(s) and resumed from the last checkpoint\n",
@@ -459,79 +484,15 @@ func recoveryRun(opt *options, plan *fault.Plan, dist *par.Dist, sys *fem.System
 	if !out.Result.Converged {
 		return fmt.Errorf("supervised solve did not converge: %+v", out.Result)
 	}
-	fmt.Printf("solve finished on %d PEs: %d iterations, residual %.3g, %d durable checkpoint(s)\n",
-		out.Part.P, out.Result.Iterations, out.Result.Residual, out.Result.Checkpoints)
-	if store != nil {
-		fmt.Printf("checkpoints in %s; restart with: quakesim -scenario %s -pes %d -resume %s\n",
-			store.Dir(), opt.scenario, out.Part.P, store.Dir())
-	}
-	return nil
-}
 
-// soakFaults solves the shifted elastodynamic system with CG twice —
-// once fault-free for reference, once with the plan armed — and reports
-// what was injected, how many restarts the convergence gate forced, and
-// how far the answer drifted. The armed answer must carry a certificate
-// ‖b − A·x‖/‖b‖ within 10·tol on the clean operator, checked after
-// disarming; anything else is an error. A plan that kills a PE instead
-// demonstrates fail-fast containment: the solve returns the
-// poisoned-Dist error and every later kernel refuses to run.
-func soakFaults(dist *par.Dist, sys *fem.System, plan *fault.Plan) error {
-	fmt.Printf("\nfault soak: plan %q\n", plan)
-
-	const tol = 1e-8
-	op := par.Operator{D: dist, Shift: 20, MassNode: sys.MassNode}
-	n := op.Dim()
-	b := make([]float64, n)
-	b[2] = 50
-	b[n-1] = -20
-	ref := make([]float64, n)
-	rres, err := solver.CG(op, b, ref, solver.Config{MaxIter: 4 * n, Tol: tol})
-	if err != nil {
-		return fmt.Errorf("reference solve: %w", err)
-	}
-	if !rres.Converged {
-		return fmt.Errorf("reference solve did not converge: %+v", rres)
-	}
-	fmt.Printf("fault-free reference: %d iterations, residual %.3g\n", rres.Iterations, rres.Residual)
-
-	in, err := dist.InjectFaults(plan)
-	if err != nil {
-		return err
-	}
-	x := make([]float64, n)
-	res, err := solver.CG(op, b, x, solver.Config{MaxIter: 4 * n, Tol: tol})
-	injected := ""
-	for _, k := range []fault.Kind{fault.Corrupt, fault.Drop, fault.Dup, fault.Delay, fault.Stall, fault.Panic, fault.Kill} {
-		if c := in.Count(k); c > 0 {
-			injected += fmt.Sprintf(" %s=%d", k, c)
-		}
-	}
-	if injected == "" {
-		injected = " none"
-	}
-	fmt.Printf("injected faults:%s\n", injected)
-	if err != nil {
-		if errors.Is(err, par.ErrPoisoned) {
-			fmt.Printf("contained PE failure: %v\n", err)
-			if _, e := dist.SMVP(make([]float64, n), x); e == nil {
-				return fmt.Errorf("poisoned Dist accepted a kernel")
-			}
-			fmt.Println("poisoned Dist fails fast on every later kernel, as documented")
-			return nil
-		}
-		return fmt.Errorf("armed solve: %w", err)
-	}
-	if !res.Converged {
-		return fmt.Errorf("armed solve did not converge: %+v", res)
-	}
-	if _, err := dist.InjectFaults(nil); err != nil {
+	// Re-check the certificate on the disarmed final operator, which no
+	// fault of the armed solve touches.
+	if _, err := out.Dist.InjectFaults(nil); err != nil {
 		return fmt.Errorf("disarm: %w", err)
 	}
-	// Re-check the certificate on the disarmed operator, which no fault
-	// of the armed solve touched.
 	ax := make([]float64, n)
-	if err := op.Apply(ax, x); err != nil {
+	final := par.Operator{D: out.Dist, Shift: 20, MassNode: sys.MassNode}
+	if err := final.Apply(ax, x); err != nil {
 		return fmt.Errorf("certificate: %w", err)
 	}
 	var rr, bb, drift, scale float64
@@ -542,11 +503,15 @@ func soakFaults(dist *par.Dist, sys *fem.System, plan *fault.Plan) error {
 		scale = math.Max(scale, math.Abs(ref[i]))
 	}
 	cert := math.Sqrt(rr / bb)
-	fmt.Printf("gated solve: %d iterations, residual %.3g, certificate %.3g, restarts %d\n",
-		res.Iterations, res.Residual, cert, res.Restarts)
+	fmt.Printf("gated solve on %d PEs: %d iterations, residual %.3g, certificate %.3g, restarts %d\n",
+		out.Part.P, out.Result.Iterations, out.Result.Residual, cert, out.Result.Restarts)
 	fmt.Printf("max deviation from fault-free answer: %.3g (solution scale %.3g)\n", drift, scale)
 	if !(cert <= 10*tol) {
-		return fmt.Errorf("armed answer's certificate %.3g exceeds 10·tol = %g", cert, 10*tol)
+		return fmt.Errorf("answer's certificate %.3g exceeds 10·tol = %g", cert, 10*tol)
+	}
+	if store != nil {
+		fmt.Printf("%d durable checkpoint(s) in %s; restart with: quakesim -scenario %s -pes %d -resume %s\n",
+			out.Result.Checkpoints, store.Dir(), opt.scenario, out.Part.P, store.Dir())
 	}
 	return nil
 }

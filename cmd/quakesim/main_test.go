@@ -3,10 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/partition"
+	"repro/internal/quake"
 )
 
 // base returns options as the flag defaults would produce them, ready
@@ -30,23 +38,99 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// stdoutOf runs f with os.Stdout sent into a pipe and returns what it
+// printed with f's error.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		r.Close()
+		printed <- string(b)
+	}()
+	prev := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = prev }()
+	ferr := f()
+	w.Close()
+	return <-printed, ferr
+}
+
+// TestRunTelemetry is the telemetry acceptance check over the full
+// application: -trace/-metrics emit valid JSON, the trace holds compute
+// and exchange spans on every PE's track, and each PE's exchanged-byte
+// counter moved exactly 8·C[i] per distributed SMVP — the partition
+// profile's analytic C accounting.
 func TestRunTelemetry(t *testing.T) {
+	const steps, pes = 20, 4
 	dir := t.TempDir()
-	opt := base(20, 4)
+	opt := base(steps, pes)
 	opt.trace = filepath.Join(dir, "trace.json")
 	opt.metrics = filepath.Join(dir, "metrics.json")
+	before := obs.Default.Snapshot()
 	if err := run(opt); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{opt.trace, opt.metrics} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+
+	// --- metrics: observed exchange bytes vs analytic C accounting ---
+	data, err := os.ReadFile(opt.metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("metrics JSON does not parse: %v", err)
+	}
+	m, err := quake.SF10.Mesh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := partition.PartitionMesh(m, pes, partition.RCB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := partition.Analyze(m, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The timed SMVPs and one kernel per distributed step; each moves
+	// 8·C[i] bytes through PE i.
+	const smvps = smvpReps + steps
+	for i := 0; i < pes; i++ {
+		name := fmt.Sprintf("par.exchange.bytes.pe%d", i)
+		if delta, want := snap.Counters[name]-before.Counters[name], smvps*8*pr.C[i]; delta != want {
+			t.Errorf("%s: observed %d bytes over %d SMVPs, analytic %d", name, delta, smvps, want)
 		}
-		var v map[string]any
-		if err := json.Unmarshal(data, &v); err != nil {
-			t.Fatalf("%s: invalid JSON: %v", path, err)
+	}
+
+	// --- trace: valid JSON, compute+exchange spans on every PE track ---
+	data, err = os.ReadFile(opt.trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Cat string `json:"cat"`
+			Ph  string `json:"ph"`
+			Tid int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatalf("trace JSON does not parse: %v", err)
+	}
+	tids := map[string]map[int]bool{"compute": {}, "exchange": {}}
+	for _, e := range file.TraceEvents {
+		if e.Ph == "X" && tids[e.Cat] != nil {
+			tids[e.Cat][e.Tid] = true
 		}
+	}
+	if len(tids["compute"]) < pes || len(tids["exchange"]) < pes {
+		t.Fatalf("want compute and exchange spans on %d distinct PE tracks, got %d/%d",
+			pes, len(tids["compute"]), len(tids["exchange"]))
 	}
 }
 
@@ -94,8 +178,20 @@ func TestRunRecovery(t *testing.T) {
 	opt.faults = "kill:pe=2,iter=8"
 	opt.checkpoint = ckdir
 	opt.every = 5
-	if err := run(opt); err != nil {
+	out, err := stdoutOf(t, func() error { return run(opt) })
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The shrunk answer is certified on the disarmed survivors' operator.
+	if !strings.Contains(out, "lost PE(s) [2] mid-solve; shrank 1 time(s)") {
+		t.Fatalf("no shrink reported:\n%s", out)
+	}
+	cert := regexp.MustCompile(`gated solve on 3 PEs: \d+ iterations, residual \S+, certificate (\S+), restarts \d+`).FindStringSubmatch(out)
+	if cert == nil {
+		t.Fatalf("no certificate line for the shrunk answer:\n%s", out)
+	}
+	if c, err := strconv.ParseFloat(cert[1], 64); err != nil || !(c <= 1e-7) {
+		t.Fatalf("shrunk answer's certificate %s, want <= 10·tol = 1e-7", cert[1])
 	}
 	entries, err := os.ReadDir(ckdir)
 	if err != nil {

@@ -2,9 +2,9 @@
 // long-running solve can be inspected live: expvar at /debug/vars, a
 // dependency-free Prometheus text endpoint at /metrics, an indented
 // JSON snapshot at /metrics.json, the flight-recorder ring at /flight,
-// and net/http/pprof under /debug/pprof/. It is the substrate the
-// planned quaked service will mount; today quakesim and quakerepro
-// expose it behind a -http flag.
+// and net/http/pprof under /debug/pprof/. quaked mounts it beside its
+// solve API through serve.NewMux; quakesim serves it alone behind its
+// -http flag.
 package export
 
 import (

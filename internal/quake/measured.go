@@ -84,7 +84,7 @@ func eq12MeasuredTf() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Title += "\nmeasured is SymBCSR.MulVecDot as the 8 PEs of a Dist — and quaked — run it, slowest PE; the three kernels side by side, one thread on the global K: kernels.{bcsr,sym,sym_avx2} of the BENCH_*.json written by the same run"
+	t.Title += "\nmeasured is SymBCSR.MulVecDot as the 8 PEs of a Dist — and quaked — run it, slowest PE; the three kernels side by side, one thread on the global K: kernels.{bcsr,sym,sym_avx2} of the BENCH_*.json that make bench-json writes"
 	return t, nil
 }
 

@@ -213,7 +213,7 @@ func (e *Engine) artifact(k Key) (a *artifact, hit bool, err error) {
 func (e *Engine) scenario(name string) (*scenarioProducts, error) {
 	sp, built, err := e.scenarios.get(name, func() (*scenarioProducts, error) {
 		start := time.Now()
-		scen, err := e.cfg.Scenarios(name)
+		scen, err := e.cfg.scenarios(name)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 		}

@@ -61,7 +61,7 @@ func TestFailedBuildsAreNotCached(t *testing.T) {
 func TestFailedBuildIsRetried(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	var calls atomic.Int32
-	e := newTestEngine(t, Config{Scenarios: func(name string) (iq.Scenario, error) {
+	e := newTestEngine(t, Config{scenarios: func(name string) (iq.Scenario, error) {
 		if calls.Add(1) == 1 {
 			return iq.Scenario{}, errors.New("transient resolver failure")
 		}

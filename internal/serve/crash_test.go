@@ -114,7 +114,7 @@ func TestCrashAtEveryDurableStep(t *testing.T) {
 	withObs(t)
 	t.Cleanup(func() { durable.Hook = nil })
 	cfg := func(dir string) Config {
-		return Config{JournalDir: dir, Scenarios: tinyResolver, CheckpointEvery: 2, MaxAttempts: 16}
+		return Config{JournalDir: dir, scenarios: tinyResolver, CheckpointEvery: 2, maxAttempts: 16}
 	}
 	reqs := []*SolveRequest{
 		{Scenario: "tiny-crash", PEs: 2, Tol: 1e-6, Faults: "kill:pe=1,iter=8", Recovery: RecoveryMigrate, IdempotencyKey: "killed"},

@@ -237,7 +237,7 @@ func TestCheckpointDiskBound(t *testing.T) {
 	}
 
 	gc0, requeued0 := jobGCPruned.Value(), jobRequeued.Value()
-	e1 := newTestEngine(t, Config{JournalDir: dir, MaxConcurrent: 3, CheckpointDelay: 5 * time.Millisecond})
+	e1 := newTestEngine(t, Config{JournalDir: dir, MaxConcurrent: 3, checkpointDelay: 5 * time.Millisecond})
 	submit := func(faults, recovery string) string {
 		t.Helper()
 		st, err := e1.Submit(&SolveRequest{Scenario: "tiny-disk", PEs: 4, Tol: 1e-12, Faults: faults, Recovery: recovery})

@@ -37,7 +37,7 @@ func gateResolver(name string) (iq.Scenario, error) {
 // mesh came back converged and certified at 15× to 280 000× tol.
 func TestNoWrongAnswerIsServed(t *testing.T) {
 	const tol = 1e-8
-	e := newTestEngine(t, Config{Scenarios: func(name string) (iq.Scenario, error) {
+	e := newTestEngine(t, Config{scenarios: func(name string) (iq.Scenario, error) {
 		if strings.HasPrefix(name, "tiny") {
 			return tinyResolver(name)
 		}

@@ -294,7 +294,7 @@ type jobManager struct {
 func newJobManager(cfg Config) (*jobManager, []*Job, error) {
 	m := &jobManager{
 		dir:    cfg.JournalDir,
-		retain: cfg.RetainJobs,
+		retain: cfg.retainJobs,
 		jobs:   make(map[string]*Job),
 		byIdem: make(map[string]*Job),
 	}
@@ -702,7 +702,7 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 			Tol:             tol,
 			CheckpointEvery: e.cfg.CheckpointEvery,
 			OnCheckpoint: func(st *solver.State) {
-				if d := e.cfg.CheckpointDelay; d > 0 {
+				if d := e.cfg.checkpointDelay; d > 0 {
 					time.Sleep(d)
 				}
 				j.mu.Lock()
@@ -741,9 +741,9 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 		// artifacts are canonical and a snapshot is the exact tuple
 		// entering its iteration, so the migrated trajectory is
 		// bit-identical to an uninterrupted solve. What is left of
-		// MaxAttempts bounds the replacements; none left is −1, zero
+		// maxAttempts bounds the replacements; none left is −1, zero
 		// being the supervisor's "default".
-		cfg.MaxShrinks = e.cfg.MaxAttempts - attempts
+		cfg.MaxShrinks = e.cfg.maxAttempts - attempts
 		if cfg.MaxShrinks < 1 {
 			cfg.MaxShrinks = -1
 		}

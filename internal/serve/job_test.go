@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/par"
+	iq "repro/internal/quake"
 	rec "repro/internal/recover"
 	"repro/internal/solver"
 	"repro/internal/testutil"
@@ -114,7 +115,7 @@ func TestJobSurvivesProcessRestart(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 
-	e1 := newTestEngine(t, Config{JournalDir: dir, CheckpointDelay: 2 * time.Millisecond})
+	e1 := newTestEngine(t, Config{JournalDir: dir, checkpointDelay: 2 * time.Millisecond})
 	st, err := e1.Submit(&SolveRequest{Scenario: "tiny-rst", PEs: 2, Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -190,6 +191,119 @@ func TestJobSurvivesProcessRestart(t *testing.T) {
 	if d := jobGCPruned.Value() - gc0; d < 1 {
 		t.Fatalf("serve.job.gc.pruned advanced by %d, want >= 1", d)
 	}
+}
+
+// TestJobSurvivesWorkerKillAndRestart is the durability drill over HTTP
+// (`make serve-chaos`): neither a dead worker nor a dead process loses
+// an accepted job. A journaled server takes a detached sf10/p4 solve
+// armed with a kill fault and migrate recovery, under an idempotency
+// key; once the job has migrated off the killed worker and written a
+// durable checkpoint the whole server is torn down mid-solve. A fresh
+// engine on the same journal must replay the job and finish it —
+// converged, certified, resumed past its checkpoint — with every
+// journaled job accounted for on GET /v1/jobs.
+func TestJobSurvivesWorkerKillAndRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the drill paces a real sf10 solve; skipped under -short")
+	}
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	cfg := Config{JournalDir: dir, CheckpointEvery: 5, scenarios: iq.ByName,
+		// Pace the solver so the drill reliably catches the job
+		// mid-flight for the forced restart.
+		checkpointDelay: 25 * time.Millisecond}
+	getJSON := func(client *http.Client, url string, v any) {
+		t.Helper()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, msg)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+	}
+	type metrics struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+
+	// Phase 1: migrate off a killed worker, then die mid-solve.
+	e1 := newTestEngine(t, cfg)
+	srv1 := startServer(t, e1)
+	var before metrics
+	getJSON(srv1.Client(), srv1.URL+"/metrics.json", &before)
+	resp := postSolve(t, srv1, `{"scenario":"sf10","pes":4,"tol":1e-12,"faults":"kill:pe=1,iter=5","recovery":"migrate","detach":true,"idempotency_key":"chaos-drill"}`)
+	var st JobStatus
+	err := json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || st.ID == "" {
+		t.Fatalf("submit: status %d, job %+v, err %v", resp.StatusCode, st, err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for st.Migrations < 1 || st.CheckpointIter < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never migrated (last: %+v)", st.ID, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+		getJSON(srv1.Client(), srv1.URL+"/v1/jobs/"+st.ID, &st)
+		if st.State.terminal() {
+			t.Fatalf("job %s reached %s before the forced restart — solve too fast for the drill", st.ID, st.State)
+		}
+	}
+	t.Logf("job %s migrated (attempts=%d migrations=%d ckpt_iter=%d), forcing restart mid-solve",
+		st.ID, st.Attempts, st.Migrations, st.CheckpointIter)
+	srv1.Close()
+	e1.Close()
+
+	// Phase 2: a fresh engine on the same journal replays and finishes.
+	cfg.checkpointDelay = 0
+	e2 := newTestEngine(t, cfg)
+	srv2 := startServer(t, e2)
+	deadline = time.Now().Add(60 * time.Second)
+	for !st.State.terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed job %s never finished (last: %+v)", st.ID, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+		getJSON(srv2.Client(), srv2.URL+"/v1/jobs/"+st.ID, &st)
+	}
+	if st.State != JobCompleted || !st.Replayed {
+		t.Fatalf("replayed job ended %s (replayed=%v, error %q)", st.State, st.Replayed, st.Error)
+	}
+	if st.Result == nil || !st.Result.Converged || !st.Result.Certified {
+		t.Fatalf("replayed job result %+v not converged+certified", st.Result)
+	}
+
+	// Zero lost jobs: everything the journal accepted is tracked and
+	// finished, and the counters show a real migration, requeue, replay
+	// and checkpoint resume (no pre-checkpoint iterations re-run).
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	getJSON(srv2.Client(), srv2.URL+"/v1/jobs", &list)
+	found := false
+	for _, j := range list.Jobs {
+		found = found || j.ID == st.ID
+		if j.State != JobCompleted {
+			t.Fatalf("journaled job %s ended %s — a job was lost or stuck", j.ID, j.State)
+		}
+	}
+	if !found {
+		t.Fatalf("job %s missing from the restarted engine's job list", st.ID)
+	}
+	var after metrics
+	getJSON(srv2.Client(), srv2.URL+"/metrics.json", &after)
+	for _, c := range []string{"serve.job.migrations", "serve.job.requeued", "serve.job.replays", "serve.job.resumed_iters_saved"} {
+		if d := after.Counters[c] - before.Counters[c]; d < 1 {
+			t.Fatalf("counter %s advanced by %d, want >= 1", c, d)
+		}
+	}
+	t.Logf("job %s survived 1 worker kill + 1 process restart (iters=%d, saved=%d)",
+		st.ID, st.Result.Iterations, after.Counters["serve.job.resumed_iters_saved"]-before.Counters["serve.job.resumed_iters_saved"])
 }
 
 // TestIdempotencyKeyDedups: a retried submission with the same key
@@ -420,11 +534,11 @@ func TestOrphanCheckpointGC(t *testing.T) {
 }
 
 // TestJobFailsWhenAttemptsExhausted: with a migration budget of zero
-// (MaxAttempts=1) a killed worker is a terminal failure, recorded as
+// (maxAttempts=1) a killed worker is a terminal failure, recorded as
 // such on the job.
 func TestJobFailsWhenAttemptsExhausted(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{MaxAttempts: 1})
+	e := newTestEngine(t, Config{maxAttempts: 1})
 	failed0 := jobFailed.Value()
 	migrations0 := jobMigrations.Value()
 	_, err := e.Solve(context.Background(),
@@ -436,7 +550,7 @@ func TestJobFailsWhenAttemptsExhausted(t *testing.T) {
 		t.Fatalf("serve.job.failed advanced by %d, want 1", d)
 	}
 	if d := jobMigrations.Value() - migrations0; d != 0 {
-		t.Fatalf("serve.job.migrations advanced by %d with MaxAttempts=1, want 0", d)
+		t.Fatalf("serve.job.migrations advanced by %d with maxAttempts=1, want 0", d)
 	}
 	// The failed attempt is on the record.
 	var st JobStatus
@@ -450,11 +564,11 @@ func TestJobFailsWhenAttemptsExhausted(t *testing.T) {
 	}
 }
 
-// TestTerminalJobEviction: RetainJobs bounds the in-memory record;
+// TestTerminalJobEviction: retainJobs bounds the in-memory record;
 // the oldest terminal jobs fall off while live jobs are untouchable.
 func TestTerminalJobEviction(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{RetainJobs: 2})
+	e := newTestEngine(t, Config{retainJobs: 2})
 	var ids []string
 	for i := 0; i < 5; i++ {
 		res, err := e.Solve(context.Background(),
@@ -464,7 +578,7 @@ func TestTerminalJobEviction(t *testing.T) {
 		}
 		ids = append(ids, res.JobID)
 	}
-	// Eviction runs at admission, so the cap is RetainJobs terminal
+	// Eviction runs at admission, so the cap is retainJobs terminal
 	// records plus the job being admitted.
 	if got := len(e.Jobs()); got != 3 {
 		t.Fatalf("%d jobs retained, want 3", got)

@@ -101,22 +101,23 @@ type Config struct {
 	// <dir>/ckpt/<jobID>/, and NewEngine replays the journal so a
 	// restart loses no accepted work. Empty keeps jobs in-memory only.
 	JournalDir string
-	// MaxAttempts bounds worker dispatches per job, counting the
-	// initial one — so MaxAttempts−1 is the migration budget a job has
+
+	// The four below are set only by this package's tests.
+	//
+	// maxAttempts bounds worker dispatches per job, counting the
+	// initial one — so maxAttempts−1 is the migration budget a job has
 	// for workers dying under it (default 3).
-	MaxAttempts int
-	// RetainJobs bounds how many finished jobs stay queryable (and
+	maxAttempts int
+	// retainJobs bounds how many finished jobs stay queryable (and
 	// idempotency-deduplicable); the oldest beyond it are evicted
 	// (default 256).
-	RetainJobs int
-	// CheckpointDelay stretches every solver checkpoint by sleeping
-	// this long inside the checkpoint hook — a pacing knob for chaos
-	// drills and tests that must catch a solve mid-flight. Zero (the
-	// default, and production) adds nothing.
-	CheckpointDelay time.Duration
-	// Scenarios resolves a scenario name (default quake.ByName). Tests
-	// inject tiny meshes here.
-	Scenarios func(name string) (iq.Scenario, error)
+	retainJobs int
+	// checkpointDelay stretches every solver checkpoint by sleeping
+	// this long inside the checkpoint hook, so a test can catch a solve
+	// mid-flight. Zero (the default) adds nothing.
+	checkpointDelay time.Duration
+	// scenarios resolves a scenario name (default quake.ByName).
+	scenarios func(name string) (iq.Scenario, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -147,14 +148,14 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 10
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 3
 	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 256
+	if c.retainJobs <= 0 {
+		c.retainJobs = 256
 	}
-	if c.Scenarios == nil {
-		c.Scenarios = iq.ByName
+	if c.scenarios == nil {
+		c.scenarios = iq.ByName
 	}
 	return c
 }

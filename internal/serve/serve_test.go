@@ -37,8 +37,8 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	t.Cleanup(func() { obs.SetEnabled(prev) })
-	if cfg.Scenarios == nil {
-		cfg.Scenarios = tinyResolver
+	if cfg.scenarios == nil {
+		cfg.scenarios = tinyResolver
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 1
@@ -237,12 +237,12 @@ func TestBackpressure429(t *testing.T) {
 }
 
 // TestDeadlineCancelKeepsWorkerHealthy stretches each checkpoint with
-// CheckpointDelay so a 25ms wall budget reliably fires mid-solve, then
+// checkpointDelay so a 25ms wall budget reliably fires mid-solve, then
 // proves the pooled worker survived: the next solve on the same tuple
 // reuses it and converges.
 func TestDeadlineCancelKeepsWorkerHealthy(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := newTestEngine(t, Config{MaxConcurrent: 2, CheckpointDelay: 2 * time.Millisecond})
+	e := newTestEngine(t, Config{MaxConcurrent: 2, checkpointDelay: 2 * time.Millisecond})
 	srv := startServer(t, e)
 	const body = `{"scenario":"tiny-dead","pes":2,"tol":1e-12}`
 	mustSolve(t, srv, body)
